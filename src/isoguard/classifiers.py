@@ -85,20 +85,30 @@ def _knn_positive_counts(model: KnnModel, X) -> np.ndarray:
     k = model.k
     counts = np.empty(X.shape[0], dtype=np.int64)
     train_sq = (train * train).sum(axis=1)
+    positive = model.y == 1
     chunk = max(1, int(2e7 // max(n_train, 1)))
     for start in range(0, X.shape[0], chunk):
         q = X[start : start + chunk]
-        d2 = train_sq[None, :] - 2.0 * (q @ train.T) + (q * q).sum(axis=1)[:, None]
+        # train_sq - 2.0 * (q @ train.T) + q_sq, same operations and order, without full-size temporaries
+        d2 = q @ train.T
+        d2 *= 2.0
+        np.subtract(train_sq[None, :], d2, out=d2)
+        d2 += (q * q).sum(axis=1)[:, None]
         np.maximum(d2, 0.0, out=d2)
         if k == n_train:
             counts[start : start + q.shape[0]] = model.y.sum()
             continue
-        kth = np.partition(d2, k - 1, axis=1)[:, k - 1]
-        for i in range(q.shape[0]):
+        kth = np.partition(d2, k - 1, axis=1)[:, k - 1].copy()  # copy frees the partitioned matrix
+        within = d2 <= kth[:, None]
+        n_within = np.count_nonzero(within, axis=1)
+        within &= positive[None, :]
+        chunk_counts = np.count_nonzero(within, axis=1)
+        # more than k rows tie at the k-th distance: keep the lowest training indices
+        for i in np.flatnonzero(n_within > k):
             candidates = np.flatnonzero(d2[i] <= kth[i])  # ascending index already
-            if candidates.size > k:
-                candidates = candidates[np.argsort(d2[i, candidates], kind="stable")][:k]
-            counts[start + i] = model.y[candidates].sum()
+            candidates = candidates[np.argsort(d2[i, candidates], kind="stable")][:k]
+            chunk_counts[i] = model.y[candidates].sum()
+        counts[start : start + q.shape[0]] = chunk_counts
     return counts
 
 
@@ -314,18 +324,29 @@ def _stump_outputs(feature_values: np.ndarray, threshold: float, polarity: int) 
     return polarity * out
 
 
-def _best_stump(X: np.ndarray, t: np.ndarray, weights: np.ndarray) -> tuple[float, int, float, int]:
+def _best_stump(
+    X: np.ndarray, t: np.ndarray, weights: np.ndarray, orders: np.ndarray | None = None
+) -> tuple[float, int, float, int]:
     """Minimal weighted error over all midpoint thresholds, both polarities.
 
+    ``orders`` is ``np.argsort(X, axis=0, kind="stable")``; pass it to reuse
+    one presort across boosting rounds (only the weights change between
+    them), or leave it out to sort here.
+
     Ties resolve toward the lower feature index, then the smaller
-    threshold, then polarity +1.
+    threshold, then polarity +1. Within a feature the errors of every cut
+    are laid out as ``[plus, minus]`` pairs in ascending threshold order,
+    so the first-occurrence ``argmin`` picks the smallest threshold and,
+    at that threshold, polarity +1; across features only a strictly
+    smaller error replaces the best so far, which keeps the lower feature.
     """
+    if orders is None:
+        orders = np.argsort(X, axis=0, kind="stable")
     best = (np.inf, -1, 0.0, 1)
     w_pos_total = weights[t > 0].sum()
     for f in range(X.shape[1]):
-        values = X[:, f]
-        order = np.argsort(values, kind="stable")
-        sv = values[order]
+        order = orders[:, f]
+        sv = X[order, f]
         distinct = np.flatnonzero(sv[1:] > sv[:-1]) + 1  # cut positions between distinct values
         if distinct.size == 0:
             continue
@@ -334,15 +355,15 @@ def _best_stump(X: np.ndarray, t: np.ndarray, weights: np.ndarray) -> tuple[floa
         w_pos_prefix = np.concatenate(([0.0], np.cumsum(np.where(st > 0, sw, 0.0))))
         w_neg_prefix = np.concatenate(([0.0], np.cumsum(np.where(st < 0, sw, 0.0))))
         w_neg_total = w_neg_prefix[-1]
-        for cut in distinct:
+        errors = np.empty(2 * distinct.size)
+        # polarity +1: rows below the cut predict -1, at/above predict +1
+        errors[0::2] = w_pos_prefix[distinct] + (w_neg_total - w_neg_prefix[distinct])
+        errors[1::2] = (w_pos_total + w_neg_total) - errors[0::2]
+        i = int(np.argmin(errors))
+        if errors[i] < best[0]:
+            cut = distinct[i // 2]
             threshold = 0.5 * (sv[cut - 1] + sv[cut])
-            # polarity +1: rows below the cut predict -1, at/above predict +1
-            err_plus = w_pos_prefix[cut] + (w_neg_total - w_neg_prefix[cut])
-            err_minus = (w_pos_total + w_neg_total) - err_plus
-            if err_plus < best[0]:
-                best = (float(err_plus), f, float(threshold), 1)
-            if err_minus < best[0]:
-                best = (float(err_minus), f, float(threshold), -1)
+            best = (float(errors[i]), f, float(threshold), 1 if i % 2 == 0 else -1)
     return best
 
 
@@ -360,9 +381,10 @@ def adaboost_fit(X, y, n_stumps: int = 50) -> AdaBoostModel:
     t = 2.0 * y - 1.0
     n = X.shape[0]
     weights = np.full(n, 1.0 / n)
+    orders = np.argsort(X, axis=0, kind="stable")
     stumps: list[Stump] = []
     for _ in range(n_stumps):
-        err, feature, threshold, polarity = _best_stump(X, t, weights)
+        err, feature, threshold, polarity = _best_stump(X, t, weights, orders)
         if err >= 0.5:
             break
         eps = min(max(err, 1e-10), 1.0 - 1e-10)

@@ -136,6 +136,12 @@ def load_csv(
     they map to 0/1 with "normal" (case-insensitive) taking 0, literal
     "0"/"1" kept as-is, and otherwise the lexicographically smaller value
     taking 0. Missing cells and ragged rows are errors.
+
+    A column not declared Nominal is first parsed in one pass with
+    ``float``; when every value is a finite float that is the result,
+    since ``float`` and the per-cell parse agree on finite values. A
+    column with any non-number or non-finite value (``nan``, ``inf``,
+    ``1e999``) falls back to the per-cell parse, which decides its kind.
     """
     path = Path(path)
     if not path.exists():
@@ -151,12 +157,13 @@ def load_csv(
     if len(set(header)) != len(header):
         raise IsoguardError(f"{path}: duplicate column names in header")
     width = len(header)
-    for rownum, rec in enumerate(records, start=2):
-        if len(rec) != width:
-            raise IsoguardError(f"{path}: row {rownum} has {len(rec)} cells, expected {width}")
-        for col, cell in zip(header, rec):
-            if cell == "":
-                raise IsoguardError(f"{path}: missing value at row {rownum}, column {col!r}")
+    if any(len(rec) != width or "" in rec for rec in records):
+        for rownum, rec in enumerate(records, start=2):
+            if len(rec) != width:
+                raise IsoguardError(f"{path}: row {rownum} has {len(rec)} cells, expected {width}")
+            for col, cell in zip(header, rec):
+                if cell == "":
+                    raise IsoguardError(f"{path}: missing value at row {rownum}, column {col!r}")
     if not records:
         raise IsoguardError(f"{path}: no data rows")
 
@@ -165,22 +172,23 @@ def load_csv(
     target_pos = header.index(target_column)
     feature_names = tuple(n for n in header if n != target_column)
 
-    raw_target = [rec[target_pos] for rec in records]
-    target = _encode_target(raw_target, target_column, path)
+    columns = list(zip(*records))
+    target = _encode_target(columns.pop(target_pos), target_column, path)
 
-    columns: list[list[str]] = [[] for _ in feature_names]
-    for rec in records:
-        fi = 0
-        for pos, cell in enumerate(rec):
-            if pos == target_pos:
-                continue
-            columns[fi].append(cell)
-            fi += 1
-
+    n = len(records)
     kinds: list[ColumnKind] = []
     data_cols: list[np.ndarray] = []
     for name, values in zip(feature_names, columns):
         declared = schema.get(name) if schema else None
+        if declared is not ColumnKind.NOMINAL:
+            try:
+                numbers = np.fromiter(map(float, values), np.float64, count=n)
+            except ValueError:
+                numbers = None
+            if numbers is not None and np.isfinite(numbers).all():
+                kinds.append(ColumnKind.NUMERIC)
+                data_cols.append(numbers)
+                continue
         parsed = [_parse_number(v) for v in values]
         if declared is ColumnKind.NUMERIC:
             for v, p in zip(values, parsed):
@@ -213,7 +221,7 @@ def load_csv(
     )
 
 
-def _encode_target(raw: list[str], name: str, path: Path) -> np.ndarray:
+def _encode_target(raw: tuple[str, ...], name: str, path: Path) -> np.ndarray:
     distinct = sorted(set(raw))
     if len(distinct) != 2:
         raise IsoguardError(

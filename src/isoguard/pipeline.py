@@ -208,13 +208,25 @@ def _write_verdicts(path: Path, verdicts: list[iforest.OutlierVerdict]) -> None:
             writer.writerow([i, repr(v.score.s), repr(v.score.mean_path_length), v.label])
 
 
-def _read_verdict_labels(path: Path) -> np.ndarray:
+def _read_verdict_labels(path: Path, train: Dataset) -> np.ndarray:
+    """Verdict labels of ``train``'s rows; the row counts must agree."""
     if not path.exists():
         raise IsoguardError(f"missing artifact {path.name}; run the detect stage first")
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         next(reader)
-        return np.array([int(rec[3]) for rec in reader], dtype=np.int64)
+        try:
+            labels = np.array([int(rec[3]) for rec in reader], dtype=np.int64)
+        except (IndexError, ValueError):
+            raise IsoguardError(
+                f"{path.name}: malformed verdict row at line {reader.line_num}; rerun the detect stage"
+            ) from None
+    if labels.size != train.n_rows:
+        raise IsoguardError(
+            f"{path.name} has {labels.size} verdict rows but train.csv has {train.n_rows} rows; "
+            "rerun the detect stage"
+        )
+    return labels
 
 
 def emit_scatter(
@@ -356,7 +368,7 @@ def stage_train(cfg: PipelineConfig, out: Path) -> None:
         rfe, _ = load_rfe(out / "rfe.json") if (out / "rfe.json").exists() else (None, None)
         if rfe is None:
             raise IsoguardError("missing artifact rfe.json; run the select stage first")
-        labels = _read_verdict_labels(out / "verdicts_train.csv")
+        labels = _read_verdict_labels(out / "verdicts_train.csv", train)
         X = train.matrix()[:, list(rfe.selected)]
         y = train.target
 
@@ -391,7 +403,7 @@ def stage_evaluate(cfg: PipelineConfig, out: Path) -> ComparisonReport:
         if not rfe_path.exists():
             raise IsoguardError("missing artifact rfe.json; run the select stage first")
         rfe, _ = load_rfe(rfe_path)
-        labels = _read_verdict_labels(out / "verdicts_train.csv")
+        labels = _read_verdict_labels(out / "verdicts_train.csv", train)
         X_test = test.matrix()[:, list(rfe.selected)]
         y_test = test.target
 

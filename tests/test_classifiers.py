@@ -3,7 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from isoguard import classifiers
 from isoguard.classifiers import (
+    _best_stump,
+    _knn_positive_counts,
     adaboost_fit,
     adaboost_predict,
     gnb_fit,
@@ -36,6 +39,78 @@ def blobs(rng, n_per_class=40, d=3, sep=3.0):
     return X, y
 
 
+def reference_knn_counts(model, X):
+    """Per-row loop over the k nearest: the oracle for the vectorized vote count."""
+    train = model.X
+    d2 = (train * train).sum(axis=1)[None, :] - 2.0 * (X @ train.T) + (X * X).sum(axis=1)[:, None]
+    np.maximum(d2, 0.0, out=d2)
+    kth = np.partition(d2, model.k - 1, axis=1)[:, model.k - 1]
+    counts = np.empty(X.shape[0], dtype=np.int64)
+    for i in range(X.shape[0]):
+        candidates = np.flatnonzero(d2[i] <= kth[i])
+        if candidates.size > model.k:
+            candidates = candidates[np.argsort(d2[i, candidates], kind="stable")][: model.k]
+        counts[i] = model.y[candidates].sum()
+    return counts
+
+
+def reference_best_stump(X, t, weights):
+    """Per-cut loop over every threshold: the oracle for the vectorized stump search."""
+    best = (np.inf, -1, 0.0, 1)
+    w_pos_total = weights[t > 0].sum()
+    for f in range(X.shape[1]):
+        values = X[:, f]
+        order = np.argsort(values, kind="stable")
+        sv = values[order]
+        distinct = np.flatnonzero(sv[1:] > sv[:-1]) + 1
+        if distinct.size == 0:
+            continue
+        sw = weights[order]
+        st = t[order]
+        w_pos_prefix = np.concatenate(([0.0], np.cumsum(np.where(st > 0, sw, 0.0))))
+        w_neg_prefix = np.concatenate(([0.0], np.cumsum(np.where(st < 0, sw, 0.0))))
+        w_neg_total = w_neg_prefix[-1]
+        for cut in distinct:
+            threshold = 0.5 * (sv[cut - 1] + sv[cut])
+            err_plus = w_pos_prefix[cut] + (w_neg_total - w_neg_prefix[cut])
+            err_minus = (w_pos_total + w_neg_total) - err_plus
+            if err_plus < best[0]:
+                best = (float(err_plus), f, float(threshold), 1)
+            if err_minus < best[0]:
+                best = (float(err_minus), f, float(threshold), -1)
+    return best
+
+
+def stump_case(rng, case):
+    """A (X, t, weights) stump-search input; ``case`` cycles through hard shapes."""
+    n = int(rng.integers(2, 60))
+    d = int(rng.integers(1, 6))
+    X = rng.normal(size=(n, d))
+    shape = case % 5
+    if shape == 1:  # heavy value ties
+        X = np.round(X)
+    elif shape == 2:  # duplicate rows
+        X = X[rng.integers(0, max(1, n // 3), size=n)]
+    elif shape == 3:  # a constant column among tied ones
+        X = np.round(X * 2.0) / 2.0
+        X[:, rng.integers(0, d)] = 1.5
+    elif shape == 4:  # two distinct values per feature
+        X = (X > 0).astype(np.float64)
+    y = rng.integers(0, 2, size=n)
+    y[0], y[-1] = 0, 1
+    kind = (case // 5) % 4
+    if kind == 0:  # uniform
+        weights = np.full(n, 1.0 / n)
+    elif kind == 1:  # skewed
+        weights = rng.exponential(size=n) ** 4
+    elif kind == 2:  # near-degenerate: one row holds almost all weight
+        weights = np.full(n, 1e-12)
+        weights[rng.integers(0, n)] = 1.0
+    else:  # a few small integer weights: exact error ties between cuts
+        weights = rng.integers(1, 3, size=n).astype(np.float64)
+    return X, 2.0 * y - 1.0, weights / weights.sum()
+
+
 class TestKnn:
     def test_exact_training_point_with_k1(self):
         X = np.array([[0.0, 0.0], [5.0, 5.0]])
@@ -66,6 +141,16 @@ class TestKnn:
         X = np.array([[1.0], [-1.0], [50.0]])
         model = knn_fit(X, [1, 0, 0], k=1)
         assert knn_predict(model, np.array([[0.0]])).tolist() == [1]
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 5, 8])
+    def test_vote_counts_match_per_row_loop_under_ties(self, k):
+        rng = np.random.default_rng(20 + k)
+        # integer grid points with duplicates: many distances tie at the k-th place
+        X = rng.integers(-2, 3, size=(60, 2)).astype(np.float64)
+        y = rng.integers(0, 2, size=60)
+        model = knn_fit(X, y, k=k)
+        queries = np.vstack((X[:20], rng.integers(-3, 4, size=(40, 2)).astype(np.float64), rng.normal(size=(10, 2))))
+        np.testing.assert_array_equal(_knn_positive_counts(model, queries), reference_knn_counts(model, queries))
 
     def test_k1_training_accuracy_on_distinct_points(self):
         rng = np.random.default_rng(0)
@@ -326,6 +411,24 @@ class TestAdaBoost:
             weights /= weights.sum()
         error_rate = float((adaboost_predict(model, X) != y).mean())
         assert error_rate <= bound + 1e-9
+
+    def test_stump_search_matches_per_cut_loop(self):
+        rng = np.random.default_rng(30)
+        for case in range(80):
+            X, t, weights = stump_case(rng, case)
+            expected = reference_best_stump(X, t, weights)
+            assert _best_stump(X, t, weights) == expected, case
+            orders = np.argsort(X, axis=0, kind="stable")
+            assert _best_stump(X, t, weights, orders) == expected, case
+
+    def test_fit_matches_fit_driven_by_per_cut_loop(self, monkeypatch):
+        rng = np.random.default_rng(31)
+        inputs = [blobs(rng, n_per_class=30, d=3, sep=1.0)]
+        X, y = blobs(rng, n_per_class=40, d=4, sep=0.8)
+        inputs.append((np.round(X), y))
+        fitted = [model_to_json(adaboost_fit(X, y, n_stumps=15)) for X, y in inputs]
+        monkeypatch.setattr(classifiers, "_best_stump", lambda X, t, w, orders=None: reference_best_stump(X, t, w))
+        assert [model_to_json(adaboost_fit(X, y, n_stumps=15)) for X, y in inputs] == fitted
 
     def test_all_constant_features_rejected(self):
         with pytest.raises(IsoguardError, match="no valid stump"):

@@ -112,6 +112,34 @@ class TestDispatch:
         assert (tmp_path / "from-config" / "report.json").exists()
 
 
+class TestArtifactMismatch:
+    @pytest.mark.parametrize("stage", ["train", "evaluate"])
+    def test_truncated_verdicts_exit_2(self, workspace, capsys, stage):
+        tmp_path, cfg_path = workspace
+        out = tmp_path / "run"
+        args = ["--config", str(cfg_path), "--seed", "3", "--out", str(out)]
+        assert cli_dispatch(["pipeline"] + args) == 0
+        verdicts = out / "verdicts_train.csv"
+        lines = verdicts.read_text(encoding="utf-8").splitlines(keepends=True)
+        verdicts.write_text("".join(lines[:50]), encoding="utf-8")  # header + 49 rows
+        capsys.readouterr()
+        assert cli_dispatch([stage] + args) == 2
+        err = capsys.readouterr().err
+        assert f"{stage}: verdicts_train.csv has 49 verdict rows but train.csv has {len(lines) - 1} rows" in err
+
+    def test_verdict_row_cut_mid_line_exits_2(self, workspace, capsys):
+        tmp_path, cfg_path = workspace
+        out = tmp_path / "run"
+        args = ["--config", str(cfg_path), "--seed", "3", "--out", str(out)]
+        assert cli_dispatch(["pipeline"] + args) == 0
+        verdicts = out / "verdicts_train.csv"
+        lines = verdicts.read_text(encoding="utf-8").splitlines()
+        verdicts.write_text("\n".join(lines[:-1] + [lines[-1].rsplit(",", 1)[0]]) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        assert cli_dispatch(["train"] + args) == 2
+        assert f"train: verdicts_train.csv: malformed verdict row at line {len(lines)}" in capsys.readouterr().err
+
+
 class TestThreadsEnv:
     def test_thread_cap_does_not_change_bytes(self, workspace, monkeypatch):
         tmp_path, cfg_path = workspace

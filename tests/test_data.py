@@ -3,6 +3,7 @@ import pytest
 
 from isoguard.data import (
     ColumnKind,
+    _parse_number,
     Dataset,
     SplitSpec,
     apply_label_encoder,
@@ -90,14 +91,47 @@ class TestLoadCsv:
             load_csv(tmp_path / "absent.csv")
 
     def test_ragged_rows(self, tmp_path):
-        path = write(tmp_path, "a,b,class\n1,2,normal\n3,anomaly\n")
-        with pytest.raises(IsoguardError, match="row 3"):
+        path = write(tmp_path, "a,b,class\n1,2,normal\n3,anomaly\n4,5,6,normal\n")
+        with pytest.raises(IsoguardError, match="row 3 has 2 cells, expected 3"):
             load_csv(path)
 
     def test_missing_cell(self, tmp_path):
-        path = write(tmp_path, "a,b,class\n1,,normal\n2,3,anomaly\n")
-        with pytest.raises(IsoguardError, match="missing value"):
+        path = write(tmp_path, "a,b,class\n1,2,normal\n1,,normal\n,3,anomaly\n")
+        with pytest.raises(IsoguardError, match="missing value at row 3, column 'b'"):
             load_csv(path)
+
+    def test_number_parse_matches_per_cell_parse(self, tmp_path):
+        columns = {
+            "plain": ["1", "2.5", "-3e2", "4"],
+            "nan": ["1", "nan", "2", "3"],
+            "minus_nan": ["1", "-nan", "2", "+nan"],
+            "inf": ["inf", "1", "2", "3"],
+            "overflow": ["1e999", "-1e999", "2", "3"],
+            "spaced": [" 2 ", "3", "\t4", "5"],
+            "underscored": ["1_000", "2", "3", "4"],
+            "word": ["1", "NaN", "x", "4"],
+        }
+        names = list(columns)
+        lines = [",".join(names + ["class"])]
+        for i in range(4):
+            lines.append(",".join([columns[n][i] for n in names] + [["normal", "anomaly"][i % 2]]))
+        ds = load_csv(write(tmp_path, "\n".join(lines) + "\n"))
+        assert ds.feature_names == tuple(names)
+        for j, name in enumerate(names):
+            parsed = [_parse_number(v) for v in columns[name]]
+            if all(p is not None for p in parsed):
+                assert ds.kinds[j] is ColumnKind.NUMERIC, name
+                got = np.array(ds.rows[:, j], dtype=np.float64)
+                assert got.view(np.uint64).tolist() == np.array(parsed).view(np.uint64).tolist(), name
+            else:
+                assert ds.kinds[j] is ColumnKind.NOMINAL, name
+                assert ds.rows[:, j].tolist() == columns[name], name
+        assert [ds.kinds[j] for j in range(len(names))].count(ColumnKind.NUMERIC) == 5
+
+    def test_declared_numeric_column_rejects_infinity(self, tmp_path):
+        path = write(tmp_path, "x,class\n1,normal\ninf,anomaly\n")
+        with pytest.raises(IsoguardError, match="column 'x' declared numeric but holds 'inf'"):
+            load_csv(path, schema={"x": ColumnKind.NUMERIC})
 
     def test_unknown_target_column(self, tmp_path):
         path = write(tmp_path, "a,b\n1,2\n")
@@ -118,6 +152,7 @@ class TestLoadCsv:
         path = write(tmp_path, "code,class\n1,normal\n2,anomaly\n")
         ds = load_csv(path, schema={"code": ColumnKind.NOMINAL})
         assert ds.kinds == (ColumnKind.NOMINAL,)
+        assert ds.rows[:, 0].tolist() == ["1", "2"]
 
 
 class TestLabelEncoder:
