@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import IsoguardError
+from .errors import IsoguardError, artifact_reader
 
 # ---------------------------------------------------------------------------
 # shared helpers
@@ -547,4 +547,5 @@ def save_model(model: ClassifierModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> ClassifierModel:
-    return model_from_json(Path(path).read_text(encoding="utf-8"))
+    with artifact_reader(path):
+        return model_from_json(Path(path).read_text(encoding="utf-8"))

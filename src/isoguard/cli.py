@@ -13,6 +13,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .errors import IsoguardError
+from .parallel import worker_count
 from .pipeline import (
     PipelineConfig,
     config_to_json,
@@ -100,6 +101,7 @@ def cli_dispatch(argv: list[str]) -> int:
         args = parser.parse_args(argv)
         if args.command is None:
             raise UsageError(parser.format_usage() + "isoguard: error: a subcommand is required")
+        worker_count()  # reject a bad ISOGUARD_THREADS before any stage writes an artifact
         if args.command == "synth":
             cfg = _resolve(args, need_input=False)
             overrides = {

@@ -4,9 +4,9 @@ Each tree trains on the full sample (no bootstrap). At every node a
 pseudo-random subset of ceil(sqrt(d)) candidate features is drawn, one
 uniform threshold between each candidate's node-local min and max, and the
 candidate with the greatest Gini impurity decrease wins. All draws are
-keyed by (seed, tree, node, feature key) hashes: trees can be built
-concurrently, and permuting columns together with their keys permutes the
-result identically.
+keyed by (seed, tree, node, feature key) hashes: no tree depends on the
+order in which trees are built, and permuting columns together with their
+keys permutes the result identically.
 """
 from __future__ import annotations
 
@@ -17,12 +17,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import IsoguardError
-from .parallel import run_indexed
-from .prng import hash64, unit_uniforms
+from .errors import IsoguardError, artifact_reader
+from .parallel import run_indexed  # noqa: F401  (not called here; perfbench's tracer rebinds it)
+from .prng import extend_hashes, hash64, unit_uniforms
 
 _CANDIDATE_TAG = 0x5EED_CA9D
 _THRESHOLD_TAG = 0x5EED_7442
+_DRAW_BLOCK = 64  # node ids whose draws are hashed in one batch
 
 
 @dataclass(frozen=True)
@@ -82,6 +83,23 @@ def _gini_counts(n0: np.ndarray | float, n1: np.ndarray | float) -> np.ndarray |
     return 1.0 - p0 * p0 - p1 * p1
 
 
+def _node_draws(
+    tree_hash: int, first: int, count: int, keys: np.ndarray, n_candidates: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Candidate columns and threshold uniforms for node ids first..first+count-1.
+
+    Node ``i`` of a tree draws from hash64(seed, tree, i, tag). The draws
+    depend on those hashes and the feature keys only, never on the data,
+    so a block of node ids is drawn at once.
+    """
+    ids = np.arange(first, first + count, dtype=np.uint64)
+    cand_base = extend_hashes(tree_hash, ids, _CANDIDATE_TAG)
+    order = np.argsort(unit_uniforms(cand_base[:, None], keys), axis=1, kind="stable")
+    candidates = order[:, :n_candidates]
+    thr_base = extend_hashes(tree_hash, ids, _THRESHOLD_TAG)
+    return candidates, unit_uniforms(thr_base[:, None], keys[candidates])
+
+
 def _build_tree(
     X: np.ndarray,
     y: np.ndarray,
@@ -93,77 +111,67 @@ def _build_tree(
     n_total = X.shape[0]
     d = X.shape[1]
     n_candidates = max(1, math.ceil(math.sqrt(d)))
-    counter = [0]
-    y_float = y.astype(np.float64)
+    # a row of class-0 and a row of class-1 indicators: their products with a
+    # mask count each class among the rows the mask selects
+    class_weights = np.stack((y == 0, y == 1)).astype(np.float64)
     max_depth = params.max_depth
     min_split = params.min_samples_split
-    seed = params.seed
+    # hash64 is a left fold: each node only folds its id and a tag onto this
+    tree_hash = int(hash64(params.seed, tree_index))
+    blocks: list[tuple[np.ndarray, np.ndarray]] = []  # (candidates, draws) per _DRAW_BLOCK ids
+    next_id = 0
 
-    def build(rows: np.ndarray, depth: int) -> EtNode:
+    def build(rows: np.ndarray, n1: int, depth: int) -> EtNode:
+        nonlocal next_id
         n_node = rows.size
-        labels = y_float[rows]
-        n1 = labels.sum()
-        n0 = n_node - n1
-        if (
-            n0 == 0.0
-            or n1 == 0.0
-            or n_node < min_split
-            or (max_depth is not None and depth >= max_depth)
-        ):
+        if n1 == 0 or n1 == n_node or n_node < min_split or (max_depth is not None and depth >= max_depth):
             return EtLeaf(n=n_node)
 
-        node_id = counter[0]
-        counter[0] += 1
-        cand_base = hash64(seed, tree_index, node_id, _CANDIDATE_TAG)
-        order = np.argsort(unit_uniforms(cand_base, keys), kind="stable")
-        candidates = order[:n_candidates]
-
-        sub = X[rows[:, None], candidates[None, :]]
+        # depth-first pre-order ids: they decide which hashes a node draws
+        node_id = next_id
+        next_id += 1
+        block, slot = divmod(node_id, _DRAW_BLOCK)
+        if block == len(blocks):
+            blocks.append(_node_draws(tree_hash, node_id, _DRAW_BLOCK, keys, n_candidates))
+        block_candidates, block_draws = blocks[block]
+        candidates = block_candidates[slot]
+        sub = X.take(rows, axis=0).take(candidates, axis=1)
         lo = sub.min(axis=0)
         hi = sub.max(axis=0)
-        valid = hi > lo
-        if not valid.any():
-            return EtLeaf(n=n_node)
-
-        thr_base = hash64(seed, tree_index, node_id, _THRESHOLD_TAG)
-        draws = unit_uniforms(thr_base, keys[candidates])
-        thresholds = lo + (hi - lo) * draws
-        degenerate = valid & (thresholds <= lo)
-        if degenerate.any():
-            thresholds = np.where(degenerate, np.nextafter(lo, hi), thresholds)
-
+        # a draw that rounds onto lo moves to the next float above it
+        thresholds = np.maximum(lo + (hi - lo) * block_draws[slot], np.nextafter(lo, hi))
         left_masks = sub < thresholds
-        lm = left_masks.astype(np.float64)
-        nl = lm.sum(axis=0)
-        n1l = labels @ lm
-        n0l = nl - n1l
-        nr = n_node - nl
-        n1r = n1 - n1l
-        n0r = n0 - n0l
-        parent_gini = _gini_counts(n0, n1)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            child_gini = (nl * _gini_counts(n0l, n1l) + nr * _gini_counts(n0r, n1r)) / n_node
-        decrease = np.where(valid, parent_gini - child_gini, -np.inf)
+        # class counts [n0, n1] of each side, left sides first, and the same
+        # Gini terms as _gini_counts for all 2k sides at once
+        counts = class_weights[:, rows] @ np.concatenate((left_masks, ~left_masks), axis=1)
+        sizes = counts[0] + counts[1]
+        p = counts / sizes
+        p *= p
+        side = sizes * (1.0 - p[0] - p[1])
+        child_gini = (side[:n_candidates] + side[n_candidates:]) / n_node
+        decrease = np.where(hi > lo, _gini_counts(float(n_node - n1), float(n1)) - child_gini, -np.inf)
 
-        best = int(np.argmax(decrease))
-        if not np.isfinite(decrease[best]):
+        best = int(decrease.argmax())
+        local_decrease = float(decrease[best])
+        if not math.isfinite(local_decrease):
             return EtLeaf(n=n_node)
         feature = int(candidates[best])
-        threshold = float(thresholds[best])
-        local_decrease = float(decrease[best])
-
         mask = left_masks[:, best]
         importances[feature] += (n_node / n_total) * local_decrease
+        n1_left = int(counts[1, best])
         return EtSplit(
             feature=feature,
-            threshold=threshold,
+            threshold=float(thresholds[best]),
             n=n_node,
             impurity_decrease=local_decrease,
-            left=build(rows[mask], depth + 1),
-            right=build(rows[~mask], depth + 1),
+            left=build(rows[mask], n1_left, depth + 1),
+            right=build(rows[~mask], n1 - n1_left, depth + 1),
         )
 
-    return build(np.arange(n_total), 0)
+    # an empty side's Gini is 0/0 = nan: masked to -inf for a constant
+    # candidate, and otherwise picked by argmax, which leaves the node a leaf
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return build(np.arange(n_total), int(y.sum()), 0)
 
 
 def fit_extra_trees(
@@ -189,15 +197,12 @@ def fit_extra_trees(
     if keys.shape != (d,):
         raise IsoguardError("feature_keys must provide one key per column")
 
-    def _one(i: int) -> tuple[EtNode, np.ndarray]:
-        acc = np.zeros(d, dtype=np.float64)
-        tree = _build_tree(X, y, keys, params, i, acc)
-        return tree, acc
-
-    built = run_indexed(_one, params.n_trees)
-    trees = [t for t, _ in built]
+    # trees are built serially: the build is GIL-bound Python, so threads only add overhead
+    trees: list[EtNode] = []
     tree_importances: list[np.ndarray | None] = []
-    for _, acc in built:
+    for i in range(params.n_trees):
+        acc = np.zeros(d, dtype=np.float64)
+        trees.append(_build_tree(X, y, keys, params, i, acc))
         total = acc.sum()
         tree_importances.append(acc / total if total > 0.0 else None)
     return ExtraTreesEstimator(params=params, n_features=d, trees=trees, tree_importances=tree_importances)
@@ -289,4 +294,5 @@ def save_rfe(result: RfeResult, column_names: list[str], path: str | Path) -> No
 
 
 def load_rfe(path: str | Path) -> tuple[RfeResult, list[str]]:
-    return rfe_from_json(Path(path).read_text(encoding="utf-8"))
+    with artifact_reader(path):
+        return rfe_from_json(Path(path).read_text(encoding="utf-8"))

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import IsoguardError
+from .errors import IsoguardError, artifact_reader
 from .parallel import run_indexed
 from .prng import derive_seed
 
@@ -124,8 +124,9 @@ def build_itree(sample: np.ndarray, depth: int, height_limit: int, rng: np.rando
 def fit_forest(X: np.ndarray, t: int = 100, m: int = 256, seed: int = 0) -> IsolationForest:
     """Build t isolation trees, each over its own without-replacement subsample of size m.
 
-    Per-tree seeds are derived from the master seed, so trees may be built
-    concurrently without changing the result.
+    Per-tree seeds are derived from the master seed, so the result does not
+    depend on build order. Trees are built serially: the build is GIL-bound
+    Python, which threads only slow down.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2:
@@ -146,7 +147,7 @@ def fit_forest(X: np.ndarray, t: int = 100, m: int = 256, seed: int = 0) -> Isol
         sample_idx = rng.choice(n, size=m, replace=False)
         return build_itree(X[sample_idx], 0, height_limit, rng)
 
-    trees = run_indexed(_one, t)
+    trees = [_one(i) for i in range(t)]
     return IsolationForest(trees=trees, t=t, m=m, height_limit=height_limit, seed=seed, n_features=X.shape[1])
 
 
@@ -283,4 +284,5 @@ def save_forest(forest: IsolationForest, path: str | Path) -> None:
 
 
 def load_forest(path: str | Path) -> IsolationForest:
-    return forest_from_json(Path(path).read_text(encoding="utf-8"))
+    with artifact_reader(path):
+        return forest_from_json(Path(path).read_text(encoding="utf-8"))

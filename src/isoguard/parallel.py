@@ -1,4 +1,10 @@
-"""Worker-thread sizing, controlled by the ISOGUARD_THREADS environment variable."""
+"""Worker-thread sizing for the scoring pool, set by the ISOGUARD_THREADS environment variable.
+
+Only batch scoring (``iforest.mean_path_lengths``) runs on threads: walking
+a tree over a batch is mostly numpy work that releases the GIL. Tree fits
+are per-node Python that holds the GIL, so they run serially. The pool
+never has more workers than the CPUs this process may use.
+"""
 from __future__ import annotations
 
 import os
@@ -11,7 +17,8 @@ ENV_VAR = "ISOGUARD_THREADS"
 
 
 def worker_count() -> int:
-    """Configured worker cap; 0 or unset means one worker per CPU."""
+    """Worker cap: ISOGUARD_THREADS if set above 0, else one per usable CPU,
+    never more than the usable CPUs (the affinity set where the OS reports one)."""
     raw = os.environ.get(ENV_VAR, "0")
     try:
         n = int(raw)
@@ -19,7 +26,8 @@ def worker_count() -> int:
         raise IsoguardError(f"{ENV_VAR} must be an integer, got {raw!r}") from None
     if n < 0:
         raise IsoguardError(f"{ENV_VAR} must be >= 0, got {n}")
-    return n if n > 0 else (os.cpu_count() or 1)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else (os.cpu_count() or 1)
+    return min(n, cpus) if n > 0 else cpus
 
 
 def run_indexed(fn: Callable[[int], object], n_items: int) -> list:

@@ -1,9 +1,15 @@
 import json
+import os
 
 import pytest
 
+from isoguard import parallel
+from isoguard.classifiers import load_model
 from isoguard.cli import cli_dispatch
 from isoguard.data import write_csv
+from isoguard.errors import IsoguardError
+from isoguard.feature_selection import load_rfe
+from isoguard.iforest import load_forest
 from isoguard.synthetic import SyntheticSpec, generate_synthetic
 
 
@@ -140,6 +146,58 @@ class TestArtifactMismatch:
         assert f"train: verdicts_train.csv: malformed verdict row at line {len(lines)}" in capsys.readouterr().err
 
 
+class TestCorruptArtifacts:
+    @pytest.fixture()
+    def finished_run(self, workspace, capsys):
+        tmp_path, cfg_path = workspace
+        out = tmp_path / "run"
+        args = ["--config", str(cfg_path), "--seed", "3", "--out", str(out)]
+        assert cli_dispatch(["pipeline"] + args) == 0
+        capsys.readouterr()
+        return out, args
+
+    @staticmethod
+    def drop_key(path, key):
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        del doc[key]
+        path.write_text(json.dumps(doc), encoding="utf-8")
+
+    def test_model_missing_key_exits_2(self, finished_run, capsys):
+        out, args = finished_run
+        self.drop_key(out / "model_knn.json", "k")
+        assert cli_dispatch(["evaluate"] + args) == 2
+        err = capsys.readouterr().err
+        assert f"evaluate: {out / 'model_knn.json'}: unreadable artifact (missing key 'k')" in err
+
+    def test_rfe_missing_key_exits_2(self, finished_run, capsys):
+        out, args = finished_run
+        self.drop_key(out / "rfe.json", "final_importances")
+        assert cli_dispatch(["detect"] + args) == 2
+        err = capsys.readouterr().err
+        assert f"detect: {out / 'rfe.json'}: unreadable artifact (missing key 'final_importances')" in err
+
+    def test_truncated_rfe_exits_2(self, finished_run, capsys):
+        out, args = finished_run
+        rfe = out / "rfe.json"
+        rfe.write_bytes(rfe.read_bytes()[:40])
+        assert cli_dispatch(["train"] + args) == 2
+        assert f"train: {rfe}: unreadable artifact (" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "name, loader",
+        [("rfe.json", load_rfe), ("model_abc_clean.json", load_model), ("forest.json", load_forest)],
+    )
+    def test_every_loader_names_the_file(self, finished_run, name, loader):
+        out, _ = finished_run
+        path = out / name
+        text = path.read_text(encoding="utf-8")
+        for corrupt in (text[: len(text) // 2], "[]", "{}", '{"kind": "knn"}'):
+            path.write_text(corrupt, encoding="utf-8")
+            with pytest.raises(IsoguardError, match="unreadable artifact") as caught:
+                loader(path)
+            assert str(path) in str(caught.value)
+
+
 class TestThreadsEnv:
     def test_thread_cap_does_not_change_bytes(self, workspace, monkeypatch):
         tmp_path, cfg_path = workspace
@@ -160,3 +218,31 @@ class TestThreadsEnv:
         code = cli_dispatch(["pipeline", "--config", str(cfg_path), "--seed", "5", "--out", str(tmp_path / "o")])
         assert code == 2
         assert "ISOGUARD_THREADS" in capsys.readouterr().err
+
+    def test_invalid_thread_env_rejected_before_any_artifact(self, workspace, monkeypatch, capsys):
+        tmp_path, cfg_path = workspace
+        out = tmp_path / "never"
+        monkeypatch.setenv("ISOGUARD_THREADS", "-3")
+        for command in ("ingest", "select", "pipeline"):
+            assert cli_dispatch([command, "--config", str(cfg_path), "--seed", "5", "--out", str(out)]) == 2
+            assert "ISOGUARD_THREADS must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("raw, expected", [(None, 3), ("0", 3), ("1", 1), ("2", 2), ("3", 3), ("64", 3)])
+    def test_worker_count_capped_at_usable_cpus(self, monkeypatch, raw, expected):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 16)
+        if raw is None:
+            monkeypatch.delenv("ISOGUARD_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("ISOGUARD_THREADS", raw)
+        assert parallel.worker_count() == expected
+
+    def test_worker_count_falls_back_to_cpu_count(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        monkeypatch.setenv("ISOGUARD_THREADS", "9")
+        assert parallel.worker_count() == 4
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        monkeypatch.delenv("ISOGUARD_THREADS")
+        assert parallel.worker_count() == 1

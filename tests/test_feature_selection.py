@@ -1,18 +1,25 @@
+import math
+
 import numpy as np
 import pytest
 
 from isoguard.errors import IsoguardError
 from isoguard.feature_selection import (
+    _CANDIDATE_TAG,
+    _DRAW_BLOCK,
+    _THRESHOLD_TAG,
     EtLeaf,
     EtSplit,
     ExtraTreesEstimator,
     ExtraTreesParams,
+    _build_tree,
     feature_importances,
     fit_extra_trees,
     load_rfe,
     rfe_select,
     save_rfe,
 )
+from isoguard.prng import hash64, unit_uniforms
 
 
 def gini(labels):
@@ -229,3 +236,180 @@ class TestRfe:
         assert loaded.trace == result.trace
         assert loaded_names == names
         np.testing.assert_allclose(loaded.final_importances, result.final_importances)
+
+
+# ---------------------------------------------------------------------------
+# oracle: the node-by-node build as first written, hashing every node's
+# draws with scalar hash64 calls
+
+
+def _oracle_gini_counts(n0, n1):
+    total = n0 + n1
+    p0 = n0 / total
+    p1 = n1 / total
+    return 1.0 - p0 * p0 - p1 * p1
+
+
+def oracle_build_tree(X, y, keys, params, tree_index, importances):
+    n_total = X.shape[0]
+    d = X.shape[1]
+    n_candidates = max(1, math.ceil(math.sqrt(d)))
+    counter = [0]
+    y_float = y.astype(np.float64)
+    max_depth = params.max_depth
+    min_split = params.min_samples_split
+    seed = params.seed
+
+    def build(rows, depth):
+        n_node = rows.size
+        labels = y_float[rows]
+        n1 = labels.sum()
+        n0 = n_node - n1
+        if (
+            n0 == 0.0
+            or n1 == 0.0
+            or n_node < min_split
+            or (max_depth is not None and depth >= max_depth)
+        ):
+            return EtLeaf(n=n_node)
+
+        node_id = counter[0]
+        counter[0] += 1
+        cand_base = hash64(seed, tree_index, node_id, _CANDIDATE_TAG)
+        order = np.argsort(unit_uniforms(cand_base, keys), kind="stable")
+        candidates = order[:n_candidates]
+
+        sub = X[rows[:, None], candidates[None, :]]
+        lo = sub.min(axis=0)
+        hi = sub.max(axis=0)
+        valid = hi > lo
+        if not valid.any():
+            return EtLeaf(n=n_node)
+
+        thr_base = hash64(seed, tree_index, node_id, _THRESHOLD_TAG)
+        draws = unit_uniforms(thr_base, keys[candidates])
+        thresholds = lo + (hi - lo) * draws
+        degenerate = valid & (thresholds <= lo)
+        if degenerate.any():
+            thresholds = np.where(degenerate, np.nextafter(lo, hi), thresholds)
+
+        left_masks = sub < thresholds
+        lm = left_masks.astype(np.float64)
+        nl = lm.sum(axis=0)
+        n1l = labels @ lm
+        n0l = nl - n1l
+        nr = n_node - nl
+        n1r = n1 - n1l
+        n0r = n0 - n0l
+        parent_gini = _oracle_gini_counts(n0, n1)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            child_gini = (nl * _oracle_gini_counts(n0l, n1l) + nr * _oracle_gini_counts(n0r, n1r)) / n_node
+        decrease = np.where(valid, parent_gini - child_gini, -np.inf)
+
+        best = int(np.argmax(decrease))
+        if not np.isfinite(decrease[best]):
+            return EtLeaf(n=n_node)
+        feature = int(candidates[best])
+        threshold = float(thresholds[best])
+        local_decrease = float(decrease[best])
+
+        mask = left_masks[:, best]
+        importances[feature] += (n_node / n_total) * local_decrease
+        return EtSplit(
+            feature=feature,
+            threshold=threshold,
+            n=n_node,
+            impurity_decrease=local_decrease,
+            left=build(rows[mask], depth + 1),
+            right=build(rows[~mask], depth + 1),
+        )
+
+    return build(np.arange(n_total), 0)
+
+
+def preorder(node):
+    """Every node as a tuple, depth-first pre-order; leaves are (n,)."""
+    out, stack = [], [node]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, EtLeaf):
+            out.append((node.n,))
+        else:
+            out.append((node.feature, node.threshold, node.n, node.impurity_decrease))
+            stack += [node.right, node.left]
+    return out
+
+
+def oracle_cases():
+    """(X, y, keys or None, params): random inputs with the awkward shapes spelled out."""
+    rng = np.random.default_rng(31)
+    cases = []
+    for i, d in enumerate((1, 2, 3, 5, 9, 16, 41)):
+        n = int(rng.integers(20, 260))
+        X = rng.normal(size=(n, d))
+        y = (X[:, 0] + rng.normal(scale=1.0, size=n) > 0.3).astype(np.int64)
+        cases.append((X, y, None, ExtraTreesParams(n_trees=3, seed=i)))
+    # constant columns next to varying ones, and an all-constant node subset
+    X = rng.normal(size=(150, 7))
+    X[:, [1, 4]] = 2.5
+    X[:40, :] = 0.0
+    y = rng.integers(0, 2, size=150)
+    cases.append((X, y, None, ExtraTreesParams(n_trees=4, seed=40)))
+    # duplicate rows with conflicting labels: pure leaves are unreachable
+    base = rng.normal(size=(30, 6))
+    X = np.repeat(base, 5, axis=0)
+    y = rng.integers(0, 2, size=X.shape[0])
+    cases.append((X, y, None, ExtraTreesParams(n_trees=4, seed=41)))
+    # heavy ties: three distinct values per column
+    X = rng.integers(0, 3, size=(200, 12)).astype(np.float64)
+    y = ((X[:, 2] + X[:, 5] + rng.integers(0, 2, size=200)) > 2).astype(np.int64)
+    cases.append((X, y, None, ExtraTreesParams(n_trees=4, seed=42)))
+    # a column whose spread is one float: draws round onto lo
+    X = rng.normal(size=(90, 4))
+    X[:, 3] = np.where(rng.random(90) < 0.5, 1.0, np.nextafter(1.0, 2.0))
+    y = rng.integers(0, 2, size=90)
+    cases.append((X, y, None, ExtraTreesParams(n_trees=4, seed=43)))
+    # depth and split-size limits
+    X = rng.normal(size=(300, 10))
+    y = (X[:, 1] * X[:, 2] > 0).astype(np.int64)
+    for max_depth, min_split in ((1, 2), (3, 2), (6, 40), (None, 25), (0, 2)):
+        cases.append((X, y, None, ExtraTreesParams(n_trees=3, max_depth=max_depth, min_samples_split=min_split, seed=44)))
+    # permuted and arbitrary 64-bit feature keys
+    X = rng.normal(size=(180, 13))
+    y = (X[:, 3] - X[:, 7] > 0).astype(np.int64)
+    cases.append((X, y, rng.permutation(13).astype(np.uint64), ExtraTreesParams(n_trees=3, seed=45)))
+    cases.append((X, y, rng.integers(0, 2**63, size=13).astype(np.uint64) * np.uint64(2), ExtraTreesParams(n_trees=3, seed=2**64 - 1)))
+    return cases
+
+
+class TestBuildTreeOracle:
+    @pytest.mark.parametrize("case", range(len(oracle_cases())))
+    def test_trees_and_importances_equal_the_oracle(self, case):
+        X, y, keys, params = oracle_cases()[case]
+        d = X.shape[1]
+        keys = np.arange(d, dtype=np.uint64) if keys is None else keys
+        est = fit_extra_trees(X, y, params, feature_keys=keys)
+        for i in range(params.n_trees):
+            want_imp = np.zeros(d)
+            want = oracle_build_tree(X, y, keys, params, i, want_imp)
+            got_imp = np.zeros(d)
+            got = _build_tree(X, y, keys, params, i, got_imp)
+            assert preorder(got) == preorder(want)
+            assert np.array_equal(got_imp, want_imp)
+            assert preorder(est.trees[i]) == preorder(want)
+            total = want_imp.sum()
+            if total > 0.0:
+                assert np.array_equal(est.tree_importances[i], want_imp / total)
+            else:
+                assert est.tree_importances[i] is None
+
+    def test_deep_tree_crosses_node_draw_blocks(self):
+        # more than two blocks of split nodes, so later node ids draw from later blocks
+        rng = np.random.default_rng(8)
+        X = rng.normal(size=(600, 5))
+        y = rng.integers(0, 2, size=600)
+        keys = np.arange(5, dtype=np.uint64)
+        params = ExtraTreesParams(n_trees=1, seed=3)
+        want = oracle_build_tree(X, y, keys, params, 0, np.zeros(5))
+        assert sum(len(node) == 4 for node in preorder(want)) > 2 * _DRAW_BLOCK
+        assert preorder(_build_tree(X, y, keys, params, 0, np.zeros(5))) == preorder(want)

@@ -179,6 +179,16 @@ class TestRunPipeline:
         ):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes(), name
 
+    def test_golden_digests(self, tmp_path):
+        # Pinned bytes of the selector and forest artifacts (Python 3.11, numpy 2.4).
+        # The rerun and thread-count tests compare the code with itself, so only
+        # a pin catches a changed draw that every run repeats.
+        cfg = small_config(tmp_path)
+        run_pipeline(cfg)
+        out = Path(cfg.out_dir)
+        assert digest(out / "rfe.json") == "e7121965e7304237cafe292a717f037e5ca339d3f1615a2516cb16453ec8e8e3"
+        assert digest(out / "forest.json") == "bb10e3619cd397e828420116db3376e0bde9590102d3753e22d6d68a094acd2a"
+
     def test_resolved_config_reproduces_run(self, tmp_path):
         cfg = small_config(tmp_path)
         run_pipeline(cfg)
