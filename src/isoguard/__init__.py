@@ -50,6 +50,7 @@ from .feature_selection import (
 from .iforest import (
     AnomalyScore,
     IsolationForest,
+    ITree,
     OutlierVerdict,
     build_itree,
     expected_path_length,
@@ -58,7 +59,6 @@ from .iforest import (
     forest_to_json,
     harmonic_number,
     mean_path_lengths,
-    path_length,
     predict,
     score,
     score_batch,

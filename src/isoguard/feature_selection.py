@@ -280,13 +280,29 @@ def rfe_to_json(result: RfeResult, column_names: list[str]) -> str:
 
 
 def rfe_from_json(text: str) -> tuple[RfeResult, list[str]]:
+    """Parse an RFE document; ``selected`` must be strictly increasing column
+    indices, one per final importance, or IsoguardError is raised."""
     doc = json.loads(text)
+    column_names = list(doc["column_names"])
+    selected = list(doc["selected"])
+    final_importances = np.array(doc["final_importances"], dtype=np.float64)
+    n = len(column_names)
+    if (
+        not selected
+        or any(type(i) is not int or not 0 <= i < n for i in selected)
+        or any(a >= b for a, b in zip(selected, selected[1:]))
+    ):
+        raise IsoguardError(f"selected must be strictly increasing column indices in [0, {n}), got {selected}")
+    if final_importances.shape != (len(selected),):
+        raise IsoguardError(
+            f"selected holds {len(selected)} indices but final_importances has shape {final_importances.shape}"
+        )
     result = RfeResult(
-        selected=tuple(int(i) for i in doc["selected"]),
+        selected=tuple(selected),
         trace=tuple((int(e["round"]), int(e["removed"]), float(e["importance"])) for e in doc["trace"]),
-        final_importances=np.array(doc["final_importances"], dtype=np.float64),
+        final_importances=final_importances,
     )
-    return result, list(doc["column_names"])
+    return result, column_names
 
 
 def save_rfe(result: RfeResult, column_names: list[str], path: str | Path) -> None:

@@ -13,6 +13,12 @@ in (0, 1]: near 1 flags an outlier, below 0.5 looks normal. Trees are
 truncated at height ceil(log2(m)); an external node reached early stands
 in for an unbuilt subtree of `size` training rows and contributes
 c(size) extra path length.
+
+Each tree is a set of parallel per-node arrays in depth-first pre-order
+(the layout of scikit-learn's ``Tree``), and a leaf's two children are
+the leaf itself. Scoring walks every row of a batch through one tree a
+level at a time: ``height_limit`` steps of numpy gathers over a
+feature-major copy of the batch, with no per-node or per-row Python.
 """
 from __future__ import annotations
 
@@ -51,27 +57,26 @@ def expected_path_length(m: int) -> float:
     return 0.0
 
 
-@dataclass
-class External:
-    """Leaf carrying the count of training rows that terminated here."""
+@dataclass(frozen=True, eq=False)
+class ITree:
+    """One isolation tree; node 0 is the root and every child id exceeds its parent's.
 
-    size: int
+    Rows with ``x[feature] < threshold`` go to ``left``, all others (NaN
+    included) to ``right``. At a leaf ``feature`` is -1, ``threshold`` is
+    NaN and both children are the leaf's own id.
+    """
 
-
-@dataclass
-class Internal:
-    feature: int
-    value: float
-    left: "Internal | External"
-    right: "Internal | External"
-
-
-ITreeNode = Internal | External
+    feature: np.ndarray  # int64
+    threshold: np.ndarray  # float64
+    left: np.ndarray  # int64
+    right: np.ndarray  # int64
+    size: np.ndarray  # int64 training rows that reached the node
+    depth: np.ndarray  # int64 edges from the root
 
 
 @dataclass
 class IsolationForest:
-    trees: list[ITreeNode]
+    trees: list[ITree]
     t: int
     m: int
     height_limit: int
@@ -79,46 +84,79 @@ class IsolationForest:
     n_features: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AnomalyScore:
     s: float
     mean_path_length: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OutlierVerdict:
     label: int  # +1 normal, -1 outlier
     score: AnomalyScore
 
 
-def build_itree(sample: np.ndarray, depth: int, height_limit: int, rng: np.random.Generator) -> ITreeNode:
+class _Nodes:
+    """The per-node columns of a tree being written in pre-order."""
+
+    def __init__(self) -> None:
+        self.feature: list[int] = []
+        self.threshold: list[float] = []
+        self.left: list[int] = []
+        self.right: list[int] = []
+        self.size: list[int] = []
+        self.depth: list[int] = []
+
+    def add_leaf(self, size: int, depth: int) -> int:
+        """Append a leaf and return its id; a caller may turn it into a split."""
+        i = len(self.feature)
+        self.feature.append(-1)
+        self.threshold.append(math.nan)
+        self.left.append(i)
+        self.right.append(i)
+        self.size.append(size)
+        self.depth.append(depth)
+        return i
+
+    def tree(self) -> ITree:
+        ints = (np.array(a, dtype=np.int64) for a in (self.left, self.right, self.size, self.depth))
+        return ITree(np.array(self.feature, dtype=np.int64), np.array(self.threshold, dtype=np.float64), *ints)
+
+
+def build_itree(sample: np.ndarray, height_limit: int, rng: np.random.Generator) -> ITree:
     """Grow one isolation tree over ``sample`` (rows x features).
 
     A node goes external when it holds <= 1 row, the height limit is
-    reached, or no feature varies within the node. Rows with feature value
-    strictly below the split go left.
+    reached, or no feature varies within the node. Nodes are numbered and
+    their draws taken in depth-first pre-order, left subtree first.
     """
-    n = sample.shape[0]
-    if n == 0:
-        raise IsoguardError("cannot build a tree over an empty sample")
-    if n <= 1 or depth >= height_limit:
-        return External(size=n)
-    lo = sample.min(axis=0)
-    hi = sample.max(axis=0)
-    varying = np.flatnonzero(hi > lo)
-    if varying.size == 0:
-        return External(size=n)
-    feature = int(varying[rng.integers(varying.size)])
-    split = float(rng.uniform(lo[feature], hi[feature]))
-    if split <= lo[feature]:  # guard against a degenerate float draw
-        split = float(np.nextafter(lo[feature], hi[feature]))
-    mask = sample[:, feature] < split
-    return Internal(
-        feature=feature,
-        value=split,
-        left=build_itree(sample[mask], depth + 1, height_limit, rng),
-        right=build_itree(sample[~mask], depth + 1, height_limit, rng),
-    )
+    nodes = _Nodes()
+
+    def grow(rows: np.ndarray, d: int) -> int:
+        n = rows.shape[0]
+        if n == 0:
+            raise IsoguardError("cannot build a tree over an empty sample")
+        i = nodes.add_leaf(n, d)
+        if n <= 1 or d >= height_limit:
+            return i
+        lo = rows.min(axis=0)
+        hi = rows.max(axis=0)
+        varying = np.flatnonzero(hi > lo)
+        if varying.size == 0:
+            return i
+        f = int(varying[rng.integers(varying.size)])
+        split = float(rng.uniform(lo[f], hi[f]))
+        if split <= lo[f]:  # guard against a degenerate float draw
+            split = float(np.nextafter(lo[f], hi[f]))
+        mask = rows[:, f] < split
+        nodes.feature[i] = f
+        nodes.threshold[i] = split
+        nodes.left[i] = grow(rows[mask], d + 1)
+        nodes.right[i] = grow(rows[~mask], d + 1)
+        return i
+
+    grow(sample, 0)
+    return nodes.tree()
 
 
 def fit_forest(X: np.ndarray, t: int = 100, m: int = 256, seed: int = 0) -> IsolationForest:
@@ -142,37 +180,32 @@ def fit_forest(X: np.ndarray, t: int = 100, m: int = 256, seed: int = 0) -> Isol
         raise IsoguardError(f"subsample size {m} exceeds row count {n}")
     height_limit = math.ceil(math.log2(m))
 
-    def _one(i: int) -> ITreeNode:
+    def _one(i: int) -> ITree:
         rng = np.random.default_rng(derive_seed(seed, "tree", i))
         sample_idx = rng.choice(n, size=m, replace=False)
-        return build_itree(X[sample_idx], 0, height_limit, rng)
+        return build_itree(X[sample_idx], height_limit, rng)
 
     trees = [_one(i) for i in range(t)]
     return IsolationForest(trees=trees, t=t, m=m, height_limit=height_limit, seed=seed, n_features=X.shape[1])
 
 
-def path_length(tree: ITreeNode, x: np.ndarray, depth: int = 0) -> float:
-    """Path length h(x): edges walked plus c(size) at the reached external node."""
-    node = tree
-    d = depth
-    while isinstance(node, Internal):
-        node = node.left if x[node.feature] < node.value else node.right
-        d += 1
-    return d + expected_path_length(node.size)
+def _walk(tree: ITree, XT: np.ndarray, rows: np.ndarray, c: np.ndarray, height_limit: int) -> np.ndarray:
+    """Path length h(x) of every row in one tree: edges walked plus c(size) at the reached leaf.
 
-
-def _path_lengths(tree: ITreeNode, X: np.ndarray) -> np.ndarray:
-    out = np.empty(X.shape[0], dtype=np.float64)
-    stack: list[tuple[ITreeNode, np.ndarray, int]] = [(tree, np.arange(X.shape[0]), 0)]
-    while stack:
-        node, idx, depth = stack.pop()
-        if isinstance(node, External):
-            out[idx] = depth + expected_path_length(node.size)
-            continue
-        mask = X[idx, node.feature] < node.value
-        stack.append((node.left, idx[mask], depth + 1))
-        stack.append((node.right, idx[~mask], depth + 1))
-    return out
+    ``XT`` is the batch flattened feature-major, so row r's value of
+    feature f sits at ``f * n + r``. Node ids are kept doubled: slot
+    ``2i`` holds node i's right child and ``2i + 1`` its left, so adding
+    ``x < threshold`` picks the branch. A leaf routes to itself, which
+    lets every row take exactly ``height_limit`` steps.
+    """
+    n = rows.size
+    offset = np.repeat(np.maximum(tree.feature, 0) * n, 2)  # a leaf reads column 0, then stays put
+    threshold = np.repeat(tree.threshold, 2)
+    child = 2 * np.stack((tree.right, tree.left), axis=1).ravel()
+    node = np.zeros(n, dtype=np.int64)
+    for _ in range(height_limit):
+        node = child.take(node + (XT.take(offset.take(node) + rows) < threshold.take(node)))
+    return np.repeat(tree.depth + c.take(tree.size), 2).take(node)
 
 
 def mean_path_lengths(forest: IsolationForest, X: np.ndarray) -> np.ndarray:
@@ -182,7 +215,10 @@ def mean_path_lengths(forest: IsolationForest, X: np.ndarray) -> np.ndarray:
         raise IsoguardError(
             f"feature count mismatch: forest expects {forest.n_features}, got {X.shape[1] if X.ndim == 2 else X.shape}"
         )
-    depths = run_indexed(lambda i: _path_lengths(forest.trees[i], X), forest.t)
+    XT = np.ascontiguousarray(X.T).ravel()
+    rows = np.arange(X.shape[0])
+    c = np.array([expected_path_length(size) for size in range(forest.m + 1)])
+    depths = run_indexed(lambda i: _walk(forest.trees[i], XT, rows, c, forest.height_limit), forest.t)
     return np.mean(np.stack(depths, axis=0), axis=0)
 
 
@@ -226,31 +262,53 @@ def predict(
         tau = 0.5 if threshold is None else threshold
         labels = np.where(s >= tau, -1, 1)
     return [
-        OutlierVerdict(label=int(lbl), score=AnomalyScore(s=float(si), mean_path_length=float(hi)))
-        for lbl, si, hi in zip(labels, s, mean_h)
+        OutlierVerdict(lbl, AnomalyScore(si, hi))
+        for lbl, si, hi in zip(labels.tolist(), s.tolist(), mean_h.tolist())
     ]
 
 
-def _node_to_dict(node: ITreeNode) -> dict:
-    if isinstance(node, External):
-        return {"size": node.size}
+def _tree_to_doc(tree: ITree, i: int = 0) -> dict:
+    if tree.feature[i] < 0:
+        return {"size": int(tree.size[i])}
     return {
-        "feature": node.feature,
-        "value": node.value,
-        "left": _node_to_dict(node.left),
-        "right": _node_to_dict(node.right),
+        "feature": int(tree.feature[i]),
+        "value": float(tree.threshold[i]),
+        "left": _tree_to_doc(tree, int(tree.left[i])),
+        "right": _tree_to_doc(tree, int(tree.right[i])),
     }
 
 
-def _node_from_dict(doc: dict) -> ITreeNode:
-    if "size" in doc:
-        return External(size=int(doc["size"]))
-    return Internal(
-        feature=int(doc["feature"]),
-        value=float(doc["value"]),
-        left=_node_from_dict(doc["left"]),
-        right=_node_from_dict(doc["right"]),
-    )
+def _checked_int(value: object, what: str, low: int, high: int | None = None) -> int:
+    """``value`` as an int in [low, high); a float or bool is rejected, not truncated."""
+    if type(value) is not int or value < low or (high is not None and value >= high):
+        bound = f"in [{low}, {high})" if high is not None else f">= {low}"
+        raise IsoguardError(f"{what} must be an integer {bound}, got {value!r}")
+    return value
+
+
+def _tree_from_doc(doc: dict, n_features: int, height_limit: int, m: int) -> ITree:
+    """Flatten one nested tree document, checking it is a binary tree no
+    deeper than ``height_limit`` whose leaves hold >= 1 row and m in all."""
+    nodes = _Nodes()
+
+    def visit(node: dict, d: int) -> int:
+        if d > height_limit:
+            raise IsoguardError(f"tree deeper than height_limit {height_limit}")
+        i = nodes.add_leaf(0, d)
+        if "size" in node:
+            nodes.size[i] = _checked_int(node["size"], "leaf size", 1)
+            return i
+        nodes.feature[i] = _checked_int(node["feature"], "split feature", 0, n_features)
+        nodes.threshold[i] = float(node["value"])
+        left = nodes.left[i] = visit(node["left"], d + 1)
+        right = nodes.right[i] = visit(node["right"], d + 1)
+        nodes.size[i] = nodes.size[left] + nodes.size[right]
+        return i
+
+    visit(doc, 0)
+    if nodes.size[0] != m:
+        raise IsoguardError(f"tree leaves hold {nodes.size[0]} rows, expected m = {m}")
+    return nodes.tree()
 
 
 def forest_to_json(forest: IsolationForest) -> str:
@@ -262,20 +320,29 @@ def forest_to_json(forest: IsolationForest) -> str:
         "height_limit": forest.height_limit,
         "seed": forest.seed,
         "n_features": forest.n_features,
-        "trees": [_node_to_dict(tree) for tree in forest.trees],
+        "trees": [_tree_to_doc(tree) for tree in forest.trees],
     }
     return json.dumps(doc, sort_keys=True)
 
 
 def forest_from_json(text: str) -> IsolationForest:
+    """Parse a forest document; anything but t well-formed trees raises IsoguardError."""
     doc = json.loads(text)
+    t = _checked_int(doc["t"], "t", 1)
+    m = _checked_int(doc["m"], "m", 2)
+    n_features = _checked_int(doc["n_features"], "n_features", 1)
+    height_limit = _checked_int(doc["height_limit"], "height_limit", 1)
+    if height_limit != math.ceil(math.log2(m)):
+        raise IsoguardError(f"height_limit {height_limit!r} does not match m = {m}")
+    if len(doc["trees"]) != t:
+        raise IsoguardError(f"holds {len(doc['trees'])} trees, expected t = {t}")
     return IsolationForest(
-        trees=[_node_from_dict(t) for t in doc["trees"]],
-        t=int(doc["t"]),
-        m=int(doc["m"]),
-        height_limit=int(doc["height_limit"]),
+        trees=[_tree_from_doc(tree, n_features, height_limit, m) for tree in doc["trees"]],
+        t=t,
+        m=m,
+        height_limit=height_limit,
         seed=int(doc["seed"]),
-        n_features=int(doc["n_features"]),
+        n_features=n_features,
     )
 
 

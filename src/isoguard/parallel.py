@@ -1,9 +1,11 @@
 """Worker-thread sizing for the scoring pool, set by the ISOGUARD_THREADS environment variable.
 
-Only batch scoring (``iforest.mean_path_lengths``) runs on threads: walking
-a tree over a batch is mostly numpy work that releases the GIL. Tree fits
-are per-node Python that holds the GIL, so they run serially. The pool
-never has more workers than the CPUs this process may use.
+Only batch scoring (``iforest.mean_path_lengths``) runs on threads, one
+tree per task: a tree walks the whole batch level by level in a fixed
+handful of numpy gathers and compares over every row, which run with the
+GIL released, so workers overlap. Tree fits are per-node Python that
+holds the GIL, so they run serially. The pool never has more workers
+than the CPUs this process may use.
 """
 from __future__ import annotations
 

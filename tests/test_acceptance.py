@@ -19,8 +19,8 @@ from isoguard.data import write_csv
 from isoguard.evaluation import confusion, metrics, roc
 from isoguard.feature_selection import ExtraTreesParams, rfe_select
 from isoguard.iforest import (
-    External,
     IsolationForest,
+    ITree,
     expected_path_length,
     fit_forest,
     score,
@@ -73,9 +73,15 @@ class TestCriterion1ScoreNormalizationAnchor:
         assert anchored.mean_path_length == pytest.approx(expected_path_length(m), abs=1e-12)
         assert abs(anchored.s - 0.5) <= 1e-12
 
-        shallow = IsolationForest(
-            trees=[External(size=1)] * 10, t=10, m=2, height_limit=1, seed=0, n_features=2
+        one_leaf = ITree(
+            feature=np.array([-1]),
+            threshold=np.array([np.nan]),
+            left=np.array([0]),
+            right=np.array([0]),
+            size=np.array([1]),
+            depth=np.array([0]),
         )
+        shallow = IsolationForest(trees=[one_leaf] * 10, t=10, m=2, height_limit=1, seed=0, n_features=2)
         unit = score(shallow, np.array([0.0, 0.0]))
         assert unit.mean_path_length == 0.0
         assert unit.s == 1.0

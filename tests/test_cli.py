@@ -183,6 +183,20 @@ class TestCorruptArtifacts:
         assert cli_dispatch(["train"] + args) == 2
         assert f"train: {rfe}: unreadable artifact (" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("stage", ["detect", "train", "evaluate"])
+    @pytest.mark.parametrize("position, index", [(-1, 999), (0, -1)])
+    def test_rfe_selected_out_of_range_exits_2(self, finished_run, capsys, stage, position, index):
+        out, args = finished_run
+        rfe = out / "rfe.json"
+        doc = json.loads(rfe.read_text(encoding="utf-8"))
+        n = len(doc["column_names"])
+        doc["selected"][position] = index
+        rfe.write_text(json.dumps(doc), encoding="utf-8")
+        assert cli_dispatch([stage] + args) == 2
+        err = capsys.readouterr().err
+        expected = f"selected must be strictly increasing column indices in [0, {n})"
+        assert f"{stage}: {rfe}: unreadable artifact ({expected}" in err
+
     @pytest.mark.parametrize(
         "name, loader",
         [("rfe.json", load_rfe), ("model_abc_clean.json", load_model), ("forest.json", load_forest)],

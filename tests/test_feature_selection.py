@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from isoguard.feature_selection import (
     EtSplit,
     ExtraTreesEstimator,
     ExtraTreesParams,
+    RfeResult,
     _build_tree,
     feature_importances,
     fit_extra_trees,
@@ -236,6 +238,32 @@ class TestRfe:
         assert loaded.trace == result.trace
         assert loaded_names == names
         np.testing.assert_allclose(loaded.final_importances, result.final_importances)
+
+    @pytest.mark.parametrize(
+        "selected, importances",
+        [
+            ([0, 2, 9], [0.5, 0.3, 0.2]),  # past the 6 columns
+            ([-1, 2, 4], [0.5, 0.3, 0.2]),  # would wrap to the last column
+            ([0, 2, 2], [0.5, 0.3, 0.2]),  # repeated
+            ([2, 0, 4], [0.5, 0.3, 0.2]),  # out of order
+            ([0, 2.0, 4], [0.5, 0.3, 0.2]),  # not an int
+            ([0, True, 4], [0.5, 0.3, 0.2]),
+            ([], []),
+            ([0, 2, 4], [0.5, 0.5]),  # one importance short
+            ([0, 2, 4], [[0.5], [0.3], [0.2]]),
+        ],
+    )
+    def test_load_rejects_bad_selection(self, tmp_path, selected, importances):
+        names = [f"col{j}" for j in range(6)]
+        good = RfeResult(selected=(0, 2, 4), trace=(), final_importances=np.array([0.5, 0.3, 0.2]))
+        save_rfe(good, names, tmp_path / "rfe.json")
+        assert load_rfe(tmp_path / "rfe.json")[0].selected == (0, 2, 4)
+        doc = json.loads((tmp_path / "rfe.json").read_text(encoding="utf-8"))
+        doc.update(selected=selected, final_importances=importances)
+        (tmp_path / "rfe.json").write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(IsoguardError, match="selected") as caught:
+            load_rfe(tmp_path / "rfe.json")
+        assert str(tmp_path / "rfe.json") in str(caught.value)
 
 
 # ---------------------------------------------------------------------------

@@ -1,23 +1,28 @@
+import json
+import math
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
 from isoguard.errors import IsoguardError
 from isoguard.iforest import (
-    External,
-    Internal,
     IsolationForest,
+    ITree,
     build_itree,
     expected_path_length,
     fit_forest,
     forest_from_json,
     forest_to_json,
     harmonic_number,
+    load_forest,
     mean_path_lengths,
-    path_length,
     predict,
+    save_forest,
     score,
     score_batch,
 )
+from isoguard.prng import derive_seed
 
 GAMMA = 0.5772156649
 
@@ -80,55 +85,103 @@ class TestExpectedPathLength:
         assert gaps == sorted(gaps, reverse=True)
 
 
+def flat_tree(feature, threshold, left, right, size, depth) -> ITree:
+    """An ITree from plain lists (pre-order; a leaf has feature -1 and itself as both children)."""
+    return ITree(
+        feature=np.array(feature, dtype=np.int64),
+        threshold=np.array(threshold, dtype=np.float64),
+        left=np.array(left, dtype=np.int64),
+        right=np.array(right, dtype=np.int64),
+        size=np.array(size, dtype=np.int64),
+        depth=np.array(depth, dtype=np.int64),
+    )
+
+
+def leaf_tree(size: int) -> ITree:
+    return flat_tree([-1], [np.nan], [0], [0], [size], [0])
+
+
+def walk_leaves(tree: ITree):
+    """(node id, depth) of every leaf, found by following the child links from the root."""
+    out = []
+
+    def visit(i, d):
+        if tree.feature[i] < 0:
+            assert tree.left[i] == i and tree.right[i] == i
+            out.append((i, d))
+        else:
+            assert tree.left[i] > i and tree.right[i] > i
+            visit(int(tree.left[i]), d + 1)
+            visit(int(tree.right[i]), d + 1)
+
+    visit(0, 0)
+    return out
+
+
+def one_tree_path_length(tree: ITree, x) -> float:
+    """h(x) in a single tree, through the batch path."""
+    x = np.asarray(x, dtype=np.float64)
+    forest = IsolationForest(
+        trees=[tree],
+        t=1,
+        m=int(tree.size.max()),
+        height_limit=int(tree.depth.max()),
+        seed=0,
+        n_features=x.size,
+    )
+    return float(mean_path_lengths(forest, x.reshape(1, -1))[0])
+
+
 class TestBuildItree:
     def test_single_row_is_external(self):
         rng = np.random.default_rng(0)
-        node = build_itree(np.array([[1.0, 2.0]]), 0, 8, rng)
-        assert node == External(size=1)
+        tree = build_itree(np.array([[1.0, 2.0]]), 8, rng)
+        assert tree.feature.tolist() == [-1]
+        assert tree.size.tolist() == [1]
+        assert walk_leaves(tree) == [(0, 0)]
 
     def test_two_distinct_rows_forced_partition(self):
         rng = np.random.default_rng(0)
-        node = build_itree(np.array([[0.0], [1.0]]), 0, 1, rng)
-        assert isinstance(node, Internal)
-        assert node.left == External(size=1)
-        assert node.right == External(size=1)
-        assert 0.0 < node.value <= 1.0
+        tree = build_itree(np.array([[0.0], [1.0]]), 1, rng)
+        assert tree.feature.tolist() == [0, -1, -1]
+        assert (tree.left[0], tree.right[0]) == (1, 2)
+        assert tree.size.tolist() == [2, 1, 1]
+        assert 0.0 < tree.threshold[0] <= 1.0
 
     def test_identical_rows_external_immediately(self):
         rng = np.random.default_rng(0)
-        node = build_itree(np.full((7, 3), 4.2), 0, 8, rng)
-        assert node == External(size=7)
+        tree = build_itree(np.full((7, 3), 4.2), 8, rng)
+        assert tree.feature.tolist() == [-1]
+        assert tree.size.tolist() == [7]
 
     def test_empty_sample_rejected(self):
         with pytest.raises(IsoguardError):
-            build_itree(np.empty((0, 2)), 0, 8, np.random.default_rng(0))
+            build_itree(np.empty((0, 2)), 8, np.random.default_rng(0))
 
     def test_height_limit_respected(self):
         rng = np.random.default_rng(1)
         sample = rng.normal(size=(64, 2))
-        node = build_itree(sample, 0, 3, rng)
-
-        def depth(n):
-            if isinstance(n, External):
-                return 0
-            return 1 + max(depth(n.left), depth(n.right))
-
-        assert depth(node) <= 3
+        tree = build_itree(sample, 3, rng)
+        leaves = walk_leaves(tree)
+        assert max(d for _, d in leaves) <= 3
+        assert all(tree.depth[i] == d for i, d in leaves)
 
     def test_split_strictly_between_min_and_max(self):
         rng = np.random.default_rng(5)
         sample = rng.normal(size=(32, 3))
+        tree = build_itree(sample, 5, rng)
 
-        def check(node, rows):
-            if isinstance(node, External):
+        def check(i, rows):
+            assert tree.size[i] == rows.shape[0]
+            if tree.feature[i] < 0:
                 return
-            values = rows[:, node.feature]
-            assert values.min() < node.value <= values.max()
-            mask = values < node.value
-            check(node.left, rows[mask])
-            check(node.right, rows[~mask])
+            values = rows[:, tree.feature[i]]
+            assert values.min() < tree.threshold[i] <= values.max()
+            mask = values < tree.threshold[i]
+            check(int(tree.left[i]), rows[mask])
+            check(int(tree.right[i]), rows[~mask])
 
-        check(build_itree(sample, 0, 5, rng), sample)
+        check(0, sample)
 
 
 class TestFitForest:
@@ -138,20 +191,9 @@ class TestFitForest:
         forest = fit_forest(X, t=20, m=64, seed=9)
         assert forest.height_limit == 6
         for tree in forest.trees:
-            sizes = []
-            depths = []
-
-            def walk(node, d):
-                if isinstance(node, External):
-                    sizes.append(node.size)
-                    depths.append(d)
-                else:
-                    walk(node.left, d + 1)
-                    walk(node.right, d + 1)
-
-            walk(tree, 0)
-            assert sum(sizes) == 64
-            assert max(depths) <= 6
+            leaves = walk_leaves(tree)
+            assert sum(tree.size[i] for i, _ in leaves) == 64
+            assert max(d for _, d in leaves) <= 6
 
     def test_determinism(self):
         rng = np.random.default_rng(3)
@@ -172,18 +214,7 @@ class TestFitForest:
         X = rng.normal(size=(16, 2))
         forest = fit_forest(X, t=3, m=16, seed=0)
         for tree in forest.trees:
-            total = 0
-
-            def walk(node):
-                nonlocal total
-                if isinstance(node, External):
-                    total += node.size
-                else:
-                    walk(node.left)
-                    walk(node.right)
-
-            walk(tree)
-            assert total == 16
+            assert sum(tree.size[i] for i, _ in walk_leaves(tree)) == 16
 
     def test_errors(self):
         X = np.zeros((10, 2))
@@ -197,27 +228,32 @@ class TestFitForest:
 
 class TestPathLength:
     def test_single_external_node(self):
-        assert path_length(External(size=1), np.array([0.0])) == 0.0
+        assert one_tree_path_length(leaf_tree(1), [0.0]) == 0.0
 
     def test_depth_one(self):
-        tree = Internal(feature=0, value=0.5, left=External(size=1), right=External(size=1))
-        assert path_length(tree, np.array([0.2])) == 1.0
-        assert path_length(tree, np.array([0.9])) == 1.0
+        tree = flat_tree([0, -1, -1], [0.5, np.nan, np.nan], [1, 1, 2], [2, 1, 2], [2, 1, 1], [0, 1, 1])
+        assert one_tree_path_length(tree, [0.2]) == 1.0
+        assert one_tree_path_length(tree, [0.9]) == 1.0
 
     def test_external_size_adjustment(self):
         # external of size 2 at depth 3 contributes c(2) = 1
-        leaf2 = External(size=2)
-        d3 = Internal(0, 0.5, Internal(0, 0.25, Internal(0, 0.125, leaf2, External(1)), External(1)), External(1))
-        assert path_length(d3, np.array([0.01])) == 4.0
+        nan = np.nan
+        d3 = flat_tree(
+            feature=[0, 0, 0, -1, -1, -1, -1],
+            threshold=[0.5, 0.25, 0.125, nan, nan, nan, nan],
+            left=[1, 2, 3, 3, 4, 5, 6],
+            right=[6, 5, 4, 3, 4, 5, 6],
+            size=[5, 4, 3, 2, 1, 1, 1],
+            depth=[0, 1, 2, 3, 3, 2, 1],
+        )
+        assert one_tree_path_length(d3, [0.01]) == 4.0
 
     def test_batch_matches_single(self):
         rng = np.random.default_rng(6)
         X = rng.normal(size=(50, 3))
         forest = fit_forest(X, t=8, m=32, seed=11)
         batch = mean_path_lengths(forest, X)
-        singles = np.array(
-            [np.mean([path_length(tree, x) for tree in forest.trees]) for x in X]
-        )
+        singles = np.array([score(forest, x).mean_path_length for x in X])
         np.testing.assert_allclose(batch, singles, rtol=0, atol=1e-12)
 
 
@@ -234,9 +270,7 @@ class TestScore:
         assert s.s == pytest.approx(0.5, abs=1e-12)
 
     def test_zero_mean_path_scores_one(self):
-        forest = IsolationForest(
-            trees=[External(size=1)] * 4, t=4, m=2, height_limit=1, seed=0, n_features=1
-        )
+        forest = IsolationForest(trees=[leaf_tree(1)] * 4, t=4, m=2, height_limit=1, seed=0, n_features=1)
         s = score(forest, np.array([0.0]))
         assert s.mean_path_length == 0.0
         assert s.s == 1.0
@@ -326,3 +360,297 @@ class TestPersistence:
         np.testing.assert_array_equal(s1, s2)
         np.testing.assert_array_equal(h1, h2)
         assert forest_to_json(reloaded) == text
+
+
+# The node-object isolation tree and its stack walk as they stood before
+# trees became flat arrays, kept verbatim as the oracle for
+# `build_itree` and the level-wise scorer.
+@dataclass
+class OracleExternal:
+    size: int
+
+
+@dataclass
+class OracleInternal:
+    feature: int
+    value: float
+    left: "OracleInternal | OracleExternal"
+    right: "OracleInternal | OracleExternal"
+
+
+def oracle_build_itree(sample, depth, height_limit, rng):
+    n = sample.shape[0]
+    if n == 0:
+        raise IsoguardError("cannot build a tree over an empty sample")
+    if n <= 1 or depth >= height_limit:
+        return OracleExternal(size=n)
+    lo = sample.min(axis=0)
+    hi = sample.max(axis=0)
+    varying = np.flatnonzero(hi > lo)
+    if varying.size == 0:
+        return OracleExternal(size=n)
+    feature = int(varying[rng.integers(varying.size)])
+    split = float(rng.uniform(lo[feature], hi[feature]))
+    if split <= lo[feature]:
+        split = float(np.nextafter(lo[feature], hi[feature]))
+    mask = sample[:, feature] < split
+    return OracleInternal(
+        feature=feature,
+        value=split,
+        left=oracle_build_itree(sample[mask], depth + 1, height_limit, rng),
+        right=oracle_build_itree(sample[~mask], depth + 1, height_limit, rng),
+    )
+
+
+def oracle_path_lengths(tree, X):
+    out = np.empty(X.shape[0], dtype=np.float64)
+    stack = [(tree, np.arange(X.shape[0]), 0)]
+    while stack:
+        node, idx, depth = stack.pop()
+        if isinstance(node, OracleExternal):
+            out[idx] = depth + expected_path_length(node.size)
+            continue
+        mask = X[idx, node.feature] < node.value
+        stack.append((node.left, idx[mask], depth + 1))
+        stack.append((node.right, idx[~mask], depth + 1))
+    return out
+
+
+def oracle_forest(X, t, m, seed):
+    """The trees fit_forest grew before, from the same per-tree seeds and subsamples."""
+    height_limit = math.ceil(math.log2(m))
+    trees = []
+    for i in range(t):
+        rng = np.random.default_rng(derive_seed(seed, "tree", i))
+        sample_idx = rng.choice(X.shape[0], size=m, replace=False)
+        trees.append(oracle_build_itree(X[sample_idx], 0, height_limit, rng))
+    return trees
+
+
+def oracle_mean_path_lengths(trees, X):
+    return np.mean(np.stack([oracle_path_lengths(tree, X) for tree in trees], axis=0), axis=0)
+
+
+def to_oracle(tree: ITree, i: int = 0):
+    if tree.feature[i] < 0:
+        return OracleExternal(size=int(tree.size[i]))
+    return OracleInternal(
+        feature=int(tree.feature[i]),
+        value=float(tree.threshold[i]),
+        left=to_oracle(tree, int(tree.left[i])),
+        right=to_oracle(tree, int(tree.right[i])),
+    )
+
+
+def assert_flat_layout(tree: ITree):
+    """Pre-order numbering, self-looping leaves, sizes and depths consistent with the links."""
+    k = tree.feature.size
+    assert all(a.shape == (k,) for a in (tree.threshold, tree.left, tree.right, tree.size, tree.depth))
+    order = []
+
+    def visit(i, d):
+        order.append(i)
+        assert tree.depth[i] == d
+        if tree.feature[i] < 0:
+            assert tree.left[i] == tree.right[i] == i and np.isnan(tree.threshold[i])
+            return
+        visit(int(tree.left[i]), d + 1)
+        visit(int(tree.right[i]), d + 1)
+        assert tree.size[i] == tree.size[tree.left[i]] + tree.size[tree.right[i]]
+
+    visit(0, 0)
+    assert order == list(range(k))
+
+
+def _data(case: str):
+    """(training matrix, scoring batch, m) for each equivalence case."""
+    rng = np.random.default_rng(sum(map(ord, case)))
+    X = rng.normal(size=(300, 5))
+    if case == "plain":
+        return X, rng.normal(size=(200, 5)), 64
+    if case == "nan-inf-cells":
+        Y = rng.normal(size=(400, 5)) * 3
+        cells = rng.random(Y.shape)
+        Y[cells < 0.05] = np.nan
+        Y[(cells >= 0.05) & (cells < 0.1)] = np.inf
+        Y[(cells >= 0.1) & (cells < 0.15)] = -np.inf
+        Y[0] = np.nan  # a row with no value at all
+        return X, Y, 64
+    if case == "constant-columns":
+        X[:, 1] = 2.5
+        X[:, 3] = -1.0
+        Y = rng.normal(size=(100, 5))
+        Y[:50, 1] = 2.5
+        return X, Y, 128
+    if case == "identical-rows":  # every tree is a single root leaf
+        X = np.full((40, 3), 1.25)
+        return X, np.vstack([X[:5], rng.normal(size=(5, 3))]), 40
+    if case == "m2":  # height_limit 1
+        return X, rng.normal(size=(50, 5)), 2
+    if case == "m-equals-n":
+        X = X[:64]
+        return X, X, 64
+    if case == "m-not-power-of-two":
+        return X, rng.normal(size=(150, 5)), 100
+    if case == "one-feature":
+        X = rng.normal(size=(200, 1))
+        return X, np.vstack([X, [[np.nan], [np.inf], [-np.inf], [40.0]]]), 50
+    if case == "integer-ties":
+        X = rng.integers(0, 4, size=(300, 4)).astype(np.float64)
+        return X, rng.integers(-1, 5, size=(120, 4)).astype(np.float64), 256
+    if case == "empty-batch":
+        return X, np.empty((0, 5)), 64
+    if case == "one-row-batch":
+        return X, rng.normal(size=(1, 5)), 64
+    raise AssertionError(case)
+
+
+EQUIVALENCE_CASES = (
+    "plain",
+    "nan-inf-cells",
+    "constant-columns",
+    "identical-rows",
+    "m2",
+    "m-equals-n",
+    "m-not-power-of-two",
+    "one-feature",
+    "integer-ties",
+    "empty-batch",
+    "one-row-batch",
+)
+
+
+class TestMatchesNodeObjectOracle:
+    @pytest.mark.parametrize("case", EQUIVALENCE_CASES)
+    def test_trees_node_for_node(self, case):
+        X, _, m = _data(case)
+        forest = fit_forest(X, t=12, m=m, seed=31)
+        expected = oracle_forest(X, 12, m, 31)
+        assert len(forest.trees) == len(expected)
+        for tree, old in zip(forest.trees, expected):
+            assert_flat_layout(tree)
+            assert to_oracle(tree) == old
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize("case", EQUIVALENCE_CASES)
+    def test_mean_path_lengths_bit_for_bit(self, case, threads, monkeypatch):
+        monkeypatch.setenv("ISOGUARD_THREADS", threads)
+        X, Y, m = _data(case)
+        forest = fit_forest(X, t=12, m=m, seed=31)
+        expected = oracle_mean_path_lengths(oracle_forest(X, 12, m, 31), Y)
+        got = mean_path_lengths(forest, Y)
+        assert got.shape == (Y.shape[0],)
+        assert np.array_equal(got, expected)
+        reloaded = forest_from_json(forest_to_json(forest))
+        assert np.array_equal(mean_path_lengths(reloaded, Y), expected)
+
+    def test_rows_on_split_thresholds_go_right(self):
+        # thresholds are continuous draws, so random rows never sit on one;
+        # rows built from the thresholds themselves exercise the tie
+        X, _, m = _data("plain")
+        forest = fit_forest(X, t=12, m=m, seed=31)
+        values = np.concatenate([tree.threshold[tree.feature >= 0] for tree in forest.trees])
+        Y = np.repeat(values[:, None], X.shape[1], axis=1)
+        got = mean_path_lengths(forest, Y)
+        assert np.array_equal(got, oracle_mean_path_lengths(oracle_forest(X, 12, m, 31), Y))
+
+    def test_single_root_leaf_trees(self):
+        X, Y, m = _data("identical-rows")
+        forest = fit_forest(X, t=5, m=m, seed=0)
+        for tree in forest.trees:
+            assert tree.feature.tolist() == [-1] and tree.size.tolist() == [40]
+        assert np.array_equal(mean_path_lengths(forest, Y), np.full(Y.shape[0], expected_path_length(40)))
+
+    def test_predict_verdicts_match_oracle_scores(self):
+        X, Y, m = _data("nan-inf-cells")
+        forest = fit_forest(X, t=12, m=m, seed=31)
+        mean_h = oracle_mean_path_lengths(oracle_forest(X, 12, m, 31), Y)
+        s = np.power(2.0, -mean_h / expected_path_length(m))
+        verdicts = predict(forest, Y, contamination=0.1)
+        assert [v.score.mean_path_length for v in verdicts] == mean_h.tolist()
+        assert [v.score.s for v in verdicts] == s.tolist()
+        assert all(type(v.label) is int and type(v.score.s) is float for v in verdicts)
+
+
+class TestLoadForestChecks:
+    @pytest.fixture()
+    def saved(self, tmp_path):
+        X = np.random.default_rng(40).normal(size=(120, 3))
+        path = tmp_path / "forest.json"
+        save_forest(fit_forest(X, t=4, m=32, seed=2), path)
+        return path, json.loads(path.read_text(encoding="utf-8"))
+
+    @staticmethod
+    def first_split(doc):
+        node = doc["trees"][0]
+        assert "feature" in node, "tree 0 should have a split at its root"
+        return node
+
+    @staticmethod
+    def first_leaf(doc):
+        node = doc["trees"][0]
+        while "size" not in node:
+            node = node["left"]
+        return node
+
+    def test_saved_forest_loads(self, saved):
+        path, _ = saved
+        forest = load_forest(path)
+        assert forest.t == 4 and len(forest.trees) == 4
+        for tree in forest.trees:
+            assert_flat_layout(tree)
+        assert forest_to_json(forest) + "\n" == path.read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize(
+        "corruption, message",
+        [
+            ("feature-out-of-range", "split feature must be an integer in [0, 3), got 3"),
+            ("feature-negative", "split feature must be an integer in [0, 3), got -1"),
+            ("feature-float", "split feature must be an integer in [0, 3), got 1.0"),
+            ("missing-child", "missing key 'right'"),
+            ("wrong-t", "holds 4 trees, expected t = 5"),
+            ("leaf-size-zero", "leaf size must be an integer >= 1, got 0"),
+            ("leaf-sizes-off-m", "tree leaves hold 33 rows, expected m = 32"),
+            ("too-deep", "tree deeper than height_limit 5"),
+            ("height-limit-off-m", "height_limit 6 does not match m = 32"),
+            ("node-not-an-object", "unreadable artifact"),
+            ("truncated", "unreadable artifact"),
+        ],
+    )
+    def test_corruption_raises_naming_the_file(self, saved, corruption, message):
+        path, doc = saved
+        if corruption == "feature-out-of-range":
+            self.first_split(doc)["feature"] = 3
+        elif corruption == "feature-negative":
+            self.first_split(doc)["feature"] = -1
+        elif corruption == "feature-float":
+            self.first_split(doc)["feature"] = 1.0
+        elif corruption == "missing-child":
+            del self.first_split(doc)["right"]
+        elif corruption == "wrong-t":
+            doc["t"] = 5
+        elif corruption == "leaf-size-zero":
+            self.first_leaf(doc)["size"] = 0
+        elif corruption == "leaf-sizes-off-m":
+            self.first_leaf(doc)["size"] += 1
+        elif corruption == "too-deep":
+            leaf = self.first_leaf(doc)
+            size = leaf.pop("size")
+            chain = leaf
+            for _ in range(6):
+                chain.update(feature=0, value=0.0, left={}, right={"size": 1})
+                chain = chain["left"]
+            chain["size"] = size
+        elif corruption == "height-limit-off-m":
+            doc["height_limit"] = 6
+        elif corruption == "node-not-an-object":
+            self.first_split(doc)["left"] = [1, 2]
+        if corruption == "truncated":
+            text = path.read_text(encoding="utf-8")
+            path.write_text(text[: len(text) * 2 // 3], encoding="utf-8")
+        else:
+            path.write_text(json.dumps(doc, sort_keys=True), encoding="utf-8")
+        with pytest.raises(IsoguardError) as caught:
+            load_forest(path)
+        assert str(path) in str(caught.value)
+        assert message in str(caught.value)

@@ -180,7 +180,7 @@ class TestRunPipeline:
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes(), name
 
     def test_golden_digests(self, tmp_path):
-        # Pinned bytes of the selector and forest artifacts (Python 3.11, numpy 2.4).
+        # Pinned bytes of the selector, forest and verdict artifacts (Python 3.11, numpy 2.4).
         # The rerun and thread-count tests compare the code with itself, so only
         # a pin catches a changed draw that every run repeats.
         cfg = small_config(tmp_path)
@@ -188,6 +188,8 @@ class TestRunPipeline:
         out = Path(cfg.out_dir)
         assert digest(out / "rfe.json") == "e7121965e7304237cafe292a717f037e5ca339d3f1615a2516cb16453ec8e8e3"
         assert digest(out / "forest.json") == "bb10e3619cd397e828420116db3376e0bde9590102d3753e22d6d68a094acd2a"
+        assert digest(out / "verdicts_train.csv") == "917538ee07fc7138a0c273bc42f3090fb536bec79eb6ae3fe31b5e1b244c7654"
+        assert digest(out / "verdicts_test.csv") == "a01df08fae8649b9ffb73c228196ec862be5f393801abe0c70c7714e5cc9fe94"
 
     def test_resolved_config_reproduces_run(self, tmp_path):
         cfg = small_config(tmp_path)
