@@ -1,23 +1,34 @@
-"""Five baseline binary classifiers, each with a hard prediction and a
-continuous decision score oriented so larger means more likely class 1.
+"""Five baseline binary classifiers. Each has one score function, oriented
+so larger means more likely class 1, and a label rule that turns the score
+into a 0/1 label:
 
-KNN and Gaussian naive Bayes score with probabilities in [0, 1]; logistic
-regression scores with sigmoid probabilities; the linear SVM and AdaBoost
-score with uncalibrated margins (rank-based ROC analysis does not need
-calibration). Tie-break conventions are fixed: KNN resolves distance ties
-by ascending training-row index and even-vote ties toward label 0; margin
-models map a score of exactly zero to class 1.
+    model     kind          score                             label 1 when
+    KNN       knn           fraction of the k nearest with 1  score > 0.5
+    NB        gaussian_nb   posterior P(class=1 | x)          score >= 0.5
+    LR        logistic      sigmoid probability               score >= 0.5
+    SVM       linear_svm    margin w.x + b                    score >= 0.0
+    AdaBoost  adaboost      weighted stump vote sum           score >= 0.0
+
+The SVM and AdaBoost margins are uncalibrated (rank-based ROC analysis
+does not need calibration). Tie-break conventions are fixed: KNN resolves
+distance ties by ascending training-row index and sends an even vote split
+(score exactly 0.5) to label 0; margin models map a score of exactly zero
+to class 1. ``MODEL_KINDS`` holds one row per model class, and the JSON
+codec reads it.
 """
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from .errors import IsoguardError, artifact_reader
+
+IntArray = np.ndarray  # annotates an int64 array field, which the model codec decodes as int64
 
 # ---------------------------------------------------------------------------
 # shared helpers
@@ -63,7 +74,7 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
 class KnnModel:
     k: int
     X: np.ndarray
-    y: np.ndarray
+    y: IntArray
     n_features: int
 
 
@@ -110,12 +121,6 @@ def _knn_positive_counts(model: KnnModel, X) -> np.ndarray:
             chunk_counts[i] = model.y[candidates].sum()
         counts[start : start + q.shape[0]] = chunk_counts
     return counts
-
-
-def knn_predict(model: KnnModel, X) -> np.ndarray:
-    """Majority vote among the k nearest; an even split goes to label 0."""
-    counts = _knn_positive_counts(model, X)
-    return (2 * counts > model.k).astype(np.int64)
 
 
 def knn_score(model: KnnModel, X) -> np.ndarray:
@@ -173,10 +178,6 @@ def gnb_score(model: GaussianNbModel, X) -> np.ndarray:
     X = _check_features(model.n_features, X)
     jll = _gnb_joint_log_likelihood(model, X)
     return np.exp(jll[:, 1] - np.logaddexp(jll[:, 0], jll[:, 1]))
-
-
-def gnb_predict(model: GaussianNbModel, X) -> np.ndarray:
-    return (gnb_score(model, X) >= 0.5).astype(np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -240,10 +241,6 @@ def logreg_score(model: LogisticModel, X) -> np.ndarray:
     return _sigmoid(X @ model.weights + model.bias)
 
 
-def logreg_predict(model: LogisticModel, X) -> np.ndarray:
-    return (logreg_score(model, X) >= 0.5).astype(np.int64)
-
-
 # ---------------------------------------------------------------------------
 # linear SVM (primal sub-gradient descent, step 1/(lambda * t))
 
@@ -295,10 +292,6 @@ def svm_score(model: LinearSvmModel, X) -> np.ndarray:
     """Raw margin w.x + b; uncalibrated but rank-correct for ROC."""
     X = _check_features(model.n_features, X)
     return X @ model.weights + model.bias
-
-
-def svm_predict(model: LinearSvmModel, X) -> np.ndarray:
-    return (svm_score(model, X) >= 0.0).astype(np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -407,139 +400,118 @@ def adaboost_score(model: AdaBoostModel, X) -> np.ndarray:
     return total
 
 
-def adaboost_predict(model: AdaBoostModel, X) -> np.ndarray:
-    return (adaboost_score(model, X) >= 0.0).astype(np.int64)
-
-
 # ---------------------------------------------------------------------------
-# uniform dispatch + persistence
+# one row per model kind: score, label rule, load checks, persistence
+
+
+def _check_shape(name: str, a: np.ndarray, shape: tuple[int, ...]) -> None:
+    if a.shape != shape:
+        raise IsoguardError(f"{name} has shape {a.shape}, expected {shape}")
+
+
+def _check_knn(model: KnnModel) -> None:
+    n = model.y.size
+    _check_shape("y", model.y, (n,))
+    _check_shape("X", model.X, (n, model.n_features))
+    if not np.isin(model.y, (0, 1)).all():
+        raise IsoguardError("y must hold only 0/1 labels")
+    if not 1 <= model.k <= n:
+        raise IsoguardError(f"k must satisfy 1 <= k <= {n}, got {model.k}")
+
+
+def _check_gnb(model: GaussianNbModel) -> None:
+    _check_shape("priors", model.priors, (2,))
+    _check_shape("means", model.means, (2, model.n_features))
+    _check_shape("variances", model.variances, (2, model.n_features))
+
+
+def _check_linear(model: LogisticModel | LinearSvmModel) -> None:
+    _check_shape("weights", model.weights, (model.n_features,))
+
+
+def _check_adaboost(model: AdaBoostModel) -> None:
+    for i, s in enumerate(model.stumps):
+        if not 0 <= s.feature < model.n_features or s.polarity not in (1, -1):
+            raise IsoguardError(
+                f"stump {i} has feature {s.feature} and polarity {s.polarity}; "
+                f"need a feature in [0, {model.n_features}) and polarity 1 or -1"
+            )
+
+
+@dataclass(frozen=True)
+class ModelKind:
+    kind: str  # the "kind" value of the model JSON
+    score: Callable[..., np.ndarray]  # (model, X) -> scores, larger means more likely class 1
+    label: Callable[[np.ndarray], np.ndarray]  # scores -> True where the label is 1
+    check: Callable[..., None]  # a loaded model's shape and range checks
+
+
+MODEL_KINDS: dict[type, ModelKind] = {
+    KnnModel: ModelKind("knn", knn_score, lambda s: s > 0.5, _check_knn),
+    GaussianNbModel: ModelKind("gaussian_nb", gnb_score, lambda s: s >= 0.5, _check_gnb),
+    LogisticModel: ModelKind("logistic", logreg_score, lambda s: s >= 0.5, _check_linear),
+    LinearSvmModel: ModelKind("linear_svm", svm_score, lambda s: s >= 0.0, _check_linear),
+    AdaBoostModel: ModelKind("adaboost", adaboost_score, lambda s: s >= 0.0, _check_adaboost),
+}
+_CLASS_OF_KIND = {row.kind: cls for cls, row in MODEL_KINDS.items()}
 
 ClassifierModel = KnnModel | GaussianNbModel | LogisticModel | LinearSvmModel | AdaBoostModel
 
-_PREDICT = {
-    KnnModel: knn_predict,
-    GaussianNbModel: gnb_predict,
-    LogisticModel: logreg_predict,
-    LinearSvmModel: svm_predict,
-    AdaBoostModel: adaboost_predict,
-}
-_SCORE = {
-    KnnModel: knn_score,
-    GaussianNbModel: gnb_score,
-    LogisticModel: logreg_score,
-    LinearSvmModel: svm_score,
-    AdaBoostModel: adaboost_score,
-}
+
+def score_model(model: ClassifierModel, X) -> np.ndarray:
+    return MODEL_KINDS[type(model)].score(model, X)
+
+
+def labels_from_scores(model: ClassifierModel, scores: np.ndarray) -> np.ndarray:
+    """0/1 labels from ``model``'s scores by its kind's label rule."""
+    return MODEL_KINDS[type(model)].label(scores).astype(np.int64)
 
 
 def predict_model(model: ClassifierModel, X) -> np.ndarray:
-    return _PREDICT[type(model)](model, X)
+    return labels_from_scores(model, score_model(model, X))
 
 
-def score_model(model: ClassifierModel, X) -> np.ndarray:
-    return _SCORE[type(model)](model, X)
+# JSON keys are the dataclass field names; each field's annotation picks its decoder
+_DECODE = {
+    "int": int,
+    "float": float,
+    "np.ndarray": lambda v: np.array(v, dtype=np.float64),
+    "IntArray": lambda v: np.array(v, dtype=np.int64),
+    "list[Stump]": lambda v: [_from_doc(Stump, s) for s in v],
+}
+
+
+def _to_doc(obj) -> dict:
+    doc = {}
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if isinstance(value, np.ndarray):
+            value = value.tolist()
+        elif isinstance(value, list):
+            value = [_to_doc(v) for v in value]
+        doc[f.name] = value
+    return doc
+
+
+def _from_doc(cls: type, doc: dict):
+    return cls(**{f.name: _DECODE[f.type](doc[f.name]) for f in fields(cls)})
 
 
 def model_to_json(model: ClassifierModel) -> str:
-    if isinstance(model, KnnModel):
-        doc = {
-            "kind": "knn",
-            "k": model.k,
-            "X": model.X.tolist(),
-            "y": model.y.tolist(),
-            "n_features": model.n_features,
-        }
-    elif isinstance(model, GaussianNbModel):
-        doc = {
-            "kind": "gaussian_nb",
-            "priors": model.priors.tolist(),
-            "means": model.means.tolist(),
-            "variances": model.variances.tolist(),
-            "var_smoothing": model.var_smoothing,
-            "n_features": model.n_features,
-        }
-    elif isinstance(model, LogisticModel):
-        doc = {
-            "kind": "logistic",
-            "weights": model.weights.tolist(),
-            "bias": model.bias,
-            "learning_rate": model.learning_rate,
-            "epochs": model.epochs,
-            "l2": model.l2,
-            "n_features": model.n_features,
-        }
-    elif isinstance(model, LinearSvmModel):
-        doc = {
-            "kind": "linear_svm",
-            "weights": model.weights.tolist(),
-            "bias": model.bias,
-            "lam": model.lam,
-            "epochs": model.epochs,
-            "n_features": model.n_features,
-        }
-    elif isinstance(model, AdaBoostModel):
-        doc = {
-            "kind": "adaboost",
-            "stumps": [
-                {"feature": s.feature, "threshold": s.threshold, "polarity": s.polarity, "alpha": s.alpha}
-                for s in model.stumps
-            ],
-            "n_features": model.n_features,
-        }
-    else:
+    if type(model) not in MODEL_KINDS:
         raise IsoguardError(f"unknown model type {type(model).__name__}")
-    return json.dumps(doc, sort_keys=True)
+    return json.dumps({"kind": MODEL_KINDS[type(model)].kind, **_to_doc(model)}, sort_keys=True)
 
 
 def model_from_json(text: str) -> ClassifierModel:
+    """Parse a model document; shapes and ranges that do not fit ``n_features`` raise IsoguardError."""
     doc = json.loads(text)
-    kind = doc.get("kind")
-    if kind == "knn":
-        return KnnModel(
-            k=int(doc["k"]),
-            X=np.array(doc["X"], dtype=np.float64),
-            y=np.array(doc["y"], dtype=np.int64),
-            n_features=int(doc["n_features"]),
-        )
-    if kind == "gaussian_nb":
-        return GaussianNbModel(
-            priors=np.array(doc["priors"]),
-            means=np.array(doc["means"]),
-            variances=np.array(doc["variances"]),
-            var_smoothing=float(doc["var_smoothing"]),
-            n_features=int(doc["n_features"]),
-        )
-    if kind == "logistic":
-        return LogisticModel(
-            weights=np.array(doc["weights"]),
-            bias=float(doc["bias"]),
-            learning_rate=float(doc["learning_rate"]),
-            epochs=int(doc["epochs"]),
-            l2=float(doc["l2"]),
-            n_features=int(doc["n_features"]),
-        )
-    if kind == "linear_svm":
-        return LinearSvmModel(
-            weights=np.array(doc["weights"]),
-            bias=float(doc["bias"]),
-            lam=float(doc["lam"]),
-            epochs=int(doc["epochs"]),
-            n_features=int(doc["n_features"]),
-        )
-    if kind == "adaboost":
-        return AdaBoostModel(
-            stumps=[
-                Stump(
-                    feature=int(s["feature"]),
-                    threshold=float(s["threshold"]),
-                    polarity=int(s["polarity"]),
-                    alpha=float(s["alpha"]),
-                )
-                for s in doc["stumps"]
-            ],
-            n_features=int(doc["n_features"]),
-        )
-    raise IsoguardError(f"unknown model kind {kind!r}")
+    cls = _CLASS_OF_KIND.get(doc.get("kind"))
+    if cls is None:
+        raise IsoguardError(f"unknown model kind {doc.get('kind')!r}")
+    model = _from_doc(cls, doc)
+    MODEL_KINDS[cls].check(model)
+    return model
 
 
 def save_model(model: ClassifierModel, path: str | Path) -> None:

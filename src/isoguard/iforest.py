@@ -178,6 +178,8 @@ def fit_forest(X: np.ndarray, t: int = 100, m: int = 256, seed: int = 0) -> Isol
         raise IsoguardError(f"subsample size must be >= 2, got {m}")
     if m > n:
         raise IsoguardError(f"subsample size {m} exceeds row count {n}")
+    if np.isinf(X).any():
+        raise IsoguardError("cannot fit on a matrix that holds an infinite value")
     height_limit = math.ceil(math.log2(m))
 
     def _one(i: int) -> ITree:

@@ -43,7 +43,7 @@ from .evaluation import (
     report_to_json,
     write_roc_csv,
 )
-from .feature_selection import ExtraTreesParams, load_rfe, rfe_select, save_rfe
+from .feature_selection import ExtraTreesParams, RfeResult, load_rfe, rfe_select, save_rfe
 from .prng import derive_seed
 from .synthetic import SyntheticSpec, generate_synthetic, write_injection_mask
 
@@ -200,6 +200,13 @@ def _read_artifact_csv(out: Path, name: str, target_column: str) -> Dataset:
     return load_csv(path, target_column=target_column)
 
 
+def _read_rfe(out: Path) -> tuple[RfeResult, list[str]]:
+    path = out / "rfe.json"
+    if not path.exists():
+        raise IsoguardError("missing artifact rfe.json; run the select stage first")
+    return load_rfe(path)
+
+
 def _write_verdicts(path: Path, verdicts: list[iforest.OutlierVerdict]) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -320,10 +327,7 @@ def stage_detect(cfg: PipelineConfig, out: Path) -> None:
         seed = _require_seed(cfg)
         train = _read_artifact_csv(out, "train.csv", cfg.target_column)
         test = _read_artifact_csv(out, "test.csv", cfg.target_column)
-        rfe_path = out / "rfe.json"
-        if not rfe_path.exists():
-            raise IsoguardError("missing artifact rfe.json; run the select stage first")
-        rfe, column_names = load_rfe(rfe_path)
+        rfe, column_names = _read_rfe(out)
         selected = list(rfe.selected)
         X_train = train.matrix()[:, selected]
         m = min(cfg.forest.subsample, X_train.shape[0])
@@ -365,9 +369,7 @@ def stage_train(cfg: PipelineConfig, out: Path) -> None:
     """
     try:
         train = _read_artifact_csv(out, "train.csv", cfg.target_column)
-        rfe, _ = load_rfe(out / "rfe.json") if (out / "rfe.json").exists() else (None, None)
-        if rfe is None:
-            raise IsoguardError("missing artifact rfe.json; run the select stage first")
+        rfe, _ = _read_rfe(out)
         labels = _read_verdict_labels(out / "verdicts_train.csv", train)
         X = train.matrix()[:, list(rfe.selected)]
         y = train.target
@@ -399,10 +401,7 @@ def stage_evaluate(cfg: PipelineConfig, out: Path) -> ComparisonReport:
     try:
         train = _read_artifact_csv(out, "train.csv", cfg.target_column)
         test = _read_artifact_csv(out, "test.csv", cfg.target_column)
-        rfe_path = out / "rfe.json"
-        if not rfe_path.exists():
-            raise IsoguardError("missing artifact rfe.json; run the select stage first")
-        rfe, _ = load_rfe(rfe_path)
+        rfe, _ = _read_rfe(out)
         labels = _read_verdict_labels(out / "verdicts_train.csv", train)
         X_test = test.matrix()[:, list(rfe.selected)]
         y_test = test.target
@@ -415,9 +414,8 @@ def stage_evaluate(cfg: PipelineConfig, out: Path) -> ComparisonReport:
                 if not path.exists():
                     raise IsoguardError(f"missing artifact {path.name}; run the train stage first")
                 model = clf.load_model(path)
-                evaluations[name] = evaluate_predictions(
-                    y_test, clf.predict_model(model, X_test), clf.score_model(model, X_test)
-                )
+                scores = clf.score_model(model, X_test)
+                evaluations[name] = evaluate_predictions(y_test, clf.labels_from_scores(model, scores), scores)
             arms[arm] = evaluations
 
         removed = int((labels == -1).sum())

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,19 +6,23 @@ import pytest
 
 from isoguard import classifiers
 from isoguard.classifiers import (
+    AdaBoostModel,
+    GaussianNbModel,
+    KnnModel,
+    LinearSvmModel,
+    LogisticModel,
     _best_stump,
     _knn_positive_counts,
     adaboost_fit,
-    adaboost_predict,
+    adaboost_score,
     gnb_fit,
     gnb_score,
     knn_fit,
-    knn_predict,
     knn_score,
+    labels_from_scores,
     load_model,
     logreg_fit,
     logreg_loss_grad,
-    logreg_predict,
     logreg_score,
     model_to_json,
     predict_model,
@@ -25,7 +30,6 @@ from isoguard.classifiers import (
     score_model,
     svm_fit,
     svm_objective_grad,
-    svm_predict,
     svm_score,
 )
 from isoguard.errors import IsoguardError
@@ -52,6 +56,28 @@ def reference_knn_counts(model, X):
             candidates = candidates[np.argsort(d2[i, candidates], kind="stable")][: model.k]
         counts[i] = model.y[candidates].sum()
     return counts
+
+
+def reference_knn_predict(model, X):
+    """The per-kind predict functions that ``predict_model`` replaced: oracles for the label rules."""
+    counts = _knn_positive_counts(model, X)
+    return (2 * counts > model.k).astype(np.int64)
+
+
+def reference_gnb_predict(model, X):
+    return (gnb_score(model, X) >= 0.5).astype(np.int64)
+
+
+def reference_logreg_predict(model, X):
+    return (logreg_score(model, X) >= 0.5).astype(np.int64)
+
+
+def reference_svm_predict(model, X):
+    return (svm_score(model, X) >= 0.0).astype(np.int64)
+
+
+def reference_adaboost_predict(model, X):
+    return (adaboost_score(model, X) >= 0.0).astype(np.int64)
 
 
 def reference_best_stump(X, t, weights):
@@ -115,32 +141,32 @@ class TestKnn:
     def test_exact_training_point_with_k1(self):
         X = np.array([[0.0, 0.0], [5.0, 5.0]])
         model = knn_fit(X, [0, 1], k=1)
-        assert knn_predict(model, X).tolist() == [0, 1]
+        assert predict_model(model, X).tolist() == [0, 1]
 
     def test_vote_and_score(self):
         X = np.array([[0.0], [0.1], [0.2], [9.0]])
         y = [1, 1, 0, 0]
         model = knn_fit(X, y, k=3)
         q = np.array([[0.05]])
-        assert knn_predict(model, q).tolist() == [1]
+        assert predict_model(model, q).tolist() == [1]
         assert knn_score(model, q)[0] == pytest.approx(2.0 / 3.0)
 
     def test_k_equal_n_gives_global_majority(self):
         X = np.array([[0.0], [1.0], [2.0], [10.0], [11.0]])
         y = [0, 0, 0, 1, 1]
         model = knn_fit(X, y, k=5)
-        assert knn_predict(model, np.array([[100.0], [-5.0]])).tolist() == [0, 0]
+        assert predict_model(model, np.array([[100.0], [-5.0]])).tolist() == [0, 0]
 
     def test_even_vote_tie_goes_to_zero(self):
         X = np.array([[-1.0], [1.0]])
         model = knn_fit(X, [0, 1], k=2)
-        assert knn_predict(model, np.array([[0.0]])).tolist() == [0]
+        assert predict_model(model, np.array([[0.0]])).tolist() == [0]
 
     def test_distance_tie_breaks_by_train_index(self):
         # two training points equidistant from the query; k=1 must take row 0
         X = np.array([[1.0], [-1.0], [50.0]])
         model = knn_fit(X, [1, 0, 0], k=1)
-        assert knn_predict(model, np.array([[0.0]])).tolist() == [1]
+        assert predict_model(model, np.array([[0.0]])).tolist() == [1]
 
     @pytest.mark.parametrize("k", [1, 2, 3, 5, 8])
     def test_vote_counts_match_per_row_loop_under_ties(self, k):
@@ -156,7 +182,7 @@ class TestKnn:
         rng = np.random.default_rng(0)
         X, y = blobs(rng, n_per_class=25)
         model = knn_fit(X, y, k=1)
-        assert (knn_predict(model, X) == y).all()
+        assert (predict_model(model, X) == y).all()
 
     def test_invalid_k(self):
         X = np.zeros((3, 1))
@@ -239,7 +265,7 @@ class TestLogisticRegression:
         X = np.array([[-1.0], [1.0]])
         y = [0, 1]
         model = logreg_fit(X, y, learning_rate=0.5, epochs=500, l2=0.0)
-        assert (logreg_predict(model, X) == np.array(y)).all()
+        assert (predict_model(model, X) == np.array(y)).all()
 
     def test_gradient_at_zero_weights(self):
         rng = np.random.default_rng(3)
@@ -302,7 +328,7 @@ class TestLinearSvm:
         # force w = 0 to probe the boundary convention
         model.weights[:] = 0.0
         model.bias = 0.0
-        assert svm_predict(model, X).tolist() == [1, 1]
+        assert predict_model(model, X).tolist() == [1, 1]
 
     def test_hinge_loss_driven_to_zero_on_separated_data(self):
         rng = np.random.default_rng(7)
@@ -311,7 +337,7 @@ class TestLinearSvm:
         t = 2.0 * y - 1.0
         final, _, _ = svm_objective_grad(model.weights, model.bias, X, t, 0.0)
         assert final < 0.05
-        assert (svm_predict(model, X) == y).all()
+        assert (predict_model(model, X) == y).all()
 
     def test_margin_homogeneity(self):
         rng = np.random.default_rng(8)
@@ -367,7 +393,7 @@ class TestAdaBoost:
         y = [0, 0, 0, 1, 1, 1]
         model = adaboost_fit(X, y, n_stumps=10)
         assert len(model.stumps) == 1
-        assert (adaboost_predict(model, X) == np.array(y)).all()
+        assert (predict_model(model, X) == np.array(y)).all()
 
     def test_useless_candidates_halt_training(self):
         # contradictory duplicates: the only stump errs exactly 0.5, so nothing is added
@@ -409,7 +435,7 @@ class TestAdaBoost:
             bound *= 2.0 * math.sqrt(max(eps, 1e-12) * max(1.0 - eps, 1e-12))
             weights = weights * np.exp(-stump.alpha * t * outputs)
             weights /= weights.sum()
-        error_rate = float((adaboost_predict(model, X) != y).mean())
+        error_rate = float((predict_model(model, X) != y).mean())
         assert error_rate <= bound + 1e-9
 
     def test_stump_search_matches_per_cut_loop(self):
@@ -488,3 +514,137 @@ class TestCommonContracts:
             reloaded = load_model(path)
             np.testing.assert_array_equal(predict_model(reloaded, X), predict_model(model, X))
             np.testing.assert_array_equal(score_model(reloaded, X), score_model(model, X))
+
+
+def label_rule_cases():
+    """(name, model, queries) over random fits plus the boundary cases of every label rule."""
+    rng = np.random.default_rng(50)
+    cases = []
+    for i in range(6):
+        X, y = blobs(rng, n_per_class=int(rng.integers(8, 30)), d=int(rng.integers(1, 5)), sep=float(rng.uniform(0, 3)))
+        if i % 2:
+            X = np.round(X)  # value ties: equal distances, tied stumps, repeated scores
+        Q = np.vstack((X, rng.normal(1.0, 2.0, size=(40, X.shape[1]))))
+        for k in (1, 2, 3, 4, 6):
+            cases.append((f"knn-k{k}-{i}", knn_fit(X, y, k=k), Q))
+        cases.append((f"nb-{i}", gnb_fit(X, y), Q))
+        cases.append((f"lr-{i}", logreg_fit(X, y, epochs=40), Q))
+        cases.append((f"svm-{i}", svm_fit(X, y, epochs=40), Q))
+        cases.append((f"abc-{i}", adaboost_fit(X, y, n_stumps=8), Q))
+    # even k with exact vote ties: the first three queries have one 0 and one 1 neighbour
+    X = np.array([[0.0], [1.0], [10.0], [11.0]])
+    cases.append(("knn-even-ties", knn_fit(X, [0, 1, 1, 0], k=2), np.array([[0.5], [10.5], [0.0], [5.5]])))
+    cases.append(("knn-k4-all-tie", knn_fit(X, [0, 1, 1, 0], k=4), np.array([[0.5], [100.0]])))
+    svm = svm_fit(np.array([[1.0], [-1.0]]), [0, 1], epochs=1, lam=1.0)
+    svm.weights[:] = 0.0
+    svm.bias = 0.0  # score exactly 0 everywhere
+    cases.append(("svm-zero-weights", svm, np.array([[1.0], [-1.0], [0.0]])))
+    cases.append(("lr-epochs-0", logreg_fit(np.array([[1.0], [2.0]]), [0, 1], epochs=0), np.array([[1.0], [-3.0]])))
+    no_stumps = adaboost_fit(np.array([[0.0], [0.0], [1.0], [1.0]]), [0, 1, 0, 1], n_stumps=5)
+    cases.append(("abc-no-stumps", no_stumps, np.array([[0.0], [1.0]])))
+    return cases
+
+
+REFERENCE_PREDICT = {
+    KnnModel: reference_knn_predict,
+    GaussianNbModel: reference_gnb_predict,
+    LogisticModel: reference_logreg_predict,
+    LinearSvmModel: reference_svm_predict,
+    AdaBoostModel: reference_adaboost_predict,
+}
+
+
+class TestLabelsFromScores:
+    @pytest.mark.parametrize("name, model, Q", label_rule_cases(), ids=lambda v: v if isinstance(v, str) else "")
+    def test_predict_matches_per_kind_predict(self, name, model, Q):
+        expected = REFERENCE_PREDICT[type(model)](model, Q)
+        got = predict_model(model, Q)
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, expected)
+        np.testing.assert_array_equal(labels_from_scores(model, score_model(model, Q)), expected)
+
+    def test_boundary_cases_hit_the_boundary(self):
+        cases = {name: (model, Q) for name, model, Q in label_rule_cases()}
+        model, Q = cases["knn-even-ties"]
+        counts = _knn_positive_counts(model, Q)
+        assert (2 * counts == model.k).tolist() == [True, True, True, False]
+        assert predict_model(model, Q).tolist() == [0, 0, 0, 1]
+        model, Q = cases["knn-k4-all-tie"]
+        assert score_model(model, Q).tolist() == [0.5, 0.5] and predict_model(model, Q).tolist() == [0, 0]
+        for name, score in (("svm-zero-weights", 0.0), ("lr-epochs-0", 0.5), ("abc-no-stumps", 0.0)):
+            model, Q = cases[name]
+            assert (score_model(model, Q) == score).all(), name
+            assert (predict_model(model, Q) == 1).all(), name
+
+    def test_one_row_per_model_class(self):
+        assert set(classifiers.MODEL_KINDS) == set(REFERENCE_PREDICT)
+        kinds = [row.kind for row in classifiers.MODEL_KINDS.values()]
+        assert kinds == ["knn", "gaussian_nb", "logistic", "linear_svm", "adaboost"]
+
+
+def _set_stump(field, value):
+    def edit(doc):
+        doc["stumps"][0][field] = value
+
+    return edit
+
+
+def _set(key, value):
+    def edit(doc):
+        doc[key] = value(doc) if callable(value) else value
+
+    return edit
+
+
+MODEL_CORRUPTIONS = [
+    ("abc", _set_stump("feature", 99), "stump 0 has feature 99 and polarity"),
+    ("abc", _set_stump("feature", -1), "stump 0 has feature -1 and polarity"),
+    ("abc", _set_stump("feature", 3), "need a feature in [0, 3)"),
+    ("abc", _set_stump("polarity", 0), "and polarity 0; need"),
+    ("abc", _set_stump("polarity", 2), "and polarity 2; need"),
+    ("lr", _set("weights", lambda d: d["weights"][:-1]), "weights has shape (2,), expected (3,)"),
+    ("svm", _set("weights", lambda d: [d["weights"]]), "weights has shape (1, 3), expected (3,)"),
+    ("nb", _set("priors", [0.5, 0.3, 0.2]), "priors has shape (3,), expected (2,)"),
+    ("nb", _set("means", lambda d: d["means"][:1]), "means has shape (1, 3), expected (2, 3)"),
+    ("nb", _set("variances", lambda d: [row + [1.0] for row in d["variances"]]), "variances has shape (2, 4)"),
+    ("knn", _set("X", lambda d: [row[:2] for row in d["X"]]), "X has shape (50, 2), expected (50, 3)"),
+    ("knn", _set("y", lambda d: d["y"][:-1]), "X has shape (50, 3), expected (49, 3)"),
+    ("knn", _set("y", lambda d: [[v] for v in d["y"]]), "y has shape (50, 1), expected (50,)"),
+    ("knn", _set("y", lambda d: [2] + d["y"][1:]), "y must hold only 0/1 labels"),
+    ("knn", _set("k", 0), "k must satisfy 1 <= k <= 50, got 0"),
+    ("knn", _set("k", 51), "k must satisfy 1 <= k <= 50, got 51"),
+    ("knn", _set("kind", "forest"), "unknown model kind 'forest'"),
+]
+
+
+class TestLoadModelChecks:
+    @pytest.fixture(scope="class")
+    def saved_docs(self):
+        rng = np.random.default_rng(60)
+        X, y = blobs(rng, n_per_class=25, d=3, sep=1.5)
+        models = {
+            "knn": knn_fit(X, y, k=5),
+            "nb": gnb_fit(X, y),
+            "lr": logreg_fit(X, y, epochs=20),
+            "svm": svm_fit(X, y, epochs=20),
+            "abc": adaboost_fit(X, y, n_stumps=5),
+        }
+        return {name: json.loads(model_to_json(model)) for name, model in models.items()}
+
+    def test_fitted_models_pass_the_checks(self, saved_docs, tmp_path):
+        for name, doc in saved_docs.items():
+            path = tmp_path / f"model_{name}.json"
+            path.write_text(json.dumps(doc, sort_keys=True) + "\n", encoding="utf-8")
+            save_model(load_model(path), tmp_path / "again.json")
+            assert (tmp_path / "again.json").read_bytes() == path.read_bytes(), name
+
+    @pytest.mark.parametrize("name, edit, message", MODEL_CORRUPTIONS)
+    def test_corrupt_model_rejected_naming_the_file(self, saved_docs, tmp_path, name, edit, message):
+        doc = json.loads(json.dumps(saved_docs[name]))
+        edit(doc)
+        path = tmp_path / f"model_{name}.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(IsoguardError) as caught:
+            load_model(path)
+        assert str(caught.value).startswith(f"{path}: unreadable artifact (")
+        assert message in str(caught.value)

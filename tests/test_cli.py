@@ -197,6 +197,19 @@ class TestCorruptArtifacts:
         expected = f"selected must be strictly increasing column indices in [0, {n})"
         assert f"{stage}: {rfe}: unreadable artifact ({expected}" in err
 
+    @pytest.mark.parametrize("feature", [99, -1])
+    def test_stump_feature_out_of_range_exits_2(self, finished_run, capsys, feature):
+        out, args = finished_run
+        path = out / "model_abc.json"
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        assert doc["stumps"], "the run should have fitted at least one stump"
+        doc["stumps"][0]["feature"] = feature
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert cli_dispatch(["evaluate"] + args) == 2
+        err = capsys.readouterr().err
+        assert f"evaluate: {path}: unreadable artifact (stump 0 has feature {feature} and polarity" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize(
         "name, loader",
         [("rfe.json", load_rfe), ("model_abc_clean.json", load_model), ("forest.json", load_forest)],

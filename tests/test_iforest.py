@@ -225,6 +225,12 @@ class TestFitForest:
         with pytest.raises(IsoguardError, match=">= 2"):
             fit_forest(X, t=5, m=1)
 
+    @pytest.mark.parametrize("value", [np.inf, -np.inf])
+    def test_infinite_value_rejected(self, value):
+        with pytest.raises(IsoguardError, match="infinite value"):
+            fit_forest([[0.0], [value], [1.0], [2.0]], t=3, m=4)
+        fit_forest([[0.0], [np.nan], [1.0], [2.0]], t=3, m=4)  # NaN cells still fit
+
 
 class TestPathLength:
     def test_single_external_node(self):

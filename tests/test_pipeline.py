@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from isoguard import classifiers as clf
 from isoguard.data import load_csv, write_csv
 from isoguard.errors import IsoguardError, PipelineError
 from isoguard.pipeline import (
@@ -22,6 +23,7 @@ from isoguard.pipeline import (
     run_pipeline,
     run_synth,
     stage_detect,
+    stage_evaluate,
     stage_ingest,
     stage_select,
 )
@@ -180,7 +182,7 @@ class TestRunPipeline:
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes(), name
 
     def test_golden_digests(self, tmp_path):
-        # Pinned bytes of the selector, forest and verdict artifacts (Python 3.11, numpy 2.4).
+        # Pinned bytes of the selector, forest, verdict, model and report artifacts (Python 3.11, numpy 2.4).
         # The rerun and thread-count tests compare the code with itself, so only
         # a pin catches a changed draw that every run repeats.
         cfg = small_config(tmp_path)
@@ -190,6 +192,38 @@ class TestRunPipeline:
         assert digest(out / "forest.json") == "bb10e3619cd397e828420116db3376e0bde9590102d3753e22d6d68a094acd2a"
         assert digest(out / "verdicts_train.csv") == "917538ee07fc7138a0c273bc42f3090fb536bec79eb6ae3fe31b5e1b244c7654"
         assert digest(out / "verdicts_test.csv") == "a01df08fae8649b9ffb73c228196ec862be5f393801abe0c70c7714e5cc9fe94"
+        pins = {
+            "model_knn.json": "2295e6e7b4976501c71cf656a4eebca2e2c6b6187bb0d7d7de61a43342c91bd0",
+            "model_knn_clean.json": "0e5738d30bf862f27196aaa56d656dd356a2f4a5ce155e2c76c40e8ea5f73207",
+            "model_svm.json": "a6af460c204e0f1676077dca72a2dee95b5e493bafaedb07a7bcc4aaf1f50164",
+            "model_svm_clean.json": "31bca9c33fa225149eb5cb5dcbd3afe6306e547dd0361d3f67147a25e44928b5",
+            "model_nb.json": "a70d1454edb00f15d79fe2d6d14792f61e9478a75858cccc79162314c1c08019",
+            "model_nb_clean.json": "7be2b0ed8199b1f6c39138297331fc95173c7764e9cf164b48c508e941428ac0",
+            "model_lr.json": "97887e3b3f3b9183edc5a533ac94a3566cf79a1671acaf9542b99e0da8314fd6",
+            "model_lr_clean.json": "3cf00189af0ddc6faa583ae28a81b5945b976ff27ed5156076d8b1df0b9ce4dc",
+            "model_abc.json": "235dc212f459eb2cf378762463961f4b97efed00d7c2e280e067bb5c7ee05e0b",
+            "model_abc_clean.json": "f2176bf71765e2b14ac01390d1ba0b40b2776ab5fecdb3abe505ffe3d4797225",
+            "report.json": "5d4952f588d0b3b6a2f549d1ec5e72bb2c92092b248b00930099565551d8fd47",
+        }
+        for name, pin in pins.items():
+            assert digest(out / name) == pin, name
+
+    def test_evaluate_runs_knn_distances_once_per_arm(self, tmp_path, monkeypatch):
+        cfg = small_config(tmp_path)
+        out = Path(cfg.out_dir)
+        run_pipeline(cfg)
+        expected = (out / "report.json").read_bytes()
+        calls = []
+        counts = clf._knn_positive_counts
+
+        def counting(model, X):
+            calls.append(X.shape)
+            return counts(model, X)
+
+        monkeypatch.setattr(clf, "_knn_positive_counts", counting)
+        stage_evaluate(cfg, out)
+        assert len(calls) == 2
+        assert (out / "report.json").read_bytes() == expected
 
     def test_resolved_config_reproduces_run(self, tmp_path):
         cfg = small_config(tmp_path)

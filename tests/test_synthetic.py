@@ -35,13 +35,13 @@ class TestGenerateSynthetic:
         assert float(np.abs(mean0 - mean1).max()) < 0.4  # clusters coincide up to noise
 
     def test_zero_separation_downstream_accuracy_near_majority_baseline(self):
-        from isoguard.classifiers import gnb_fit, gnb_predict
+        from isoguard.classifiers import gnb_fit, predict_model
         from isoguard.data import SplitSpec, train_test_split
 
         ds, _ = generate_synthetic(SyntheticSpec(separation=0.0, outlier_fraction=0.0, seed=8))
         train, test = train_test_split(ds, SplitSpec(test_fraction=0.2, seed=1))
         model = gnb_fit(train.matrix(), train.target)
-        accuracy = float((gnb_predict(model, test.matrix()) == test.target).mean())
+        accuracy = float((predict_model(model, test.matrix()) == test.target).mean())
         majority = max(np.bincount(test.target)) / test.n_rows
         assert abs(accuracy - majority) < 0.1
 
