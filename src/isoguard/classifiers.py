@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import IsoguardError, artifact_reader
+from .errors import IsoguardError, artifact_reader, checked_int
 
 IntArray = np.ndarray  # annotates an int64 array field, which the model codec decodes as int64
 
@@ -471,13 +471,20 @@ def predict_model(model: ClassifierModel, X) -> np.ndarray:
     return labels_from_scores(model, score_model(model, X))
 
 
-# JSON keys are the dataclass field names; each field's annotation picks its decoder
+def _int_array(value, name: str) -> np.ndarray:
+    cells = np.array(value, dtype=object)
+    for v in cells.flat:
+        checked_int(v, f"{name} element")
+    return cells.astype(np.int64)
+
+
+# JSON keys are the dataclass field names; each field's annotation picks its decoder of (value, name)
 _DECODE = {
-    "int": int,
-    "float": float,
-    "np.ndarray": lambda v: np.array(v, dtype=np.float64),
-    "IntArray": lambda v: np.array(v, dtype=np.int64),
-    "list[Stump]": lambda v: [_from_doc(Stump, s) for s in v],
+    "int": checked_int,
+    "float": lambda v, name: float(v),
+    "np.ndarray": lambda v, name: np.array(v, dtype=np.float64),
+    "IntArray": _int_array,
+    "list[Stump]": lambda v, name: [_from_doc(Stump, s) for s in v],
 }
 
 
@@ -494,7 +501,7 @@ def _to_doc(obj) -> dict:
 
 
 def _from_doc(cls: type, doc: dict):
-    return cls(**{f.name: _DECODE[f.type](doc[f.name]) for f in fields(cls)})
+    return cls(**{f.name: _DECODE[f.type](doc[f.name], f.name) for f in fields(cls)})
 
 
 def model_to_json(model: ClassifierModel) -> str:

@@ -19,8 +19,6 @@ import numpy as np
 
 from .errors import IsoguardError
 
-_NON_NUMERIC_TOKENS = frozenset({"nan", "inf", "infinity", "+inf", "-inf", "+infinity", "-infinity"})
-
 
 class ColumnKind(Enum):
     NOMINAL = "nominal"
@@ -28,12 +26,12 @@ class ColumnKind(Enum):
 
 
 def _parse_number(text: str) -> float | None:
-    if text.lower() in _NON_NUMERIC_TOKENS:
-        return None
+    """The finite float ``text`` spells, else None (``nan``, ``inf`` and ``1e999`` included)."""
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         return None
+    return value if math.isfinite(value) else None
 
 
 @dataclass(frozen=True)
@@ -354,15 +352,22 @@ def load_transforms(path: str | Path) -> tuple[EncoderState, ScalerState]:
     return enc, ScalerState(feature_names=names, means=means, stds=stds)
 
 
-def write_csv(ds: Dataset, path: str | Path) -> None:
-    """Write features plus target column; floats use repr so reloads are exact."""
+def write_table(path: str | Path, header: list[str], columns: list) -> None:
+    """Write equal-length columns as a CSV with a header row.
+
+    Cells come from ``tolist()``, so a float is written by ``repr`` and
+    reloads to the same bits; every other value is written by ``str``.
+    """
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(list(ds.feature_names) + [ds.target_name])
-        encoded = ds.is_encoded
-        for i in range(ds.n_rows):
-            cells = [
-                repr(float(v)) if encoded or kind is ColumnKind.NUMERIC else str(v)
-                for v, kind in zip(ds.rows[i], ds.kinds)
-            ]
-            writer.writerow(cells + [str(int(ds.target[i]))])
+        writer.writerow(header)
+        writer.writerows(zip(*(np.asarray(c).tolist() for c in columns), strict=True))
+
+
+def write_csv(ds: Dataset, path: str | Path) -> None:
+    """Write features plus target column; floats use repr so reloads are exact."""
+    columns = [
+        col.astype(np.float64) if ds.is_encoded or kind is ColumnKind.NUMERIC else col.astype(str)
+        for col, kind in zip(ds.rows.T, ds.kinds)
+    ]
+    write_table(path, [*ds.feature_names, ds.target_name], [*columns, ds.target.astype(np.int64)])

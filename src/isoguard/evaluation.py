@@ -8,7 +8,6 @@ normal-positive and support-weighted variants of precision/recall/F1.
 """
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass
@@ -16,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .data import write_table
 from .errors import IsoguardError
 
 
@@ -291,8 +291,5 @@ def report_to_json(report: ComparisonReport) -> str:
 
 def write_roc_csv(curve: RocCurve, path: str | Path) -> None:
     """ROC points as CSV rows of (threshold, fpr, tpr)."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["threshold", "fpr", "tpr"])
-        for threshold, (fpr, tpr) in zip(curve.thresholds, curve.points):
-            writer.writerow([repr(threshold), repr(fpr), repr(tpr)])
+    fpr, tpr = np.array(curve.points, dtype=np.float64).T
+    write_table(path, ["threshold", "fpr", "tpr"], [curve.thresholds, fpr, tpr])

@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import IsoguardError, artifact_reader
+from .errors import IsoguardError, artifact_reader, checked_int
 from .parallel import run_indexed
 from .prng import derive_seed
 
@@ -180,6 +180,11 @@ def fit_forest(X: np.ndarray, t: int = 100, m: int = 256, seed: int = 0) -> Isol
         raise IsoguardError(f"subsample size {m} exceeds row count {n}")
     if np.isinf(X).any():
         raise IsoguardError("cannot fit on a matrix that holds an infinite value")
+    with np.errstate(over="ignore"):
+        span = np.fmax.reduce(X) - np.fmin.reduce(X)  # NaN only for an all-NaN column
+    overflowing = np.flatnonzero(np.isinf(span))
+    if overflowing.size:
+        raise IsoguardError(f"cannot fit on column {overflowing[0]}: its max - min overflows")
     height_limit = math.ceil(math.log2(m))
 
     def _one(i: int) -> ITree:
@@ -237,13 +242,8 @@ def score(forest: IsolationForest, x: np.ndarray) -> AnomalyScore:
     return AnomalyScore(s=float(s[0]), mean_path_length=float(mean_h[0]))
 
 
-def predict(
-    forest: IsolationForest,
-    X: np.ndarray,
-    threshold: float | None = None,
-    contamination: float | None = None,
-) -> list[OutlierVerdict]:
-    """Label every row +1 (normal) or -1 (outlier).
+def label_scores(s: np.ndarray, threshold: float | None = None, contamination: float | None = None) -> np.ndarray:
+    """Label every score +1 (normal) or -1 (outlier).
 
     Fixed-threshold mode (default threshold 0.5) labels -1 iff s >= threshold;
     the boundary score counts as an outlier. Contamination mode labels -1 the
@@ -251,18 +251,24 @@ def predict(
     """
     if threshold is not None and contamination is not None:
         raise IsoguardError("pass either a fixed threshold or a contamination fraction, not both")
+    if contamination is None:
+        return np.where(s >= (0.5 if threshold is None else threshold), -1, 1)
+    if not 0.0 < contamination <= 0.5:
+        raise IsoguardError(f"contamination must be in (0, 0.5], got {contamination}")
+    labels = np.ones(s.size, dtype=np.int64)
+    labels[np.argsort(-s, kind="stable")[: math.ceil(contamination * s.size)]] = -1
+    return labels
+
+
+def predict(
+    forest: IsolationForest,
+    X: np.ndarray,
+    threshold: float | None = None,
+    contamination: float | None = None,
+) -> list[OutlierVerdict]:
+    """``label_scores`` of every row of X, boxed as one OutlierVerdict per row."""
     s, mean_h = score_batch(forest, X)
-    n = s.size
-    if contamination is not None:
-        if not 0.0 < contamination <= 0.5:
-            raise IsoguardError(f"contamination must be in (0, 0.5], got {contamination}")
-        k = math.ceil(contamination * n)
-        order = np.argsort(-s, kind="stable")
-        labels = np.ones(n, dtype=np.int64)
-        labels[order[:k]] = -1
-    else:
-        tau = 0.5 if threshold is None else threshold
-        labels = np.where(s >= tau, -1, 1)
+    labels = label_scores(s, threshold, contamination)
     return [
         OutlierVerdict(lbl, AnomalyScore(si, hi))
         for lbl, si, hi in zip(labels.tolist(), s.tolist(), mean_h.tolist())
@@ -280,14 +286,6 @@ def _tree_to_doc(tree: ITree, i: int = 0) -> dict:
     }
 
 
-def _checked_int(value: object, what: str, low: int, high: int | None = None) -> int:
-    """``value`` as an int in [low, high); a float or bool is rejected, not truncated."""
-    if type(value) is not int or value < low or (high is not None and value >= high):
-        bound = f"in [{low}, {high})" if high is not None else f">= {low}"
-        raise IsoguardError(f"{what} must be an integer {bound}, got {value!r}")
-    return value
-
-
 def _tree_from_doc(doc: dict, n_features: int, height_limit: int, m: int) -> ITree:
     """Flatten one nested tree document, checking it is a binary tree no
     deeper than ``height_limit`` whose leaves hold >= 1 row and m in all."""
@@ -298,9 +296,9 @@ def _tree_from_doc(doc: dict, n_features: int, height_limit: int, m: int) -> ITr
             raise IsoguardError(f"tree deeper than height_limit {height_limit}")
         i = nodes.add_leaf(0, d)
         if "size" in node:
-            nodes.size[i] = _checked_int(node["size"], "leaf size", 1)
+            nodes.size[i] = checked_int(node["size"], "leaf size", 1)
             return i
-        nodes.feature[i] = _checked_int(node["feature"], "split feature", 0, n_features)
+        nodes.feature[i] = checked_int(node["feature"], "split feature", 0, n_features)
         nodes.threshold[i] = float(node["value"])
         left = nodes.left[i] = visit(node["left"], d + 1)
         right = nodes.right[i] = visit(node["right"], d + 1)
@@ -330,10 +328,10 @@ def forest_to_json(forest: IsolationForest) -> str:
 def forest_from_json(text: str) -> IsolationForest:
     """Parse a forest document; anything but t well-formed trees raises IsoguardError."""
     doc = json.loads(text)
-    t = _checked_int(doc["t"], "t", 1)
-    m = _checked_int(doc["m"], "m", 2)
-    n_features = _checked_int(doc["n_features"], "n_features", 1)
-    height_limit = _checked_int(doc["height_limit"], "height_limit", 1)
+    t = checked_int(doc["t"], "t", 1)
+    m = checked_int(doc["m"], "m", 2)
+    n_features = checked_int(doc["n_features"], "n_features", 1)
+    height_limit = checked_int(doc["height_limit"], "height_limit", 1)
     if height_limit != math.ceil(math.log2(m)):
         raise IsoguardError(f"height_limit {height_limit!r} does not match m = {m}")
     if len(doc["trees"]) != t:
@@ -343,7 +341,7 @@ def forest_from_json(text: str) -> IsolationForest:
         t=t,
         m=m,
         height_limit=height_limit,
-        seed=int(doc["seed"]),
+        seed=checked_int(doc["seed"], "seed"),
         n_features=n_features,
     )
 

@@ -22,6 +22,7 @@ import numpy as np
 from . import classifiers as clf
 from . import iforest
 from .data import (
+    ColumnKind,
     Dataset,
     SplitSpec,
     apply_label_encoder,
@@ -32,6 +33,7 @@ from .data import (
     save_transforms,
     train_test_split,
     write_csv,
+    write_table,
 )
 from .errors import IsoguardError, PipelineError
 from .evaluation import (
@@ -193,11 +195,21 @@ def _stage_error(stage: str, err: Exception) -> PipelineError:
     return PipelineError(f"{stage}: {err}")
 
 
-def _read_artifact_csv(out: Path, name: str, target_column: str) -> Dataset:
+def _read_artifact_csv(out: Path, name: str, target_column: str, column_names: list[str] | None = None) -> Dataset:
+    """A partition written by ingest: numeric only, and with the columns rfe.json records when given."""
     path = out / name
     if not path.exists():
         raise IsoguardError(f"missing artifact {name}; run the earlier stages into {out} first")
-    return load_csv(path, target_column=target_column)
+    ds = load_csv(path, target_column=target_column)
+    nominal = [n for n, k in zip(ds.feature_names, ds.kinds) if k is not ColumnKind.NUMERIC]
+    if nominal:
+        raise IsoguardError(f"{name}: column {nominal[0]!r} holds a non-numeric cell; rerun the ingest stage")
+    if column_names is not None and list(ds.feature_names) != column_names:
+        raise IsoguardError(
+            f"{name}: feature columns differ from the {len(column_names)} that rfe.json records; "
+            "rerun the ingest and select stages"
+        )
+    return ds
 
 
 def _read_rfe(out: Path) -> tuple[RfeResult, list[str]]:
@@ -205,14 +217,6 @@ def _read_rfe(out: Path) -> tuple[RfeResult, list[str]]:
     if not path.exists():
         raise IsoguardError("missing artifact rfe.json; run the select stage first")
     return load_rfe(path)
-
-
-def _write_verdicts(path: Path, verdicts: list[iforest.OutlierVerdict]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["row", "score", "mean_path", "label"])
-        for i, v in enumerate(verdicts):
-            writer.writerow([i, repr(v.score.s), repr(v.score.mean_path_length), v.label])
 
 
 def _read_verdict_labels(path: Path, train: Dataset) -> np.ndarray:
@@ -228,6 +232,9 @@ def _read_verdict_labels(path: Path, train: Dataset) -> np.ndarray:
             raise IsoguardError(
                 f"{path.name}: malformed verdict row at line {reader.line_num}; rerun the detect stage"
             ) from None
+    bad = labels[(labels != 1) & (labels != -1)]
+    if bad.size:
+        raise IsoguardError(f"{path.name}: verdict label {bad[0]} is not 1 or -1; rerun the detect stage")
     if labels.size != train.n_rows:
         raise IsoguardError(
             f"{path.name} has {labels.size} verdict rows but train.csv has {train.n_rows} rows; "
@@ -250,16 +257,11 @@ def emit_scatter(
     if len(verdict_labels) != ds.n_rows:
         raise IsoguardError("verdicts are not aligned with the dataset rows")
     X = ds.matrix()
-
-    def write(path: str | Path, keep: np.ndarray) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow([x_col, y_col, "verdict", ds.target_name])
-            for i in np.flatnonzero(keep):
-                writer.writerow([repr(X[i, xi]), repr(X[i, yi]), int(verdict_labels[i]), int(ds.target[i])])
-
-    write(full_path, np.ones(ds.n_rows, dtype=bool))
-    write(clean_path, verdict_labels == 1)
+    verdicts = np.asarray(verdict_labels, dtype=np.int64)
+    header = [x_col, y_col, "verdict", ds.target_name]
+    columns = [X[:, xi], X[:, yi], verdicts, ds.target.astype(np.int64)]
+    write_table(full_path, header, columns)
+    write_table(clean_path, header, [c[verdicts == 1] for c in columns])
 
 
 # ---------------------------------------------------------------------------
@@ -325,19 +327,21 @@ def stage_detect(cfg: PipelineConfig, out: Path) -> None:
     """Fit the isolation forest on selected training features; emit verdicts and scatter data."""
     try:
         seed = _require_seed(cfg)
-        train = _read_artifact_csv(out, "train.csv", cfg.target_column)
-        test = _read_artifact_csv(out, "test.csv", cfg.target_column)
         rfe, column_names = _read_rfe(out)
+        train = _read_artifact_csv(out, "train.csv", cfg.target_column, column_names)
+        test = _read_artifact_csv(out, "test.csv", cfg.target_column, column_names)
         selected = list(rfe.selected)
         X_train = train.matrix()[:, selected]
         m = min(cfg.forest.subsample, X_train.shape[0])
         forest = iforest.fit_forest(X_train, t=cfg.forest.trees, m=m, seed=derive_seed(seed, "forest"))
         kwargs = _threshold_kwargs(cfg.forest.threshold)
-        verdicts_train = iforest.predict(forest, X_train, **kwargs)
-        verdicts_test = iforest.predict(forest, test.matrix()[:, selected], **kwargs)
+        labels = {}
+        for name, X in (("train", X_train), ("test", test.matrix()[:, selected])):
+            s, mean_h = iforest.score_batch(forest, X)
+            labels[name] = iforest.label_scores(s, **kwargs)
+            columns = [np.arange(s.size), s, mean_h, labels[name]]
+            write_table(out / f"verdicts_{name}.csv", ["row", "score", "mean_path", "label"], columns)
         iforest.save_forest(forest, out / "forest.json")
-        _write_verdicts(out / "verdicts_train.csv", verdicts_train)
-        _write_verdicts(out / "verdicts_test.csv", verdicts_test)
 
         # scatter axes default to the two most important surviving features
         by_importance = np.lexsort((np.array(selected), -rfe.final_importances))
@@ -345,8 +349,7 @@ def stage_detect(cfg: PipelineConfig, out: Path) -> None:
         default_y = column_names[selected[by_importance[min(1, len(selected) - 1)]]]
         x_col = cfg.scatter_x or default_x
         y_col = cfg.scatter_y or default_y
-        labels = np.array([v.label for v in verdicts_train], dtype=np.int64)
-        emit_scatter(train, labels, x_col, y_col, out / "scatter_full.csv", out / "scatter_clean.csv")
+        emit_scatter(train, labels["train"], x_col, y_col, out / "scatter_full.csv", out / "scatter_clean.csv")
     except IsoguardError as e:
         raise _stage_error("detect", e) from e
 
@@ -368,8 +371,8 @@ def stage_train(cfg: PipelineConfig, out: Path) -> None:
     forest flagged -1. The test partition is never touched.
     """
     try:
-        train = _read_artifact_csv(out, "train.csv", cfg.target_column)
-        rfe, _ = _read_rfe(out)
+        rfe, column_names = _read_rfe(out)
+        train = _read_artifact_csv(out, "train.csv", cfg.target_column, column_names)
         labels = _read_verdict_labels(out / "verdicts_train.csv", train)
         X = train.matrix()[:, list(rfe.selected)]
         y = train.target
@@ -399,9 +402,9 @@ def stage_train(cfg: PipelineConfig, out: Path) -> None:
 def stage_evaluate(cfg: PipelineConfig, out: Path) -> ComparisonReport:
     """Evaluate both arms on the shared test partition and write the reports."""
     try:
-        train = _read_artifact_csv(out, "train.csv", cfg.target_column)
-        test = _read_artifact_csv(out, "test.csv", cfg.target_column)
-        rfe, _ = _read_rfe(out)
+        rfe, column_names = _read_rfe(out)
+        train = _read_artifact_csv(out, "train.csv", cfg.target_column, column_names)
+        test = _read_artifact_csv(out, "test.csv", cfg.target_column, column_names)
         labels = _read_verdict_labels(out / "verdicts_train.csv", train)
         X_test = test.matrix()[:, list(rfe.selected)]
         y_test = test.target

@@ -9,14 +9,13 @@ should isolate; the generator returns their mask as ground truth.
 """
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .data import ColumnKind, Dataset
+from .data import ColumnKind, Dataset, write_table
 from .errors import IsoguardError
 from .prng import derive_seed
 
@@ -87,8 +86,4 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[Dataset, np.ndarray]:
 
 def write_injection_mask(mask: np.ndarray, path: str | Path) -> None:
     """Ground-truth mask CSV: (row, injected) with injected in {0, 1}."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["row", "injected"])
-        for i, flag in enumerate(mask):
-            writer.writerow([i, int(flag)])
+    write_table(path, ["row", "injected"], [np.arange(len(mask)), np.asarray(mask, dtype=np.int64)])

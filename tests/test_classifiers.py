@@ -614,6 +614,13 @@ MODEL_CORRUPTIONS = [
     ("knn", _set("k", 0), "k must satisfy 1 <= k <= 50, got 0"),
     ("knn", _set("k", 51), "k must satisfy 1 <= k <= 50, got 51"),
     ("knn", _set("kind", "forest"), "unknown model kind 'forest'"),
+    # a non-integral value is rejected, not truncated to an int
+    ("abc", _set_stump("polarity", 1.9), "polarity must be an integer, got 1.9"),
+    ("abc", _set_stump("feature", 0.7), "feature must be an integer, got 0.7"),
+    ("knn", _set("y", lambda d: [0.9] + d["y"][1:]), "y element must be an integer, got 0.9"),
+    ("knn", _set("k", 1.5), "k must be an integer, got 1.5"),
+    ("knn", _set("k", True), "k must be an integer, got True"),
+    ("knn", _set("y", lambda d: [2**70] + d["y"][1:]), "too large"),
 ]
 
 

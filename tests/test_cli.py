@@ -225,6 +225,58 @@ class TestCorruptArtifacts:
             assert str(path) in str(caught.value)
 
 
+def _edit_csv(path, edit):
+    rows = [line.split(",") for line in path.read_text(encoding="utf-8").splitlines()]
+    edit(rows)
+    path.write_text("".join(",".join(row) + "\n" for row in rows), encoding="utf-8")
+
+
+def _set_cell(row, col, value):
+    def edit(rows):
+        rows[row][col] = value
+
+    return edit
+
+
+def _drop_first_column(rows):
+    for row in rows:
+        del row[0]
+
+
+def _set_labels(value, count=5):
+    def edit(rows):
+        for row in rows[1 : count + 1]:
+            row[3] = value
+
+    return edit
+
+
+CSV_CORRUPTIONS = [
+    ("bad-cell", "select", "train.csv", _set_cell(3, 1, "abc"), "train.csv: column 'inf_02' holds a non-numeric cell"),
+    ("dropped-column", "detect", "test.csv", _drop_first_column, "test.csv: feature columns differ from the 6"),
+    ("renamed-column", "train", "train.csv", _set_cell(0, 2, "renamed"), "train.csv: feature columns differ from"),
+    ("label-0", "train", "verdicts_train.csv", _set_labels("0"), "verdicts_train.csv: verdict label 0 is not 1 or -1"),
+    ("label-2", "evaluate", "verdicts_train.csv", _set_labels("2", 1), "verdicts_train.csv: verdict label 2 is not"),
+]
+
+
+class TestCorruptCsvArtifacts:
+    @pytest.mark.parametrize(
+        "stage, name, edit, message", [case[1:] for case in CSV_CORRUPTIONS], ids=[case[0] for case in CSV_CORRUPTIONS]
+    )
+    def test_corrupt_csv_exits_2(self, workspace, capsys, stage, name, edit, message):
+        tmp_path, cfg_path = workspace
+        out = tmp_path / "run"
+        args = ["--config", str(cfg_path), "--seed", "3", "--out", str(out)]
+        assert cli_dispatch(["pipeline"] + args) == 0
+        _edit_csv(out / name, edit)
+        capsys.readouterr()
+        assert cli_dispatch([stage] + args) == 2
+        err = capsys.readouterr().err
+        assert f"{stage}: {message}" in err
+        assert "Traceback" not in err
+
+
 class TestThreadsEnv:
     def test_thread_cap_does_not_change_bytes(self, workspace, monkeypatch):
         tmp_path, cfg_path = workspace

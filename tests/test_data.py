@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from isoguard.data import (
     save_transforms,
     train_test_split,
     write_csv,
+    write_table,
 )
 from isoguard.errors import IsoguardError
 
@@ -126,7 +129,16 @@ class TestLoadCsv:
             else:
                 assert ds.kinds[j] is ColumnKind.NOMINAL, name
                 assert ds.rows[:, j].tolist() == columns[name], name
-        assert [ds.kinds[j] for j in range(len(names))].count(ColumnKind.NUMERIC) == 5
+        # a non-finite spelling ("-nan", "1e999") is not a number, so only plain, spaced and underscored stay numeric
+        assert [ds.kinds[j] for j in range(len(names))].count(ColumnKind.NUMERIC) == 3
+
+    def test_overflowing_column_loads_nominal(self, tmp_path):
+        ds = load_csv(write(tmp_path, "x,y,class\n1e999,1,normal\n2,2,anomaly\n"))
+        assert ds.kinds == (ColumnKind.NOMINAL, ColumnKind.NUMERIC)
+        assert ds.rows[:, 0].tolist() == ["1e999", "2"]
+        assert _parse_number("1e999") is None and _parse_number("-1E999") is None
+        with pytest.raises(IsoguardError, match="column 'x' declared numeric but holds '1e999'"):
+            load_csv(write(tmp_path, "x,class\n1e999,normal\n2,anomaly\n"), schema={"x": ColumnKind.NUMERIC})
 
     def test_declared_numeric_column_rejects_infinity(self, tmp_path):
         path = write(tmp_path, "x,class\n1,normal\ninf,anomaly\n")
@@ -345,3 +357,36 @@ class TestTransformsRoundTrip:
         back = load_csv(tmp_path / "round.csv", target_column="class")
         np.testing.assert_array_equal(back.rows, ds.rows)
         np.testing.assert_array_equal(back.target, ds.target)
+
+    def test_mixed_dataset_golden_digest(self, tmp_path):
+        # Pinned bytes of a nominal/numeric write_csv, the path the benchmark input takes (Python 3.11, numpy 2.4)
+        rows = np.empty((4, 3), dtype=object)
+        rows[:, 0] = [0.1, -2.5, 1e-300, 3.0]
+        rows[:, 1] = ["tcp", "udp", "icmp", "tcp"]
+        rows[:, 2] = [np.float64(1 / 3), 7, -0.0, 12345678.9]
+        kinds = (ColumnKind.NUMERIC, ColumnKind.NOMINAL, ColumnKind.NUMERIC)
+        ds = Dataset(("dur", "proto", "bytes"), kinds, rows, np.array([0, 1, 0, 1]))
+        write_csv(ds, tmp_path / "mixed.csv")
+        digest = hashlib.sha256((tmp_path / "mixed.csv").read_bytes()).hexdigest()
+        assert digest == "1f5c9fbc2084163343fa55a93f9d92ee1d7bee14720d6c9f76cce560856433b5"
+
+
+class TestWriteTable:
+    def test_numpy_floats_written_plain_and_reload_exact(self, tmp_path):
+        x = np.array([np.float64(0.1) + 0.2, -0.0, 1e-310, np.inf, np.nan])
+        write_table(tmp_path / "t.csv", ["x", "n", "label"], [x, np.arange(5), np.array([1, -1, 1, 1, -1])])
+        lines = (tmp_path / "t.csv").read_text().splitlines()
+        assert lines == [
+            "x,n,label",
+            "0.30000000000000004,0,1",
+            "-0.0,1,-1",
+            "1e-310,2,1",
+            "inf,3,1",
+            "nan,4,-1",
+        ]
+        back = np.array([float(line.split(",")[0]) for line in lines[1:]])
+        assert back.view(np.uint64).tolist() == x.view(np.uint64).tolist()
+
+    def test_unequal_columns_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="shorter than"):
+            write_table(tmp_path / "t.csv", ["a", "b"], [np.zeros(3), np.zeros(2)])

@@ -15,6 +15,7 @@ from isoguard.iforest import (
     forest_from_json,
     forest_to_json,
     harmonic_number,
+    label_scores,
     load_forest,
     mean_path_lengths,
     predict,
@@ -231,6 +232,12 @@ class TestFitForest:
             fit_forest([[0.0], [value], [1.0], [2.0]], t=3, m=4)
         fit_forest([[0.0], [np.nan], [1.0], [2.0]], t=3, m=4)  # NaN cells still fit
 
+    def test_overflowing_column_range_rejected(self):
+        with pytest.raises(IsoguardError, match="column 1: its max - min overflows"):
+            fit_forest([[0.0, -1e308], [1.0, 1e308], [2.0, 0.0], [3.0, 1.0]], t=3, m=4)
+        fit_forest([[-1e307], [1e307], [0.0], [1.0]], t=3, m=4)  # a wide but finite range still fits
+        fit_forest([[np.nan, 0.0], [np.nan, 1.0], [np.nan, 2.0], [np.nan, 3.0]], t=3, m=4)  # all-NaN column
+
 
 class TestPathLength:
     def test_single_external_node(self):
@@ -345,6 +352,28 @@ class TestPredict:
         forest = fit_forest(np.random.default_rng(0).normal(size=(20, 2)), t=3, m=8, seed=0)
         with pytest.raises(IsoguardError, match="not both"):
             predict(forest, np.zeros((4, 2)), threshold=0.5, contamination=0.1)
+
+    @pytest.mark.parametrize("kwargs", [{}, {"threshold": 0.55}, {"contamination": 0.1}, {"contamination": 0.5}])
+    def test_predict_boxes_label_scores(self, kwargs):
+        rng = np.random.default_rng(13)
+        X = rng.normal(size=(60, 3))
+        forest = fit_forest(X, t=10, m=32, seed=3)
+        s, mean_h = score_batch(forest, X)
+        labels = label_scores(s, **kwargs)
+        verdicts = predict(forest, X, **kwargs)
+        assert labels.tolist() == [v.label for v in verdicts]
+        assert s.tolist() == [v.score.s for v in verdicts]
+        assert mean_h.tolist() == [v.score.mean_path_length for v in verdicts]
+
+    def test_label_scores_modes(self):
+        s = np.array([0.2, 0.7, 0.5, 0.7, 0.1])
+        assert label_scores(s).tolist() == [1, -1, -1, -1, 1]
+        assert label_scores(s, threshold=0.6).tolist() == [1, -1, 1, -1, 1]
+        assert label_scores(s, contamination=0.2).tolist() == [1, -1, 1, 1, 1]  # tie broken by lower index
+        with pytest.raises(IsoguardError, match="not both"):
+            label_scores(s, threshold=0.5, contamination=0.1)
+        with pytest.raises(IsoguardError, match="contamination"):
+            label_scores(s, contamination=0.6)
 
     def test_far_point_gets_max_score(self):
         rng = np.random.default_rng(12)
@@ -619,6 +648,7 @@ class TestLoadForestChecks:
             ("leaf-sizes-off-m", "tree leaves hold 33 rows, expected m = 32"),
             ("too-deep", "tree deeper than height_limit 5"),
             ("height-limit-off-m", "height_limit 6 does not match m = 32"),
+            ("seed-float", "seed must be an integer, got 1.9"),
             ("node-not-an-object", "unreadable artifact"),
             ("truncated", "unreadable artifact"),
         ],
@@ -649,6 +679,8 @@ class TestLoadForestChecks:
             chain["size"] = size
         elif corruption == "height-limit-off-m":
             doc["height_limit"] = 6
+        elif corruption == "seed-float":
+            doc["seed"] = 1.9
         elif corruption == "node-not-an-object":
             self.first_split(doc)["left"] = [1, 2]
         if corruption == "truncated":

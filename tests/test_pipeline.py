@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from isoguard import classifiers as clf
+from isoguard import iforest
 from isoguard.data import load_csv, write_csv
 from isoguard.errors import IsoguardError, PipelineError
 from isoguard.pipeline import (
@@ -182,7 +183,8 @@ class TestRunPipeline:
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes(), name
 
     def test_golden_digests(self, tmp_path):
-        # Pinned bytes of the selector, forest, verdict, model and report artifacts (Python 3.11, numpy 2.4).
+        # Pinned bytes of the partition, selector, forest, verdict, scatter, model, report and ROC
+        # artifacts (Python 3.11, numpy 2.4).
         # The rerun and thread-count tests compare the code with itself, so only
         # a pin catches a changed draw that every run repeats.
         cfg = small_config(tmp_path)
@@ -204,9 +206,53 @@ class TestRunPipeline:
             "model_abc.json": "235dc212f459eb2cf378762463961f4b97efed00d7c2e280e067bb5c7ee05e0b",
             "model_abc_clean.json": "f2176bf71765e2b14ac01390d1ba0b40b2776ab5fecdb3abe505ffe3d4797225",
             "report.json": "5d4952f588d0b3b6a2f549d1ec5e72bb2c92092b248b00930099565551d8fd47",
+            "train.csv": "e314f55377e5a34ba2283a5f2e426f104f30770cc1c87a5ac25d20d3201b63e6",
+            "test.csv": "2369108b4a368c92148d0682f47166b508b5aa08341fc761b1e7c950a5ff15cf",
+            "transforms.json": "cf3dd992f715047798db1314279d25cfcc12a786e759c8d4cdde6ddefecedad5",
+            "scatter_full.csv": "f00c98e0d0abe549ee291f60addb7ab8b382467cd458a3942711315d90b1ee86",
+            "scatter_clean.csv": "74a671dbc988b5b03d67b448c948d7f384e4f3057f831303727f13a716da3cc0",
+            "roc_knn.csv": "377bfd126066a9f62799435dc276df7995feab18acf7190f095c77b0d68d7666",
+            "roc_knn_clean.csv": "6f7362f729cd4f78a212243e0ff915dd355df0d6c4f629c6458bafdf9cf229ad",
+            "roc_svm.csv": "ed8f4ccc3d5851848b42a5b04f52675dccd43a101804811f85edc2e9b3aa5a14",
+            "roc_svm_clean.csv": "08d36cd0b4a0a7c420e7c3cdccdc34659e420d3d60bbe9defe0584c3aa668a83",
+            "roc_nb.csv": "eefc5689eb94eb1b0c0d24c132601ef91e085ebe9e0feb9d615a356926c3e6bf",
+            "roc_nb_clean.csv": "40e3566c41ca52440993066ec5d3b8857c572c2f7aac07f9f3fa973629a23f17",
+            "roc_lr.csv": "852ed1ff88facdad298ca75970ab5edb8e6d34373cc580da05655e31800bb59c",
+            "roc_lr_clean.csv": "5e96b4c6063ae127461490e0555e57e19609148ee466863007eaa313577f7065",
+            "roc_abc.csv": "02a07adeb902ef1b4df6920c9a4f29c59042c7bbba8d2d00979f197e59f4de75",
+            "roc_abc_clean.csv": "51818f6cb6fade9b8d2b99205f81c3d8baa55638e224f28d2617fdfd4f1271d1",
         }
         for name, pin in pins.items():
             assert digest(out / name) == pin, name
+
+    def test_every_csv_cell_is_a_plain_number(self, tmp_path):
+        cfg = small_config(tmp_path)
+        run_pipeline(cfg)
+        run_synth(replace(cfg, out_dir=str(tmp_path / "synth")))
+        paths = sorted(Path(cfg.out_dir).glob("*.csv")) + sorted((tmp_path / "synth").glob("*.csv"))
+        assert len(paths) == 18
+        for path in paths:
+            for line in path.read_text(encoding="utf-8").splitlines()[1:]:
+                for cell in line.split(","):
+                    try:
+                        int(cell)
+                    except ValueError:
+                        float(cell)  # raises on np.float64(...) and any other non-number
+
+    def test_detect_writes_verdicts_without_boxing(self, tmp_path, monkeypatch):
+        cfg = small_config(tmp_path)
+        out = Path(cfg.out_dir)
+        run_pipeline(cfg)
+        expected = {name: (out / name).read_bytes() for name in ("verdicts_train.csv", "verdicts_test.csv")}
+
+        def boxed(*args, **kwargs):
+            raise AssertionError("stage_detect must not box verdicts")
+
+        monkeypatch.setattr(iforest, "predict", boxed)
+        monkeypatch.setattr(iforest, "OutlierVerdict", boxed)
+        stage_detect(cfg, out)
+        for name, data in expected.items():
+            assert (out / name).read_bytes() == data, name
 
     def test_evaluate_runs_knn_distances_once_per_arm(self, tmp_path, monkeypatch):
         cfg = small_config(tmp_path)
@@ -385,3 +431,16 @@ class TestRunSynth:
         assert len(mask_lines) == 61
         spec_doc = json.loads((tmp_path / "synth" / "synthetic_spec.json").read_text())
         assert spec_doc["seed"] == 3  # master seed overrides the spec seed
+
+    def test_golden_digests(self, tmp_path):
+        # Pinned bytes of the synthetic dataset and its injection mask (Python 3.11, numpy 2.4)
+        cfg = PipelineConfig(
+            input="",
+            seed=3,
+            out_dir=str(tmp_path / "synth"),
+            synthetic=SyntheticSpec(n_normal=50, n_anomaly=10),
+        )
+        run_synth(cfg)
+        out = tmp_path / "synth"
+        assert digest(out / "synthetic.csv") == "0b6621d702f4df79bdbdb509fcff1ae351e9795f3564216e2e40b6bbe8054eb6"
+        assert digest(out / "synthetic_mask.csv") == "9022020502a0e05f774c78d51f2480e8f05bc01e4ca980e56114c98789cb6e27"
