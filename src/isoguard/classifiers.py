@@ -13,22 +13,21 @@ The SVM and AdaBoost margins are uncalibrated (rank-based ROC analysis
 does not need calibration). Tie-break conventions are fixed: KNN resolves
 distance ties by ascending training-row index and sends an even vote split
 (score exactly 0.5) to label 0; margin models map a score of exactly zero
-to class 1. ``MODEL_KINDS`` holds one row per model class, and the JSON
-codec reads it.
+to class 1. ``MODEL_KINDS`` holds one row per model class, and the model
+files name its ``kind`` values.
 """
 from __future__ import annotations
 
 import json
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import IsoguardError, artifact_reader, checked_int
-
-IntArray = np.ndarray  # annotates an int64 array field, which the model codec decodes as int64
+from .codec import IntArray, from_doc, to_doc
+from .errors import IsoguardError, artifact_reader
 
 # ---------------------------------------------------------------------------
 # shared helpers
@@ -471,52 +470,20 @@ def predict_model(model: ClassifierModel, X) -> np.ndarray:
     return labels_from_scores(model, score_model(model, X))
 
 
-def _int_array(value, name: str) -> np.ndarray:
-    cells = np.array(value, dtype=object)
-    for v in cells.flat:
-        checked_int(v, f"{name} element")
-    return cells.astype(np.int64)
-
-
-# JSON keys are the dataclass field names; each field's annotation picks its decoder of (value, name)
-_DECODE = {
-    "int": checked_int,
-    "float": lambda v, name: float(v),
-    "np.ndarray": lambda v, name: np.array(v, dtype=np.float64),
-    "IntArray": _int_array,
-    "list[Stump]": lambda v, name: [_from_doc(Stump, s) for s in v],
-}
-
-
-def _to_doc(obj) -> dict:
-    doc = {}
-    for f in fields(obj):
-        value = getattr(obj, f.name)
-        if isinstance(value, np.ndarray):
-            value = value.tolist()
-        elif isinstance(value, list):
-            value = [_to_doc(v) for v in value]
-        doc[f.name] = value
-    return doc
-
-
-def _from_doc(cls: type, doc: dict):
-    return cls(**{f.name: _DECODE[f.type](doc[f.name], f.name) for f in fields(cls)})
-
-
 def model_to_json(model: ClassifierModel) -> str:
     if type(model) not in MODEL_KINDS:
         raise IsoguardError(f"unknown model type {type(model).__name__}")
-    return json.dumps({"kind": MODEL_KINDS[type(model)].kind, **_to_doc(model)}, sort_keys=True)
+    return json.dumps({"kind": MODEL_KINDS[type(model)].kind, **to_doc(model)}, sort_keys=True)
 
 
 def model_from_json(text: str) -> ClassifierModel:
     """Parse a model document; shapes and ranges that do not fit ``n_features`` raise IsoguardError."""
     doc = json.loads(text)
-    cls = _CLASS_OF_KIND.get(doc.get("kind"))
+    kind = doc.pop("kind", None)
+    cls = _CLASS_OF_KIND.get(kind)
     if cls is None:
-        raise IsoguardError(f"unknown model kind {doc.get('kind')!r}")
-    model = _from_doc(cls, doc)
+        raise IsoguardError(f"unknown model kind {kind!r}")
+    model = from_doc(cls, doc, "model")
     MODEL_KINDS[cls].check(model)
     return model
 

@@ -1,3 +1,4 @@
+import sys
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -16,6 +17,13 @@ def checked_int(value: object, what: str, low: int | None = None, high: int | No
         bound = "" if low is None else f" in [{low}, {high})" if high is not None else f" >= {low}"
         raise IsoguardError(f"{what} must be an integer{bound}, got {value!r}")
     return value
+
+
+def checked_float(value: object, what: str) -> float:
+    """``value`` as a finite float; an int is widened, and a bool, a string or a non-finite number rejected."""
+    if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
+        raise IsoguardError(f"{what} must be a finite number, got {value!r}")
+    return float(value)
 
 
 @contextmanager

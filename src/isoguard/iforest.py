@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import IsoguardError, artifact_reader, checked_int
+from .errors import IsoguardError, artifact_reader, checked_float, checked_int
 from .parallel import run_indexed
 from .prng import derive_seed
 
@@ -299,7 +299,7 @@ def _tree_from_doc(doc: dict, n_features: int, height_limit: int, m: int) -> ITr
             nodes.size[i] = checked_int(node["size"], "leaf size", 1)
             return i
         nodes.feature[i] = checked_int(node["feature"], "split feature", 0, n_features)
-        nodes.threshold[i] = float(node["value"])
+        nodes.threshold[i] = checked_float(node["value"], "split value")
         left = nodes.left[i] = visit(node["left"], d + 1)
         right = nodes.right[i] = visit(node["right"], d + 1)
         nodes.size[i] = nodes.size[left] + nodes.size[right]

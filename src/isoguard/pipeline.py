@@ -14,13 +14,14 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import classifiers as clf
 from . import iforest
+from .codec import from_doc, to_doc
 from .data import (
     ColumnKind,
     Dataset,
@@ -35,7 +36,7 @@ from .data import (
     write_csv,
     write_table,
 )
-from .errors import IsoguardError, PipelineError
+from .errors import IsoguardError, PipelineError, checked_int
 from .evaluation import (
     ClassifierEvaluation,
     ComparisonReport,
@@ -109,58 +110,9 @@ class PipelineConfig:
     synthetic: SyntheticSpec = field(default_factory=SyntheticSpec)
 
 
-def _section(doc: dict, key: str, cls, current):
-    raw = doc.get(key)
-    if raw is None:
-        return current
-    if not isinstance(raw, dict):
-        raise IsoguardError(f"config section {key!r} must be an object")
-    known = {f.name for f in cls.__dataclass_fields__.values()} if hasattr(cls, "__dataclass_fields__") else set()
-    unknown = set(raw) - known
-    if unknown:
-        raise IsoguardError(f"unknown keys in config section {key!r}: {sorted(unknown)}")
-    if key == "forest" and "threshold" in raw:
-        raw = dict(raw)
-        raw["threshold"] = _section(raw, "threshold", ThresholdSettings, ThresholdSettings())
-    return replace(current, **raw)
-
-
 def config_from_dict(doc: dict) -> PipelineConfig:
-    top_known = {
-        "input",
-        "target_column",
-        "seed",
-        "out_dir",
-        "split",
-        "select",
-        "forest",
-        "classifiers",
-        "scatter_x",
-        "scatter_y",
-        "synthetic",
-    }
-    unknown = set(doc) - top_known
-    if unknown:
-        raise IsoguardError(f"unknown config keys: {sorted(unknown)}")
-    if "input" not in doc:
-        raise IsoguardError("config must name an input CSV path")
-    cfg = PipelineConfig(input=str(doc["input"]))
-    cfg = replace(
-        cfg,
-        target_column=str(doc.get("target_column", cfg.target_column)),
-        seed=int(doc["seed"]) if doc.get("seed") is not None else None,
-        out_dir=str(doc["out_dir"]) if doc.get("out_dir") is not None else None,
-        scatter_x=doc.get("scatter_x"),
-        scatter_y=doc.get("scatter_y"),
-    )
-    cfg = replace(
-        cfg,
-        split=_section(doc, "split", SplitSettings, cfg.split),
-        select=_section(doc, "select", SelectSettings, cfg.select),
-        forest=_section(doc, "forest", ForestSettings, cfg.forest),
-        classifiers=_section(doc, "classifiers", ClassifierSettings, cfg.classifiers),
-        synthetic=_section(doc, "synthetic", SyntheticSpec, cfg.synthetic),
-    )
+    cfg = from_doc(PipelineConfig, doc, "config")
+    _threshold_kwargs(cfg.forest.threshold)  # a bad mode fails here, before any stage runs
     return cfg
 
 
@@ -178,7 +130,7 @@ def load_config(path: str | Path) -> PipelineConfig:
 
 
 def config_to_json(cfg: PipelineConfig) -> str:
-    return json.dumps(asdict(cfg), indent=2, sort_keys=True)
+    return json.dumps(to_doc(cfg), indent=2, sort_keys=True)
 
 
 # ---------------------------------------------------------------------------
@@ -299,9 +251,10 @@ def stage_select(cfg: PipelineConfig, out: Path) -> None:
         train = _read_artifact_csv(out, "train.csv", cfg.target_column)
         X = train.matrix()
         y = train.target
-        if cfg.select.sample_cap is not None and cfg.select.sample_cap < X.shape[0]:
+        cap = cfg.select.sample_cap
+        if cap is not None and checked_int(cap, "select.sample_cap", 1) < X.shape[0]:
             rng = np.random.default_rng(derive_seed(seed, "select-sample"))
-            keep = np.sort(rng.permutation(X.shape[0])[: cfg.select.sample_cap])
+            keep = np.sort(rng.permutation(X.shape[0])[:cap])
             X, y = X[keep], y[keep]
         params = ExtraTreesParams(
             n_trees=cfg.select.n_trees,
@@ -320,7 +273,7 @@ def _threshold_kwargs(ts: ThresholdSettings) -> dict:
         return {"threshold": ts.tau}
     if ts.mode == "contamination":
         return {"contamination": ts.fraction}
-    raise IsoguardError(f"threshold mode must be 'fixed' or 'contamination', got {ts.mode!r}")
+    raise IsoguardError(f"forest.threshold.mode must be 'fixed' or 'contamination', got {ts.mode!r}")
 
 
 def stage_detect(cfg: PipelineConfig, out: Path) -> None:
@@ -465,6 +418,6 @@ def run_synth(cfg: PipelineConfig, out_dir: str | Path | None = None) -> Path:
     write_csv(ds, csv_path)
     write_injection_mask(mask, out / "synthetic_mask.csv")
     (out / "synthetic_spec.json").write_text(
-        json.dumps(asdict(spec), indent=2, sort_keys=True) + "\n", encoding="utf-8"
+        json.dumps(to_doc(spec), indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
     return csv_path

@@ -621,6 +621,15 @@ MODEL_CORRUPTIONS = [
     ("knn", _set("k", 1.5), "k must be an integer, got 1.5"),
     ("knn", _set("k", True), "k must be an integer, got True"),
     ("knn", _set("y", lambda d: [2**70] + d["y"][1:]), "too large"),
+    # every number must be a finite JSON number, and every key a field
+    ("lr", _set("bias", "0.5"), "bias must be a finite number, got '0.5'"),
+    ("svm", _set("weights", lambda d: [math.nan] + d["weights"][1:]),
+     "weights element must be a finite number, got nan"),
+    ("lr", _set("weights", lambda d: [True] + d["weights"][1:]), "weights element must be a finite number, got True"),
+    ("nb", _set("means", lambda d: [d["means"][0], ["1.0"] * 3]), "means element must be a finite number, got '1.0'"),
+    ("abc", _set_stump("alpha", None), "stumps[0].alpha must be a finite number, got None"),
+    ("knn", _set("extra", 1), "unknown model keys: ['extra']"),
+    ("abc", _set_stump("extra", 1), "unknown keys in model section 'stumps[0]': ['extra']"),
 ]
 
 

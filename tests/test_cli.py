@@ -118,6 +118,53 @@ class TestDispatch:
         assert (tmp_path / "from-config" / "report.json").exists()
 
 
+CONFIG_MISTYPES = [
+    ("select.n_trees", "4", "select.n_trees must be an integer, got '4'"),
+    ("select.n_trees", 2.5, "select.n_trees must be an integer, got 2.5"),
+    ("select.max_depth", "3", "select.max_depth must be an integer, got '3'"),
+    ("select.target_count", True, "select.target_count must be an integer, got True"),
+    ("seed", 1.7, "seed must be an integer, got 1.7"),
+    ("classifiers.knn_k", 2.0, "classifiers.knn_k must be an integer, got 2.0"),
+    ("split.stratified", "no", "split.stratified must be a boolean, got 'no'"),
+    ("split.test_fraction", "0.2", "split.test_fraction must be a finite number, got '0.2'"),
+    ("forest.threshold.tau", "0.5", "forest.threshold.tau must be a finite number, got '0.5'"),
+    ("classifiers.lr_epochs", 3.5, "classifiers.lr_epochs must be an integer, got 3.5"),
+    ("forest.threshold.mode", "fixd", "forest.threshold.mode must be 'fixed' or 'contamination', got 'fixd'"),
+]
+
+
+def _set_field(doc: dict, dotted: str, value) -> None:
+    *sections, key = dotted.split(".")
+    for section in sections:
+        doc = doc.setdefault(section, {})
+    doc[key] = value
+
+
+class TestConfigMistypes:
+    """A mistyped config value exits 2 naming the field, before the output directory exists."""
+
+    @pytest.mark.parametrize("dotted, value, message", CONFIG_MISTYPES)
+    def test_pipeline_rejects_before_any_stage(self, workspace, capsys, dotted, value, message):
+        tmp_path, cfg_path = workspace
+        doc = json.loads(cfg_path.read_text())
+        _set_field(doc, dotted, value)
+        cfg_path.write_text(json.dumps(doc))
+        out = tmp_path / "never"
+        assert cli_dispatch(["pipeline", "--config", str(cfg_path), "--seed", "3", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_synth_rejects_before_writing(self, tmp_path, capsys):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({"input": "", "synthetic": {"n_normal": "50"}}))
+        out = tmp_path / "never"
+        assert cli_dispatch(["synth", "--config", str(cfg_path), "--seed", "3", "--out", str(out)]) == 2
+        assert "synthetic.n_normal must be an integer, got '50'" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestArtifactMismatch:
     @pytest.mark.parametrize("stage", ["train", "evaluate"])
     def test_truncated_verdicts_exit_2(self, workspace, capsys, stage):

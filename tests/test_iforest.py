@@ -649,6 +649,9 @@ class TestLoadForestChecks:
             ("too-deep", "tree deeper than height_limit 5"),
             ("height-limit-off-m", "height_limit 6 does not match m = 32"),
             ("seed-float", "seed must be an integer, got 1.9"),
+            ("value-nan", "split value must be a finite number, got nan"),
+            ("value-string", "split value must be a finite number, got '0.25'"),
+            ("value-bool", "split value must be a finite number, got True"),
             ("node-not-an-object", "unreadable artifact"),
             ("truncated", "unreadable artifact"),
         ],
@@ -681,6 +684,9 @@ class TestLoadForestChecks:
             doc["height_limit"] = 6
         elif corruption == "seed-float":
             doc["seed"] = 1.9
+        elif corruption.startswith("value-"):
+            bad = {"value-nan": math.nan, "value-string": "0.25", "value-bool": True}
+            self.first_split(doc)["value"] = bad[corruption]
         elif corruption == "node-not-an-object":
             self.first_split(doc)["left"] = [1, 2]
         if corruption == "truncated":

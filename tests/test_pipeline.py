@@ -1,5 +1,7 @@
 import hashlib
 import json
+import math
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -78,10 +80,32 @@ class TestConfig:
             config_from_dict({"input": "x.csv", "typo": 1})
         with pytest.raises(IsoguardError, match="unknown keys in config section"):
             config_from_dict({"input": "x.csv", "forest": {"tres": 10}})
+        with pytest.raises(IsoguardError, match="unknown keys in config section 'forest.threshold'"):
+            config_from_dict({"input": "x.csv", "forest": {"threshold": {"tres": 1}}})
 
     def test_missing_input_rejected(self):
         with pytest.raises(IsoguardError, match="input"):
             config_from_dict({})
+
+    def test_field_types_checked(self):
+        cfg = config_from_dict({"input": "x.csv", "select": {"max_depth": None}, "forest": {"threshold": {"tau": 1}}})
+        assert cfg.select.max_depth is None
+        assert type(cfg.forest.threshold.tau) is float and cfg.forest.threshold.tau == 1.0
+        for doc, message in (
+            ({"select": {"n_trees": None}}, "select.n_trees must be an integer, got None"),
+            ({"forest": {"threshold": {"fraction": math.inf}}}, "forest.threshold.fraction must be a finite number"),
+            ({"forest": {"threshold": 0.5}}, "forest.threshold must be an object, got 0.5"),
+            ({"scatter_x": 1}, "scatter_x must be a string, got 1"),
+        ):
+            with pytest.raises(IsoguardError) as caught:
+                config_from_dict({"input": "x.csv", **doc})
+            assert message in str(caught.value)
+
+    def test_readme_configuration_block_is_the_default(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("## Configuration", 1)[1].split("```jsonc\n", 1)[1].split("```", 1)[0]
+        doc = json.loads(re.sub(r"//.*", "", block))
+        assert config_from_dict(doc) == PipelineConfig(input="data.csv")
 
     def test_load_config_errors(self, tmp_path):
         with pytest.raises(IsoguardError, match="no such config"):
@@ -322,6 +346,16 @@ class TestRunPipeline:
         out.mkdir(parents=True, exist_ok=True)
         with pytest.raises(PipelineError, match="select: missing artifact train.csv"):
             stage_select(cfg, out)
+
+    @pytest.mark.parametrize("cap", [0, -5])
+    def test_sample_cap_below_one_rejected(self, tmp_path, cap):
+        cfg = small_config(tmp_path, select=SelectSettings(target_count=4, n_trees=10, sample_cap=cap))
+        out = Path(cfg.out_dir)
+        out.mkdir(parents=True)
+        stage_ingest(cfg, out)
+        with pytest.raises(PipelineError, match=rf"^select: select.sample_cap must be an integer >= 1, got {cap}$"):
+            stage_select(cfg, out)
+        assert not (out / "rfe.json").exists()
 
     def test_missing_seed_rejected(self, tmp_path):
         cfg = small_config(tmp_path, seed=None)
