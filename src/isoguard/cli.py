@@ -78,10 +78,7 @@ def build_parser() -> _Parser:
 
 
 def _resolve(args: argparse.Namespace, need_input: bool) -> PipelineConfig:
-    if args.config is not None:
-        cfg = load_config(args.config)
-    else:
-        cfg = PipelineConfig(input="")
+    cfg = load_config(args.config) if args.config is not None else PipelineConfig()
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
     if args.out is not None:

@@ -1,9 +1,9 @@
-"""The JSON codec of the pipeline config and the classifier model files.
+"""The JSON codec of the pipeline config, rfe.json, forest.json and the model files.
 
 ``to_doc`` turns a dataclass into a JSON-ready dict and ``from_doc`` turns
 it back. Each field's annotation picks its decoder, so a value of the wrong
 type raises an IsoguardError naming the dotted field (``select.n_trees``,
-``stumps[0].polarity``) instead of flowing on into a stage.
+``stumps[0].polarity``, ``trees[3].left``) instead of flowing on into a stage.
 """
 from __future__ import annotations
 
@@ -35,7 +35,7 @@ def _plain(value):
 def from_doc(cls: type, doc: dict, label: str, name: str = ""):
     """The ``cls`` that ``doc`` describes. A key the document leaves out
     takes the field's default; a field without one is a missing key, and a
-    key that is no field is rejected. ``label`` ("config", "model") and the
+    key that is no field is rejected. ``label`` ("config", "forest") and the
     dotted ``name`` of a nested object go into the messages."""
     if not isinstance(doc, dict):
         raise IsoguardError(f"{name or label} must be an object, got {doc!r}")

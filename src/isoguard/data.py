@@ -142,7 +142,7 @@ def load_csv(
     ``1e999``) falls back to the per-cell parse, which decides its kind.
     """
     path = Path(path)
-    if not path.exists():
+    if not path.is_file():
         raise IsoguardError(f"no such file: {path}")
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)

@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .codec import from_doc, to_doc
 from .errors import IsoguardError, artifact_reader
 from .parallel import run_indexed  # noqa: F401  (not called here; perfbench's tracer rebinds it)
 from .prng import extend_hashes, hash64, unit_uniforms
@@ -266,43 +267,48 @@ def rfe_select(
     )
 
 
+@dataclass(frozen=True)
+class _TraceEntry:
+    round: int
+    removed: int
+    importance: float
+
+
+@dataclass(frozen=True)
+class _RfeDoc:
+    """The five keys of rfe.json."""
+
+    selected: list[int]
+    trace: list[_TraceEntry]
+    column_names: list[str]
+    selected_names: list[str]
+    final_importances: np.ndarray
+
+
 def rfe_to_json(result: RfeResult, column_names: list[str]) -> str:
-    doc = {
-        "selected": list(result.selected),
-        "trace": [
-            {"round": r, "removed": idx, "importance": imp} for r, idx, imp in result.trace
-        ],
-        "column_names": list(column_names),
-        "selected_names": [column_names[i] for i in result.selected],
-        "final_importances": [float(v) for v in result.final_importances],
-    }
-    return json.dumps(doc, sort_keys=True)
+    doc = _RfeDoc(
+        selected=list(result.selected),
+        trace=[_TraceEntry(*entry) for entry in result.trace],
+        column_names=list(column_names),
+        selected_names=[column_names[i] for i in result.selected],
+        final_importances=result.final_importances,
+    )
+    return json.dumps(to_doc(doc), sort_keys=True)
 
 
 def rfe_from_json(text: str) -> tuple[RfeResult, list[str]]:
     """Parse an RFE document; ``selected`` must be strictly increasing column
     indices, one per final importance, or IsoguardError is raised."""
-    doc = json.loads(text)
-    column_names = list(doc["column_names"])
-    selected = list(doc["selected"])
-    final_importances = np.array(doc["final_importances"], dtype=np.float64)
-    n = len(column_names)
-    if (
-        not selected
-        or any(type(i) is not int or not 0 <= i < n for i in selected)
-        or any(a >= b for a, b in zip(selected, selected[1:]))
-    ):
+    doc = from_doc(_RfeDoc, json.loads(text), "rfe")
+    selected, n = doc.selected, len(doc.column_names)
+    if not selected or selected[0] < 0 or selected[-1] >= n or any(a >= b for a, b in zip(selected, selected[1:])):
         raise IsoguardError(f"selected must be strictly increasing column indices in [0, {n}), got {selected}")
-    if final_importances.shape != (len(selected),):
+    if doc.final_importances.shape != (len(selected),):
         raise IsoguardError(
-            f"selected holds {len(selected)} indices but final_importances has shape {final_importances.shape}"
+            f"selected holds {len(selected)} indices but final_importances has shape {doc.final_importances.shape}"
         )
-    result = RfeResult(
-        selected=tuple(selected),
-        trace=tuple((int(e["round"]), int(e["removed"]), float(e["importance"])) for e in doc["trace"]),
-        final_importances=final_importances,
-    )
-    return result, column_names
+    trace = tuple((e.round, e.removed, e.importance) for e in doc.trace)
+    return RfeResult(selected=tuple(selected), trace=trace, final_importances=doc.final_importances), doc.column_names
 
 
 def save_rfe(result: RfeResult, column_names: list[str], path: str | Path) -> None:

@@ -16,9 +16,11 @@ c(size) extra path length.
 
 Each tree is a set of parallel per-node arrays in depth-first pre-order
 (the layout of scikit-learn's ``Tree``), and a leaf's two children are
-the leaf itself. Scoring walks every row of a batch through one tree a
-level at a time: ``height_limit`` steps of numpy gathers over a
-feature-major copy of the batch, with no per-node or per-row Python.
+the leaf itself. forest.json stores exactly these arrays, one set per
+tree, and the loader checks that they link up into such a tree. Scoring
+walks every row of a batch through one tree a level at a time:
+``height_limit`` steps of numpy gathers over a feature-major copy of the
+batch, with no per-node or per-row Python.
 """
 from __future__ import annotations
 
@@ -29,7 +31,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import IsoguardError, artifact_reader, checked_float, checked_int
+from .codec import IntArray, from_doc, to_doc
+from .errors import IsoguardError, artifact_reader, checked_int
 from .parallel import run_indexed
 from .prng import derive_seed
 
@@ -63,15 +66,17 @@ class ITree:
 
     Rows with ``x[feature] < threshold`` go to ``left``, all others (NaN
     included) to ``right``. At a leaf ``feature`` is -1, ``threshold`` is
-    NaN and both children are the leaf's own id.
+    0.0 (never read, like scikit-learn's ``TREE_UNDEFINED``) and both
+    children are the leaf's own id. The same six arrays, as lists, are the
+    tree's entry in forest.json.
     """
 
-    feature: np.ndarray  # int64
-    threshold: np.ndarray  # float64
-    left: np.ndarray  # int64
-    right: np.ndarray  # int64
-    size: np.ndarray  # int64 training rows that reached the node
-    depth: np.ndarray  # int64 edges from the root
+    feature: IntArray
+    threshold: np.ndarray
+    left: IntArray
+    right: IntArray
+    size: IntArray  # training rows that reached the node
+    depth: IntArray  # edges from the root
 
 
 @dataclass
@@ -111,7 +116,7 @@ class _Nodes:
         """Append a leaf and return its id; a caller may turn it into a split."""
         i = len(self.feature)
         self.feature.append(-1)
-        self.threshold.append(math.nan)
+        self.threshold.append(0.0)
         self.left.append(i)
         self.right.append(i)
         self.size.append(size)
@@ -275,75 +280,67 @@ def predict(
     ]
 
 
-def _tree_to_doc(tree: ITree, i: int = 0) -> dict:
-    if tree.feature[i] < 0:
-        return {"size": int(tree.size[i])}
-    return {
-        "feature": int(tree.feature[i]),
-        "value": float(tree.threshold[i]),
-        "left": _tree_to_doc(tree, int(tree.left[i])),
-        "right": _tree_to_doc(tree, int(tree.right[i])),
-    }
+def _check_tree(tree: ITree, j: int, forest: IsolationForest) -> None:
+    """Raise unless tree ``j`` is a binary tree in ``forest``'s bounds: a leaf
+    (feature -1) is its own two children, every other node has exactly one
+    parent, which precedes it, depths follow the links up to height_limit,
+    and each split holds the rows of its two children, down to leaves of
+    1..m rows that hold m in all."""
 
+    def fail(message: str):
+        raise IsoguardError(f"trees[{j}]: {message}")
 
-def _tree_from_doc(doc: dict, n_features: int, height_limit: int, m: int) -> ITree:
-    """Flatten one nested tree document, checking it is a binary tree no
-    deeper than ``height_limit`` whose leaves hold >= 1 row and m in all."""
-    nodes = _Nodes()
-
-    def visit(node: dict, d: int) -> int:
-        if d > height_limit:
-            raise IsoguardError(f"tree deeper than height_limit {height_limit}")
-        i = nodes.add_leaf(0, d)
-        if "size" in node:
-            nodes.size[i] = checked_int(node["size"], "leaf size", 1)
-            return i
-        nodes.feature[i] = checked_int(node["feature"], "split feature", 0, n_features)
-        nodes.threshold[i] = checked_float(node["value"], "split value")
-        left = nodes.left[i] = visit(node["left"], d + 1)
-        right = nodes.right[i] = visit(node["right"], d + 1)
-        nodes.size[i] = nodes.size[left] + nodes.size[right]
-        return i
-
-    visit(doc, 0)
-    if nodes.size[0] != m:
-        raise IsoguardError(f"tree leaves hold {nodes.size[0]} rows, expected m = {m}")
-    return nodes.tree()
+    k = tree.feature.size
+    shapes = [a.shape for a in (tree.feature, tree.threshold, tree.left, tree.right, tree.size, tree.depth)]
+    if k == 0 or shapes != [(k,)] * 6:
+        fail(f"node arrays must share one non-zero length, got shapes {shapes}")
+    bad = tree.feature[(tree.feature < -1) | (tree.feature >= forest.n_features)]
+    if bad.size:
+        fail(f"split feature must be an integer in [0, {forest.n_features}), got {bad[0]}")
+    ids = np.arange(k)
+    leaf = tree.feature == -1
+    if (leaf & ((tree.left != ids) | (tree.right != ids))).any():
+        fail("a leaf's children must be the leaf itself")
+    split = ids[~leaf]
+    parents = np.concatenate((split, split))
+    children = np.concatenate((tree.left[split], tree.right[split]))
+    if ((children <= parents) | (children >= k)).any():
+        fail("a split's children must be later nodes of the tree")
+    if (np.bincount(children, minlength=k) != (ids > 0)).any():
+        fail("every node but the root must have exactly one parent")
+    if tree.depth[0] != 0 or (tree.depth[children] != tree.depth[parents] + 1).any():
+        fail("node depths do not match the child links")
+    if tree.depth.max() > forest.height_limit:
+        fail(f"tree deeper than height_limit {forest.height_limit}")
+    leaf_size = tree.size[leaf]
+    bad = leaf_size[(leaf_size < 1) | (leaf_size > forest.m)]
+    if bad.size:
+        fail(f"leaf size must be an integer in [1, {forest.m}], got {bad[0]}")
+    if leaf_size.sum() != forest.m:
+        fail(f"tree leaves hold {leaf_size.sum()} rows, expected m = {forest.m}")
+    if (tree.size[split] != tree.size[tree.left[split]] + tree.size[tree.right[split]]).any():
+        fail("a split's size must be the sum of its children's")
 
 
 def forest_to_json(forest: IsolationForest) -> str:
     """Serialize to JSON; float values round-trip exactly, so a reloaded
     forest reproduces scores bit for bit."""
-    doc = {
-        "t": forest.t,
-        "m": forest.m,
-        "height_limit": forest.height_limit,
-        "seed": forest.seed,
-        "n_features": forest.n_features,
-        "trees": [_tree_to_doc(tree) for tree in forest.trees],
-    }
-    return json.dumps(doc, sort_keys=True)
+    return json.dumps(to_doc(forest), sort_keys=True)
 
 
 def forest_from_json(text: str) -> IsolationForest:
     """Parse a forest document; anything but t well-formed trees raises IsoguardError."""
-    doc = json.loads(text)
-    t = checked_int(doc["t"], "t", 1)
-    m = checked_int(doc["m"], "m", 2)
-    n_features = checked_int(doc["n_features"], "n_features", 1)
-    height_limit = checked_int(doc["height_limit"], "height_limit", 1)
-    if height_limit != math.ceil(math.log2(m)):
-        raise IsoguardError(f"height_limit {height_limit!r} does not match m = {m}")
-    if len(doc["trees"]) != t:
-        raise IsoguardError(f"holds {len(doc['trees'])} trees, expected t = {t}")
-    return IsolationForest(
-        trees=[_tree_from_doc(tree, n_features, height_limit, m) for tree in doc["trees"]],
-        t=t,
-        m=m,
-        height_limit=height_limit,
-        seed=checked_int(doc["seed"], "seed"),
-        n_features=n_features,
-    )
+    forest = from_doc(IsolationForest, json.loads(text), "forest")
+    checked_int(forest.t, "t", 1)
+    checked_int(forest.m, "m", 2)
+    checked_int(forest.n_features, "n_features", 1)
+    if forest.height_limit != math.ceil(math.log2(forest.m)):
+        raise IsoguardError(f"height_limit {forest.height_limit!r} does not match m = {forest.m}")
+    if len(forest.trees) != forest.t:
+        raise IsoguardError(f"holds {len(forest.trees)} trees, expected t = {forest.t}")
+    for j, tree in enumerate(forest.trees):
+        _check_tree(tree, j, forest)
+    return forest
 
 
 def save_forest(forest: IsolationForest, path: str | Path) -> None:

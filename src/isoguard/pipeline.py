@@ -97,7 +97,7 @@ class ClassifierSettings:
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    input: str
+    input: str = ""  # required by every command but synth
     target_column: str = "class"
     seed: int | None = None
     out_dir: str | None = None
@@ -177,7 +177,7 @@ def _read_verdict_labels(path: Path, train: Dataset) -> np.ndarray:
         raise IsoguardError(f"missing artifact {path.name}; run the detect stage first")
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        next(reader)
+        next(reader, None)  # the header; an empty file has no rows either, and fails the count below
         try:
             labels = np.array([int(rec[3]) for rec in reader], dtype=np.int64)
         except (IndexError, ValueError):
@@ -284,6 +284,13 @@ def stage_detect(cfg: PipelineConfig, out: Path) -> None:
         train = _read_artifact_csv(out, "train.csv", cfg.target_column, column_names)
         test = _read_artifact_csv(out, "test.csv", cfg.target_column, column_names)
         selected = list(rfe.selected)
+        # scatter axes default to the two most important surviving features
+        by_importance = np.lexsort((np.array(selected), -rfe.final_importances))
+        x_col = cfg.scatter_x or column_names[selected[by_importance[0]]]
+        y_col = cfg.scatter_y or column_names[selected[by_importance[min(1, len(selected) - 1)]]]
+        for key, col in (("scatter_x", x_col), ("scatter_y", y_col)):
+            if col not in column_names:  # checked before any output is written
+                raise IsoguardError(f"{key} {col!r} is not a column that rfe.json records")
         X_train = train.matrix()[:, selected]
         m = min(cfg.forest.subsample, X_train.shape[0])
         forest = iforest.fit_forest(X_train, t=cfg.forest.trees, m=m, seed=derive_seed(seed, "forest"))
@@ -295,13 +302,6 @@ def stage_detect(cfg: PipelineConfig, out: Path) -> None:
             columns = [np.arange(s.size), s, mean_h, labels[name]]
             write_table(out / f"verdicts_{name}.csv", ["row", "score", "mean_path", "label"], columns)
         iforest.save_forest(forest, out / "forest.json")
-
-        # scatter axes default to the two most important surviving features
-        by_importance = np.lexsort((np.array(selected), -rfe.final_importances))
-        default_x = column_names[selected[by_importance[0]]]
-        default_y = column_names[selected[by_importance[min(1, len(selected) - 1)]]]
-        x_col = cfg.scatter_x or default_x
-        y_col = cfg.scatter_y or default_y
         emit_scatter(train, labels["train"], x_col, y_col, out / "scatter_full.csv", out / "scatter_clean.csv")
     except IsoguardError as e:
         raise _stage_error("detect", e) from e

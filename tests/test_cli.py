@@ -1,4 +1,6 @@
+import functools
 import json
+import operator
 import os
 
 import pytest
@@ -156,6 +158,29 @@ class TestConfigMistypes:
         assert "Traceback" not in err
         assert not out.exists()
 
+    def test_synth_config_needs_no_input(self, tmp_path, capsys):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps({"synthetic": {"n_normal": 40, "n_anomaly": 10}}))
+        args = ["--config", str(cfg_path), "--seed", "3", "--out", str(tmp_path / "out")]
+        assert cli_dispatch(["synth"] + args) == 0
+        assert (tmp_path / "out" / "synthetic.csv").exists()
+        assert cli_dispatch(["pipeline"] + args) == 1
+        assert "the config must name an input CSV path" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("axis", ["scatter_x", "scatter_y"])
+    def test_unknown_scatter_axis_rejected_before_detect_writes(self, workspace, capsys, axis):
+        tmp_path, cfg_path = workspace
+        doc = json.loads(cfg_path.read_text())
+        cfg_path.write_text(json.dumps(doc | {axis: "no_such_column"}))
+        out = tmp_path / "run"
+        args = ["--config", str(cfg_path), "--seed", "3", "--out", str(out)]
+        assert cli_dispatch(["ingest"] + args) == 0
+        assert cli_dispatch(["select"] + args) == 0
+        before = sorted(p.name for p in out.iterdir())
+        assert cli_dispatch(["detect"] + args) == 2
+        assert f"detect: {axis} 'no_such_column' is not a column that rfe.json records" in capsys.readouterr().err
+        assert sorted(p.name for p in out.iterdir()) == before
+
     def test_synth_rejects_before_writing(self, tmp_path, capsys):
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(json.dumps({"input": "", "synthetic": {"n_normal": "50"}}))
@@ -191,6 +216,14 @@ class TestArtifactMismatch:
         capsys.readouterr()
         assert cli_dispatch(["train"] + args) == 2
         assert f"train: verdicts_train.csv: malformed verdict row at line {len(lines)}" in capsys.readouterr().err
+
+
+# an integer field of each JSON artifact, as a path of keys and list indices
+INT_FIELDS = {
+    "rfe.json": ("trace", 0, "removed"),
+    "model_abc_clean.json": ("stumps", 0, "feature"),
+    "forest.json": ("trees", 0, "left", 0),
+}
 
 
 class TestCorruptArtifacts:
@@ -265,7 +298,14 @@ class TestCorruptArtifacts:
         out, _ = finished_run
         path = out / name
         text = path.read_text(encoding="utf-8")
-        for corrupt in (text[: len(text) // 2], "[]", "{}", '{"kind": "knn"}'):
+        unknown_key = json.loads(text) | {"extra": 1}
+        float_for_int = json.loads(text)
+        *parents, key = INT_FIELDS[name]
+        holder = functools.reduce(operator.getitem, parents, float_for_int)
+        holder[key] = float(holder[key])
+        for corrupt in (
+            text[: len(text) // 2], "[]", "{}", '{"kind": "knn"}', json.dumps(unknown_key), json.dumps(float_for_int)
+        ):
             path.write_text(corrupt, encoding="utf-8")
             with pytest.raises(IsoguardError, match="unreadable artifact") as caught:
                 loader(path)
@@ -304,6 +344,8 @@ CSV_CORRUPTIONS = [
     ("renamed-column", "train", "train.csv", _set_cell(0, 2, "renamed"), "train.csv: feature columns differ from"),
     ("label-0", "train", "verdicts_train.csv", _set_labels("0"), "verdicts_train.csv: verdict label 0 is not 1 or -1"),
     ("label-2", "evaluate", "verdicts_train.csv", _set_labels("2", 1), "verdicts_train.csv: verdict label 2 is not"),
+    ("empty-verdicts-train", "train", "verdicts_train.csv", list.clear, "verdicts_train.csv has 0 verdict rows"),
+    ("empty-verdicts-evaluate", "evaluate", "verdicts_train.csv", list.clear, "verdicts_train.csv has 0 verdict rows"),
 ]
 
 

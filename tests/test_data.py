@@ -92,6 +92,8 @@ class TestLoadCsv:
     def test_missing_file(self, tmp_path):
         with pytest.raises(IsoguardError, match="no such file"):
             load_csv(tmp_path / "absent.csv")
+        with pytest.raises(IsoguardError, match="no such file"):
+            load_csv(tmp_path)  # a directory
 
     def test_ragged_rows(self, tmp_path):
         path = write(tmp_path, "a,b,class\n1,2,normal\n3,anomaly\n4,5,6,normal\n")

@@ -265,6 +265,27 @@ class TestRfe:
             load_rfe(tmp_path / "rfe.json")
         assert str(tmp_path / "rfe.json") in str(caught.value)
 
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("final_importances", [0.5, "0.6", 0.2], "final_importances element must be a finite number, got '0.6'"),
+            ("final_importances", [0.5, math.nan, 0.2], "final_importances element must be a finite number, got nan"),
+            ("trace", [{"round": 1, "removed": 1.9, "importance": 0.1}], "trace[0].removed must be an integer, got 1.9"),
+            ("trace", [{"round": True, "removed": 1, "importance": 0.1}], "trace[0].round must be an integer, got True"),
+            ("column_names", ["col0", 1, "col2", "col3", "col4", "col5"], "column_names[1] must be a string, got 1"),
+        ],
+    )
+    def test_load_rejects_bad_types(self, tmp_path, key, value, message):
+        names = [f"col{j}" for j in range(6)]
+        good = RfeResult(selected=(0, 2, 4), trace=(), final_importances=np.array([0.5, 0.3, 0.2]))
+        save_rfe(good, names, tmp_path / "rfe.json")
+        doc = json.loads((tmp_path / "rfe.json").read_text(encoding="utf-8"))
+        (tmp_path / "rfe.json").write_text(json.dumps(doc | {key: value}), encoding="utf-8")
+        with pytest.raises(IsoguardError) as caught:
+            load_rfe(tmp_path / "rfe.json")
+        assert str(tmp_path / "rfe.json") in str(caught.value)
+        assert message in str(caught.value)
+
 
 # ---------------------------------------------------------------------------
 # oracle: the node-by-node build as first written, hashing every node's

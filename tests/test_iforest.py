@@ -487,7 +487,7 @@ def assert_flat_layout(tree: ITree):
         order.append(i)
         assert tree.depth[i] == d
         if tree.feature[i] < 0:
-            assert tree.left[i] == tree.right[i] == i and np.isnan(tree.threshold[i])
+            assert tree.left[i] == tree.right[i] == i and tree.threshold[i] == 0.0
             return
         visit(int(tree.left[i]), d + 1)
         visit(int(tree.right[i]), d + 1)
@@ -616,17 +616,33 @@ class TestLoadForestChecks:
         return path, json.loads(path.read_text(encoding="utf-8"))
 
     @staticmethod
-    def first_split(doc):
-        node = doc["trees"][0]
-        assert "feature" in node, "tree 0 should have a split at its root"
-        return node
+    def first_tree(doc):
+        tree = doc["trees"][0]
+        assert tree["feature"][0] >= 0 and tree["feature"][1] >= 0, "tree 0 should split at its root and node 1"
+        return tree
 
     @staticmethod
-    def first_leaf(doc):
-        node = doc["trees"][0]
-        while "size" not in node:
-            node = node["left"]
-        return node
+    def leftmost_path(tree):
+        """Node ids from the root down the left links to a leaf."""
+        path = [0]
+        while tree["feature"][path[-1]] >= 0:
+            path.append(tree["left"][path[-1]])
+        return path
+
+    @staticmethod
+    def add_leaf(tree, depth):
+        i = len(tree["feature"])
+        for key, value in (("feature", -1), ("threshold", 0.0), ("left", i), ("right", i), ("size", 1), ("depth", depth)):
+            tree[key].append(value)
+        return i
+
+    @staticmethod
+    def swap_nodes(tree, a, b):
+        """Renumber nodes a and b into each other's place, links included."""
+        for key in ("left", "right"):
+            tree[key] = [{a: b, b: a}.get(c, c) for c in tree[key]]
+        for column in tree.values():
+            column[a], column[b] = column[b], column[a]
 
     def test_saved_forest_loads(self, saved):
         path, _ = saved
@@ -639,56 +655,80 @@ class TestLoadForestChecks:
     @pytest.mark.parametrize(
         "corruption, message",
         [
-            ("feature-out-of-range", "split feature must be an integer in [0, 3), got 3"),
-            ("feature-negative", "split feature must be an integer in [0, 3), got -1"),
-            ("feature-float", "split feature must be an integer in [0, 3), got 1.0"),
-            ("missing-child", "missing key 'right'"),
+            ("feature-out-of-range", "trees[0]: split feature must be an integer in [0, 3), got 3"),
+            ("feature-negative", "trees[0]: split feature must be an integer in [0, 3), got -2"),
+            ("feature-float", "trees[0].feature element must be an integer, got 1.0"),
+            ("missing-child", "missing key 'trees[0].right'"),
             ("wrong-t", "holds 4 trees, expected t = 5"),
-            ("leaf-size-zero", "leaf size must be an integer >= 1, got 0"),
-            ("leaf-sizes-off-m", "tree leaves hold 33 rows, expected m = 32"),
-            ("too-deep", "tree deeper than height_limit 5"),
+            ("leaf-size-zero", "trees[0]: leaf size must be an integer in [1, 32], got 0"),
+            ("leaf-sizes-off-m", "trees[0]: tree leaves hold 33 rows, expected m = 32"),
+            ("too-deep", "trees[0]: tree deeper than height_limit 5"),
             ("height-limit-off-m", "height_limit 6 does not match m = 32"),
             ("seed-float", "seed must be an integer, got 1.9"),
-            ("value-nan", "split value must be a finite number, got nan"),
-            ("value-string", "split value must be a finite number, got '0.25'"),
-            ("value-bool", "split value must be a finite number, got True"),
-            ("node-not-an-object", "unreadable artifact"),
+            ("value-nan", "trees[0].threshold element must be a finite number, got nan"),
+            ("value-string", "trees[0].threshold element must be a finite number, got '0.25'"),
+            ("value-bool", "trees[0].threshold element must be a finite number, got True"),
+            ("node-not-an-object", "trees[1] must be an object, got [1, 2]"),
             ("truncated", "unreadable artifact"),
+            ("child-before-parent", "trees[0]: a split's children must be later nodes of the tree"),
+            ("two-parents", "trees[0]: every node but the root must have exactly one parent"),
+            ("depth-off-by-one", "trees[0]: node depths do not match the child links"),
+            ("ragged-arrays", "trees[0]: node arrays must share one non-zero length"),
+            ("empty-tree", "trees[0]: node arrays must share one non-zero length"),
+            ("split-relabelled-as-leaf", "trees[0]: a leaf's children must be the leaf itself"),
+            ("split-size-off", "trees[0]: a split's size must be the sum of its children's"),
         ],
     )
     def test_corruption_raises_naming_the_file(self, saved, corruption, message):
         path, doc = saved
+        tree = self.first_tree(doc)
+        leaf = self.leftmost_path(tree)[-1]
         if corruption == "feature-out-of-range":
-            self.first_split(doc)["feature"] = 3
+            tree["feature"][0] = 3
         elif corruption == "feature-negative":
-            self.first_split(doc)["feature"] = -1
+            tree["feature"][0] = -2  # -1 marks a leaf
         elif corruption == "feature-float":
-            self.first_split(doc)["feature"] = 1.0
+            tree["feature"][0] = 1.0
         elif corruption == "missing-child":
-            del self.first_split(doc)["right"]
+            del tree["right"]
         elif corruption == "wrong-t":
             doc["t"] = 5
         elif corruption == "leaf-size-zero":
-            self.first_leaf(doc)["size"] = 0
+            tree["size"][leaf] = 0
         elif corruption == "leaf-sizes-off-m":
-            self.first_leaf(doc)["size"] += 1
+            for i in self.leftmost_path(tree):  # the leaf and every split above it
+                tree["size"][i] += 1
         elif corruption == "too-deep":
-            leaf = self.first_leaf(doc)
-            size = leaf.pop("size")
-            chain = leaf
+            node = leaf
             for _ in range(6):
-                chain.update(feature=0, value=0.0, left={}, right={"size": 1})
-                chain = chain["left"]
-            chain["size"] = size
+                tree["feature"][node] = 0
+                depth = tree["depth"][node] + 1
+                tree["left"][node], tree["right"][node] = self.add_leaf(tree, depth), self.add_leaf(tree, depth)
+                node = tree["left"][node]
         elif corruption == "height-limit-off-m":
             doc["height_limit"] = 6
         elif corruption == "seed-float":
             doc["seed"] = 1.9
         elif corruption.startswith("value-"):
             bad = {"value-nan": math.nan, "value-string": "0.25", "value-bool": True}
-            self.first_split(doc)["value"] = bad[corruption]
+            tree["threshold"][0] = bad[corruption]
         elif corruption == "node-not-an-object":
-            self.first_split(doc)["left"] = [1, 2]
+            doc["trees"][1] = [1, 2]
+        elif corruption == "child-before-parent":
+            self.swap_nodes(tree, 0, 1)
+        elif corruption == "two-parents":
+            tree["right"][0] = tree["left"][0]
+        elif corruption == "depth-off-by-one":
+            tree["depth"][leaf] -= 1
+        elif corruption == "ragged-arrays":
+            tree["size"].pop()
+        elif corruption == "empty-tree":
+            for column in tree.values():
+                column.clear()
+        elif corruption == "split-relabelled-as-leaf":
+            tree["feature"][1] = -1
+        elif corruption == "split-size-off":
+            tree["size"][1] += 1
         if corruption == "truncated":
             text = path.read_text(encoding="utf-8")
             path.write_text(text[: len(text) * 2 // 3], encoding="utf-8")

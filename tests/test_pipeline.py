@@ -58,6 +58,26 @@ def digest(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def nested_forest_json(forest: iforest.IsolationForest) -> str:
+    """The forest.json bytes of the earlier nested writer, one object per node, kept as an oracle."""
+
+    def node(tree, i):
+        if tree.feature[i] < 0:
+            return {"size": int(tree.size[i])}
+        left, right = node(tree, int(tree.left[i])), node(tree, int(tree.right[i]))
+        return {"feature": int(tree.feature[i]), "value": float(tree.threshold[i]), "left": left, "right": right}
+
+    doc = {
+        "t": forest.t,
+        "m": forest.m,
+        "height_limit": forest.height_limit,
+        "seed": forest.seed,
+        "n_features": forest.n_features,
+        "trees": [node(tree, 0) for tree in forest.trees],
+    }
+    return json.dumps(doc, sort_keys=True) + "\n"
+
+
 class TestConfig:
     def test_round_trip(self, tmp_path):
         cfg = small_config(tmp_path)
@@ -83,9 +103,11 @@ class TestConfig:
         with pytest.raises(IsoguardError, match="unknown keys in config section 'forest.threshold'"):
             config_from_dict({"input": "x.csv", "forest": {"threshold": {"tres": 1}}})
 
-    def test_missing_input_rejected(self):
-        with pytest.raises(IsoguardError, match="input"):
-            config_from_dict({})
+    def test_missing_input_rejected(self, tmp_path):
+        cfg = config_from_dict({"seed": 3})  # a synth-only config loads; ingest is what needs an input
+        assert cfg.input == ""
+        with pytest.raises(PipelineError, match=r"^ingest: no such file: \.$"):
+            stage_ingest(cfg, tmp_path)
 
     def test_field_types_checked(self):
         cfg = config_from_dict({"input": "x.csv", "select": {"max_depth": None}, "forest": {"threshold": {"tau": 1}}})
@@ -215,7 +237,10 @@ class TestRunPipeline:
         run_pipeline(cfg)
         out = Path(cfg.out_dir)
         assert digest(out / "rfe.json") == "e7121965e7304237cafe292a717f037e5ca339d3f1615a2516cb16453ec8e8e3"
-        assert digest(out / "forest.json") == "bb10e3619cd397e828420116db3376e0bde9590102d3753e22d6d68a094acd2a"
+        assert digest(out / "forest.json") == "6266fc0d844d514db6c3fbea8cfb690296312c419bbf5a38370c13622c1988a1"
+        # the flat file holds the very forest the nested file held before
+        nested = nested_forest_json(iforest.load_forest(out / "forest.json")).encode()
+        assert hashlib.sha256(nested).hexdigest() == "bb10e3619cd397e828420116db3376e0bde9590102d3753e22d6d68a094acd2a"
         assert digest(out / "verdicts_train.csv") == "917538ee07fc7138a0c273bc42f3090fb536bec79eb6ae3fe31b5e1b244c7654"
         assert digest(out / "verdicts_test.csv") == "a01df08fae8649b9ffb73c228196ec862be5f393801abe0c70c7714e5cc9fe94"
         pins = {
