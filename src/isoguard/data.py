@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import IsoguardError
+from .errors import IsoguardError, artifact_reader, checked_float, checked_int
 
 
 class ColumnKind(Enum):
@@ -342,13 +342,20 @@ def save_transforms(enc: EncoderState, sc: ScalerState, path: str | Path) -> Non
 
 
 def load_transforms(path: str | Path) -> tuple[EncoderState, ScalerState]:
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    enc = EncoderState(
-        mappings={col: {k: int(v) for k, v in mapping.items()} for col, mapping in doc["encoders"].items()}
-    )
-    names = tuple(doc["scaler"].keys())
-    means = np.array([doc["scaler"][n]["mean"] for n in names], dtype=np.float64)
-    stds = np.array([doc["scaler"][n]["std"] for n in names], dtype=np.float64)
+    """Read what ``save_transforms`` wrote; a malformed file or a non-numeric
+    code, mean or std raises IsoguardError naming the file."""
+    with artifact_reader(path):
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        enc = EncoderState(
+            mappings={
+                col: {k: checked_int(v, f"encoders.{col}[{k!r}]") for k, v in mapping.items()}
+                for col, mapping in doc["encoders"].items()
+            }
+        )
+        scaler = doc["scaler"]
+        names = tuple(scaler.keys())
+        means = np.array([checked_float(scaler[n]["mean"], f"scaler.{n}.mean") for n in names])
+        stds = np.array([checked_float(scaler[n]["std"], f"scaler.{n}.std") for n in names])
     return enc, ScalerState(feature_names=names, means=means, stds=stds)
 
 

@@ -7,6 +7,11 @@ candidate with the greatest Gini impurity decrease wins. All draws are
 keyed by (seed, tree, node, feature key) hashes: no tree depends on the
 order in which trees are built, and permuting columns together with their
 keys permutes the result identically.
+
+Each tree is an ``iforest.ITree``, written in pre-order by the isolation
+forest's ``TreeWriter``. The node in a draw key is not the array index:
+it counts, in pre-order, only the nodes that reach the draw, so a leaf
+cut off by purity, size or depth takes no id.
 """
 from __future__ import annotations
 
@@ -19,6 +24,7 @@ import numpy as np
 
 from .codec import from_doc, to_doc
 from .errors import IsoguardError, artifact_reader
+from .iforest import ITree, TreeWriter
 from .parallel import run_indexed  # noqa: F401  (not called here; perfbench's tracer rebinds it)
 from .prng import extend_hashes, hash64, unit_uniforms
 
@@ -36,28 +42,10 @@ class ExtraTreesParams:
 
 
 @dataclass
-class EtLeaf:
-    n: int
-
-
-@dataclass
-class EtSplit:
-    feature: int  # column index within the fitted matrix
-    threshold: float
-    n: int
-    impurity_decrease: float
-    left: "EtSplit | EtLeaf"
-    right: "EtSplit | EtLeaf"
-
-
-EtNode = EtSplit | EtLeaf
-
-
-@dataclass
 class ExtraTreesEstimator:
     params: ExtraTreesParams
     n_features: int
-    trees: list[EtNode]
+    trees: list[ITree]  # split features are column indices within the fitted matrix
     # per-tree importances normalized to sum 1; None for trees with no split
     tree_importances: list[np.ndarray | None]
 
@@ -108,7 +96,7 @@ def _build_tree(
     params: ExtraTreesParams,
     tree_index: int,
     importances: np.ndarray,
-) -> EtNode:
+) -> ITree:
     n_total = X.shape[0]
     d = X.shape[1]
     n_candidates = max(1, math.ceil(math.sqrt(d)))
@@ -120,15 +108,18 @@ def _build_tree(
     # hash64 is a left fold: each node only folds its id and a tag onto this
     tree_hash = int(hash64(params.seed, tree_index))
     blocks: list[tuple[np.ndarray, np.ndarray]] = []  # (candidates, draws) per _DRAW_BLOCK ids
+    nodes = TreeWriter()
     next_id = 0
 
-    def build(rows: np.ndarray, n1: int, depth: int) -> EtNode:
+    def build(rows: np.ndarray, n1: int, depth: int) -> int:
         nonlocal next_id
         n_node = rows.size
+        i = nodes.add_leaf(n_node, depth)
         if n1 == 0 or n1 == n_node or n_node < min_split or (max_depth is not None and depth >= max_depth):
-            return EtLeaf(n=n_node)
+            return i
 
-        # depth-first pre-order ids: they decide which hashes a node draws
+        # depth-first pre-order ids of the nodes that draw: they decide which
+        # hashes a node draws, so a leaf cut off above takes none
         node_id = next_id
         next_id += 1
         block, slot = divmod(node_id, _DRAW_BLOCK)
@@ -155,24 +146,22 @@ def _build_tree(
         best = int(decrease.argmax())
         local_decrease = float(decrease[best])
         if not math.isfinite(local_decrease):
-            return EtLeaf(n=n_node)
+            return i
         feature = int(candidates[best])
         mask = left_masks[:, best]
         importances[feature] += (n_node / n_total) * local_decrease
         n1_left = int(counts[1, best])
-        return EtSplit(
-            feature=feature,
-            threshold=float(thresholds[best]),
-            n=n_node,
-            impurity_decrease=local_decrease,
-            left=build(rows[mask], n1_left, depth + 1),
-            right=build(rows[~mask], n1 - n1_left, depth + 1),
-        )
+        nodes.feature[i] = feature
+        nodes.threshold[i] = float(thresholds[best])
+        nodes.left[i] = build(rows[mask], n1_left, depth + 1)
+        nodes.right[i] = build(rows[~mask], n1 - n1_left, depth + 1)
+        return i
 
     # an empty side's Gini is 0/0 = nan: masked to -inf for a constant
     # candidate, and otherwise picked by argmax, which leaves the node a leaf
     with np.errstate(invalid="ignore", divide="ignore"):
-        return build(np.arange(n_total), int(y.sum()), 0)
+        build(np.arange(n_total), int(y.sum()), 0)
+    return nodes.tree()
 
 
 def fit_extra_trees(
@@ -199,7 +188,7 @@ def fit_extra_trees(
         raise IsoguardError("feature_keys must provide one key per column")
 
     # trees are built serially: the build is GIL-bound Python, so threads only add overhead
-    trees: list[EtNode] = []
+    trees: list[ITree] = []
     tree_importances: list[np.ndarray | None] = []
     for i in range(params.n_trees):
         acc = np.zeros(d, dtype=np.float64)
@@ -298,7 +287,8 @@ def rfe_to_json(result: RfeResult, column_names: list[str]) -> str:
 
 def rfe_from_json(text: str) -> tuple[RfeResult, list[str]]:
     """Parse an RFE document; ``selected`` must be strictly increasing column
-    indices, one per final importance, or IsoguardError is raised."""
+    indices, one per final importance and each named in ``selected_names``,
+    or IsoguardError is raised."""
     doc = from_doc(_RfeDoc, json.loads(text), "rfe")
     selected, n = doc.selected, len(doc.column_names)
     if not selected or selected[0] < 0 or selected[-1] >= n or any(a >= b for a, b in zip(selected, selected[1:])):
@@ -307,6 +297,9 @@ def rfe_from_json(text: str) -> tuple[RfeResult, list[str]]:
         raise IsoguardError(
             f"selected holds {len(selected)} indices but final_importances has shape {doc.final_importances.shape}"
         )
+    names = [doc.column_names[i] for i in selected]
+    if doc.selected_names != names:
+        raise IsoguardError(f"selected_names must be the column_names at selected, {names}, got {doc.selected_names}")
     trace = tuple((e.round, e.removed, e.importance) for e in doc.trace)
     return RfeResult(selected=tuple(selected), trace=trace, final_importances=doc.final_importances), doc.column_names
 

@@ -62,13 +62,13 @@ def expected_path_length(m: int) -> float:
 
 @dataclass(frozen=True, eq=False)
 class ITree:
-    """One isolation tree; node 0 is the root and every child id exceeds its parent's.
+    """One tree of either forest; node 0 is the root and every child id exceeds its parent's.
 
     Rows with ``x[feature] < threshold`` go to ``left``, all others (NaN
     included) to ``right``. At a leaf ``feature`` is -1, ``threshold`` is
     0.0 (never read, like scikit-learn's ``TREE_UNDEFINED``) and both
-    children are the leaf's own id. The same six arrays, as lists, are the
-    tree's entry in forest.json.
+    children are the leaf's own id. The same six arrays, as lists, are an
+    isolation tree's entry in forest.json.
     """
 
     feature: IntArray
@@ -101,8 +101,9 @@ class OutlierVerdict:
     score: AnomalyScore
 
 
-class _Nodes:
-    """The per-node columns of a tree being written in pre-order."""
+class TreeWriter:
+    """The per-node columns of a tree being written in pre-order; both the
+    isolation trees and feature_selection's extra-trees are grown through it."""
 
     def __init__(self) -> None:
         self.feature: list[int] = []
@@ -135,7 +136,7 @@ def build_itree(sample: np.ndarray, height_limit: int, rng: np.random.Generator)
     reached, or no feature varies within the node. Nodes are numbered and
     their draws taken in depth-first pre-order, left subtree first.
     """
-    nodes = _Nodes()
+    nodes = TreeWriter()
 
     def grow(rows: np.ndarray, d: int) -> int:
         n = rows.shape[0]

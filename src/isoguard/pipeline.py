@@ -147,12 +147,16 @@ def _stage_error(stage: str, err: Exception) -> PipelineError:
     return PipelineError(f"{stage}: {err}")
 
 
+def _artifact(path: Path, stage: str) -> Path:
+    """``path`` if it is a file; otherwise (absent, or a directory) an error naming the stage that writes it."""
+    if not path.is_file():
+        raise IsoguardError(f"missing artifact {path.name}; run the {stage} stage first")
+    return path
+
+
 def _read_artifact_csv(out: Path, name: str, target_column: str, column_names: list[str] | None = None) -> Dataset:
     """A partition written by ingest: numeric only, and with the columns rfe.json records when given."""
-    path = out / name
-    if not path.exists():
-        raise IsoguardError(f"missing artifact {name}; run the earlier stages into {out} first")
-    ds = load_csv(path, target_column=target_column)
+    ds = load_csv(_artifact(out / name, "ingest"), target_column=target_column)
     nominal = [n for n, k in zip(ds.feature_names, ds.kinds) if k is not ColumnKind.NUMERIC]
     if nominal:
         raise IsoguardError(f"{name}: column {nominal[0]!r} holds a non-numeric cell; rerun the ingest stage")
@@ -165,17 +169,12 @@ def _read_artifact_csv(out: Path, name: str, target_column: str, column_names: l
 
 
 def _read_rfe(out: Path) -> tuple[RfeResult, list[str]]:
-    path = out / "rfe.json"
-    if not path.exists():
-        raise IsoguardError("missing artifact rfe.json; run the select stage first")
-    return load_rfe(path)
+    return load_rfe(_artifact(out / "rfe.json", "select"))
 
 
 def _read_verdict_labels(path: Path, train: Dataset) -> np.ndarray:
     """Verdict labels of ``train``'s rows; the row counts must agree."""
-    if not path.exists():
-        raise IsoguardError(f"missing artifact {path.name}; run the detect stage first")
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(_artifact(path, "detect"), newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         next(reader, None)  # the header; an empty file has no rows either, and fails the count below
         try:
@@ -366,10 +365,7 @@ def stage_evaluate(cfg: PipelineConfig, out: Path) -> ComparisonReport:
         for arm, suffix in (("before", ""), ("after", "_clean")):
             evaluations: dict[str, ClassifierEvaluation] = {}
             for name in MODELS:
-                path = out / f"model_{name}{suffix}.json"
-                if not path.exists():
-                    raise IsoguardError(f"missing artifact {path.name}; run the train stage first")
-                model = clf.load_model(path)
+                model = clf.load_model(_artifact(out / f"model_{name}{suffix}.json", "train"))
                 scores = clf.score_model(model, X_test)
                 evaluations[name] = evaluate_predictions(y_test, clf.labels_from_scores(model, scores), scores)
             arms[arm] = evaluations

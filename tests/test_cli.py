@@ -291,6 +291,19 @@ class TestCorruptArtifacts:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize(
+        "stage, name",
+        [("detect", "rfe.json"), ("train", "verdicts_train.csv"), ("evaluate", "model_knn.json"), ("select", "train.csv")],
+    )
+    def test_artifact_that_is_a_directory_exits_2(self, finished_run, capsys, stage, name):
+        out, args = finished_run
+        (out / name).unlink()
+        (out / name).mkdir()
+        assert cli_dispatch([stage] + args) == 2
+        err = capsys.readouterr().err
+        assert f"{stage}: missing artifact {name}; run the " in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
         "name, loader",
         [("rfe.json", load_rfe), ("model_abc_clean.json", load_model), ("forest.json", load_forest)],
     )

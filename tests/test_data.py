@@ -328,12 +328,16 @@ class TestSplit:
             train_test_split(self.make(), SplitSpec(test_fraction=1.5, seed=1))
 
 
+def proto_dur_dataset():
+    rows = np.empty((4, 2), dtype=object)
+    rows[:, 0] = ["tcp", "udp", "tcp", "icmp"]
+    rows[:, 1] = [1.0, 2.0, 3.0, 4.0]
+    return Dataset(("proto", "dur"), (ColumnKind.NOMINAL, ColumnKind.NUMERIC), rows, np.array([0, 1, 0, 1]))
+
+
 class TestTransformsRoundTrip:
     def test_json_round_trip(self, tmp_path):
-        rows = np.empty((4, 2), dtype=object)
-        rows[:, 0] = ["tcp", "udp", "tcp", "icmp"]
-        rows[:, 1] = [1.0, 2.0, 3.0, 4.0]
-        ds = Dataset(("proto", "dur"), (ColumnKind.NOMINAL, ColumnKind.NUMERIC), rows, np.array([0, 1, 0, 1]))
+        ds = proto_dur_dataset()
         enc = fit_label_encoder(ds)
         encoded = apply_label_encoder(ds, enc)
         sc = fit_scaler(encoded)
@@ -343,6 +347,27 @@ class TestTransformsRoundTrip:
         out1 = apply_scaler(encoded, sc)
         out2 = apply_scaler(encoded, sc2)
         np.testing.assert_array_equal(out1.rows, out2.rows)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda text: text[: len(text) // 2], "unreadable artifact"),
+            (lambda text: text.replace('"mean": 2.5', '"mean": "1.5"'), "scaler.dur.mean must be a finite number, got '1.5'"),
+            (lambda text: text.replace('"tcp": 1', '"tcp": 1.9'), "encoders.proto['tcp'] must be an integer, got 1.9"),
+        ],
+        ids=["truncated", "string mean", "fractional code"],
+    )
+    def test_load_rejects_malformed_file(self, tmp_path, edit, message):
+        ds = proto_dur_dataset()
+        enc = fit_label_encoder(ds)
+        save_transforms(enc, fit_scaler(apply_label_encoder(ds, enc)), tmp_path / "transforms.json")
+        text = (tmp_path / "transforms.json").read_text(encoding="utf-8")
+        assert '"mean": 2.5' in text and '"tcp": 1' in text
+        (tmp_path / "transforms.json").write_text(edit(text), encoding="utf-8")
+        with pytest.raises(IsoguardError) as caught:
+            load_transforms(tmp_path / "transforms.json")
+        assert str(tmp_path / "transforms.json") in str(caught.value)
+        assert message in str(caught.value)
 
     def test_fit_on_train_statistics_drive_test_transform(self):
         train = numeric_dataset([[0.0], [2.0]], [0, 1])

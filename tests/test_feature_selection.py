@@ -1,5 +1,6 @@
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,8 +10,6 @@ from isoguard.feature_selection import (
     _CANDIDATE_TAG,
     _DRAW_BLOCK,
     _THRESHOLD_TAG,
-    EtLeaf,
-    EtSplit,
     ExtraTreesEstimator,
     ExtraTreesParams,
     RfeResult,
@@ -21,6 +20,7 @@ from isoguard.feature_selection import (
     rfe_select,
     save_rfe,
 )
+from isoguard.iforest import ITree, _check_tree
 from isoguard.prng import hash64, unit_uniforms
 
 
@@ -94,26 +94,28 @@ class TestFitExtraTrees:
     def test_gini_decrease_matches_direct_recomputation(self):
         rng = np.random.default_rng(5)
         X, y = separable_data(rng, n=50, d=4)
+        n, d = X.shape
         est = fit_extra_trees(X, y, ExtraTreesParams(n_trees=4, seed=7))
 
-        def check(node, rows):
-            if isinstance(node, EtLeaf):
-                assert node.n == rows.size
+        def check(tree, node, rows, acc):
+            assert tree.size[node] == rows.size
+            if tree.feature[node] == -1:
                 return
-            labels = y[rows]
-            mask = X[rows, node.feature] < node.threshold
+            mask = X[rows, tree.feature[node]] < tree.threshold[node]
             left, right = rows[mask], rows[~mask]
             assert left.size > 0 and right.size > 0
-            recomputed = gini(labels) - (
+            recomputed = gini(y[rows]) - (
                 left.size * gini(y[left]) + right.size * gini(y[right])
             ) / rows.size
-            assert node.impurity_decrease == pytest.approx(recomputed, abs=1e-12)
-            assert node.impurity_decrease >= -1e-15
-            check(node.left, left)
-            check(node.right, right)
+            assert recomputed >= -1e-15
+            acc[tree.feature[node]] += (rows.size / n) * recomputed
+            check(tree, tree.left[node], left, acc)
+            check(tree, tree.right[node], right, acc)
 
-        for tree in est.trees:
-            check(tree, np.arange(X.shape[0]))
+        for tree, want in zip(est.trees, est.tree_importances):
+            acc = np.zeros(d)
+            check(tree, 0, np.arange(n), acc)
+            np.testing.assert_allclose(acc / acc.sum(), want, rtol=0, atol=1e-12)
 
     def test_no_split_anywhere_is_an_error(self):
         X = np.ones((10, 2))  # constant features: no split possible
@@ -123,16 +125,19 @@ class TestFitExtraTrees:
             feature_importances(est)
 
 
+def stump(feature):
+    """A root split on ``feature`` at 0.5 over two one-row leaves."""
+    ints = (np.array(a) for a in ([1, 1, 2], [2, 1, 2], [2, 1, 1], [0, 1, 1]))
+    return ITree(np.array([feature, -1, -1]), np.array([0.5, 0.0, 0.0]), *ints)
+
+
 class TestFeatureImportances:
     def test_mean_of_one_hot_trees(self):
         # two hand-built trees putting all weight on features 0 and 1
         est = ExtraTreesEstimator(
             params=ExtraTreesParams(n_trees=2),
             n_features=2,
-            trees=[
-                EtSplit(0, 0.5, 2, 0.5, EtLeaf(1), EtLeaf(1)),
-                EtSplit(1, 0.5, 2, 0.5, EtLeaf(1), EtLeaf(1)),
-            ],
+            trees=[stump(0), stump(1)],
             tree_importances=[np.array([1.0, 0.0]), np.array([0.0, 1.0])],
         )
         np.testing.assert_allclose(feature_importances(est).importances, [0.5, 0.5])
@@ -141,7 +146,7 @@ class TestFeatureImportances:
         est = ExtraTreesEstimator(
             params=ExtraTreesParams(),
             n_features=3,
-            trees=[EtSplit(0, 0.5, 2, 0.5, EtLeaf(1), EtLeaf(1))],
+            trees=[stump(0)],
             tree_importances=[np.array([0.25, 0.5, 0.25])],
         )
         order = feature_importances(est).order
@@ -273,6 +278,7 @@ class TestRfe:
             ("trace", [{"round": 1, "removed": 1.9, "importance": 0.1}], "trace[0].removed must be an integer, got 1.9"),
             ("trace", [{"round": True, "removed": 1, "importance": 0.1}], "trace[0].round must be an integer, got True"),
             ("column_names", ["col0", 1, "col2", "col3", "col4", "col5"], "column_names[1] must be a string, got 1"),
+            ("selected_names", ["col0", "col2", "col5"], "selected_names must be the column_names at selected"),
         ],
     )
     def test_load_rejects_bad_types(self, tmp_path, key, value, message):
@@ -308,6 +314,7 @@ def oracle_build_tree(X, y, keys, params, tree_index, importances):
     max_depth = params.max_depth
     min_split = params.min_samples_split
     seed = params.seed
+    out = []  # (feature, threshold, n) per node in pre-order; a leaf is (-1, 0.0, n)
 
     def build(rows, depth):
         n_node = rows.size
@@ -320,7 +327,8 @@ def oracle_build_tree(X, y, keys, params, tree_index, importances):
             or n_node < min_split
             or (max_depth is not None and depth >= max_depth)
         ):
-            return EtLeaf(n=n_node)
+            out.append((-1, 0.0, n_node))
+            return
 
         node_id = counter[0]
         counter[0] += 1
@@ -333,7 +341,8 @@ def oracle_build_tree(X, y, keys, params, tree_index, importances):
         hi = sub.max(axis=0)
         valid = hi > lo
         if not valid.any():
-            return EtLeaf(n=n_node)
+            out.append((-1, 0.0, n_node))
+            return
 
         thr_base = hash64(seed, tree_index, node_id, _THRESHOLD_TAG)
         draws = unit_uniforms(thr_base, keys[candidates])
@@ -357,36 +366,25 @@ def oracle_build_tree(X, y, keys, params, tree_index, importances):
 
         best = int(np.argmax(decrease))
         if not np.isfinite(decrease[best]):
-            return EtLeaf(n=n_node)
+            out.append((-1, 0.0, n_node))
+            return
         feature = int(candidates[best])
         threshold = float(thresholds[best])
         local_decrease = float(decrease[best])
 
         mask = left_masks[:, best]
         importances[feature] += (n_node / n_total) * local_decrease
-        return EtSplit(
-            feature=feature,
-            threshold=threshold,
-            n=n_node,
-            impurity_decrease=local_decrease,
-            left=build(rows[mask], depth + 1),
-            right=build(rows[~mask], depth + 1),
-        )
+        out.append((feature, threshold, n_node))
+        build(rows[mask], depth + 1)
+        build(rows[~mask], depth + 1)
 
-    return build(np.arange(n_total), 0)
-
-
-def preorder(node):
-    """Every node as a tuple, depth-first pre-order; leaves are (n,)."""
-    out, stack = [], [node]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, EtLeaf):
-            out.append((node.n,))
-        else:
-            out.append((node.feature, node.threshold, node.n, node.impurity_decrease))
-            stack += [node.right, node.left]
+    build(np.arange(n_total), 0)
     return out
+
+
+def preorder(tree):
+    """The (feature, threshold, n) rows of an ITree, whose arrays are in pre-order."""
+    return list(zip(tree.feature.tolist(), tree.threshold.tolist(), tree.size.tolist()))
 
 
 def oracle_cases():
@@ -443,14 +441,25 @@ class TestBuildTreeOracle:
             want = oracle_build_tree(X, y, keys, params, i, want_imp)
             got_imp = np.zeros(d)
             got = _build_tree(X, y, keys, params, i, got_imp)
-            assert preorder(got) == preorder(want)
+            assert preorder(got) == want
             assert np.array_equal(got_imp, want_imp)
-            assert preorder(est.trees[i]) == preorder(want)
+            assert preorder(est.trees[i]) == want
             total = want_imp.sum()
             if total > 0.0:
                 assert np.array_equal(est.tree_importances[i], want_imp / total)
             else:
                 assert est.tree_importances[i] is None
+
+    @pytest.mark.parametrize("case", range(len(oracle_cases())))
+    def test_trees_are_well_formed(self, case):
+        # the isolation forest's loader check, with every row as the sample and no height limit to speak of
+        X, y, keys, params = oracle_cases()[case]
+        n, d = X.shape
+        bounds = SimpleNamespace(n_features=d, m=n, height_limit=n)
+        est = fit_extra_trees(X, y, params, feature_keys=keys)
+        assert len(est.trees) == params.n_trees
+        for j, tree in enumerate(est.trees):
+            _check_tree(tree, j, bounds)
 
     def test_deep_tree_crosses_node_draw_blocks(self):
         # more than two blocks of split nodes, so later node ids draw from later blocks
@@ -460,5 +469,5 @@ class TestBuildTreeOracle:
         keys = np.arange(5, dtype=np.uint64)
         params = ExtraTreesParams(n_trees=1, seed=3)
         want = oracle_build_tree(X, y, keys, params, 0, np.zeros(5))
-        assert sum(len(node) == 4 for node in preorder(want)) > 2 * _DRAW_BLOCK
-        assert preorder(_build_tree(X, y, keys, params, 0, np.zeros(5))) == preorder(want)
+        assert sum(feature != -1 for feature, _, _ in want) > 2 * _DRAW_BLOCK
+        assert preorder(_build_tree(X, y, keys, params, 0, np.zeros(5))) == want
