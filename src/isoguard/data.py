@@ -148,9 +148,11 @@ def load_csv(
         reader = csv.reader(fh)
         try:
             header = next(reader)
+            records = list(reader)
         except StopIteration:
             raise IsoguardError(f"{path}: file is empty, expected a header row") from None
-        records = list(reader)
+        except UnicodeDecodeError:
+            raise IsoguardError(f"{path}: not UTF-8 text") from None
 
     if len(set(header)) != len(header):
         raise IsoguardError(f"{path}: duplicate column names in header")

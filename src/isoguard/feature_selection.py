@@ -12,11 +12,25 @@ Each tree is an ``iforest.ITree``, written in pre-order by the isolation
 forest's ``TreeWriter``. The node in a draw key is not the array index:
 it counts, in pre-order, only the nodes that reach the draw, so a leaf
 cut off by purity, size or depth takes no id.
+
+The trees of one fit grow in lockstep. Each tree keeps its own stack of
+pending nodes and pops them in pre-order, left child first, writing the
+nodes that are cut off as leaves, until it reaches a node that draws. One
+step gathers that node from every live tree and finds all their best
+splits with one set of numpy calls over the concatenated rows (node-local
+bounds by ``reduceat``, thresholds, class counts, Gini, a per-node
+argmax). A short Python pass then writes each split into its tree and
+pushes the children. The draws stay per tree and in pre-order, because a
+node's id, and so its hashes, depend on how many nodes before it in its
+own tree reached the draw: a level-by-level or cross-tree numbering would
+draw different numbers. Each tree also keeps its own importance row,
+summed in its own pre-order, so every result equals a tree built alone.
 """
 from __future__ import annotations
 
 import json
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -89,79 +103,174 @@ def _node_draws(
     return candidates, unit_uniforms(thr_base[:, None], keys[candidates])
 
 
-def _build_tree(
+class _GrowingTree:
+    """One tree of a lockstep build: its writer, its stack of pending nodes,
+    its importance row and its own draw-id counter and draw blocks."""
+
+    __slots__ = ("nodes", "stack", "importances", "tree_hash", "blocks", "next_id")
+
+    def __init__(self, tree_hash: int, importances: np.ndarray, root: tuple[np.ndarray, int]) -> None:
+        self.nodes = TreeWriter()
+        # (rows, class-1 count, depth, parent whose right child this is, or -1)
+        self.stack: list[tuple[np.ndarray, int, int, int]] = [(*root, 0, -1)]
+        self.importances = importances
+        self.tree_hash = tree_hash
+        self.blocks: list[tuple[np.ndarray, np.ndarray]] = []  # (candidates, draws) per _DRAW_BLOCK ids
+        self.next_id = 0
+
+    def next_draw(
+        self, keys: np.ndarray, n_candidates: int, min_split: int, max_depth: int | None
+    ) -> tuple[int, np.ndarray, int, int, np.ndarray, np.ndarray] | None:
+        """Write pending nodes in pre-order up to the first that draws, and
+        return it as (index, rows, class-1 count, depth, candidates, draws);
+        None once the tree is complete."""
+        stack, nodes = self.stack, self.nodes
+        while stack:
+            rows, n1, depth, parent = stack.pop()
+            n_node = rows.size
+            i = nodes.add_leaf(n_node, depth)
+            if parent >= 0:
+                nodes.right[parent] = i
+            if n1 == 0 or n1 == n_node or n_node < min_split or (max_depth is not None and depth >= max_depth):
+                continue
+            # depth-first pre-order ids of the nodes that draw: they decide
+            # which hashes a node draws, so a leaf cut off above takes none
+            block, slot = divmod(self.next_id, _DRAW_BLOCK)
+            if block == len(self.blocks):
+                self.blocks.append(_node_draws(self.tree_hash, self.next_id, _DRAW_BLOCK, keys, n_candidates))
+            self.next_id += 1
+            candidates, draws = self.blocks[block]
+            return i, rows, n1, depth, candidates[slot], draws[slot]
+        return None
+
+
+def _best_splits(
+    X: np.ndarray, rows: Sequence[np.ndarray], n1: Sequence[int], candidates: np.ndarray, draws: np.ndarray
+) -> tuple[list[tuple[float, int, float, int, int]], np.ndarray, np.ndarray]:
+    """The best candidate split of every node in a batch, in one set of numpy calls.
+
+    Node ``b`` holds ``rows[b]``, its ``n1[b]`` class-1 rows first, and
+    draws candidate columns ``candidates[b]`` with threshold uniforms
+    ``draws[b]``. Returns, per node, the best candidate's impurity
+    decrease (not finite when no candidate splits), its column, its
+    threshold, and the size and class-1 count of its left side; then the
+    rows that go left and the rows that go right, each concatenated in
+    node order, so each child's class-1 rows still come first.
+
+    The work arrays hold one row per candidate slot and one column per
+    row of the batch (or per node), so every reduction runs along
+    contiguous memory.
+    """
+    k = candidates.shape[1]
+    # the class-1 rows, then the class-0 rows, of each node: both classes
+    # are present at a node that draws, so no part is empty
+    part_sizes = np.array([size for r, a in zip(rows, n1) for size in (a, r.size - a)])
+    sizes = part_sizes[0::2] + part_sizes[1::2]
+    parts = np.cumsum(part_sizes) - part_sizes
+    starts = parts[0::2]
+    rows_all = np.concatenate(rows)
+    # X[rows_all, candidates of each row's node].T, gathered from the flat matrix
+    sub = X.ravel().take(rows_all * X.shape[1] + candidates.T.repeat(sizes, axis=1))
+    lo = np.minimum.reduceat(sub, starts, axis=1)
+    hi = np.maximum.reduceat(sub, starts, axis=1)
+    # a draw that rounds onto lo moves to the next float above it
+    thresholds = np.maximum(lo + (hi - lo) * draws.T, np.nextafter(lo, hi))
+    left_masks = sub < thresholds.repeat(sizes, axis=1)
+    # per candidate, its left sides and then its right sides; per node, a
+    # column of class-1 counts and a column of class-0 counts. The counts
+    # are exact integers, whatever the order they are summed in.
+    counts = np.empty((2 * k, parts.size))
+    np.add.reduceat(left_masks, parts, axis=1, dtype=np.float64, out=counts[:k])
+    np.subtract(part_sizes, counts[:k], out=counts[k:])
+    c1 = counts[:, 0::2]
+    c0 = counts[:, 1::2]
+    # the same Gini terms as _gini_counts for all sides at once, weighted by side size
+    side_sizes = c0 + c1
+    p0 = c0 / side_sizes
+    p0 *= p0
+    p1 = c1 / side_sizes
+    p1 *= p1
+    side = side_sizes * (1.0 - p0 - p1)
+    child_gini = (side[:k] + side[k:]) / sizes
+    node_counts = part_sizes.astype(np.float64)
+    parent_gini = _gini_counts(node_counts[1::2], node_counts[0::2])
+    decrease = np.where(hi > lo, parent_gini - child_gini, -np.inf)
+
+    best = decrease.argmax(axis=0)
+    nodes = np.arange(best.size)
+    at = (best, nodes)  # each node's best candidate in the (candidate, node) arrays
+    # each row's left mask at its node's best candidate
+    goes_left = left_masks.ravel().take(best.repeat(sizes) * rows_all.size + np.arange(rows_all.size))
+    splits = [
+        (dec, column, thr, int(n), int(a))
+        for dec, column, thr, n, a in zip(
+            decrease[at].tolist(),
+            candidates[nodes, best].tolist(),
+            thresholds[at].tolist(),
+            side_sizes[at].tolist(),
+            c1[at].tolist(),
+        )
+    ]
+    return splits, rows_all[goes_left], rows_all[~goes_left]
+
+
+def _build_trees(
     X: np.ndarray,
     y: np.ndarray,
     keys: np.ndarray,
     params: ExtraTreesParams,
-    tree_index: int,
-    importances: np.ndarray,
-) -> ITree:
-    n_total = X.shape[0]
-    d = X.shape[1]
+    tree_indices: Sequence[int],
+    importances: Sequence[np.ndarray],
+) -> list[ITree]:
+    """Grow the trees ``tree_indices`` in lockstep, adding each tree's
+    weighted impurity decreases into its row of ``importances``.
+
+    Each step takes the next drawing node of every live tree and splits
+    all of them with one ``_best_splits`` call; each tree's nodes, draws
+    and importance sums still follow that tree's own pre-order.
+    """
+    n_total, d = X.shape
     n_candidates = max(1, math.ceil(math.sqrt(d)))
-    # a row of class-0 and a row of class-1 indicators: their products with a
-    # mask count each class among the rows the mask selects
-    class_weights = np.stack((y == 0, y == 1)).astype(np.float64)
-    max_depth = params.max_depth
-    min_split = params.min_samples_split
-    # hash64 is a left fold: each node only folds its id and a tag onto this
-    tree_hash = int(hash64(params.seed, tree_index))
-    blocks: list[tuple[np.ndarray, np.ndarray]] = []  # (candidates, draws) per _DRAW_BLOCK ids
-    nodes = TreeWriter()
-    next_id = 0
-
-    def build(rows: np.ndarray, n1: int, depth: int) -> int:
-        nonlocal next_id
-        n_node = rows.size
-        i = nodes.add_leaf(n_node, depth)
-        if n1 == 0 or n1 == n_node or n_node < min_split or (max_depth is not None and depth >= max_depth):
-            return i
-
-        # depth-first pre-order ids of the nodes that draw: they decide which
-        # hashes a node draws, so a leaf cut off above takes none
-        node_id = next_id
-        next_id += 1
-        block, slot = divmod(node_id, _DRAW_BLOCK)
-        if block == len(blocks):
-            blocks.append(_node_draws(tree_hash, node_id, _DRAW_BLOCK, keys, n_candidates))
-        block_candidates, block_draws = blocks[block]
-        candidates = block_candidates[slot]
-        sub = X.take(rows, axis=0).take(candidates, axis=1)
-        lo = sub.min(axis=0)
-        hi = sub.max(axis=0)
-        # a draw that rounds onto lo moves to the next float above it
-        thresholds = np.maximum(lo + (hi - lo) * block_draws[slot], np.nextafter(lo, hi))
-        left_masks = sub < thresholds
-        # class counts [n0, n1] of each side, left sides first, and the same
-        # Gini terms as _gini_counts for all 2k sides at once
-        counts = class_weights[:, rows] @ np.concatenate((left_masks, ~left_masks), axis=1)
-        sizes = counts[0] + counts[1]
-        p = counts / sizes
-        p *= p
-        side = sizes * (1.0 - p[0] - p[1])
-        child_gini = (side[:n_candidates] + side[n_candidates:]) / n_node
-        decrease = np.where(hi > lo, _gini_counts(float(n_node - n1), float(n1)) - child_gini, -np.inf)
-
-        best = int(decrease.argmax())
-        local_decrease = float(decrease[best])
-        if not math.isfinite(local_decrease):
-            return i
-        feature = int(candidates[best])
-        mask = left_masks[:, best]
-        importances[feature] += (n_node / n_total) * local_decrease
-        n1_left = int(counts[1, best])
-        nodes.feature[i] = feature
-        nodes.threshold[i] = float(thresholds[best])
-        nodes.left[i] = build(rows[mask], n1_left, depth + 1)
-        nodes.right[i] = build(rows[~mask], n1 - n1_left, depth + 1)
-        return i
-
+    X = np.ascontiguousarray(X)  # _best_splits gathers from X.ravel(), which must not copy
+    # every node's rows list its class-1 rows first; the children keep that
+    # order, as each takes its rows from the parent's in order
+    is_one = y == 1
+    root = (np.concatenate((np.flatnonzero(is_one), np.flatnonzero(~is_one))), int(is_one.sum()))
+    # hash64 is a left fold: each node only folds its id and a tag onto a tree's hash
+    trees = [_GrowingTree(int(hash64(params.seed, t)), acc, root) for t, acc in zip(tree_indices, importances)]
+    live = trees
     # an empty side's Gini is 0/0 = nan: masked to -inf for a constant
     # candidate, and otherwise picked by argmax, which leaves the node a leaf
     with np.errstate(invalid="ignore", divide="ignore"):
-        build(np.arange(n_total), int(y.sum()), 0)
-    return nodes.tree()
+        while live:
+            batch = []
+            for tree in live:
+                node = tree.next_draw(keys, n_candidates, params.min_samples_split, params.max_depth)
+                if node is not None:
+                    batch.append((tree, *node))
+            if not batch:
+                break
+            live = [entry[0] for entry in batch]
+            _, _, rows, n1, _, candidates, draws = zip(*batch)
+            splits, left_rows, right_rows = _best_splits(X, rows, n1, np.array(candidates), np.array(draws))
+            at_left = at_right = 0
+            for (tree, i, node_rows, node_n1, depth, _, _), split in zip(batch, splits):
+                decrease, feature, threshold, n_left, n1_left = split
+                n_node = node_rows.size
+                left = left_rows[at_left : at_left + n_left]
+                right = right_rows[at_right : at_right + n_node - n_left]
+                at_left += n_left
+                at_right += n_node - n_left
+                if not math.isfinite(decrease):
+                    continue
+                tree.importances[feature] += (n_node / n_total) * decrease
+                tree.nodes.feature[i] = feature
+                tree.nodes.threshold[i] = threshold
+                # the left child is this tree's next node in pre-order
+                tree.nodes.left[i] = i + 1
+                tree.stack.append((right, node_n1 - n1_left, depth + 1, i))
+                tree.stack.append((left, n1_left, depth + 1, -1))
+    return [tree.nodes.tree() for tree in trees]
 
 
 def fit_extra_trees(
@@ -176,6 +285,10 @@ def fit_extra_trees(
     y = np.asarray(y, dtype=np.int64)
     if X.ndim != 2 or X.shape[0] == 0 or X.shape[1] == 0:
         raise IsoguardError(f"expected a non-empty 2-D matrix, got shape {X.shape}")
+    if not np.isfinite(X).all():
+        raise IsoguardError("the feature matrix holds NaN or infinite values")
+    if params.n_trees < 1:
+        raise IsoguardError(f"n_trees must be >= 1, got {params.n_trees}")
     if y.shape != (X.shape[0],):
         raise IsoguardError("label vector length must match row count")
     if not np.isin(y, (0, 1)).all():
@@ -187,14 +300,11 @@ def fit_extra_trees(
     if keys.shape != (d,):
         raise IsoguardError("feature_keys must provide one key per column")
 
-    # trees are built serially: the build is GIL-bound Python, so threads only add overhead
-    trees: list[ITree] = []
-    tree_importances: list[np.ndarray | None] = []
-    for i in range(params.n_trees):
-        acc = np.zeros(d, dtype=np.float64)
-        trees.append(_build_tree(X, y, keys, params, i, acc))
-        total = acc.sum()
-        tree_importances.append(acc / total if total > 0.0 else None)
+    # the trees grow together in one thread: a lockstep step is a handful of
+    # numpy calls plus per-node Python that holds the GIL, so threads only add overhead
+    acc = np.zeros((params.n_trees, d), dtype=np.float64)
+    trees = _build_trees(X, y, keys, params, range(params.n_trees), acc)
+    tree_importances = [row / total if (total := row.sum()) > 0.0 else None for row in acc]
     return ExtraTreesEstimator(params=params, n_features=d, trees=trees, tree_importances=tree_importances)
 
 

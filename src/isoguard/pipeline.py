@@ -118,10 +118,12 @@ def config_from_dict(doc: dict) -> PipelineConfig:
 
 def load_config(path: str | Path) -> PipelineConfig:
     path = Path(path)
-    if not path.exists():
+    if not path.is_file():
         raise IsoguardError(f"no such config file: {path}")
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
+    except UnicodeDecodeError:
+        raise IsoguardError(f"{path}: config is not UTF-8 text") from None
     except json.JSONDecodeError as e:
         raise IsoguardError(f"{path}: invalid JSON: {e}") from None
     if not isinstance(doc, dict):
@@ -176,9 +178,11 @@ def _read_verdict_labels(path: Path, train: Dataset) -> np.ndarray:
     """Verdict labels of ``train``'s rows; the row counts must agree."""
     with open(_artifact(path, "detect"), newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        next(reader, None)  # the header; an empty file has no rows either, and fails the count below
         try:
+            next(reader, None)  # the header; an empty file has no rows either, and fails the count below
             labels = np.array([int(rec[3]) for rec in reader], dtype=np.int64)
+        except UnicodeDecodeError:
+            raise IsoguardError(f"{path.name}: not UTF-8 text; rerun the detect stage") from None
         except (IndexError, ValueError):
             raise IsoguardError(
                 f"{path.name}: malformed verdict row at line {reader.line_num}; rerun the detect stage"

@@ -2,6 +2,9 @@ import functools
 import json
 import operator
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -75,6 +78,47 @@ class TestDispatch:
         code = cli_dispatch(["pipeline", "--config", str(cfg_path), "--seed", "1", "--out", str(tmp_path / "o")])
         assert code == 2
         assert "error" in capsys.readouterr().err
+
+    def test_config_directory_exits_2(self, tmp_path, capsys):
+        cfg_dir = tmp_path / "cfgdir"
+        cfg_dir.mkdir()
+        assert cli_dispatch(["pipeline", "--config", str(cfg_dir), "--seed", "1", "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert f"no such config file: {cfg_dir}" in err
+        assert "Errno" not in err
+
+    def test_config_not_utf8_exits_2(self, tmp_path, capsys):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_bytes(b'\xff\xfe{"input": "data.csv"}')
+        assert cli_dispatch(["pipeline", "--config", str(cfg_path), "--seed", "1", "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert f"{cfg_path}: config is not UTF-8 text" in err
+        assert "Traceback" not in err
+
+    def test_input_not_utf8_exits_2(self, workspace, capsys):
+        tmp_path, cfg_path = workspace
+        csv_path = tmp_path / "input.csv"
+        lines = csv_path.read_bytes().split(b"\n")
+        lines[3] = b"\xff" + lines[3][lines[3].index(b","):]
+        csv_path.write_bytes(b"\n".join(lines))
+        assert cli_dispatch(["pipeline", "--config", str(cfg_path), "--seed", "1", "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert f"ingest: {csv_path}: not UTF-8 text" in err
+        assert "Traceback" not in err
+
+    def test_module_entry_point_runs_main(self, tmp_path):
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        missing = tmp_path / "nonexistent.json"
+        result = subprocess.run(
+            [sys.executable, "-m", "isoguard.cli", "pipeline", "--config", str(missing), "--seed", "1", "--out", "o"],
+            cwd=tmp_path,
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert result.returncode == 2
+        assert f"no such config file: {missing}" in result.stderr
 
     def test_stage_chain_matches_pipeline(self, workspace):
         tmp_path, cfg_path = workspace
@@ -328,7 +372,8 @@ class TestCorruptArtifacts:
 def _edit_csv(path, edit):
     rows = [line.split(",") for line in path.read_text(encoding="utf-8").splitlines()]
     edit(rows)
-    path.write_text("".join(",".join(row) + "\n" for row in rows), encoding="utf-8")
+    # a lone surrogate cell such as "\udcff" is written as the raw byte 0xff, which is not UTF-8
+    path.write_text("".join(",".join(row) + "\n" for row in rows), encoding="utf-8", errors="surrogateescape")
 
 
 def _set_cell(row, col, value):
@@ -359,6 +404,10 @@ CSV_CORRUPTIONS = [
     ("label-2", "evaluate", "verdicts_train.csv", _set_labels("2", 1), "verdicts_train.csv: verdict label 2 is not"),
     ("empty-verdicts-train", "train", "verdicts_train.csv", list.clear, "verdicts_train.csv has 0 verdict rows"),
     ("empty-verdicts-evaluate", "evaluate", "verdicts_train.csv", list.clear, "verdicts_train.csv has 0 verdict rows"),
+    # {out} stands for the run directory, which the loaders name in full
+    ("not-utf8-train", "select", "train.csv", _set_cell(3, 1, "\udcff"), "{out}/train.csv: not UTF-8 text"),
+    ("not-utf8-test", "detect", "test.csv", _set_cell(2, 4, "\udcff"), "{out}/test.csv: not UTF-8 text"),
+    ("not-utf8-verdicts", "train", "verdicts_train.csv", _set_cell(2, 0, "\udcff"), "verdicts_train.csv: not UTF-8 text"),
 ]
 
 
@@ -375,7 +424,7 @@ class TestCorruptCsvArtifacts:
         capsys.readouterr()
         assert cli_dispatch([stage] + args) == 2
         err = capsys.readouterr().err
-        assert f"{stage}: {message}" in err
+        assert f"{stage}: {message.format(out=out)}" in err
         assert "Traceback" not in err
 
 

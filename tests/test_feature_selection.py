@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from types import SimpleNamespace
@@ -13,7 +14,7 @@ from isoguard.feature_selection import (
     ExtraTreesEstimator,
     ExtraTreesParams,
     RfeResult,
-    _build_tree,
+    _build_trees,
     feature_importances,
     fit_extra_trees,
     load_rfe,
@@ -47,6 +48,19 @@ class TestFitExtraTrees:
     def test_empty_matrix_rejected(self):
         with pytest.raises(IsoguardError, match="non-empty"):
             fit_extra_trees(np.empty((0, 3)), np.empty(0, dtype=int))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, value):
+        X, y = separable_data(np.random.default_rng(6), n=50, d=4)
+        X[17, 2] = value
+        with pytest.raises(IsoguardError, match="NaN or infinite"):
+            fit_extra_trees(X, y, ExtraTreesParams(n_trees=2, seed=1))
+
+    @pytest.mark.parametrize("n_trees", [0, -1])
+    def test_no_trees_rejected(self, n_trees):
+        X, y = separable_data(np.random.default_rng(6), n=50, d=4)
+        with pytest.raises(IsoguardError, match="n_trees must be >= 1"):
+            fit_extra_trees(X, y, ExtraTreesParams(n_trees=n_trees))
 
     def test_deterministic(self):
         rng = np.random.default_rng(1)
@@ -429,6 +443,12 @@ def oracle_cases():
     return cases
 
 
+def deep_data():
+    """Random labels on 600 rows: every tree passes more than 2 * _DRAW_BLOCK split nodes."""
+    rng = np.random.default_rng(8)
+    return rng.normal(size=(600, 5)), rng.integers(0, 2, size=600)
+
+
 class TestBuildTreeOracle:
     @pytest.mark.parametrize("case", range(len(oracle_cases())))
     def test_trees_and_importances_equal_the_oracle(self, case):
@@ -440,7 +460,7 @@ class TestBuildTreeOracle:
             want_imp = np.zeros(d)
             want = oracle_build_tree(X, y, keys, params, i, want_imp)
             got_imp = np.zeros(d)
-            got = _build_tree(X, y, keys, params, i, got_imp)
+            [got] = _build_trees(X, y, keys, params, [i], [got_imp])
             assert preorder(got) == want
             assert np.array_equal(got_imp, want_imp)
             assert preorder(est.trees[i]) == want
@@ -463,11 +483,31 @@ class TestBuildTreeOracle:
 
     def test_deep_tree_crosses_node_draw_blocks(self):
         # more than two blocks of split nodes, so later node ids draw from later blocks
-        rng = np.random.default_rng(8)
-        X = rng.normal(size=(600, 5))
-        y = rng.integers(0, 2, size=600)
+        X, y = deep_data()
         keys = np.arange(5, dtype=np.uint64)
         params = ExtraTreesParams(n_trees=1, seed=3)
         want = oracle_build_tree(X, y, keys, params, 0, np.zeros(5))
         assert sum(feature != -1 for feature, _, _ in want) > 2 * _DRAW_BLOCK
-        assert preorder(_build_tree(X, y, keys, params, 0, np.zeros(5))) == want
+        [got] = _build_trees(X, y, keys, params, [0], [np.zeros(5)])
+        assert preorder(got) == want
+
+    def test_lockstep_trees_equal_trees_built_alone(self):
+        X, y = deep_data()
+        cases = oracle_cases() + [(X, y, None, ExtraTreesParams(n_trees=3, seed=12))]
+        split_counts = []
+        for X, y, keys, params in cases:
+            d = X.shape[1]
+            keys = np.arange(d, dtype=np.uint64) if keys is None else keys
+            together_imp = np.zeros((params.n_trees, d))
+            together = _build_trees(X, y, keys, params, range(params.n_trees), together_imp)
+            split_counts.append([np.count_nonzero(tree.feature != -1) for tree in together])
+            for i, tree in enumerate(together):
+                alone_imp = np.zeros(d)
+                [alone] = _build_trees(X, y, keys, params, [i], [alone_imp])
+                for f in dataclasses.fields(ITree):
+                    assert np.array_equal(getattr(tree, f.name), getattr(alone, f.name)), f.name
+                assert np.array_equal(together_imp[i], alone_imp)
+        # some tree finishes while others in its fit still step
+        assert any(len(set(counts)) > 1 for counts in split_counts)
+        # the last case: each of its trees crosses more than two draw blocks
+        assert min(split_counts[-1]) > 2 * _DRAW_BLOCK
