@@ -143,6 +143,8 @@ class GaussianNbModel:
 def gnb_fit(X, y, var_smoothing: float = 1e-9) -> GaussianNbModel:
     X = _as_matrix(X)
     y = _as_labels(y, X.shape[0])
+    if not var_smoothing > 0.0:
+        raise IsoguardError(f"var_smoothing must be > 0, got {var_smoothing}")
     if len(np.unique(y)) < 2:
         raise IsoguardError("Gaussian NB needs both classes in the training data")
     means = np.empty((2, X.shape[1]))
@@ -422,6 +424,10 @@ def _check_gnb(model: GaussianNbModel) -> None:
     _check_shape("priors", model.priors, (2,))
     _check_shape("means", model.means, (2, model.n_features))
     _check_shape("variances", model.variances, (2, model.n_features))
+    if not ((model.priors > 0.0) & (model.priors < 1.0)).all() or abs(model.priors.sum() - 1.0) > 1e-9:
+        raise IsoguardError(f"priors must each lie in (0, 1) and sum to 1, got {model.priors.tolist()}")
+    if not (model.variances > 0.0).all():
+        raise IsoguardError(f"variances must all be > 0, got {model.variances.min()}")
 
 
 def _check_linear(model: LogisticModel | LinearSvmModel) -> None:

@@ -25,15 +25,6 @@ class ColumnKind(Enum):
     NUMERIC = "numeric"
 
 
-def _parse_number(text: str) -> float | None:
-    """The finite float ``text`` spells, else None (``nan``, ``inf`` and ``1e999`` included)."""
-    try:
-        value = float(text)
-    except ValueError:
-        return None
-    return value if math.isfinite(value) else None
-
-
 @dataclass(frozen=True)
 class Dataset:
     """Feature table plus binary target labels (0 = normal, 1 = anomaly).
@@ -91,15 +82,6 @@ class EncoderState:
             raise IsoguardError(f"unseen category {value!r} in column {column!r}")
         return code
 
-    def decode(self, column: str, code: int) -> str:
-        mapping = self.mappings.get(column)
-        if mapping is None:
-            raise IsoguardError(f"encoder was not fitted for column {column!r}")
-        for category, c in mapping.items():
-            if c == code:
-                return category
-        raise IsoguardError(f"code {code} not assigned in column {column!r}")
-
 
 @dataclass(frozen=True)
 class ScalerState:
@@ -109,10 +91,6 @@ class ScalerState:
     means: np.ndarray
     stds: np.ndarray
 
-    @property
-    def constant_columns(self) -> tuple[str, ...]:
-        return tuple(name for name, s in zip(self.feature_names, self.stds) if s == 0.0)
-
 
 @dataclass(frozen=True)
 class SplitSpec:
@@ -121,25 +99,16 @@ class SplitSpec:
     stratified: bool = True
 
 
-def load_csv(
-    path: str | Path,
-    schema: dict[str, ColumnKind] | None = None,
-    target_column: str = "class",
-) -> Dataset:
+def load_csv(path: str | Path, target_column: str = "class") -> Dataset:
     """Load an RFC-4180 CSV with header row into a Dataset.
 
-    Column kinds are inferred unless declared in ``schema``: a feature
-    column whose every value parses as a number is Numeric, anything else
-    is Nominal. The target column must have exactly two distinct values;
-    they map to 0/1 with "normal" (case-insensitive) taking 0, literal
-    "0"/"1" kept as-is, and otherwise the lexicographically smaller value
-    taking 0. Missing cells and ragged rows are errors.
-
-    A column not declared Nominal is first parsed in one pass with
-    ``float``; when every value is a finite float that is the result,
-    since ``float`` and the per-cell parse agree on finite values. A
-    column with any non-number or non-finite value (``nan``, ``inf``,
-    ``1e999``) falls back to the per-cell parse, which decides its kind.
+    A feature column whose every cell is a finite number (as ``float``
+    reads it) is Numeric; any other column, including one holding ``nan``,
+    ``inf`` or ``1e999``, is Nominal and keeps its strings. The target
+    column must have exactly two distinct values; they map to 0/1 with
+    "normal" (case-insensitive) taking 0, literal "0"/"1" kept as-is, and
+    otherwise the lexicographically smaller value taking 0. Missing cells
+    and ragged rows are errors.
     """
     path = Path(path)
     if not path.is_file():
@@ -178,39 +147,18 @@ def load_csv(
     n = len(records)
     kinds: list[ColumnKind] = []
     data_cols: list[np.ndarray] = []
-    for name, values in zip(feature_names, columns):
-        declared = schema.get(name) if schema else None
-        if declared is not ColumnKind.NOMINAL:
-            try:
-                numbers = np.fromiter(map(float, values), np.float64, count=n)
-            except ValueError:
-                numbers = None
-            if numbers is not None and np.isfinite(numbers).all():
-                kinds.append(ColumnKind.NUMERIC)
-                data_cols.append(numbers)
-                continue
-        parsed = [_parse_number(v) for v in values]
-        if declared is ColumnKind.NUMERIC:
-            for v, p in zip(values, parsed):
-                if p is None:
-                    raise IsoguardError(f"{path}: column {name!r} declared numeric but holds {v!r}")
-            kind = ColumnKind.NUMERIC
-        elif declared is ColumnKind.NOMINAL:
-            kind = ColumnKind.NOMINAL
+    for values in columns:
+        try:
+            numbers = np.fromiter(map(float, values), np.float64, count=n)
+        except ValueError:
+            numbers = None
+        if numbers is not None and np.isfinite(numbers).all():
+            kinds.append(ColumnKind.NUMERIC)
+            data_cols.append(numbers)
         else:
-            kind = ColumnKind.NUMERIC if all(p is not None for p in parsed) else ColumnKind.NOMINAL
-        kinds.append(kind)
-        if kind is ColumnKind.NUMERIC:
-            data_cols.append(np.array(parsed, dtype=np.float64))
-        else:
+            kinds.append(ColumnKind.NOMINAL)
             data_cols.append(np.array(values, dtype=object))
-
-    if any(k is ColumnKind.NOMINAL for k in kinds):
-        rows = np.empty((len(records), len(feature_names)), dtype=object)
-        for j, col in enumerate(data_cols):
-            rows[:, j] = col
-    else:
-        rows = np.column_stack(data_cols) if data_cols else np.empty((len(records), 0))
+    rows = np.column_stack(data_cols) if data_cols else np.empty((n, 0))
 
     return Dataset(
         feature_names=feature_names,

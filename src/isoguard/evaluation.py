@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .codec import to_doc
 from .data import write_table
 from .errors import IsoguardError
 
@@ -249,24 +250,11 @@ def render_table(report: ComparisonReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _metricset_dict(m: MetricSet) -> dict:
-    return {
-        "precision": m.precision,
-        "recall": m.recall,
-        "accuracy": m.accuracy,
-        "f1": m.f1,
-        "degenerate": list(m.degenerate),
-    }
-
-
 def _evaluation_dict(ev: ClassifierEvaluation) -> dict:
-    return {
-        "confusion": {"tp": ev.confusion.tp, "tn": ev.confusion.tn, "fp": ev.confusion.fp, "fn": ev.confusion.fn},
-        "anomaly_positive": _metricset_dict(ev.anomaly_positive),
-        "normal_positive": _metricset_dict(ev.normal_positive),
-        "weighted": _metricset_dict(ev.weighted),
-        "auc": ev.roc.auc,
-    }
+    """``ev``'s fields, with the ROC curve reduced to its AUC."""
+    doc = to_doc(ev)
+    doc["auc"] = doc.pop("roc")["auc"]
+    return doc
 
 
 def report_to_json(report: ComparisonReport) -> str:

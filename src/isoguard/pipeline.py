@@ -180,22 +180,23 @@ def _read_verdict_labels(path: Path, train: Dataset) -> np.ndarray:
         reader = csv.reader(fh)
         try:
             next(reader, None)  # the header; an empty file has no rows either, and fails the count below
-            labels = np.array([int(rec[3]) for rec in reader], dtype=np.int64)
+            labels = [int(rec[3]) for rec in reader]
         except UnicodeDecodeError:
             raise IsoguardError(f"{path.name}: not UTF-8 text; rerun the detect stage") from None
         except (IndexError, ValueError):
             raise IsoguardError(
                 f"{path.name}: malformed verdict row at line {reader.line_num}; rerun the detect stage"
             ) from None
-    bad = labels[(labels != 1) & (labels != -1)]
-    if bad.size:
-        raise IsoguardError(f"{path.name}: verdict label {bad[0]} is not 1 or -1; rerun the detect stage")
-    if labels.size != train.n_rows:
+    # checked as Python ints, so a label too large for int64 is named rather than overflowing
+    bad = next((v for v in labels if v not in (1, -1)), None)
+    if bad is not None:
+        raise IsoguardError(f"{path.name}: verdict label {bad} is not 1 or -1; rerun the detect stage")
+    if len(labels) != train.n_rows:
         raise IsoguardError(
-            f"{path.name} has {labels.size} verdict rows but train.csv has {train.n_rows} rows; "
+            f"{path.name} has {len(labels)} verdict rows but train.csv has {train.n_rows} rows; "
             "rerun the detect stage"
         )
-    return labels
+    return np.array(labels, dtype=np.int64)
 
 
 def emit_scatter(

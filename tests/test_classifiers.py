@@ -607,6 +607,12 @@ MODEL_CORRUPTIONS = [
     ("nb", _set("priors", [0.5, 0.3, 0.2]), "priors has shape (3,), expected (2,)"),
     ("nb", _set("means", lambda d: d["means"][:1]), "means has shape (1, 3), expected (2, 3)"),
     ("nb", _set("variances", lambda d: [row + [1.0] for row in d["variances"]]), "variances has shape (2, 4)"),
+    ("nb", _set("priors", [0.0, 1.0]), "priors must each lie in (0, 1) and sum to 1, got [0.0, 1.0]"),
+    ("nb", _set("priors", [2.0, 2.0]), "priors must each lie in (0, 1) and sum to 1, got [2.0, 2.0]"),
+    ("nb", _set("variances", lambda d: [[0.0] + d["variances"][0][1:], d["variances"][1]]),
+     "variances must all be > 0, got 0.0"),
+    ("nb", _set("variances", lambda d: [d["variances"][0], [-1.0] + d["variances"][1][1:]]),
+     "variances must all be > 0, got -1.0"),
     ("knn", _set("X", lambda d: [row[:2] for row in d["X"]]), "X has shape (50, 2), expected (50, 3)"),
     ("knn", _set("y", lambda d: d["y"][:-1]), "X has shape (50, 3), expected (49, 3)"),
     ("knn", _set("y", lambda d: [[v] for v in d["y"]]), "y has shape (50, 1), expected (50,)"),

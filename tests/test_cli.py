@@ -233,6 +233,19 @@ class TestConfigMistypes:
         assert "synthetic.n_normal must be an integer, got '50'" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("smoothing", [0.0, -1.0])
+    def test_non_positive_nb_smoothing_stops_train(self, workspace, capsys, smoothing):
+        tmp_path, cfg_path = workspace
+        doc = json.loads(cfg_path.read_text())
+        _set_field(doc, "classifiers.nb_var_smoothing", smoothing)
+        cfg_path.write_text(json.dumps(doc))
+        out = tmp_path / "run"
+        assert cli_dispatch(["pipeline", "--config", str(cfg_path), "--seed", "3", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"train: var_smoothing must be > 0, got {smoothing}" in err
+        assert "Traceback" not in err
+        assert not (out / "model_nb.json").exists()
+
 
 class TestArtifactMismatch:
     @pytest.mark.parametrize("stage", ["train", "evaluate"])
@@ -402,6 +415,8 @@ CSV_CORRUPTIONS = [
     ("renamed-column", "train", "train.csv", _set_cell(0, 2, "renamed"), "train.csv: feature columns differ from"),
     ("label-0", "train", "verdicts_train.csv", _set_labels("0"), "verdicts_train.csv: verdict label 0 is not 1 or -1"),
     ("label-2", "evaluate", "verdicts_train.csv", _set_labels("2", 1), "verdicts_train.csv: verdict label 2 is not"),
+    ("label-huge", "train", "verdicts_train.csv", _set_labels("99999999999999999999", 1),
+     "verdicts_train.csv: verdict label 99999999999999999999 is not 1 or -1"),
     ("empty-verdicts-train", "train", "verdicts_train.csv", list.clear, "verdicts_train.csv has 0 verdict rows"),
     ("empty-verdicts-evaluate", "evaluate", "verdicts_train.csv", list.clear, "verdicts_train.csv has 0 verdict rows"),
     # {out} stands for the run directory, which the loaders name in full
