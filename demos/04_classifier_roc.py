@@ -44,6 +44,6 @@ print("\nROC staircase for NB (fpr, tpr at each distinct score):")
 ev = evaluate_predictions(
     y_test, predict_model(models["NB"], X_test), score_model(models["NB"], X_test)
 )
-step = max(1, len(ev.roc.points) // 10)
-for fpr, tpr in ev.roc.points[::step]:
+step = max(1, ev.roc.fpr.size // 10)
+for fpr, tpr in zip(ev.roc.fpr[::step], ev.roc.tpr[::step]):
     print(f"  fpr={fpr:.3f}  tpr={tpr:.3f}  {'*' * int(round(40 * tpr))}")

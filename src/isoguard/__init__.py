@@ -60,7 +60,6 @@ from .iforest import (
     harmonic_number,
     mean_path_lengths,
     predict,
-    score,
     score_batch,
 )
 from .pipeline import PipelineConfig, load_config, run_pipeline, run_synth

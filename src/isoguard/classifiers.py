@@ -87,6 +87,9 @@ def knn_fit(X, y, k: int = 5) -> KnnModel:
     return KnnModel(k=k, X=X.copy(), y=y.copy(), n_features=X.shape[1])
 
 
+_KNN_CHUNK_BYTES = 4 << 20  # bytes of the float64 distance block (query rows x training rows) one chunk fills
+
+
 def _knn_positive_counts(model: KnnModel, X) -> np.ndarray:
     """Number of the k nearest training rows labeled 1, per query row."""
     X = _check_features(model.n_features, X)
@@ -96,7 +99,7 @@ def _knn_positive_counts(model: KnnModel, X) -> np.ndarray:
     counts = np.empty(X.shape[0], dtype=np.int64)
     train_sq = (train * train).sum(axis=1)
     positive = model.y == 1
-    chunk = max(1, int(2e7 // max(n_train, 1)))
+    chunk = max(1, _KNN_CHUNK_BYTES // (8 * max(n_train, 1)))
     for start in range(0, X.shape[0], chunk):
         q = X[start : start + chunk]
         # train_sq - 2.0 * (q @ train.T) + q_sq, same operations and order, without full-size temporaries

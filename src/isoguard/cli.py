@@ -13,27 +13,9 @@ from dataclasses import replace
 from pathlib import Path
 
 from .errors import IsoguardError
+from .evaluation import render_table
 from .parallel import worker_count
-from .pipeline import (
-    PipelineConfig,
-    config_to_json,
-    load_config,
-    run_pipeline,
-    run_synth,
-    stage_detect,
-    stage_evaluate,
-    stage_ingest,
-    stage_select,
-    stage_train,
-)
-
-STAGE_COMMANDS = {
-    "ingest": stage_ingest,
-    "select": stage_select,
-    "detect": stage_detect,
-    "train": stage_train,
-    "evaluate": stage_evaluate,
-}
+from .pipeline import PipelineConfig, load_config, run_pipeline, run_stage, run_synth
 
 
 class UsageError(Exception):
@@ -65,15 +47,8 @@ def build_parser() -> _Parser:
         p = sub.add_parser(name, help=text, add_help=True)
         common(p, config_required=True)
 
-    p = sub.add_parser("synth", help="generate a synthetic labeled dataset")
+    p = sub.add_parser("synth", help="generate a synthetic labeled dataset, sized by the config's 'synthetic' section")
     common(p, config_required=False)
-    p.add_argument("--n-normal", type=int, help="normal-class row count")
-    p.add_argument("--n-anomaly", type=int, help="anomaly-class row count")
-    p.add_argument("--n-informative", type=int, help="informative feature count")
-    p.add_argument("--n-noise", type=int, help="noise feature count")
-    p.add_argument("--separation", type=float, help="class cluster separation per informative feature")
-    p.add_argument("--magnitude", type=float, help="planted outlier coordinate magnitude")
-    p.add_argument("--outlier-fraction", type=float, help="fraction of rows replaced by planted outliers")
     return parser
 
 
@@ -99,31 +74,13 @@ def cli_dispatch(argv: list[str]) -> int:
         if args.command is None:
             raise UsageError(parser.format_usage() + "isoguard: error: a subcommand is required")
         worker_count()  # reject a bad ISOGUARD_THREADS before any stage writes an artifact
+        cfg = _resolve(args, need_input=args.command != "synth")
         if args.command == "synth":
-            cfg = _resolve(args, need_input=False)
-            overrides = {
-                "n_normal": args.n_normal,
-                "n_anomaly": args.n_anomaly,
-                "n_informative": args.n_informative,
-                "n_noise": args.n_noise,
-                "separation": args.separation,
-                "outlier_magnitude": args.magnitude,
-                "outlier_fraction": args.outlier_fraction,
-            }
-            spec = replace(cfg.synthetic, **{k: v for k, v in overrides.items() if v is not None})
-            cfg = replace(cfg, synthetic=spec)
-            path = run_synth(cfg)
-            print(path)
-            return 0
-        cfg = _resolve(args, need_input=True)
-        out = Path(cfg.out_dir)  # _resolve guarantees it is set
-        out.mkdir(parents=True, exist_ok=True)
-        if args.command == "pipeline":
-            report = run_pipeline(cfg)
-            print((out / "report.txt").read_text(encoding="utf-8"), end="")
-            return 0
-        (out / "config.resolved.json").write_text(config_to_json(cfg) + "\n", encoding="utf-8")
-        STAGE_COMMANDS[args.command](cfg, out)
+            print(run_synth(cfg))
+        elif args.command == "pipeline":
+            print(render_table(run_pipeline(cfg)), end="")
+        else:
+            run_stage(args.command, cfg)
         return 0
     except UsageError as e:
         print(str(e), file=sys.stderr)

@@ -43,8 +43,9 @@ class MetricSet:
 
 @dataclass(frozen=True)
 class RocCurve:
-    thresholds: tuple[float, ...]
-    points: tuple[tuple[float, float], ...]  # (fpr, tpr), staircase from (0,0) to (1,1)
+    thresholds: np.ndarray  # +inf, then the distinct scores in descending order
+    fpr: np.ndarray  # with tpr, a staircase from (0, 0) to (1, 1)
+    tpr: np.ndarray
     auc: float
 
 
@@ -163,16 +164,12 @@ def roc(y_true, scores) -> RocCurve:
     group_sizes = group_ends + 1
     fp_cum = group_sizes - tp_cum
 
-    thresholds = [math.inf]
-    points = [(0.0, 0.0)]
-    for end, tp, fp in zip(group_ends, tp_cum, fp_cum):
-        thresholds.append(float(sorted_scores[end]))
-        points.append((fp / n_neg, tp / n_pos))
-
-    auc = 0.0
-    for (fpr0, tpr0), (fpr1, tpr1) in zip(points[:-1], points[1:]):
-        auc += (fpr1 - fpr0) * (tpr1 + tpr0) / 2.0
-    return RocCurve(thresholds=tuple(thresholds), points=tuple(points), auc=float(auc))
+    fpr = np.concatenate(([0.0], fp_cum / n_neg))
+    tpr = np.concatenate(([0.0], tp_cum / n_pos))
+    # the trapezoids summed left to right, as a running sum does; np.sum would pair them up
+    auc = np.add.accumulate(np.diff(fpr) * (tpr[1:] + tpr[:-1]) / 2.0)[-1]
+    thresholds = np.concatenate(([math.inf], sorted_scores[group_ends]))
+    return RocCurve(thresholds=thresholds, fpr=fpr, tpr=tpr, auc=float(auc))
 
 
 def evaluate_predictions(y_true, y_pred, scores) -> ClassifierEvaluation:
@@ -279,5 +276,4 @@ def report_to_json(report: ComparisonReport) -> str:
 
 def write_roc_csv(curve: RocCurve, path: str | Path) -> None:
     """ROC points as CSV rows of (threshold, fpr, tpr)."""
-    fpr, tpr = np.array(curve.points, dtype=np.float64).T
-    write_table(path, ["threshold", "fpr", "tpr"], [curve.thresholds, fpr, tpr])
+    write_table(path, ["threshold", "fpr", "tpr"], [curve.thresholds, curve.fpr, curve.tpr])

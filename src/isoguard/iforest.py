@@ -242,12 +242,6 @@ def score_batch(forest: IsolationForest, X: np.ndarray) -> tuple[np.ndarray, np.
     return np.power(2.0, -mean_h / c), mean_h
 
 
-def score(forest: IsolationForest, x: np.ndarray) -> AnomalyScore:
-    """Anomaly score of a single feature vector."""
-    s, mean_h = score_batch(forest, np.asarray(x, dtype=np.float64).reshape(1, -1))
-    return AnomalyScore(s=float(s[0]), mean_path_length=float(mean_h[0]))
-
-
 def label_scores(s: np.ndarray, threshold: float | None = None, contamination: float | None = None) -> np.ndarray:
     """Label every score +1 (normal) or -1 (outlier).
 

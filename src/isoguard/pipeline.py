@@ -51,6 +51,7 @@ from .prng import derive_seed
 from .synthetic import SyntheticSpec, generate_synthetic, write_injection_mask
 
 MODELS = ("knn", "svm", "nb", "lr", "abc")
+STAGES = ("ingest", "select", "detect", "train", "evaluate")
 
 
 @dataclass(frozen=True)
@@ -394,12 +395,25 @@ def stage_evaluate(cfg: PipelineConfig, out: Path) -> ComparisonReport:
         raise _stage_error("evaluate", e) from e
 
 
-def run_pipeline(cfg: PipelineConfig, out_dir: str | Path | None = None) -> ComparisonReport:
-    """Run every stage in order into one output directory."""
-    out = Path(out_dir if out_dir is not None else (cfg.out_dir or "."))
-    out.mkdir(parents=True, exist_ok=True)
+def _prepare_out(cfg: PipelineConfig) -> Path:
+    """The run's output directory, created, with ``config.resolved.json`` written in it."""
     _require_seed(cfg)
+    out = Path(cfg.out_dir or ".")
+    out.mkdir(parents=True, exist_ok=True)
     (out / "config.resolved.json").write_text(config_to_json(cfg) + "\n", encoding="utf-8")
+    return out
+
+
+def run_stage(name: str, cfg: PipelineConfig) -> ComparisonReport | None:
+    """Run the stage ``name`` (ingest, select, detect, train or evaluate) alone."""
+    if name not in STAGES:
+        raise IsoguardError(f"unknown stage {name!r}; expected one of {', '.join(STAGES)}")
+    return globals()[f"stage_{name}"](cfg, _prepare_out(cfg))  # the module global, as rebound if it is
+
+
+def run_pipeline(cfg: PipelineConfig) -> ComparisonReport:
+    """Run every stage in order into one output directory."""
+    out = _prepare_out(cfg)
     stage_ingest(cfg, out)
     stage_select(cfg, out)
     stage_detect(cfg, out)
@@ -407,14 +421,14 @@ def run_pipeline(cfg: PipelineConfig, out_dir: str | Path | None = None) -> Comp
     return stage_evaluate(cfg, out)
 
 
-def run_synth(cfg: PipelineConfig, out_dir: str | Path | None = None) -> Path:
+def run_synth(cfg: PipelineConfig) -> Path:
     """Generate the configured synthetic dataset; returns the CSV path."""
-    out = Path(out_dir if out_dir is not None else (cfg.out_dir or "."))
-    out.mkdir(parents=True, exist_ok=True)
     spec = cfg.synthetic
     if cfg.seed is not None:
         spec = replace(spec, seed=cfg.seed)
-    ds, mask = generate_synthetic(spec)
+    ds, mask = generate_synthetic(spec)  # a bad spec fails here, before the output directory exists
+    out = Path(cfg.out_dir or ".")
+    out.mkdir(parents=True, exist_ok=True)
     csv_path = out / "synthetic.csv"
     write_csv(ds, csv_path)
     write_injection_mask(mask, out / "synthetic_mask.csv")

@@ -38,6 +38,8 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[Dataset, np.ndarray]:
         raise IsoguardError("both class counts must be >= 1")
     if spec.n_informative < 1:
         raise IsoguardError("degenerate spec: need at least 1 informative feature")
+    if spec.n_noise < 0:
+        raise IsoguardError(f"n_noise must be >= 0, got {spec.n_noise}")
     if not 0.0 <= spec.outlier_fraction < 1.0:
         raise IsoguardError(f"outlier_fraction must be in [0, 1), got {spec.outlier_fraction}")
     rng = np.random.default_rng(derive_seed(spec.seed, "synthetic"))

@@ -23,7 +23,6 @@ from isoguard.iforest import (
     ITree,
     expected_path_length,
     fit_forest,
-    score,
     score_batch,
 )
 from isoguard.pipeline import (
@@ -69,9 +68,9 @@ class TestCriterion1ScoreNormalizationAnchor:
         # instance's mean path length equals c(m) exactly
         m = 64
         forest = fit_forest(np.full((m, 3), 2.0), t=25, m=m, seed=0)
-        anchored = score(forest, np.array([2.0, 2.0, 2.0]))
-        assert anchored.mean_path_length == pytest.approx(expected_path_length(m), abs=1e-12)
-        assert abs(anchored.s - 0.5) <= 1e-12
+        anchored, anchored_h = score_batch(forest, np.array([[2.0, 2.0, 2.0]]))
+        assert anchored_h[0] == pytest.approx(expected_path_length(m), abs=1e-12)
+        assert abs(anchored[0] - 0.5) <= 1e-12
 
         one_leaf = ITree(
             feature=np.array([-1]),
@@ -82,11 +81,11 @@ class TestCriterion1ScoreNormalizationAnchor:
             depth=np.array([0]),
         )
         shallow = IsolationForest(trees=[one_leaf] * 10, t=10, m=2, height_limit=1, seed=0, n_features=2)
-        unit = score(shallow, np.array([0.0, 0.0]))
-        assert unit.mean_path_length == 0.0
-        assert unit.s == 1.0
+        unit, unit_h = score_batch(shallow, np.array([[0.0, 0.0]]))
+        assert unit_h[0] == 0.0
+        assert unit[0] == 1.0
         elapsed = time.perf_counter() - start
-        print(f"criterion 1: s(E=c(m))={anchored.s!r}, s(E=0)={unit.s!r}, {elapsed:.3f}s")
+        print(f"criterion 1: s(E=c(m))={anchored[0]!r}, s(E=0)={unit[0]!r}, {elapsed:.3f}s")
         assert elapsed < 1.0
 
 

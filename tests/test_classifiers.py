@@ -178,6 +178,17 @@ class TestKnn:
         queries = np.vstack((X[:20], rng.integers(-3, 4, size=(40, 2)).astype(np.float64), rng.normal(size=(10, 2))))
         np.testing.assert_array_equal(_knn_positive_counts(model, queries), reference_knn_counts(model, queries))
 
+    @pytest.mark.parametrize("rows_per_chunk", [1, 3, 70])
+    def test_vote_counts_do_not_depend_on_the_chunk_size(self, monkeypatch, rows_per_chunk):
+        rng = np.random.default_rng(31)
+        X = rng.integers(-2, 3, size=(60, 2)).astype(np.float64)  # distance ties at the k-th place
+        model = knn_fit(X, rng.integers(0, 2, size=60), k=5)
+        queries = np.vstack((X[:20], rng.integers(-3, 4, size=(40, 2)).astype(np.float64), rng.normal(size=(10, 2))))
+        expected = _knn_positive_counts(model, queries)  # the default budget holds every query in one chunk
+        monkeypatch.setattr(classifiers, "_KNN_CHUNK_BYTES", rows_per_chunk * 8 * X.shape[0])
+        np.testing.assert_array_equal(_knn_positive_counts(model, queries), expected)
+        np.testing.assert_array_equal(expected, reference_knn_counts(model, queries))
+
     def test_k1_training_accuracy_on_distinct_points(self):
         rng = np.random.default_rng(0)
         X, y = blobs(rng, n_per_class=25)

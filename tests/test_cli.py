@@ -2,6 +2,7 @@ import functools
 import json
 import operator
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -142,9 +143,7 @@ class TestDispatch:
 
     def test_synth_without_config(self, tmp_path, capsys):
         out = tmp_path / "synth"
-        code = cli_dispatch(
-            ["synth", "--seed", "3", "--out", str(out), "--n-normal", "40", "--n-anomaly", "10"]
-        )
+        code = cli_dispatch(["synth", "--seed", "3", "--out", str(out)])
         assert code == 0
         printed = capsys.readouterr().out.strip()
         assert printed.endswith("synthetic.csv")
@@ -225,13 +224,29 @@ class TestConfigMistypes:
         assert f"detect: {axis} 'no_such_column' is not a column that rfe.json records" in capsys.readouterr().err
         assert sorted(p.name for p in out.iterdir()) == before
 
-    def test_synth_rejects_before_writing(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "section, message",
+        [
+            ({"n_normal": "50"}, "synthetic.n_normal must be an integer, got '50'"),
+            ({"n_noise": -3}, "n_noise must be >= 0, got -3"),
+            ({"separation": float("nan")}, "synthetic.separation must be a finite number, got nan"),
+        ],
+    )
+    def test_synth_rejects_before_writing(self, tmp_path, capsys, section, message):
         cfg_path = tmp_path / "config.json"
-        cfg_path.write_text(json.dumps({"input": "", "synthetic": {"n_normal": "50"}}))
+        cfg_path.write_text(json.dumps({"synthetic": section}))
         out = tmp_path / "never"
         assert cli_dispatch(["synth", "--config", str(cfg_path), "--seed", "3", "--out", str(out)]) == 2
-        assert "synthetic.n_normal must be an integer, got '50'" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
         assert not out.exists()
+
+    def test_synth_offers_no_size_flags(self, capsys):
+        with pytest.raises(SystemExit):
+            cli_dispatch(["synth", "-h"])
+        options = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
+        assert options == {"--help", "--config", "--seed", "--out"}
 
     @pytest.mark.parametrize("smoothing", [0.0, -1.0])
     def test_non_positive_nb_smoothing_stops_train(self, workspace, capsys, smoothing):

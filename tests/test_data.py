@@ -347,6 +347,30 @@ class TestSplit:
         with pytest.raises(IsoguardError, match="test_fraction"):
             train_test_split(self.make(), SplitSpec(test_fraction=1.5, seed=1))
 
+    @staticmethod
+    def indexed(n):
+        """A dataset whose one feature is the row index, so a partition names its rows."""
+        return numeric_dataset(np.arange(n, dtype=np.float64).reshape(-1, 1), np.zeros(n, dtype=np.int64))
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_unstratified_partitions_disjoint_cover_and_keep_order(self, seed):
+        train, test = train_test_split(self.indexed(50), SplitSpec(test_fraction=0.3, seed=seed, stratified=False))
+        train_rows, test_rows = train.rows[:, 0], test.rows[:, 0]
+        assert (np.diff(train_rows) > 0).all() and (np.diff(test_rows) > 0).all()
+        assert sorted(np.concatenate((train_rows, test_rows)).tolist()) == list(range(50))
+
+    @pytest.mark.parametrize(
+        "n, fraction, expected",
+        [(100, 0.2, 20), (10, 0.25, 3), (7, 0.5, 4), (5, 0.05, 1), (5, 0.95, 4), (2, 0.5, 1)],
+    )
+    def test_unstratified_test_size_rounds_half_up_and_clamps(self, n, fraction, expected):
+        train, test = train_test_split(self.indexed(n), SplitSpec(test_fraction=fraction, seed=4, stratified=False))
+        assert (train.n_rows, test.n_rows) == (n - expected, expected)
+
+    def test_unstratified_one_row_rejected(self):
+        with pytest.raises(IsoguardError, match="split needs at least 2 rows"):
+            train_test_split(self.indexed(1), SplitSpec(test_fraction=0.5, seed=1, stratified=False))
+
 
 def proto_dur_dataset():
     rows = np.empty((4, 2), dtype=object)

@@ -121,8 +121,8 @@ class TestRoc:
     def test_perfect_separation(self):
         curve = roc([0, 0, 1, 1], [0.1, 0.2, 0.8, 0.9])
         assert curve.auc == pytest.approx(1.0)
-        assert curve.points[0] == (0.0, 0.0)
-        assert curve.points[-1] == (1.0, 1.0)
+        assert (curve.fpr[0], curve.tpr[0]) == (0.0, 0.0)
+        assert (curve.fpr[-1], curve.tpr[-1]) == (1.0, 1.0)
 
     def test_all_scores_tied(self):
         curve = roc([0, 1, 0, 1], [0.5, 0.5, 0.5, 0.5])
@@ -142,10 +142,8 @@ class TestRoc:
         y[0], y[1] = 0, 1
         s = rng.choice([0.1, 0.3, 0.5, 0.7, 0.9], size=40)
         curve = roc(y, s)
-        fprs = [p[0] for p in curve.points]
-        tprs = [p[1] for p in curve.points]
-        assert fprs == sorted(fprs)
-        assert tprs == sorted(tprs)
+        assert (np.diff(curve.fpr) >= 0).all()
+        assert (np.diff(curve.tpr) >= 0).all()
 
     def test_trapezoid_matches_pairwise_oracle(self):
         rng = np.random.default_rng(3)
@@ -160,6 +158,15 @@ class TestRoc:
             curve = roc(y, s)
             assert curve.auc == pytest.approx(pairwise_auc(y, s), abs=1e-9)
 
+    def test_auc_sums_trapezoids_left_to_right(self):
+        rng = np.random.default_rng(0)  # a draw on which np.sum's pairwise order changes the last bit
+        y = rng.integers(0, 2, 500)
+        curve = roc(y, rng.normal(size=500))
+        running = 0.0
+        for i in range(1, curve.fpr.size):
+            running += (curve.fpr[i] - curve.fpr[i - 1]) * (curve.tpr[i] + curve.tpr[i - 1]) / 2.0
+        assert curve.auc == running  # bit for bit: report.json pins the last digit
+
     def test_csv_output(self, tmp_path):
         curve = roc([0, 1, 1], [0.2, 0.9, 0.4])
         path = tmp_path / "roc.csv"
@@ -167,7 +174,7 @@ class TestRoc:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "threshold,fpr,tpr"
         assert lines[1].startswith("inf,0.0,0.0")
-        assert len(lines) == len(curve.points) + 1
+        assert len(lines) == curve.fpr.size + 1
 
 
 def fake_evaluation(accuracy, auc=0.9):
@@ -183,7 +190,7 @@ def fake_evaluation(accuracy, auc=0.9):
         anomaly_positive=metrics(c),
         normal_positive=metrics(swap_positive(c)),
         weighted=metrics_weighted(c),
-        roc=RocCurve(thresholds=(float("inf"), 0.0), points=((0.0, 0.0), (1.0, 1.0)), auc=auc),
+        roc=RocCurve(thresholds=np.array([np.inf, 0.0]), fpr=np.array([0.0, 1.0]), tpr=np.array([0.0, 1.0]), auc=auc),
     )
 
 

@@ -20,7 +20,6 @@ from isoguard.iforest import (
     mean_path_lengths,
     predict,
     save_forest,
-    score,
     score_batch,
 )
 from isoguard.prng import derive_seed
@@ -266,7 +265,7 @@ class TestPathLength:
         X = rng.normal(size=(50, 3))
         forest = fit_forest(X, t=8, m=32, seed=11)
         batch = mean_path_lengths(forest, X)
-        singles = np.array([score(forest, x).mean_path_length for x in X])
+        singles = np.concatenate([score_batch(forest, x.reshape(1, -1))[1] for x in X])
         np.testing.assert_allclose(batch, singles, rtol=0, atol=1e-12)
 
 
@@ -278,15 +277,15 @@ class TestScore:
 
     def test_mean_path_equal_to_c_scores_half(self):
         forest = self.constant_forest(m=32)
-        s = score(forest, np.array([3.0, 3.0]))
-        assert s.mean_path_length == pytest.approx(expected_path_length(32), abs=1e-12)
-        assert s.s == pytest.approx(0.5, abs=1e-12)
+        s, mean_h = score_batch(forest, np.array([[3.0, 3.0]]))
+        assert mean_h[0] == pytest.approx(expected_path_length(32), abs=1e-12)
+        assert s[0] == pytest.approx(0.5, abs=1e-12)
 
     def test_zero_mean_path_scores_one(self):
         forest = IsolationForest(trees=[leaf_tree(1)] * 4, t=4, m=2, height_limit=1, seed=0, n_features=1)
-        s = score(forest, np.array([0.0]))
-        assert s.mean_path_length == 0.0
-        assert s.s == 1.0
+        s, mean_h = score_batch(forest, np.array([[0.0]]))
+        assert mean_h[0] == 0.0
+        assert s[0] == 1.0
 
     def test_scores_in_unit_interval(self):
         rng = np.random.default_rng(8)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from isoguard import classifiers as clf
-from isoguard import iforest
+from isoguard import iforest, pipeline
 from isoguard.data import load_csv, write_csv
 from isoguard.errors import IsoguardError, PipelineError
 from isoguard.pipeline import (
@@ -24,6 +24,7 @@ from isoguard.pipeline import (
     emit_scatter,
     load_config,
     run_pipeline,
+    run_stage,
     run_synth,
     stage_detect,
     stage_evaluate,
@@ -217,6 +218,20 @@ class TestRunPipeline:
         stage_detect(cfg2, staged)
         for name in ("train.csv", "test.csv", "transforms.json", "rfe.json", "forest.json", "verdicts_train.csv"):
             assert (staged / name).read_bytes() == (mono / name).read_bytes(), name
+
+    def test_run_stage_calls_the_module_global(self, tmp_path, monkeypatch):
+        cfg = small_config(tmp_path)
+        calls = []
+        monkeypatch.setattr(pipeline, "stage_select", lambda c, out: calls.append(out))
+        run_stage("select", cfg)
+        assert calls == [Path(cfg.out_dir)]
+        assert (Path(cfg.out_dir) / "config.resolved.json").read_text(encoding="utf-8") == config_to_json(cfg) + "\n"
+
+    def test_run_stage_rejects_unknown_name_before_writing(self, tmp_path):
+        cfg = small_config(tmp_path)
+        with pytest.raises(IsoguardError, match="unknown stage 'pipeline'"):
+            run_stage("pipeline", cfg)
+        assert not Path(cfg.out_dir).exists()
 
     def test_determinism_byte_identical_reruns(self, tmp_path):
         cfg_a = small_config(tmp_path, out_dir=str(tmp_path / "a"))
