@@ -30,7 +30,6 @@ from .evaluation import (
     ConfusionCounts,
     MetricSet,
     RocCurve,
-    compare,
     confusion,
     evaluate_predictions,
     metrics,
@@ -41,9 +40,7 @@ from .evaluation import (
 from .feature_selection import (
     ExtraTreesEstimator,
     ExtraTreesParams,
-    FeatureRanking,
     RfeResult,
-    feature_importances,
     fit_extra_trees,
     rfe_select,
 )

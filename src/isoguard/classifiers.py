@@ -108,9 +108,6 @@ def _knn_positive_counts(model: KnnModel, X) -> np.ndarray:
         np.subtract(train_sq[None, :], d2, out=d2)
         d2 += (q * q).sum(axis=1)[:, None]
         np.maximum(d2, 0.0, out=d2)
-        if k == n_train:
-            counts[start : start + q.shape[0]] = model.y.sum()
-            continue
         kth = np.partition(d2, k - 1, axis=1)[:, k - 1].copy()  # copy frees the partitioned matrix
         within = d2 <= kth[:, None]
         n_within = np.count_nonzero(within, axis=1)

@@ -57,12 +57,6 @@ class Dataset:
             raise IsoguardError("dataset still holds raw nominal strings; encode it first")
         return self.rows
 
-    def column_index(self, name: str) -> int:
-        try:
-            return self.feature_names.index(name)
-        except ValueError:
-            raise IsoguardError(f"unknown column {name!r}") from None
-
     def take_rows(self, indices: np.ndarray) -> Dataset:
         return replace(self, rows=self.rows[indices], target=self.target[indices])
 
@@ -113,7 +107,8 @@ def load_csv(path: str | Path, target_column: str = "class") -> Dataset:
     path = Path(path)
     if not path.is_file():
         raise IsoguardError(f"no such file: {path}")
-    with open(path, newline="", encoding="utf-8") as fh:
+    # utf-8-sig drops a leading byte-order mark, which would otherwise join the first column's name
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -188,10 +183,9 @@ def _encode_target(raw: tuple[str, ...], name: str, path: Path) -> np.ndarray:
 def fit_label_encoder(ds: Dataset) -> EncoderState:
     """Assign codes 0..k-1 to each nominal column's lexicographically sorted categories."""
     mappings: dict[str, dict[str, int]] = {}
-    for name, kind in zip(ds.feature_names, ds.kinds):
+    for j, (name, kind) in enumerate(zip(ds.feature_names, ds.kinds)):
         if kind is not ColumnKind.NOMINAL:
             continue
-        j = ds.column_index(name)
         categories = sorted({str(v) for v in ds.rows[:, j]})
         mappings[name] = {cat: code for code, cat in enumerate(categories)}
     return EncoderState(mappings=mappings)

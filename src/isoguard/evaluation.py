@@ -64,9 +64,16 @@ class ComparisonReport:
     before: dict[str, ClassifierEvaluation]
     after: dict[str, ClassifierEvaluation]
     outliers_removed: int
-    n_train_before: int = 0
-    n_train_after: int = 0
-    n_test: int = 0
+    n_train_before: int
+    n_train_after: int
+    n_test: int
+
+    def __post_init__(self) -> None:
+        if not set(self.models) == set(self.before) == set(self.after):
+            raise IsoguardError(
+                f"classifier set mismatch: models={list(self.models)} "
+                f"before={sorted(self.before)} after={sorted(self.after)}"
+            )
 
 
 def _check_binary(name: str, values: np.ndarray) -> np.ndarray:
@@ -181,30 +188,6 @@ def evaluate_predictions(y_true, y_pred, scores) -> ClassifierEvaluation:
         normal_positive=metrics(swap_positive(c)),
         weighted=metrics_weighted(c),
         roc=roc(y_true, scores),
-    )
-
-
-def compare(
-    before: dict[str, ClassifierEvaluation],
-    after: dict[str, ClassifierEvaluation],
-    outliers_removed: int = 0,
-    n_train_before: int = 0,
-    n_train_after: int = 0,
-    n_test: int = 0,
-) -> ComparisonReport:
-    """Tabulate both experiment arms; the classifier sets must match."""
-    if set(before) != set(after):
-        raise IsoguardError(
-            f"classifier set mismatch: before={sorted(before)} after={sorted(after)}"
-        )
-    return ComparisonReport(
-        models=tuple(before.keys()),
-        before=dict(before),
-        after=dict(after),
-        outliers_removed=outliers_removed,
-        n_train_before=n_train_before,
-        n_train_after=n_train_after,
-        n_test=n_test,
     )
 
 

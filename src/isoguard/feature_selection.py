@@ -57,19 +57,17 @@ class ExtraTreesParams:
 
 @dataclass
 class ExtraTreesEstimator:
-    params: ExtraTreesParams
-    n_features: int
     trees: list[ITree]  # split features are column indices within the fitted matrix
     # per-tree importances normalized to sum 1; None for trees with no split
     tree_importances: list[np.ndarray | None]
 
-
-@dataclass(frozen=True)
-class FeatureRanking:
-    """Nonnegative weights summing to 1 and the descending-importance order."""
-
-    importances: np.ndarray
-    order: np.ndarray  # feature indices, ties broken by ascending index
+    @property
+    def importances(self) -> np.ndarray:
+        """Mean over trees of per-tree normalized impurity decrease; nonnegative, summing to 1."""
+        vecs = [v for v in self.tree_importances if v is not None]
+        if not vecs:
+            raise IsoguardError("no split anywhere in the ensemble; importances are undefined")
+        return np.mean(np.stack(vecs, axis=0), axis=0)
 
 
 @dataclass(frozen=True)
@@ -305,17 +303,7 @@ def fit_extra_trees(
     acc = np.zeros((params.n_trees, d), dtype=np.float64)
     trees = _build_trees(X, y, keys, params, range(params.n_trees), acc)
     tree_importances = [row / total if (total := row.sum()) > 0.0 else None for row in acc]
-    return ExtraTreesEstimator(params=params, n_features=d, trees=trees, tree_importances=tree_importances)
-
-
-def feature_importances(est: ExtraTreesEstimator) -> FeatureRanking:
-    """Mean over trees of per-tree normalized impurity decrease."""
-    vecs = [v for v in est.tree_importances if v is not None]
-    if not vecs:
-        raise IsoguardError("no split anywhere in the ensemble; importances are undefined")
-    imp = np.mean(np.stack(vecs, axis=0), axis=0)
-    order = np.lexsort((np.arange(imp.size), -imp))
-    return FeatureRanking(importances=imp, order=order)
+    return ExtraTreesEstimator(trees=trees, tree_importances=tree_importances)
 
 
 def rfe_select(
@@ -345,8 +333,7 @@ def rfe_select(
     round_no = 0
     while surviving.size > target_count:
         round_no += 1
-        est = fit_extra_trees(X[:, surviving], y, params, feature_keys=keys[surviving])
-        imp = feature_importances(est).importances
+        imp = fit_extra_trees(X[:, surviving], y, params, feature_keys=keys[surviving]).importances
         n_drop = min(step, surviving.size - target_count)
         # importance ascending; ties resolved toward the higher original index
         removal_order = np.lexsort((-surviving, imp))
@@ -357,12 +344,10 @@ def rfe_select(
         keep[doomed] = False
         surviving = surviving[keep]
 
-    final_est = fit_extra_trees(X[:, surviving], y, params, feature_keys=keys[surviving])
-    final_imp = feature_importances(final_est).importances
     return RfeResult(
         selected=tuple(int(i) for i in surviving),
         trace=tuple(trace),
-        final_importances=final_imp,
+        final_importances=fit_extra_trees(X[:, surviving], y, params, feature_keys=keys[surviving]).importances,
     )
 
 

@@ -40,13 +40,12 @@ from .errors import IsoguardError, PipelineError, checked_int
 from .evaluation import (
     ClassifierEvaluation,
     ComparisonReport,
-    compare,
     evaluate_predictions,
     render_table,
     report_to_json,
     write_roc_csv,
 )
-from .feature_selection import ExtraTreesParams, RfeResult, load_rfe, rfe_select, save_rfe
+from .feature_selection import ExtraTreesParams, load_rfe, rfe_select, save_rfe
 from .prng import derive_seed
 from .synthetic import SyntheticSpec, generate_synthetic, write_injection_mask
 
@@ -146,10 +145,6 @@ def _require_seed(cfg: PipelineConfig) -> int:
     return cfg.seed
 
 
-def _stage_error(stage: str, err: Exception) -> PipelineError:
-    return PipelineError(f"{stage}: {err}")
-
-
 def _artifact(path: Path, stage: str) -> Path:
     """``path`` if it is a file; otherwise (absent, or a directory) an error naming the stage that writes it."""
     if not path.is_file():
@@ -169,10 +164,6 @@ def _read_artifact_csv(out: Path, name: str, target_column: str, column_names: l
             "rerun the ingest and select stages"
         )
     return ds
-
-
-def _read_rfe(out: Path) -> tuple[RfeResult, list[str]]:
-    return load_rfe(_artifact(out / "rfe.json", "select"))
 
 
 def _read_verdict_labels(path: Path, train: Dataset) -> np.ndarray:
@@ -200,27 +191,6 @@ def _read_verdict_labels(path: Path, train: Dataset) -> np.ndarray:
     return np.array(labels, dtype=np.int64)
 
 
-def emit_scatter(
-    ds: Dataset,
-    verdict_labels: np.ndarray,
-    x_col: str,
-    y_col: str,
-    full_path: str | Path,
-    clean_path: str | Path,
-) -> None:
-    """Write (x, y, verdict, class) CSVs: the full data and the verdict=+1 subset."""
-    xi = ds.column_index(x_col)
-    yi = ds.column_index(y_col)
-    if len(verdict_labels) != ds.n_rows:
-        raise IsoguardError("verdicts are not aligned with the dataset rows")
-    X = ds.matrix()
-    verdicts = np.asarray(verdict_labels, dtype=np.int64)
-    header = [x_col, y_col, "verdict", ds.target_name]
-    columns = [X[:, xi], X[:, yi], verdicts, ds.target.astype(np.int64)]
-    write_table(full_path, header, columns)
-    write_table(clean_path, header, [c[verdicts == 1] for c in columns])
-
-
 # ---------------------------------------------------------------------------
 # stages
 
@@ -246,7 +216,7 @@ def stage_ingest(cfg: PipelineConfig, out: Path) -> None:
         write_csv(train, out / "train.csv")
         write_csv(test, out / "test.csv")
     except IsoguardError as e:
-        raise _stage_error("ingest", e) from e
+        raise PipelineError(f"ingest: {e}") from e
 
 
 def stage_select(cfg: PipelineConfig, out: Path) -> None:
@@ -270,7 +240,7 @@ def stage_select(cfg: PipelineConfig, out: Path) -> None:
         result = rfe_select(X, y, target_count=cfg.select.target_count, step=cfg.select.step, params=params)
         save_rfe(result, list(train.feature_names), out / "rfe.json")
     except IsoguardError as e:
-        raise _stage_error("select", e) from e
+        raise PipelineError(f"select: {e}") from e
 
 
 def _threshold_kwargs(ts: ThresholdSettings) -> dict:
@@ -285,7 +255,7 @@ def stage_detect(cfg: PipelineConfig, out: Path) -> None:
     """Fit the isolation forest on selected training features; emit verdicts and scatter data."""
     try:
         seed = _require_seed(cfg)
-        rfe, column_names = _read_rfe(out)
+        rfe, column_names = load_rfe(_artifact(out / "rfe.json", "select"))
         train = _read_artifact_csv(out, "train.csv", cfg.target_column, column_names)
         test = _read_artifact_csv(out, "test.csv", cfg.target_column, column_names)
         selected = list(rfe.selected)
@@ -307,9 +277,14 @@ def stage_detect(cfg: PipelineConfig, out: Path) -> None:
             columns = [np.arange(s.size), s, mean_h, labels[name]]
             write_table(out / f"verdicts_{name}.csv", ["row", "score", "mean_path", "label"], columns)
         iforest.save_forest(forest, out / "forest.json")
-        emit_scatter(train, labels["train"], x_col, y_col, out / "scatter_full.csv", out / "scatter_clean.csv")
+        # (x, y, verdict, class) plot data: every training row, then the rows labelled +1
+        header = [x_col, y_col, "verdict", train.target_name]
+        xi, yi = column_names.index(x_col), column_names.index(y_col)
+        columns = [train.rows[:, xi], train.rows[:, yi], labels["train"], train.target]
+        write_table(out / "scatter_full.csv", header, columns)
+        write_table(out / "scatter_clean.csv", header, [c[labels["train"] == 1] for c in columns])
     except IsoguardError as e:
-        raise _stage_error("detect", e) from e
+        raise PipelineError(f"detect: {e}") from e
 
 
 def _fit_all(X: np.ndarray, y: np.ndarray, cs: ClassifierSettings) -> dict[str, clf.ClassifierModel]:
@@ -329,7 +304,7 @@ def stage_train(cfg: PipelineConfig, out: Path) -> None:
     forest flagged -1. The test partition is never touched.
     """
     try:
-        rfe, column_names = _read_rfe(out)
+        rfe, column_names = load_rfe(_artifact(out / "rfe.json", "select"))
         train = _read_artifact_csv(out, "train.csv", cfg.target_column, column_names)
         labels = _read_verdict_labels(out / "verdicts_train.csv", train)
         X = train.matrix()[:, list(rfe.selected)]
@@ -354,13 +329,13 @@ def stage_train(cfg: PipelineConfig, out: Path) -> None:
         for name, model in clean_models.items():
             clf.save_model(model, out / f"model_{name}_clean.json")
     except IsoguardError as e:
-        raise _stage_error("train", e) from e
+        raise PipelineError(f"train: {e}") from e
 
 
 def stage_evaluate(cfg: PipelineConfig, out: Path) -> ComparisonReport:
     """Evaluate both arms on the shared test partition and write the reports."""
     try:
-        rfe, column_names = _read_rfe(out)
+        rfe, column_names = load_rfe(_artifact(out / "rfe.json", "select"))
         train = _read_artifact_csv(out, "train.csv", cfg.target_column, column_names)
         test = _read_artifact_csv(out, "test.csv", cfg.target_column, column_names)
         labels = _read_verdict_labels(out / "verdicts_train.csv", train)
@@ -377,9 +352,10 @@ def stage_evaluate(cfg: PipelineConfig, out: Path) -> ComparisonReport:
             arms[arm] = evaluations
 
         removed = int((labels == -1).sum())
-        report = compare(
-            arms["before"],
-            arms["after"],
+        report = ComparisonReport(
+            models=MODELS,
+            before=arms["before"],
+            after=arms["after"],
             outliers_removed=removed,
             n_train_before=train.n_rows,
             n_train_after=train.n_rows - removed,
@@ -392,12 +368,48 @@ def stage_evaluate(cfg: PipelineConfig, out: Path) -> ComparisonReport:
             write_roc_csv(report.after[name].roc, out / f"roc_{name}_clean.csv")
         return report
     except IsoguardError as e:
-        raise _stage_error("evaluate", e) from e
+        raise PipelineError(f"evaluate: {e}") from e
+
+
+def _check_ranges(cfg: PipelineConfig) -> None:
+    """Stop on a setting outside its range, naming the dotted field. None of
+    these ranges depends on the data, so they are checked before any stage runs."""
+    sel, cs = cfg.select, cfg.classifiers
+    at_least = {
+        "select.target_count": (sel.target_count, 1),
+        "select.step": (sel.step, 1),
+        "select.n_trees": (sel.n_trees, 1),
+        "select.max_depth": (sel.max_depth, 1),
+        "select.min_samples_split": (sel.min_samples_split, 2),
+        "forest.trees": (cfg.forest.trees, 1),
+        "forest.subsample": (cfg.forest.subsample, 2),
+        "classifiers.knn_k": (cs.knn_k, 1),
+        "classifiers.lr_epochs": (cs.lr_epochs, 0),
+        "classifiers.lr_l2": (cs.lr_l2, 0),
+        "classifiers.svm_epochs": (cs.svm_epochs, 1),
+        "classifiers.adaboost_stumps": (cs.adaboost_stumps, 1),
+    }
+    for name, (value, low) in at_least.items():
+        if value is not None and value < low:
+            raise IsoguardError(f"{name} must be >= {low}, got {value!r}")
+    for name, value in (
+        ("classifiers.nb_var_smoothing", cs.nb_var_smoothing),
+        ("classifiers.lr_learning_rate", cs.lr_learning_rate),
+        ("classifiers.svm_lambda", cs.svm_lambda),
+    ):
+        if not value > 0.0:
+            raise IsoguardError(f"{name} must be > 0, got {value!r}")
+    if not 0.0 < cfg.split.test_fraction < 1.0:
+        raise IsoguardError(f"split.test_fraction must be in (0, 1), got {cfg.split.test_fraction!r}")
+    threshold = cfg.forest.threshold
+    if threshold.mode == "contamination" and not 0.0 < threshold.fraction <= 0.5:
+        raise IsoguardError(f"forest.threshold.fraction must be in (0, 0.5], got {threshold.fraction!r}")
 
 
 def _prepare_out(cfg: PipelineConfig) -> Path:
     """The run's output directory, created, with ``config.resolved.json`` written in it."""
     _require_seed(cfg)
+    _check_ranges(cfg)
     out = Path(cfg.out_dir or ".")
     out.mkdir(parents=True, exist_ok=True)
     (out / "config.resolved.json").write_text(config_to_json(cfg) + "\n", encoding="utf-8")

@@ -168,7 +168,7 @@ class TestKnn:
         model = knn_fit(X, [1, 0, 0], k=1)
         assert predict_model(model, np.array([[0.0]])).tolist() == [1]
 
-    @pytest.mark.parametrize("k", [1, 2, 3, 5, 8])
+    @pytest.mark.parametrize("k", [1, 2, 3, 5, 8, 60])
     def test_vote_counts_match_per_row_loop_under_ties(self, k):
         rng = np.random.default_rng(20 + k)
         # integer grid points with duplicates: many distances tie at the k-th place

@@ -180,6 +180,23 @@ class TestLoadCsv:
         assert ds.kinds == (ColumnKind.NOMINAL, ColumnKind.NUMERIC)
         assert ds.rows[:, 0].tolist() == ["1e999", "2"]
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "a,proto,class\n0.1,tcp,normal\n-2.5e3,udp,anomaly\n7,tcp,normal\n",
+            "class,a,proto\nnormal,0.1,tcp\nanomaly,-2.5e3,udp\nnormal,7,tcp\n",
+        ],
+    )
+    def test_byte_order_mark_is_not_part_of_the_header(self, tmp_path, text):
+        plain = load_csv(write(tmp_path, text, "plain.csv"))
+        marked = load_csv(write(tmp_path, "\ufeff" + text, "marked.csv"))
+        assert (tmp_path / "marked.csv").read_bytes().startswith(b"\xef\xbb\xbf")
+        assert marked.feature_names == plain.feature_names == ("a", "proto")
+        assert marked.kinds == plain.kinds == (ColumnKind.NUMERIC, ColumnKind.NOMINAL)
+        assert marked.rows[:, 1].tolist() == plain.rows[:, 1].tolist() == ["tcp", "udp", "tcp"]
+        assert marked.rows[:, 0].astype(np.float64).tobytes() == plain.rows[:, 0].astype(np.float64).tobytes()
+        assert marked.target.tolist() == plain.target.tolist() == [0, 1, 0]
+
     def test_unknown_target_column(self, tmp_path):
         path = write(tmp_path, "a,b\n1,2\n")
         with pytest.raises(IsoguardError, match="target column"):

@@ -4,9 +4,9 @@ import pytest
 from isoguard.errors import IsoguardError
 from isoguard.evaluation import (
     ClassifierEvaluation,
+    ComparisonReport,
     ConfusionCounts,
     RocCurve,
-    compare,
     confusion,
     evaluate_predictions,
     metrics,
@@ -194,6 +194,18 @@ def fake_evaluation(accuracy, auc=0.9):
     )
 
 
+def report(before, after, outliers_removed=0):
+    return ComparisonReport(
+        models=tuple(before),
+        before=before,
+        after=after,
+        outliers_removed=outliers_removed,
+        n_train_before=100,
+        n_train_after=100 - outliers_removed,
+        n_test=25,
+    )
+
+
 class TestCompare:
     ORIGINAL = {"knn": 0.99, "svm": 0.99, "nb": 0.90, "lr": 0.96, "abc": 0.99}
     CLEANED = {"knn": 1.00, "svm": 0.99, "nb": 0.95, "lr": 0.98, "abc": 1.00}
@@ -201,7 +213,7 @@ class TestCompare:
     def build_report(self):
         before = {name: fake_evaluation(acc) for name, acc in self.ORIGINAL.items()}
         after = {name: fake_evaluation(acc) for name, acc in self.CLEANED.items()}
-        return compare(before, after, outliers_removed=42)
+        return report(before, after, outliers_removed=42)
 
     def test_table_layout_reference_accuracies(self):
         text = render_table(self.build_report())
@@ -218,8 +230,7 @@ class TestCompare:
 
     def test_identical_arms_zero_deltas(self):
         before = {name: fake_evaluation(acc) for name, acc in self.ORIGINAL.items()}
-        report = compare(before, dict(before))
-        doc = report_to_json(report)
+        doc = report_to_json(report(before, dict(before)))
         import json
 
         parsed = json.loads(doc)
@@ -230,7 +241,7 @@ class TestCompare:
         before = {"knn": fake_evaluation(0.9)}
         after = {"svm": fake_evaluation(0.9)}
         with pytest.raises(IsoguardError, match="mismatch"):
-            compare(before, after)
+            report(before, after)
 
     def test_percent_rounds_half_up(self):
         assert percent(0.995) == 100

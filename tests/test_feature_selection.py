@@ -15,7 +15,6 @@ from isoguard.feature_selection import (
     ExtraTreesParams,
     RfeResult,
     _build_trees,
-    feature_importances,
     fit_extra_trees,
     load_rfe,
     rfe_select,
@@ -66,8 +65,8 @@ class TestFitExtraTrees:
         rng = np.random.default_rng(1)
         X, y = separable_data(rng)
         params = ExtraTreesParams(n_trees=8, seed=5)
-        a = feature_importances(fit_extra_trees(X, y, params)).importances
-        b = feature_importances(fit_extra_trees(X, y, params)).importances
+        a = fit_extra_trees(X, y, params).importances
+        b = fit_extra_trees(X, y, params).importances
         np.testing.assert_array_equal(a, b)
 
     def test_single_stump_importance_is_one(self):
@@ -75,9 +74,8 @@ class TestFitExtraTrees:
         X, y = separable_data(rng, d=4)
         params = ExtraTreesParams(n_trees=1, max_depth=1, seed=3)
         est = fit_extra_trees(X, y, params)
-        ranking = feature_importances(est)
-        assert np.count_nonzero(ranking.importances) == 1
-        assert ranking.importances.sum() == pytest.approx(1.0, abs=1e-9)
+        assert np.count_nonzero(est.importances) == 1
+        assert est.importances.sum() == pytest.approx(1.0, abs=1e-9)
 
     def test_only_varying_feature_gets_all_importance(self):
         rng = np.random.default_rng(3)
@@ -85,7 +83,7 @@ class TestFitExtraTrees:
         X[:, 0] = rng.normal(size=80)
         y = (X[:, 0] > 0).astype(np.int64)
         est = fit_extra_trees(X, y, ExtraTreesParams(n_trees=10, seed=1))
-        imp = feature_importances(est).importances
+        imp = est.importances
         np.testing.assert_allclose(imp, [1.0, 0.0, 0.0], atol=1e-12)
 
     def test_separable_feature_ranks_first_across_seeds(self):
@@ -94,7 +92,7 @@ class TestFitExtraTrees:
             rng = np.random.default_rng(100 + seed)
             X, y = separable_data(rng, n=150, d=6, informative=2)
             est = fit_extra_trees(X, y, ExtraTreesParams(n_trees=20, seed=seed))
-            if feature_importances(est).order[0] == 2:
+            if est.importances.argmax() == 2:
                 hits += 1
         assert hits >= 19  # >= 95% of 20 seeds
 
@@ -103,7 +101,7 @@ class TestFitExtraTrees:
         X = rng.normal(size=(60, 5))
         y = rng.integers(0, 2, 60)
         est = fit_extra_trees(X, y, ExtraTreesParams(n_trees=12, seed=9))
-        assert feature_importances(est).importances.sum() == pytest.approx(1.0, abs=1e-9)
+        assert est.importances.sum() == pytest.approx(1.0, abs=1e-9)
 
     def test_gini_decrease_matches_direct_recomputation(self):
         rng = np.random.default_rng(5)
@@ -136,7 +134,7 @@ class TestFitExtraTrees:
         y = np.array([0, 1] * 5)
         est = fit_extra_trees(X, y, ExtraTreesParams(n_trees=3, seed=0))
         with pytest.raises(IsoguardError, match="no split"):
-            feature_importances(est)
+            est.importances
 
 
 def stump(feature):
@@ -149,22 +147,10 @@ class TestFeatureImportances:
     def test_mean_of_one_hot_trees(self):
         # two hand-built trees putting all weight on features 0 and 1
         est = ExtraTreesEstimator(
-            params=ExtraTreesParams(n_trees=2),
-            n_features=2,
             trees=[stump(0), stump(1)],
             tree_importances=[np.array([1.0, 0.0]), np.array([0.0, 1.0])],
         )
-        np.testing.assert_allclose(feature_importances(est).importances, [0.5, 0.5])
-
-    def test_order_breaks_ties_by_ascending_index(self):
-        est = ExtraTreesEstimator(
-            params=ExtraTreesParams(),
-            n_features=3,
-            trees=[stump(0)],
-            tree_importances=[np.array([0.25, 0.5, 0.25])],
-        )
-        order = feature_importances(est).order
-        assert order.tolist() == [1, 0, 2]
+        np.testing.assert_allclose(est.importances, [0.5, 0.5])
 
 
 class TestRfe:

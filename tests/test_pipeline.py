@@ -21,7 +21,6 @@ from isoguard.pipeline import (
     ThresholdSettings,
     config_from_dict,
     config_to_json,
-    emit_scatter,
     load_config,
     run_pipeline,
     run_stage,
@@ -129,6 +128,14 @@ class TestConfig:
         block = readme.split("## Configuration", 1)[1].split("```jsonc\n", 1)[1].split("```", 1)[0]
         doc = json.loads(re.sub(r"//.*", "", block))
         assert config_from_dict(doc) == PipelineConfig(input="data.csv")
+
+    def test_readme_python_blocks_run(self, tmp_path, monkeypatch):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        blocks = re.findall(r"^```python\n(.*?)^```", readme, re.DOTALL | re.MULTILINE)
+        assert blocks
+        monkeypatch.chdir(tmp_path)
+        for block in blocks:
+            exec(compile(block, "README.md", "exec"), {"__name__": "__main__"})
 
     def test_load_config_errors(self, tmp_path):
         with pytest.raises(IsoguardError, match="no such config"):
@@ -481,12 +488,6 @@ class TestScatter:
         run_pipeline(cfg)
         header = (Path(cfg.out_dir) / "scatter_full.csv").read_text().splitlines()[0]
         assert header.startswith("noise_01,inf_01")
-
-    def test_unknown_column_rejected(self, tmp_path):
-        ds, mask = generate_synthetic(SyntheticSpec(n_normal=30, n_anomaly=10, seed=1))
-        labels = np.ones(ds.n_rows, dtype=np.int64)
-        with pytest.raises(IsoguardError, match="unknown column"):
-            emit_scatter(ds, labels, "nope", "inf_01", "f.csv", "c.csv")
 
 
 class TestRunSynth:
