@@ -9,8 +9,12 @@ applied to both partitions.
 from __future__ import annotations
 
 import csv
+import hashlib
+import io
 import json
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
@@ -93,6 +97,13 @@ class SplitSpec:
     stratified: bool = True
 
 
+# load_csv's parse memo: (sha256 of the file's bytes, target column) -> an all-Numeric Dataset.
+# Two entries hold the train and test partitions that the pipeline's stages re-read.
+_PARSED_MAX = 2
+_parsed: OrderedDict[tuple[bytes, str], Dataset] = OrderedDict()
+_parsed_lock = threading.Lock()
+
+
 def load_csv(path: str | Path, target_column: str = "class") -> Dataset:
     """Load an RFC-4180 CSV with header row into a Dataset.
 
@@ -103,12 +114,43 @@ def load_csv(path: str | Path, target_column: str = "class") -> Dataset:
     "normal" (case-insensitive) taking 0, literal "0"/"1" kept as-is, and
     otherwise the lexicographically smaller value taking 0. Missing cells
     and ragged rows are errors.
+
+    Every call reads the file, but identical bytes are parsed once per
+    process: a table whose features are all Numeric is memoized under the
+    sha256 of its bytes and ``target_column``, at most two of them, least
+    recently used first out. A memo hit returns a Dataset equal to a fresh
+    parse, with its own copies of ``rows`` and ``target``. Errors are never
+    memoized, and a table with a Nominal column is never kept.
     """
     path = Path(path)
     if not path.is_file():
         raise IsoguardError(f"no such file: {path}")
+    raw = path.read_bytes()
+    key = (hashlib.sha256(raw).digest(), target_column)
+    with _parsed_lock:
+        hit = _parsed.get(key)
+        if hit is not None:
+            _parsed.move_to_end(key)
+            return _copy_arrays(hit)
+    header, records = _read_records(raw, path)
+    del raw  # freed before the column build, which sets the parse's peak memory
+    ds = _build_dataset(header, records, target_column, path)
+    if ds.is_encoded:
+        with _parsed_lock:
+            _parsed[key] = _copy_arrays(ds)
+            if len(_parsed) > _PARSED_MAX:
+                _parsed.popitem(last=False)
+    return ds
+
+
+def _copy_arrays(ds: Dataset) -> Dataset:
+    return replace(ds, rows=ds.rows.copy(), target=ds.target.copy())
+
+
+def _read_records(raw: bytes, path: Path) -> tuple[list[str], list[list[str]]]:
+    """Header and data records of the CSV bytes ``raw``, checked for a full, rectangular grid."""
     # utf-8-sig drops a leading byte-order mark, which would otherwise join the first column's name
-    with open(path, newline="", encoding="utf-8-sig") as fh:
+    with io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -130,7 +172,11 @@ def load_csv(path: str | Path, target_column: str = "class") -> Dataset:
                     raise IsoguardError(f"{path}: missing value at row {rownum}, column {col!r}")
     if not records:
         raise IsoguardError(f"{path}: no data rows")
+    return header, records
 
+
+def _build_dataset(header: list[str], records: list[list[str]], target_column: str, path: Path) -> Dataset:
+    """Type each column of ``records``: Numeric when every cell is a finite float, else Nominal."""
     if target_column not in header:
         raise IsoguardError(f"{path}: target column {target_column!r} not found")
     target_pos = header.index(target_column)

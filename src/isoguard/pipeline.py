@@ -318,10 +318,13 @@ def stage_train(cfg: PipelineConfig, out: Path) -> None:
         y_clean = y[keep]
         for cls in (0, 1):
             if not (y_clean == cls).any():
-                raise IsoguardError(
-                    f"outlier removal emptied class {cls} in the training partition; "
-                    "lower the threshold or contamination fraction"
+                # a higher tau, or a lower fraction, flags fewer rows
+                advice = (
+                    "raise forest.threshold.tau"
+                    if cfg.forest.threshold.mode == "fixed"
+                    else "lower forest.threshold.fraction"
                 )
+                raise IsoguardError(f"outlier removal emptied class {cls} in the training partition; {advice}")
         if keep.all():  # nothing removed: arm B trains on the identical data
             clean_models = models
         else:
@@ -402,6 +405,8 @@ def _check_ranges(cfg: PipelineConfig) -> None:
     if not 0.0 < cfg.split.test_fraction < 1.0:
         raise IsoguardError(f"split.test_fraction must be in (0, 1), got {cfg.split.test_fraction!r}")
     threshold = cfg.forest.threshold
+    if threshold.mode == "fixed" and not 0.0 < threshold.tau <= 1.0:  # scores lie in (0, 1]
+        raise IsoguardError(f"forest.threshold.tau must be in (0, 1], got {threshold.tau!r}")
     if threshold.mode == "contamination" and not 0.0 < threshold.fraction <= 0.5:
         raise IsoguardError(f"forest.threshold.fraction must be in (0, 0.5], got {threshold.fraction!r}")
 

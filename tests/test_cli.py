@@ -186,6 +186,9 @@ CONFIG_MISTYPES = [
     ("select.min_samples_split", 1, "select.min_samples_split must be >= 2, got 1"),
     ("forest.trees", 0, "forest.trees must be >= 1, got 0"),
     ("forest.subsample", 1, "forest.subsample must be >= 2, got 1"),
+    ("forest.threshold", {"mode": "fixed", "tau": 0.0}, "forest.threshold.tau must be in (0, 1], got 0.0"),
+    ("forest.threshold", {"mode": "fixed", "tau": -0.5}, "forest.threshold.tau must be in (0, 1], got -0.5"),
+    ("forest.threshold", {"mode": "fixed", "tau": 1.5}, "forest.threshold.tau must be in (0, 1], got 1.5"),
     ("forest.threshold.fraction", 0.9, "forest.threshold.fraction must be in (0, 0.5], got 0.9"),
     ("forest.threshold.fraction", 0, "forest.threshold.fraction must be in (0, 0.5], got 0.0"),
     ("classifiers.knn_k", 0, "classifiers.knn_k must be >= 1, got 0"),

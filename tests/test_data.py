@@ -1,10 +1,12 @@
 import hashlib
 import math
+import os
 import random
 
 import numpy as np
 import pytest
 
+from isoguard import data
 from isoguard.data import (
     ColumnKind,
     Dataset,
@@ -211,6 +213,91 @@ class TestLoadCsv:
         path = write(tmp_path, "a,label\n1,normal\n2,anomaly\n")
         ds = load_csv(path, target_column="label")
         assert ds.target.tolist() == [0, 1]
+
+
+def same_dataset(a, b):
+    assert (a.feature_names, a.kinds, a.target_name) == (b.feature_names, b.kinds, b.target_name)
+    assert a.rows.dtype == b.rows.dtype and a.rows.shape == b.rows.shape
+    assert a.rows.tobytes() == b.rows.tobytes()
+    assert a.target.dtype == b.target.dtype and a.target.tolist() == b.target.tolist()
+
+
+NUMERIC_TEXT = "x,y,class\n0.1,-2.5e3,normal\n7,1e-300,anomaly\n3.25,0,normal\n"
+
+
+class TestParseMemo:
+    def test_hit_matches_fresh_parse(self, tmp_path, parses):
+        path = write(tmp_path, NUMERIC_TEXT)
+        fresh = load_csv(path)
+        hit = load_csv(path)
+        assert parses == ["data.csv"]
+        same_dataset(hit, fresh)
+        data._parsed.clear()
+        same_dataset(hit, load_csv(path))
+        assert parses == ["data.csv", "data.csv"]
+
+    def test_hit_arrays_are_not_shared(self, tmp_path, parses):
+        path = write(tmp_path, NUMERIC_TEXT)
+        for _ in range(2):  # mutate the parse's result, then a hit's
+            ds = load_csv(path)
+            ds.rows[:] = 99.0
+            ds.target[:] = 1
+        ds = load_csv(path)
+        assert ds.rows.tolist() == [[0.1, -2500.0], [7.0, 1e-300], [3.25, 0.0]]
+        assert ds.target.tolist() == [0, 1, 0]
+        assert parses == ["data.csv"]
+
+    def test_same_size_rewrite_with_restored_mtime_is_reparsed(self, tmp_path, parses):
+        path = write(tmp_path, "x,class\n1,normal\n2,anomaly\n")
+        assert load_csv(path).rows.ravel().tolist() == [1.0, 2.0]
+        before = path.stat()
+        write(tmp_path, "x,class\n5,normal\n6,anomaly\n")
+        os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+        after = path.stat()
+        assert (after.st_size, after.st_mtime_ns) == (before.st_size, before.st_mtime_ns)
+        assert load_csv(path).rows.ravel().tolist() == [5.0, 6.0]
+        assert parses == ["data.csv", "data.csv"]
+
+    def test_parse_error_is_not_cached(self, tmp_path, parses):
+        path = write(tmp_path, NUMERIC_TEXT)
+        good = load_csv(path)
+        write(tmp_path, NUMERIC_TEXT.replace("7,1e-300", "7"))
+        for _ in range(2):
+            with pytest.raises(IsoguardError, match="row 3 has 2 cells, expected 3"):
+                load_csv(path)
+        write(tmp_path, NUMERIC_TEXT)
+        same_dataset(load_csv(path), good)
+        assert parses == ["data.csv"] * 3
+        assert len(data._parsed) == 1
+
+    def test_target_column_is_part_of_the_key(self, tmp_path, parses):
+        path = write(tmp_path, "a,class,label\n1.5,0,1\n2.5,1,1\n3.5,1,0\n")
+        by_class = load_csv(path)
+        by_label = load_csv(path, target_column="label")
+        assert by_class.feature_names == ("a", "label") and by_class.target.tolist() == [0, 1, 1]
+        assert by_label.feature_names == ("a", "class") and by_label.target.tolist() == [1, 1, 0]
+        assert by_label.target_name == "label"
+        assert parses == ["data.csv", "data.csv"]
+
+    def test_nominal_table_is_never_stored(self, tmp_path, parses):
+        path = write(tmp_path, "duration,protocol_type,class\n1,tcp,normal\n2,udp,anomaly\n")
+        load_csv(path)
+        load_csv(path)
+        assert parses == ["data.csv", "data.csv"]
+        assert not data._parsed
+
+    def test_holds_at_most_two_tables_least_recently_used_first_out(self, tmp_path, parses):
+        paths = {
+            name: write(tmp_path, NUMERIC_TEXT.replace("0.1", str(i)), f"{name}.csv")
+            for i, name in enumerate("abc")
+        }
+        for name in "abac":  # the hit on a makes b the least recently used
+            load_csv(paths[name])
+            assert len(data._parsed) <= 2
+        assert parses == ["a.csv", "b.csv", "c.csv"]
+        load_csv(paths["a"])
+        load_csv(paths["b"])
+        assert parses == ["a.csv", "b.csv", "c.csv", "b.csv"]
 
 
 class TestLabelEncoder:

@@ -226,6 +226,28 @@ class TestRunPipeline:
         for name in ("train.csv", "test.csv", "transforms.json", "rfe.json", "forest.json", "verdicts_train.csv"):
             assert (staged / name).read_bytes() == (mono / name).read_bytes(), name
 
+    def test_each_partition_is_parsed_once_per_process(self, tmp_path, monkeypatch, parses):
+        loads = []
+
+        def counting_load(path, **kw):
+            loads.append(Path(path).name)
+            return load_csv(path, **kw)
+
+        monkeypatch.setattr(pipeline, "load_csv", counting_load)
+        cfg = small_config(tmp_path)
+        run_pipeline(cfg)
+        assert len(loads) == 7
+        assert parses == ["input.csv", "train.csv", "test.csv"]
+        # a stage re-run parses only what changed on disk
+        out = Path(cfg.out_dir)
+        stage_select(cfg, out)
+        assert parses == ["input.csv", "train.csv", "test.csv"]
+        train = load_csv(out / "train.csv")
+        train.rows[0, 0] += 1.0
+        write_csv(train, out / "train.csv")
+        stage_select(cfg, out)
+        assert parses == ["input.csv", "train.csv", "test.csv", "train.csv"]
+
     def test_run_stage_calls_the_module_global(self, tmp_path, monkeypatch):
         cfg = small_config(tmp_path)
         calls = []
@@ -355,7 +377,14 @@ class TestRunPipeline:
         ):
             assert (replay_out / name).read_bytes() == (out / name).read_bytes(), name
 
-    def test_emptied_class_aborts_arm_b(self, tmp_path):
+    @pytest.mark.parametrize(
+        "threshold, advice",
+        [
+            (ThresholdSettings(mode="contamination", fraction=0.3), "lower forest.threshold.fraction"),
+            (ThresholdSettings(mode="fixed", tau=0.7), "raise forest.threshold.tau"),
+        ],
+    )
+    def test_emptied_class_aborts_arm_b(self, tmp_path, threshold, advice):
         # tiny minority class sits far out; an aggressive threshold removes it entirely
         rng = np.random.default_rng(0)
         X = np.vstack([rng.normal(0, 0.3, size=(60, 2)), [[9.0, 9.0], [9.5, 9.0], [9.0, 9.5], [9.5, 9.5]]])
@@ -374,12 +403,10 @@ class TestRunPipeline:
             seed=5,
             out_dir=str(tmp_path / "run"),
             select=SelectSettings(target_count=1, step=1, n_trees=10),
-            forest=ForestSettings(
-                trees=30, subsample=32, threshold=ThresholdSettings(mode="contamination", fraction=0.3)
-            ),
+            forest=ForestSettings(trees=30, subsample=32, threshold=threshold),
             classifiers=ClassifierSettings(knn_k=3, adaboost_stumps=5, lr_epochs=50, svm_epochs=50),
         )
-        with pytest.raises(PipelineError, match="train: .*emptied class"):
+        with pytest.raises(PipelineError, match=f"train: outlier removal emptied class 1 .*; {advice}$"):
             run_pipeline(cfg)
 
     def test_stage_errors_name_the_stage(self, tmp_path):
