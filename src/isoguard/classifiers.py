@@ -219,13 +219,13 @@ def logreg_fit(X, y, learning_rate: float = 0.1, epochs: int = 300, l2: float = 
     loss is reported as a training failure rather than silently clipped.
     """
     X = _as_matrix(X)
-    y = _as_labels(y, X.shape[0])
+    y = _as_labels(y, X.shape[0]).astype(np.float64)
     if epochs < 0:
         raise IsoguardError(f"epochs must be >= 0, got {epochs}")
     w = np.zeros(X.shape[1])
     b = 0.0
     for _ in range(epochs):
-        loss, grad_w, grad_b = logreg_loss_grad(w, b, X, y.astype(np.float64), l2)
+        loss, grad_w, grad_b = logreg_loss_grad(w, b, X, y, l2)
         if not math.isfinite(loss):
             raise IsoguardError("logistic regression training diverged (non-finite loss); lower the learning rate")
         w = w - learning_rate * grad_w

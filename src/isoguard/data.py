@@ -17,6 +17,7 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass, replace
 from enum import Enum
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -281,8 +282,10 @@ def apply_scaler(ds: Dataset, sc: ScalerState) -> Dataset:
     return replace(ds, rows=scaled)
 
 
-def _round_half_up(x: float) -> int:
-    return int(math.floor(x + 0.5))
+def share_count(fraction: float, n: int) -> int:
+    """round(fraction * n), half up, on the fraction's decimal value: 0.29 of
+    50 is 14.5 and gives 15, where the float product 14.499999999999998 gives 14."""
+    return math.floor(Fraction(str(float(fraction))) * n + Fraction(1, 2))
 
 
 def train_test_split(ds: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
@@ -304,13 +307,13 @@ def train_test_split(ds: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
                 raise IsoguardError(
                     f"stratified split needs >= 2 rows per class, class {cls} has {members.size}"
                 )
-            k = min(max(_round_half_up(spec.test_fraction * members.size), 1), members.size - 1)
+            k = min(max(share_count(spec.test_fraction, members.size), 1), members.size - 1)
             test_parts.append(rng.permutation(members)[:k])
     else:
         n = ds.n_rows
         if n < 2:
             raise IsoguardError("split needs at least 2 rows")
-        k = min(max(_round_half_up(spec.test_fraction * n), 1), n - 1)
+        k = min(max(share_count(spec.test_fraction, n), 1), n - 1)
         test_parts.append(rng.permutation(n)[:k])
     test_idx = np.sort(np.concatenate(test_parts))
     mask = np.zeros(ds.n_rows, dtype=bool)

@@ -27,6 +27,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -255,8 +256,10 @@ def label_scores(s: np.ndarray, threshold: float | None = None, contamination: f
         return np.where(s >= (0.5 if threshold is None else threshold), -1, 1)
     if not 0.0 < contamination <= 0.5:
         raise IsoguardError(f"contamination must be in (0, 0.5], got {contamination}")
+    # counted on the fraction's decimal value: 0.07 of 100 rows is 7, where the float product is 7.000000000000001
+    n_flagged = math.ceil(Fraction(str(float(contamination))) * s.size)
     labels = np.ones(s.size, dtype=np.int64)
-    labels[np.argsort(-s, kind="stable")[: math.ceil(contamination * s.size)]] = -1
+    labels[np.argsort(-s, kind="stable")[:n_flagged]] = -1
     return labels
 
 

@@ -9,10 +9,16 @@ Every stage reads and writes plain artifacts (CSV/JSON) in the output
 directory, so the monolithic run and the stage-by-stage subcommands are
 the same code path and produce identical bytes for identical seeds. All
 stage seeds derive from the single master seed.
+
+A ``PipelineConfig`` checks every range that does not depend on the data
+when it is built, so no command starts a stage, or makes a directory,
+with a config out of range. A stage that fails raises a ``PipelineError``
+whose message starts with the stage name.
 """
 from __future__ import annotations
 
 import csv
+import functools
 import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -36,7 +42,7 @@ from .data import (
     write_csv,
     write_table,
 )
-from .errors import IsoguardError, PipelineError, checked_int
+from .errors import IsoguardError, PipelineError
 from .evaluation import (
     ClassifierEvaluation,
     ComparisonReport,
@@ -45,7 +51,7 @@ from .evaluation import (
     report_to_json,
     write_roc_csv,
 )
-from .feature_selection import ExtraTreesParams, load_rfe, rfe_select, save_rfe
+from .feature_selection import ExtraTreesParams, RfeResult, load_rfe, rfe_select, save_rfe
 from .prng import derive_seed
 from .synthetic import SyntheticSpec, generate_synthetic, write_injection_mask
 
@@ -109,11 +115,43 @@ class PipelineConfig:
     scatter_y: str | None = None
     synthetic: SyntheticSpec = field(default_factory=SyntheticSpec)
 
+    def __post_init__(self) -> None:
+        """Stop on a setting outside its range, naming the dotted field. None of
+        these ranges depends on the data, so they hold before any stage runs."""
+        sel, cs, threshold = self.select, self.classifiers, self.forest.threshold
+        if threshold.mode not in ("fixed", "contamination"):
+            raise IsoguardError(f"forest.threshold.mode must be 'fixed' or 'contamination', got {threshold.mode!r}")
+        lower_bounds = {  # None, where a field allows it, means unbounded and passes
+            "select.target_count": (sel.target_count, ">=", 1),
+            "select.step": (sel.step, ">=", 1),
+            "select.n_trees": (sel.n_trees, ">=", 1),
+            "select.max_depth": (sel.max_depth, ">=", 1),
+            "select.min_samples_split": (sel.min_samples_split, ">=", 2),
+            "select.sample_cap": (sel.sample_cap, ">=", 1),
+            "forest.trees": (self.forest.trees, ">=", 1),
+            "forest.subsample": (self.forest.subsample, ">=", 2),
+            "classifiers.knn_k": (cs.knn_k, ">=", 1),
+            "classifiers.nb_var_smoothing": (cs.nb_var_smoothing, ">", 0),
+            "classifiers.lr_learning_rate": (cs.lr_learning_rate, ">", 0),
+            "classifiers.lr_epochs": (cs.lr_epochs, ">=", 0),
+            "classifiers.lr_l2": (cs.lr_l2, ">=", 0),
+            "classifiers.svm_lambda": (cs.svm_lambda, ">", 0),
+            "classifiers.svm_epochs": (cs.svm_epochs, ">=", 1),
+            "classifiers.adaboost_stumps": (cs.adaboost_stumps, ">=", 1),
+        }
+        for name, (value, op, low) in lower_bounds.items():
+            if value is not None and not (value > low if op == ">" else value >= low):
+                raise IsoguardError(f"{name} must be {op} {low}, got {value!r}")
+        if not 0.0 < self.split.test_fraction < 1.0:
+            raise IsoguardError(f"split.test_fraction must be in (0, 1), got {self.split.test_fraction!r}")
+        if threshold.mode == "fixed" and not 0.0 < threshold.tau <= 1.0:  # scores lie in (0, 1]
+            raise IsoguardError(f"forest.threshold.tau must be in (0, 1], got {threshold.tau!r}")
+        if threshold.mode == "contamination" and not 0.0 < threshold.fraction <= 0.5:
+            raise IsoguardError(f"forest.threshold.fraction must be in (0, 0.5], got {threshold.fraction!r}")
+
 
 def config_from_dict(doc: dict) -> PipelineConfig:
-    cfg = from_doc(PipelineConfig, doc, "config")
-    _threshold_kwargs(cfg.forest.threshold)  # a bad mode fails here, before any stage runs
-    return cfg
+    return from_doc(PipelineConfig, doc, "config")
 
 
 def load_config(path: str | Path) -> PipelineConfig:
@@ -131,8 +169,9 @@ def load_config(path: str | Path) -> PipelineConfig:
     return config_from_dict(doc)
 
 
-def config_to_json(cfg: PipelineConfig) -> str:
-    return json.dumps(to_doc(cfg), indent=2, sort_keys=True)
+def config_to_json(section) -> str:
+    """A config, or one of its sections, as indented JSON with sorted keys."""
+    return json.dumps(to_doc(section), indent=2, sort_keys=True)
 
 
 # ---------------------------------------------------------------------------
@@ -166,6 +205,12 @@ def _read_artifact_csv(out: Path, name: str, target_column: str, column_names: l
     return ds
 
 
+def _read_selected(out: Path, target_column: str, *names: str) -> tuple[RfeResult, list[str], list[Dataset]]:
+    """rfe.json's result and column names, and each named partition, which must hold those columns."""
+    rfe, column_names = load_rfe(_artifact(out / "rfe.json", "select"))
+    return rfe, column_names, [_read_artifact_csv(out, f"{n}.csv", target_column, column_names) for n in names]
+
+
 def _read_verdict_labels(path: Path, train: Dataset) -> np.ndarray:
     """Verdict labels of ``train``'s rows; the row counts must agree."""
     with open(_artifact(path, "detect"), newline="", encoding="utf-8") as fh:
@@ -195,96 +240,95 @@ def _read_verdict_labels(path: Path, train: Dataset) -> np.ndarray:
 # stages
 
 
+def _stage(fn):
+    """``fn``, re-raising an IsoguardError as a PipelineError that names the stage."""
+    name = fn.__name__.removeprefix("stage_")
+
+    @functools.wraps(fn)
+    def run(cfg: PipelineConfig, out: Path):
+        try:
+            return fn(cfg, out)
+        except IsoguardError as e:
+            raise PipelineError(f"{name}: {e}") from e
+
+    return run
+
+
+@_stage
 def stage_ingest(cfg: PipelineConfig, out: Path) -> None:
     """Load, split, fit encoder+scaler on train only, transform both partitions."""
-    try:
-        seed = _require_seed(cfg)
-        raw = load_csv(cfg.input, target_column=cfg.target_column)
-        split = SplitSpec(
-            test_fraction=cfg.split.test_fraction,
-            seed=derive_seed(seed, "split"),
-            stratified=cfg.split.stratified,
-        )
-        train_raw, test_raw = train_test_split(raw, split)
-        encoder = fit_label_encoder(train_raw)
-        train_enc = apply_label_encoder(train_raw, encoder)
-        test_enc = apply_label_encoder(test_raw, encoder)
-        scaler = fit_scaler(train_enc)
-        train = apply_scaler(train_enc, scaler)
-        test = apply_scaler(test_enc, scaler)
-        save_transforms(encoder, scaler, out / "transforms.json")
-        write_csv(train, out / "train.csv")
-        write_csv(test, out / "test.csv")
-    except IsoguardError as e:
-        raise PipelineError(f"ingest: {e}") from e
+    seed = _require_seed(cfg)
+    raw = load_csv(cfg.input, target_column=cfg.target_column)
+    split = SplitSpec(
+        test_fraction=cfg.split.test_fraction,
+        seed=derive_seed(seed, "split"),
+        stratified=cfg.split.stratified,
+    )
+    train_raw, test_raw = train_test_split(raw, split)
+    encoder = fit_label_encoder(train_raw)
+    train_enc = apply_label_encoder(train_raw, encoder)
+    test_enc = apply_label_encoder(test_raw, encoder)
+    scaler = fit_scaler(train_enc)
+    train = apply_scaler(train_enc, scaler)
+    test = apply_scaler(test_enc, scaler)
+    save_transforms(encoder, scaler, out / "transforms.json")
+    write_csv(train, out / "train.csv")
+    write_csv(test, out / "test.csv")
 
 
+@_stage
 def stage_select(cfg: PipelineConfig, out: Path) -> None:
     """Recursive feature elimination on the transformed training partition."""
-    try:
-        seed = _require_seed(cfg)
-        train = _read_artifact_csv(out, "train.csv", cfg.target_column)
-        X = train.matrix()
-        y = train.target
-        cap = cfg.select.sample_cap
-        if cap is not None and checked_int(cap, "select.sample_cap", 1) < X.shape[0]:
-            rng = np.random.default_rng(derive_seed(seed, "select-sample"))
-            keep = np.sort(rng.permutation(X.shape[0])[:cap])
-            X, y = X[keep], y[keep]
-        params = ExtraTreesParams(
-            n_trees=cfg.select.n_trees,
-            max_depth=cfg.select.max_depth,
-            min_samples_split=cfg.select.min_samples_split,
-            seed=derive_seed(seed, "select"),
-        )
-        result = rfe_select(X, y, target_count=cfg.select.target_count, step=cfg.select.step, params=params)
-        save_rfe(result, list(train.feature_names), out / "rfe.json")
-    except IsoguardError as e:
-        raise PipelineError(f"select: {e}") from e
+    seed = _require_seed(cfg)
+    train = _read_artifact_csv(out, "train.csv", cfg.target_column)
+    X = train.matrix()
+    y = train.target
+    cap = cfg.select.sample_cap
+    if cap is not None and cap < X.shape[0]:
+        rng = np.random.default_rng(derive_seed(seed, "select-sample"))
+        keep = np.sort(rng.permutation(X.shape[0])[:cap])
+        X, y = X[keep], y[keep]
+    params = ExtraTreesParams(
+        n_trees=cfg.select.n_trees,
+        max_depth=cfg.select.max_depth,
+        min_samples_split=cfg.select.min_samples_split,
+        seed=derive_seed(seed, "select"),
+    )
+    result = rfe_select(X, y, target_count=cfg.select.target_count, step=cfg.select.step, params=params)
+    save_rfe(result, list(train.feature_names), out / "rfe.json")
 
 
-def _threshold_kwargs(ts: ThresholdSettings) -> dict:
-    if ts.mode == "fixed":
-        return {"threshold": ts.tau}
-    if ts.mode == "contamination":
-        return {"contamination": ts.fraction}
-    raise IsoguardError(f"forest.threshold.mode must be 'fixed' or 'contamination', got {ts.mode!r}")
-
-
+@_stage
 def stage_detect(cfg: PipelineConfig, out: Path) -> None:
     """Fit the isolation forest on selected training features; emit verdicts and scatter data."""
-    try:
-        seed = _require_seed(cfg)
-        rfe, column_names = load_rfe(_artifact(out / "rfe.json", "select"))
-        train = _read_artifact_csv(out, "train.csv", cfg.target_column, column_names)
-        test = _read_artifact_csv(out, "test.csv", cfg.target_column, column_names)
-        selected = list(rfe.selected)
-        # scatter axes default to the two most important surviving features
-        by_importance = np.lexsort((np.array(selected), -rfe.final_importances))
-        x_col = cfg.scatter_x or column_names[selected[by_importance[0]]]
-        y_col = cfg.scatter_y or column_names[selected[by_importance[min(1, len(selected) - 1)]]]
-        for key, col in (("scatter_x", x_col), ("scatter_y", y_col)):
-            if col not in column_names:  # checked before any output is written
-                raise IsoguardError(f"{key} {col!r} is not a column that rfe.json records")
-        X_train = train.matrix()[:, selected]
-        m = min(cfg.forest.subsample, X_train.shape[0])
-        forest = iforest.fit_forest(X_train, t=cfg.forest.trees, m=m, seed=derive_seed(seed, "forest"))
-        kwargs = _threshold_kwargs(cfg.forest.threshold)
-        labels = {}
-        for name, X in (("train", X_train), ("test", test.matrix()[:, selected])):
-            s, mean_h = iforest.score_batch(forest, X)
-            labels[name] = iforest.label_scores(s, **kwargs)
-            columns = [np.arange(s.size), s, mean_h, labels[name]]
-            write_table(out / f"verdicts_{name}.csv", ["row", "score", "mean_path", "label"], columns)
-        iforest.save_forest(forest, out / "forest.json")
-        # (x, y, verdict, class) plot data: every training row, then the rows labelled +1
-        header = [x_col, y_col, "verdict", train.target_name]
-        xi, yi = column_names.index(x_col), column_names.index(y_col)
-        columns = [train.rows[:, xi], train.rows[:, yi], labels["train"], train.target]
-        write_table(out / "scatter_full.csv", header, columns)
-        write_table(out / "scatter_clean.csv", header, [c[labels["train"] == 1] for c in columns])
-    except IsoguardError as e:
-        raise PipelineError(f"detect: {e}") from e
+    seed = _require_seed(cfg)
+    rfe, column_names, (train, test) = _read_selected(out, cfg.target_column, "train", "test")
+    selected = list(rfe.selected)
+    # scatter axes default to the two most important surviving features
+    by_importance = np.lexsort((np.array(selected), -rfe.final_importances))
+    x_col = cfg.scatter_x or column_names[selected[by_importance[0]]]
+    y_col = cfg.scatter_y or column_names[selected[by_importance[min(1, len(selected) - 1)]]]
+    for key, col in (("scatter_x", x_col), ("scatter_y", y_col)):
+        if col not in column_names:  # checked before any output is written
+            raise IsoguardError(f"{key} {col!r} is not a column that rfe.json records")
+    X_train = train.matrix()[:, selected]
+    m = min(cfg.forest.subsample, X_train.shape[0])
+    forest = iforest.fit_forest(X_train, t=cfg.forest.trees, m=m, seed=derive_seed(seed, "forest"))
+    ts = cfg.forest.threshold
+    kwargs = {"threshold": ts.tau} if ts.mode == "fixed" else {"contamination": ts.fraction}
+    labels = {}
+    for name, X in (("train", X_train), ("test", test.matrix()[:, selected])):
+        s, mean_h = iforest.score_batch(forest, X)
+        labels[name] = iforest.label_scores(s, **kwargs)
+        columns = [np.arange(s.size), s, mean_h, labels[name]]
+        write_table(out / f"verdicts_{name}.csv", ["row", "score", "mean_path", "label"], columns)
+    iforest.save_forest(forest, out / "forest.json")
+    # (x, y, verdict, class) plot data: every training row, then the rows labelled +1
+    header = [x_col, y_col, "verdict", train.target_name]
+    xi, yi = column_names.index(x_col), column_names.index(y_col)
+    columns = [train.rows[:, xi], train.rows[:, yi], labels["train"], train.target]
+    write_table(out / "scatter_full.csv", header, columns)
+    write_table(out / "scatter_clean.csv", header, [c[labels["train"] == 1] for c in columns])
 
 
 def _fit_all(X: np.ndarray, y: np.ndarray, cs: ClassifierSettings) -> dict[str, clf.ClassifierModel]:
@@ -297,128 +341,82 @@ def _fit_all(X: np.ndarray, y: np.ndarray, cs: ClassifierSettings) -> dict[str, 
     }
 
 
+@_stage
 def stage_train(cfg: PipelineConfig, out: Path) -> None:
     """Train all five classifiers on both arms.
 
     Arm A uses the full training partition; arm B drops the rows the
     forest flagged -1. The test partition is never touched.
     """
-    try:
-        rfe, column_names = load_rfe(_artifact(out / "rfe.json", "select"))
-        train = _read_artifact_csv(out, "train.csv", cfg.target_column, column_names)
-        labels = _read_verdict_labels(out / "verdicts_train.csv", train)
-        X = train.matrix()[:, list(rfe.selected)]
-        y = train.target
+    rfe, _, (train,) = _read_selected(out, cfg.target_column, "train")
+    labels = _read_verdict_labels(out / "verdicts_train.csv", train)
+    X = train.matrix()[:, list(rfe.selected)]
+    y = train.target
 
-        models = _fit_all(X, y, cfg.classifiers)
-        for name, model in models.items():
-            clf.save_model(model, out / f"model_{name}.json")
+    models = _fit_all(X, y, cfg.classifiers)
+    for name, model in models.items():
+        clf.save_model(model, out / f"model_{name}.json")
 
-        keep = labels == 1
-        y_clean = y[keep]
-        for cls in (0, 1):
-            if not (y_clean == cls).any():
-                # a higher tau, or a lower fraction, flags fewer rows
-                advice = (
-                    "raise forest.threshold.tau"
-                    if cfg.forest.threshold.mode == "fixed"
-                    else "lower forest.threshold.fraction"
-                )
-                raise IsoguardError(f"outlier removal emptied class {cls} in the training partition; {advice}")
-        if keep.all():  # nothing removed: arm B trains on the identical data
-            clean_models = models
-        else:
-            clean_models = _fit_all(X[keep], y_clean, cfg.classifiers)
-        for name, model in clean_models.items():
-            clf.save_model(model, out / f"model_{name}_clean.json")
-    except IsoguardError as e:
-        raise PipelineError(f"train: {e}") from e
+    keep = labels == 1
+    y_clean = y[keep]
+    for cls in (0, 1):
+        if not (y_clean == cls).any():
+            # a higher tau, or a lower fraction, flags fewer rows
+            fixed = cfg.forest.threshold.mode == "fixed"
+            advice = "raise forest.threshold.tau" if fixed else "lower forest.threshold.fraction"
+            raise IsoguardError(f"outlier removal emptied class {cls} in the training partition; {advice}")
+    # Nothing removed: arm B reuses arm A's models. A refit on X[keep] would not
+    # match them byte for byte: X is a Fortran-ordered column slice, X[keep] a
+    # C-ordered copy, and logreg_fit's BLAS products differ in the last bits.
+    clean_models = models if keep.all() else _fit_all(X[keep], y_clean, cfg.classifiers)
+    for name, model in clean_models.items():
+        clf.save_model(model, out / f"model_{name}_clean.json")
 
 
+@_stage
 def stage_evaluate(cfg: PipelineConfig, out: Path) -> ComparisonReport:
     """Evaluate both arms on the shared test partition and write the reports."""
-    try:
-        rfe, column_names = load_rfe(_artifact(out / "rfe.json", "select"))
-        train = _read_artifact_csv(out, "train.csv", cfg.target_column, column_names)
-        test = _read_artifact_csv(out, "test.csv", cfg.target_column, column_names)
-        labels = _read_verdict_labels(out / "verdicts_train.csv", train)
-        X_test = test.matrix()[:, list(rfe.selected)]
-        y_test = test.target
+    rfe, _, (train, test) = _read_selected(out, cfg.target_column, "train", "test")
+    labels = _read_verdict_labels(out / "verdicts_train.csv", train)
+    X_test = test.matrix()[:, list(rfe.selected)]
+    y_test = test.target
 
-        arms: dict[str, dict[str, ClassifierEvaluation]] = {}
-        for arm, suffix in (("before", ""), ("after", "_clean")):
-            evaluations: dict[str, ClassifierEvaluation] = {}
-            for name in MODELS:
-                model = clf.load_model(_artifact(out / f"model_{name}{suffix}.json", "train"))
-                scores = clf.score_model(model, X_test)
-                evaluations[name] = evaluate_predictions(y_test, clf.labels_from_scores(model, scores), scores)
-            arms[arm] = evaluations
-
-        removed = int((labels == -1).sum())
-        report = ComparisonReport(
-            models=MODELS,
-            before=arms["before"],
-            after=arms["after"],
-            outliers_removed=removed,
-            n_train_before=train.n_rows,
-            n_train_after=train.n_rows - removed,
-            n_test=test.n_rows,
-        )
-        (out / "report.json").write_text(report_to_json(report) + "\n", encoding="utf-8")
-        (out / "report.txt").write_text(render_table(report), encoding="utf-8")
+    arms: dict[str, dict[str, ClassifierEvaluation]] = {"before": {}, "after": {}}
+    for arm, suffix in (("before", ""), ("after", "_clean")):
         for name in MODELS:
-            write_roc_csv(report.before[name].roc, out / f"roc_{name}.csv")
-            write_roc_csv(report.after[name].roc, out / f"roc_{name}_clean.csv")
-        return report
-    except IsoguardError as e:
-        raise PipelineError(f"evaluate: {e}") from e
+            model = clf.load_model(_artifact(out / f"model_{name}{suffix}.json", "train"))
+            scores = clf.score_model(model, X_test)
+            arms[arm][name] = evaluate_predictions(y_test, clf.labels_from_scores(model, scores), scores)
+
+    removed = int((labels == -1).sum())
+    report = ComparisonReport(
+        models=MODELS,
+        before=arms["before"],
+        after=arms["after"],
+        outliers_removed=removed,
+        n_train_before=train.n_rows,
+        n_train_after=train.n_rows - removed,
+        n_test=test.n_rows,
+    )
+    (out / "report.json").write_text(report_to_json(report) + "\n", encoding="utf-8")
+    (out / "report.txt").write_text(render_table(report), encoding="utf-8")
+    for name in MODELS:
+        write_roc_csv(report.before[name].roc, out / f"roc_{name}.csv")
+        write_roc_csv(report.after[name].roc, out / f"roc_{name}_clean.csv")
+    return report
 
 
-def _check_ranges(cfg: PipelineConfig) -> None:
-    """Stop on a setting outside its range, naming the dotted field. None of
-    these ranges depends on the data, so they are checked before any stage runs."""
-    sel, cs = cfg.select, cfg.classifiers
-    at_least = {
-        "select.target_count": (sel.target_count, 1),
-        "select.step": (sel.step, 1),
-        "select.n_trees": (sel.n_trees, 1),
-        "select.max_depth": (sel.max_depth, 1),
-        "select.min_samples_split": (sel.min_samples_split, 2),
-        "forest.trees": (cfg.forest.trees, 1),
-        "forest.subsample": (cfg.forest.subsample, 2),
-        "classifiers.knn_k": (cs.knn_k, 1),
-        "classifiers.lr_epochs": (cs.lr_epochs, 0),
-        "classifiers.lr_l2": (cs.lr_l2, 0),
-        "classifiers.svm_epochs": (cs.svm_epochs, 1),
-        "classifiers.adaboost_stumps": (cs.adaboost_stumps, 1),
-    }
-    for name, (value, low) in at_least.items():
-        if value is not None and value < low:
-            raise IsoguardError(f"{name} must be >= {low}, got {value!r}")
-    for name, value in (
-        ("classifiers.nb_var_smoothing", cs.nb_var_smoothing),
-        ("classifiers.lr_learning_rate", cs.lr_learning_rate),
-        ("classifiers.svm_lambda", cs.svm_lambda),
-    ):
-        if not value > 0.0:
-            raise IsoguardError(f"{name} must be > 0, got {value!r}")
-    if not 0.0 < cfg.split.test_fraction < 1.0:
-        raise IsoguardError(f"split.test_fraction must be in (0, 1), got {cfg.split.test_fraction!r}")
-    threshold = cfg.forest.threshold
-    if threshold.mode == "fixed" and not 0.0 < threshold.tau <= 1.0:  # scores lie in (0, 1]
-        raise IsoguardError(f"forest.threshold.tau must be in (0, 1], got {threshold.tau!r}")
-    if threshold.mode == "contamination" and not 0.0 < threshold.fraction <= 0.5:
-        raise IsoguardError(f"forest.threshold.fraction must be in (0, 0.5], got {threshold.fraction!r}")
+def _make_out(cfg: PipelineConfig, name: str, section) -> Path:
+    """The output directory, created, with the config ``section`` written in it as the JSON file ``name``."""
+    out = Path(cfg.out_dir or ".")
+    out.mkdir(parents=True, exist_ok=True)
+    (out / name).write_text(config_to_json(section) + "\n", encoding="utf-8")
+    return out
 
 
 def _prepare_out(cfg: PipelineConfig) -> Path:
-    """The run's output directory, created, with ``config.resolved.json`` written in it."""
     _require_seed(cfg)
-    _check_ranges(cfg)
-    out = Path(cfg.out_dir or ".")
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "config.resolved.json").write_text(config_to_json(cfg) + "\n", encoding="utf-8")
-    return out
+    return _make_out(cfg, "config.resolved.json", cfg)
 
 
 def run_stage(name: str, cfg: PipelineConfig) -> ComparisonReport | None:
@@ -444,12 +442,7 @@ def run_synth(cfg: PipelineConfig) -> Path:
     if cfg.seed is not None:
         spec = replace(spec, seed=cfg.seed)
     ds, mask = generate_synthetic(spec)  # a bad spec fails here, before the output directory exists
-    out = Path(cfg.out_dir or ".")
-    out.mkdir(parents=True, exist_ok=True)
-    csv_path = out / "synthetic.csv"
-    write_csv(ds, csv_path)
+    out = _make_out(cfg, "synthetic_spec.json", spec)
+    write_csv(ds, out / "synthetic.csv")
     write_injection_mask(mask, out / "synthetic_mask.csv")
-    (out / "synthetic_spec.json").write_text(
-        json.dumps(to_doc(spec), indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    return csv_path
+    return out / "synthetic.csv"

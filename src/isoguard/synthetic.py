@@ -9,13 +9,12 @@ should isolate; the generator returns their mask as ground truth.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .data import ColumnKind, Dataset, write_table
+from .data import ColumnKind, Dataset, share_count, write_table
 from .errors import IsoguardError
 from .prng import derive_seed
 
@@ -50,7 +49,7 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[Dataset, np.ndarray]:
     majority_count = spec.n_normal if majority == 0 else spec.n_anomaly
     n_inject = 0
     if spec.outlier_fraction > 0.0:
-        n_inject = min(majority_count - 1, max(1, int(math.floor(spec.outlier_fraction * n_total + 0.5))))
+        n_inject = min(majority_count - 1, max(1, share_count(spec.outlier_fraction, n_total)))
 
     X = np.empty((n_total, d))
     y = np.concatenate((np.zeros(spec.n_normal, dtype=np.int64), np.ones(spec.n_anomaly, dtype=np.int64)))

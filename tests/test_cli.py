@@ -16,6 +16,7 @@ from isoguard.data import write_csv
 from isoguard.errors import IsoguardError
 from isoguard.feature_selection import load_rfe
 from isoguard.iforest import load_forest
+from isoguard.pipeline import config_from_dict
 from isoguard.synthetic import SyntheticSpec, generate_synthetic
 
 
@@ -200,6 +201,8 @@ CONFIG_MISTYPES = [
     ("classifiers.svm_lambda", 0, "classifiers.svm_lambda must be > 0, got 0.0"),
     ("classifiers.svm_epochs", 0, "classifiers.svm_epochs must be >= 1, got 0"),
     ("classifiers.adaboost_stumps", 0, "classifiers.adaboost_stumps must be >= 1, got 0"),
+    ("select.sample_cap", 0, "select.sample_cap must be >= 1, got 0"),
+    ("select.sample_cap", -5, "select.sample_cap must be >= 1, got -5"),
 ]
 
 
@@ -225,6 +228,13 @@ class TestConfigMistypes:
         assert message in err
         assert "Traceback" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("dotted, value, message", CONFIG_MISTYPES)
+    def test_library_config_rejects(self, dotted, value, message):
+        doc = {"input": "data.csv", "forest": {"threshold": {"mode": "contamination"}}}  # as in the workspace config
+        _set_field(doc, dotted, value)
+        with pytest.raises(IsoguardError, match=re.escape(message)):
+            config_from_dict(doc)
 
     def test_synth_config_needs_no_input(self, tmp_path, capsys):
         cfg_path = tmp_path / "config.json"

@@ -433,6 +433,13 @@ class TestSplit:
         assert int((test.target == 0).sum()) == 18
         assert int((test.target == 1).sum()) == 2
 
+    def test_stratified_test_size_is_exact_for_decimal_fractions(self):
+        ds = numeric_dataset(np.arange(60, dtype=np.float64).reshape(-1, 1), [0] * 50 + [1] * 10)
+        assert 0.29 * 50 < 14.5  # the float product rounds down, so half up would give 14
+        _, test = train_test_split(ds, SplitSpec(test_fraction=0.29, seed=1, stratified=True))
+        assert int((test.target == 0).sum()) == 15  # 14.5 rounds half up
+        assert int((test.target == 1).sum()) == 3  # 2.9
+
     def test_partitions_disjoint_and_cover(self):
         ds = self.make()
         train, test = train_test_split(ds, SplitSpec(test_fraction=0.25, seed=9))

@@ -334,6 +334,12 @@ class TestPredict:
         verdicts = predict(forest, X, contamination=0.1)
         assert sum(1 for v in verdicts if v.label == -1) == 10
 
+    def test_contamination_count_is_exact_for_decimal_fractions(self):
+        s = np.linspace(0.3, 0.9, 100)
+        assert 0.07 * 100 > 7  # the float product rounds up, so its ceil would flag 8
+        assert int((label_scores(s, contamination=0.07) == -1).sum()) == 7
+        assert int((label_scores(s, contamination=np.float64(0.07)) == -1).sum()) == 7
+
     def test_contamination_tie_break_ascending_index(self):
         X = np.full((10, 1), 2.0)  # all scores identical
         forest = fit_forest(X, t=5, m=10, seed=0)

@@ -10,6 +10,7 @@ import pytest
 
 from isoguard import classifiers as clf
 from isoguard import iforest, pipeline
+from isoguard.codec import to_doc
 from isoguard.data import load_csv, write_csv
 from isoguard.errors import IsoguardError, PipelineError
 from isoguard.pipeline import (
@@ -128,6 +129,7 @@ class TestConfig:
         block = readme.split("## Configuration", 1)[1].split("```jsonc\n", 1)[1].split("```", 1)[0]
         doc = json.loads(re.sub(r"//.*", "", block))
         assert config_from_dict(doc) == PipelineConfig(input="data.csv")
+        assert doc | {"input": ""} == to_doc(PipelineConfig())  # every field listed, none left to its default
 
     def test_readme_python_blocks_run(self, tmp_path, monkeypatch):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
@@ -422,14 +424,11 @@ class TestRunPipeline:
             stage_select(cfg, out)
 
     @pytest.mark.parametrize("cap", [0, -5])
-    def test_sample_cap_below_one_rejected(self, tmp_path, cap):
-        cfg = small_config(tmp_path, select=SelectSettings(target_count=4, n_trees=10, sample_cap=cap))
-        out = Path(cfg.out_dir)
-        out.mkdir(parents=True)
-        stage_ingest(cfg, out)
-        with pytest.raises(PipelineError, match=rf"^select: select.sample_cap must be an integer >= 1, got {cap}$"):
-            stage_select(cfg, out)
-        assert not (out / "rfe.json").exists()
+    def test_sample_cap_below_one_rejected_when_built(self, tmp_path, cap):
+        cfg = small_config(tmp_path)
+        with pytest.raises(IsoguardError, match=rf"^select.sample_cap must be >= 1, got {cap}$"):
+            replace(cfg, select=replace(cfg.select, sample_cap=cap))
+        assert not Path(cfg.out_dir).exists()
 
     def test_missing_seed_rejected(self, tmp_path):
         cfg = small_config(tmp_path, seed=None)

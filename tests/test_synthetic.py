@@ -21,6 +21,11 @@ class TestGenerateSynthetic:
         # planted outliers carry the majority (normal) label
         assert (ds.target[mask] == 0).all()
 
+    def test_injection_count_is_exact_for_decimal_fractions(self):
+        assert 0.29 * 50 < 14.5  # the float product rounds down, so half up would give 14
+        _, mask = generate_synthetic(SyntheticSpec(n_normal=40, n_anomaly=10, outlier_fraction=0.29, seed=2))
+        assert int(mask.sum()) == 15
+
     def test_deterministic(self):
         a, mask_a = generate_synthetic(SyntheticSpec(seed=3))
         b, mask_b = generate_synthetic(SyntheticSpec(seed=3))
