@@ -464,7 +464,15 @@ ClassifierModel = KnnModel | GaussianNbModel | LogisticModel | LinearSvmModel | 
 
 
 def score_model(model: ClassifierModel, X) -> np.ndarray:
-    return MODEL_KINDS[type(model)].score(model, X)
+    """``model``'s scores on ``X``. An overflow or an invalid operation raises
+    IsoguardError: it means parameters no fit produces (a weight of 1e308,
+    say), and checking the scores afterwards would miss it, since the sigmoid
+    maps an infinite margin to 1.0."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            return MODEL_KINDS[type(model)].score(model, X)
+    except FloatingPointError as e:
+        raise IsoguardError(f"model parameters out of range: {e}") from None
 
 
 def labels_from_scores(model: ClassifierModel, scores: np.ndarray) -> np.ndarray:

@@ -4,6 +4,7 @@
 it back. Each field's annotation picks its decoder, so a value of the wrong
 type raises an IsoguardError naming the dotted field (``select.n_trees``,
 ``stumps[0].polarity``, ``trees[3].left``) instead of flowing on into a stage.
+``check_types`` applies the same decoders to a dataclass built in Python.
 """
 from __future__ import annotations
 
@@ -52,6 +53,23 @@ def from_doc(cls: type, doc: dict, label: str, name: str = ""):
         elif f.default is MISSING and f.default_factory is MISSING:
             raise IsoguardError(f"missing key {path!r}")
     return cls(**values)
+
+
+def check_types(obj, label: str, name: str = "") -> None:
+    """Check each field of the dataclass ``obj`` with the decoder that
+    ``from_doc`` picks for it, so an object built in Python meets the rules a
+    document does. A nested dataclass must be an instance of its annotated
+    class and is checked field by field."""
+    hints = _hints(type(obj))
+    for f in fields(obj):
+        path = f"{name}.{f.name}" if name else f.name
+        tp, value = hints[f.name], getattr(obj, f.name)
+        if not is_dataclass(tp):
+            _decode(tp, _plain(value), path, label)
+        elif isinstance(value, tp):
+            check_types(value, label, path)
+        else:
+            raise IsoguardError(f"{path} must be a {tp.__name__}, got {value!r}")
 
 
 @functools.cache

@@ -99,10 +99,20 @@ class SplitSpec:
 
 
 # load_csv's parse memo: (sha256 of the file's bytes, target column) -> an all-Numeric Dataset.
-# Two entries hold the train and test partitions that the pipeline's stages re-read.
+# load_csv stores what it parsed and write_csv what it wrote. Two entries hold the train and
+# test partitions that ingest writes and the later stages re-read.
 _PARSED_MAX = 2
 _parsed: OrderedDict[tuple[bytes, str], Dataset] = OrderedDict()
 _parsed_lock = threading.Lock()
+
+
+def _remember(key: tuple[bytes, str], ds: Dataset) -> None:
+    """Keep ``ds`` as the most recently used memo entry, dropping the least recently used past two."""
+    with _parsed_lock:
+        _parsed[key] = ds
+        _parsed.move_to_end(key)
+        if len(_parsed) > _PARSED_MAX:
+            _parsed.popitem(last=False)
 
 
 def load_csv(path: str | Path, target_column: str = "class") -> Dataset:
@@ -119,9 +129,11 @@ def load_csv(path: str | Path, target_column: str = "class") -> Dataset:
     Every call reads the file, but identical bytes are parsed once per
     process: a table whose features are all Numeric is memoized under the
     sha256 of its bytes and ``target_column``, at most two of them, least
-    recently used first out. A memo hit returns a Dataset equal to a fresh
-    parse, with its own copies of ``rows`` and ``target``. Errors are never
-    memoized, and a table with a Nominal column is never kept.
+    recently used first out. ``write_csv`` puts what it wrote into the same
+    memo, so a file this process wrote and nothing changed since is not
+    parsed at all. A memo hit returns a Dataset equal to a fresh parse, with
+    its own copies of ``rows`` and ``target``. Errors are never memoized,
+    and a table with a Nominal column is never kept.
     """
     path = Path(path)
     if not path.is_file():
@@ -137,10 +149,7 @@ def load_csv(path: str | Path, target_column: str = "class") -> Dataset:
     del raw  # freed before the column build, which sets the parse's peak memory
     ds = _build_dataset(header, records, target_column, path)
     if ds.is_encoded:
-        with _parsed_lock:
-            _parsed[key] = _copy_arrays(ds)
-            if len(_parsed) > _PARSED_MAX:
-                _parsed.popitem(last=False)
+        _remember(key, _copy_arrays(ds))
     return ds
 
 
@@ -148,10 +157,15 @@ def _copy_arrays(ds: Dataset) -> Dataset:
     return replace(ds, rows=ds.rows.copy(), target=ds.target.copy())
 
 
+def _decoded(raw: bytes) -> io.TextIOWrapper:
+    """The CSV bytes ``raw`` as the text ``csv.reader`` parses."""
+    # utf-8-sig drops a leading byte-order mark, which would otherwise join the first column's name
+    return io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8-sig", newline="")
+
+
 def _read_records(raw: bytes, path: Path) -> tuple[list[str], list[list[str]]]:
     """Header and data records of the CSV bytes ``raw``, checked for a full, rectangular grid."""
-    # utf-8-sig drops a leading byte-order mark, which would otherwise join the first column's name
-    with io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8-sig", newline="") as fh:
+    with _decoded(raw) as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -352,22 +366,87 @@ def load_transforms(path: str | Path) -> tuple[EncoderState, ScalerState]:
     return enc, ScalerState(feature_names=names, means=means, stds=stds)
 
 
-def write_table(path: str | Path, header: list[str], columns: list) -> None:
-    """Write equal-length columns as a CSV with a header row.
+_WRITE_CHUNK_ROWS = 256  # rows encoded, hashed and written at a time; bounds the writer's transient memory
+
+
+def write_table(path: str | Path, header: list[str], columns: list) -> bytes:
+    """Write equal-length columns as a CSV with a header row; return the
+    sha256 digest of the bytes written.
 
     Cells come from ``tolist()``, so a float is written by ``repr`` and
-    reloads to the same bits; every other value is written by ``str``.
+    reloads to the same bits; every other value is written by ``str``. When
+    every column is numeric (integer or float), each row is its cells'
+    ``repr`` joined by commas, the bytes ``csv.writer`` gives them; the
+    header row, and every row of a table with any other column, go through
+    ``csv.writer``. Rows are encoded, hashed and written in chunks of
+    ``_WRITE_CHUNK_ROWS``.
     """
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(zip(*(np.asarray(c).tolist() for c in columns), strict=True))
+    digest = hashlib.sha256()
+    with open(path, "wb") as fh:
+        for text in _csv_chunks(header, [np.asarray(c) for c in columns]):
+            chunk = text.encode("utf-8")
+            digest.update(chunk)
+            fh.write(chunk)
+    return digest.digest()
+
+
+def _csv_chunks(header: list[str], columns: list[np.ndarray]):
+    """The CSV text of the header row, then of each chunk of up to ``_WRITE_CHUNK_ROWS`` rows."""
+    yield _csv_text([header])
+    numeric = all(c.ndim == 1 and c.dtype.kind in "fiu" for c in columns)
+    n = max((len(c) for c in columns), default=0)
+    for start in range(0, n, _WRITE_CHUNK_ROWS):
+        rows = zip(*(c[start : start + _WRITE_CHUNK_ROWS].tolist() for c in columns), strict=True)
+        yield "".join([",".join(map(repr, row)) + "\r\n" for row in rows]) if numeric else _csv_text(rows)
+
+
+def _csv_text(rows) -> str:
+    """``rows`` as ``csv.writer`` writes them."""
+    text = io.StringIO()  # a fresh one per chunk: StringIO appends fastest before any seek
+    csv.writer(text).writerows(rows)
+    return text.getvalue()
 
 
 def write_csv(ds: Dataset, path: str | Path) -> None:
-    """Write features plus target column; floats use repr so reloads are exact."""
+    """Write features plus target column; floats use repr so reloads are exact.
+
+    When a parse of the written bytes would return ``ds`` with every feature
+    Numeric, ``load_csv``'s memo keeps that parse's result under the bytes'
+    sha256, so reading the unchanged file back in this process parses nothing.
+    """
     columns = [
         col.astype(np.float64) if ds.is_encoded or kind is ColumnKind.NUMERIC else col.astype(str)
         for col, kind in zip(ds.rows.T, ds.kinds)
     ]
-    write_table(path, [*ds.feature_names, ds.target_name], [*columns, ds.target.astype(np.int64)])
+    header = [*ds.feature_names, ds.target_name]
+    target = ds.target.astype(np.int64)
+    digest = write_table(path, header, [*columns, target])
+    parsed = _as_parsed(ds, header, target)
+    if parsed is not None:
+        _remember((digest, ds.target_name), parsed)
+
+
+def _as_parsed(ds: Dataset, header: list[str], target: np.ndarray) -> Dataset | None:
+    """What ``load_csv`` returns for ``write_csv``'s bytes of ``ds`` when it
+    accepts them and types every feature Numeric; otherwise None.
+
+    That takes float64 rows, every cell finite, unique names that read back
+    as written, and a target of 0 and 1 with both present (so no empty table)."""
+    if not (ds.is_encoded and ds.rows.shape[1] == len(ds.kinds) == len(header) - 1):
+        return None
+    if not np.isfinite(ds.rows).all() or not np.array_equal(np.unique(target), [0, 1]):
+        return None
+    with _decoded(_csv_text([header]).encode("utf-8")) as fh:
+        try:
+            names = next(csv.reader(fh))
+        except csv.Error:  # a name past csv's field size limit
+            return None
+    if names != header or len(set(names)) != len(names):
+        return None
+    return Dataset(
+        feature_names=tuple(names[:-1]),
+        kinds=(ColumnKind.NUMERIC,) * len(ds.kinds),
+        rows=np.array(ds.rows, dtype=np.float64, order="C"),
+        target=target,
+        target_name=names[-1],
+    )

@@ -165,7 +165,7 @@ def roc(y_true, scores) -> RocCurve:
     order = np.argsort(-scores, kind="stable")
     sorted_scores = scores[order]
     sorted_true = y_true[order]
-    boundaries = np.flatnonzero(np.diff(sorted_scores) != 0.0)
+    boundaries = np.flatnonzero(sorted_scores[1:] != sorted_scores[:-1])  # a difference could overflow
     group_ends = np.concatenate((boundaries, [sorted_scores.size - 1]))
     tp_cum = np.cumsum(sorted_true)[group_ends]
     group_sizes = group_ends + 1

@@ -10,10 +10,11 @@ directory, so the monolithic run and the stage-by-stage subcommands are
 the same code path and produce identical bytes for identical seeds. All
 stage seeds derive from the single master seed.
 
-A ``PipelineConfig`` checks every range that does not depend on the data
-when it is built, so no command starts a stage, or makes a directory,
-with a config out of range. A stage that fails raises a ``PipelineError``
-whose message starts with the stage name.
+A ``PipelineConfig`` checks every field's type, and every range that does
+not depend on the data, when it is built, so no command starts a stage,
+or makes a directory, with a config of the wrong type or out of range. A
+stage that fails raises a ``PipelineError`` whose message starts with the
+stage name.
 """
 from __future__ import annotations
 
@@ -27,7 +28,7 @@ import numpy as np
 
 from . import classifiers as clf
 from . import iforest
-from .codec import from_doc, to_doc
+from .codec import check_types, from_doc, to_doc
 from .data import (
     ColumnKind,
     Dataset,
@@ -42,7 +43,7 @@ from .data import (
     write_csv,
     write_table,
 )
-from .errors import IsoguardError, PipelineError
+from .errors import IsoguardError, PipelineError, artifact_reader
 from .evaluation import (
     ClassifierEvaluation,
     ComparisonReport,
@@ -116,8 +117,9 @@ class PipelineConfig:
     synthetic: SyntheticSpec = field(default_factory=SyntheticSpec)
 
     def __post_init__(self) -> None:
-        """Stop on a setting outside its range, naming the dotted field. None of
-        these ranges depends on the data, so they hold before any stage runs."""
+        """Stop on a setting of the wrong type or outside its range, naming the dotted
+        field. None of these ranges depends on the data, so they hold before any stage runs."""
+        check_types(self, "config")
         sel, cs, threshold = self.select, self.classifiers, self.forest.threshold
         if threshold.mode not in ("fixed", "contamination"):
             raise IsoguardError(f"forest.threshold.mode must be 'fixed' or 'contamination', got {threshold.mode!r}")
@@ -384,8 +386,10 @@ def stage_evaluate(cfg: PipelineConfig, out: Path) -> ComparisonReport:
     arms: dict[str, dict[str, ClassifierEvaluation]] = {"before": {}, "after": {}}
     for arm, suffix in (("before", ""), ("after", "_clean")):
         for name in MODELS:
-            model = clf.load_model(_artifact(out / f"model_{name}{suffix}.json", "train"))
-            scores = clf.score_model(model, X_test)
+            path = _artifact(out / f"model_{name}{suffix}.json", "train")
+            model = clf.load_model(path)
+            with artifact_reader(path):  # parameters that load but overflow when scoring
+                scores = clf.score_model(model, X_test)
             arms[arm][name] = evaluate_predictions(y_test, clf.labels_from_scores(model, scores), scores)
 
     removed = int((labels == -1).sum())

@@ -11,6 +11,7 @@ from isoguard.classifiers import (
     KnnModel,
     LinearSvmModel,
     LogisticModel,
+    Stump,
     _best_stump,
     _knn_positive_counts,
     adaboost_fit,
@@ -525,6 +526,29 @@ class TestCommonContracts:
             reloaded = load_model(path)
             np.testing.assert_array_equal(predict_model(reloaded, X), predict_model(model, X))
             np.testing.assert_array_equal(score_model(reloaded, X), score_model(model, X))
+
+
+OVERFLOWING_MODELS = {  # parameters that load but that no fit produces; each overflows on X = 2.0
+    "knn": KnnModel(k=1, X=np.array([[1e308, 1e308], [0.0, 0.0]]), y=np.array([1, 0]), n_features=2),
+    "nb": GaussianNbModel(
+        priors=np.array([0.5, 0.5]),
+        means=np.array([[1e308, 0.0], [0.0, 0.0]]),
+        variances=np.ones((2, 2)),
+        var_smoothing=1e-9,
+        n_features=2,
+    ),
+    "lr": LogisticModel(
+        weights=np.array([1e308, 1e308]), bias=0.0, learning_rate=0.1, epochs=1, l2=0.0, n_features=2
+    ),
+    "svm": LinearSvmModel(weights=np.array([1e308, 1e308]), bias=0.0, lam=1e-4, epochs=1, n_features=2),
+    "abc": AdaBoostModel(stumps=[Stump(0, 0.0, 1, 1e308), Stump(1, 0.0, 1, 1e308)], n_features=2),
+}
+
+
+@pytest.mark.parametrize("name", list(OVERFLOWING_MODELS))
+def test_scoring_overflow_raises(name):
+    with pytest.raises(IsoguardError, match="model parameters out of range: overflow encountered in"):
+        score_model(OVERFLOWING_MODELS[name], np.full((3, 2), 2.0))
 
 
 def label_rule_cases():

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -16,7 +17,7 @@ from isoguard.data import write_csv
 from isoguard.errors import IsoguardError
 from isoguard.feature_selection import load_rfe
 from isoguard.iforest import load_forest
-from isoguard.pipeline import config_from_dict
+from isoguard.pipeline import ForestSettings, PipelineConfig, ThresholdSettings, config_from_dict
 from isoguard.synthetic import SyntheticSpec, generate_synthetic
 
 
@@ -164,7 +165,7 @@ class TestDispatch:
         assert (tmp_path / "from-config" / "report.json").exists()
 
 
-CONFIG_MISTYPES = [
+CONFIG_TYPE_ERRORS = [
     ("select.n_trees", "4", "select.n_trees must be an integer, got '4'"),
     ("select.n_trees", 2.5, "select.n_trees must be an integer, got 2.5"),
     ("select.max_depth", "3", "select.max_depth must be an integer, got '3'"),
@@ -176,6 +177,8 @@ CONFIG_MISTYPES = [
     ("forest.threshold.tau", "0.5", "forest.threshold.tau must be a finite number, got '0.5'"),
     ("classifiers.lr_epochs", 3.5, "classifiers.lr_epochs must be an integer, got 3.5"),
     ("forest.threshold.mode", "fixd", "forest.threshold.mode must be 'fixed' or 'contamination', got 'fixd'"),
+]
+CONFIG_MISTYPES = CONFIG_TYPE_ERRORS + [
     # ranges that do not depend on the data
     ("split.test_fraction", 0.0, "split.test_fraction must be in (0, 1), got 0.0"),
     ("split.test_fraction", 1, "split.test_fraction must be in (0, 1), got 1.0"),
@@ -235,6 +238,23 @@ class TestConfigMistypes:
         _set_field(doc, dotted, value)
         with pytest.raises(IsoguardError, match=re.escape(message)):
             config_from_dict(doc)
+
+    @pytest.mark.parametrize("dotted, value, message", CONFIG_TYPE_ERRORS)
+    def test_constructor_rejects_a_mistyped_field(self, dotted, value, message):
+        *sections, key = dotted.split(".")
+
+        def rebuilt(obj, path):  # obj with the field at path set, through each dataclass's constructor
+            if not path:
+                return replace(obj, **{key: value})
+            return replace(obj, **{path[0]: rebuilt(getattr(obj, path[0]), path[1:])})
+
+        base = PipelineConfig(input="data.csv", forest=ForestSettings(threshold=ThresholdSettings(mode="contamination")))
+        with pytest.raises(IsoguardError, match=re.escape(message)):
+            rebuilt(base, sections)
+
+    def test_constructor_rejects_a_section_of_the_wrong_class(self):
+        with pytest.raises(IsoguardError, match=re.escape("select must be a SelectSettings, got {'n_trees': 4}")):
+            PipelineConfig(select={"n_trees": 4})
 
     def test_synth_config_needs_no_input(self, tmp_path, capsys):
         cfg_path = tmp_path / "config.json"
@@ -383,6 +403,29 @@ class TestCorruptArtifacts:
         err = capsys.readouterr().err
         assert f"evaluate: {path}: unreadable artifact (stump 0 has feature {feature} and polarity" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "name, key, value",
+        [
+            ("knn", "X", lambda d: [[1e308] * len(d["X"][0])] + d["X"][1:]),
+            ("nb", "means", lambda d: [d["means"][0], [1e308] * len(d["means"][1])]),
+            ("lr", "weights", lambda d: [1e308] * len(d["weights"])),
+            ("svm", "weights", lambda d: [1e308] * len(d["weights"])),
+            ("abc", "stumps", lambda d: [dict(s, alpha=1e308) for s in d["stumps"]]),
+        ],
+    )
+    def test_model_that_overflows_when_scoring_exits_2(self, finished_run, capsys, name, key, value):
+        out, args = finished_run
+        path = out / f"model_{name}.json"
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc[key] = value(doc)
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        (out / "report.json").unlink()
+        assert cli_dispatch(["evaluate"] + args) == 2
+        err = capsys.readouterr().err
+        assert f"evaluate: {path}: unreadable artifact (model parameters out of range: overflow encountered" in err
+        assert "Traceback" not in err
+        assert not (out / "report.json").exists()
 
     @pytest.mark.parametrize(
         "stage, name",

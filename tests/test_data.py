@@ -1,7 +1,11 @@
+import csv
 import hashlib
+import io
 import math
 import os
 import random
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -219,6 +223,7 @@ def same_dataset(a, b):
     assert (a.feature_names, a.kinds, a.target_name) == (b.feature_names, b.kinds, b.target_name)
     assert a.rows.dtype == b.rows.dtype and a.rows.shape == b.rows.shape
     assert a.rows.tobytes() == b.rows.tobytes()
+    assert a.rows.flags.c_contiguous == b.rows.flags.c_contiguous
     assert a.target.dtype == b.target.dtype and a.target.tolist() == b.target.tolist()
 
 
@@ -298,6 +303,100 @@ class TestParseMemo:
         load_csv(paths["a"])
         load_csv(paths["b"])
         assert parses == ["a.csv", "b.csv", "c.csv", "b.csv"]
+
+
+EXTREME_FLOATS = [-0.0, 5e-324, 1e-300, 1e22, 1.7976931348623157e308, -1.7976931348623157e308]
+
+
+def extreme_dataset(names=("x", "y"), target=(0, 1, 1, 0, 1, 0), target_name="class", order="F"):
+    """Six rows holding ``EXTREME_FLOATS`` forwards in one column and backwards in the other."""
+    rows = np.array([EXTREME_FLOATS, EXTREME_FLOATS[::-1]], order=order).T
+    return Dataset(tuple(names), (ColumnKind.NUMERIC,) * 2, rows, np.asarray(target), target_name)
+
+
+def with_cell(ds, value):
+    rows = ds.rows.copy()
+    rows[2, 1] = value
+    return replace(ds, rows=rows)
+
+
+class TestWriteThrough:
+    """write_csv keeps exactly what a fresh parse of its bytes returns, and
+    nothing when that parse would fail or type a column Nominal."""
+
+    @pytest.mark.parametrize(
+        "ds",
+        [
+            extreme_dataset(),
+            extreme_dataset(order="C"),
+            extreme_dataset(names=("a,b", 'say "hi"')),
+            extreme_dataset(names=("two\nlines", "cr\rhere")),
+            extreme_dataset(names=("x", "\ufeffy")),  # only a leading byte-order mark is dropped on reload
+            extreme_dataset(target=np.array([0, 1, 1, 0, 1, 0], dtype=np.int32), target_name="label"),
+            extreme_dataset(target=np.array([False, True, True, False, True, False])),
+        ],
+        ids=["fortran-order", "c-order", "comma-and-quote", "newlines", "inner-bom", "int32-target", "bool-target"],
+    )
+    def test_hit_equals_fresh_parse(self, tmp_path, parses, ds):
+        path = tmp_path / "w.csv"
+        write_csv(ds, path)
+        (kept,) = data._parsed.values()
+        hit = load_csv(path, target_column=ds.target_name)
+        assert parses == []
+        data._parsed.clear()
+        fresh = load_csv(path, target_column=ds.target_name)
+        assert parses == ["w.csv"]
+        assert fresh.kinds == (ColumnKind.NUMERIC,) * 2
+        same_dataset(hit, fresh)
+        same_dataset(kept, fresh)
+
+    def test_kept_arrays_are_not_shared(self, tmp_path, parses):
+        ds = extreme_dataset()
+        write_csv(ds, tmp_path / "w.csv")
+        ds.rows[:] = 1.0
+        ds.target[:] = 0
+        hit = load_csv(tmp_path / "w.csv")
+        assert hit.rows[:, 0].tolist() == EXTREME_FLOATS and hit.target.tolist() == [0, 1, 1, 0, 1, 0]
+        assert parses == []
+
+    def test_rewrite_of_the_same_bytes_is_most_recently_used(self, tmp_path, parses):
+        for name, cell in (("a", 1.0), ("b", 2.0), ("a", 1.0), ("c", 3.0)):
+            write_csv(with_cell(extreme_dataset(), cell), tmp_path / f"{name}.csv")
+        assert len(data._parsed) == 2
+        for name in "acb":  # b was the least recently written, so c pushed it out
+            load_csv(tmp_path / f"{name}.csv")
+        assert parses == ["b.csv"]
+
+    @pytest.mark.parametrize(
+        "ds, outcome",
+        [
+            (extreme_dataset(target=[1] * 6), "target column 'class' must be binary, found 1 distinct values"),
+            (extreme_dataset(target=[0, 2, 2, 0, 2, 0]), lambda back: back.target.tolist() == [0, 1, 1, 0, 1, 0]),
+            (with_cell(extreme_dataset(), math.nan), lambda back: back.kinds[1] is ColumnKind.NOMINAL),
+            (with_cell(extreme_dataset(), math.inf), lambda back: back.kinds[1] is ColumnKind.NOMINAL),
+            (with_cell(extreme_dataset(), -math.inf), lambda back: back.kinds[1] is ColumnKind.NOMINAL),
+            (numeric_dataset(np.empty((0, 2)), []), "no data rows"),
+            (extreme_dataset(names=("x", "x")), "duplicate column names"),
+            (extreme_dataset(names=("class", "y")), "duplicate column names"),
+            (extreme_dataset(names=("\ufeffx", "y")), lambda back: back.feature_names == ("x", "y")),
+            (replace(extreme_dataset(), feature_names=("x",), kinds=(ColumnKind.NUMERIC,)),
+             lambda back: back.rows[:, 0].tolist() == EXTREME_FLOATS and back.n_features == 1),
+        ],
+        ids=[
+            "one-class", "target-0-2", "nan", "inf", "-inf", "no-rows", "duplicate", "feature-named-class", "bom",
+            "fewer-kinds-than-columns",
+        ],
+    )
+    def test_table_a_parse_would_change_is_not_kept(self, tmp_path, parses, ds, outcome):
+        path = tmp_path / "w.csv"
+        write_csv(ds, path)
+        assert not data._parsed
+        if isinstance(outcome, str):
+            with pytest.raises(IsoguardError, match=re.escape(outcome)):
+                load_csv(path)
+        else:
+            assert outcome(load_csv(path))
+        assert parses == ["w.csv"]
 
 
 class TestLabelEncoder:
@@ -553,7 +652,41 @@ class TestTransformsRoundTrip:
         assert digest == "1f5c9fbc2084163343fa55a93f9d92ee1d7bee14720d6c9f76cce560856433b5"
 
 
+def csv_writer_bytes(header, columns):
+    """The bytes ``csv.writer`` gives ``header`` and the rows of ``columns``, as UTF-8."""
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(header)
+    writer.writerows(zip(*(np.asarray(c).tolist() for c in columns)))
+    return text.getvalue().encode("utf-8")
+
+
+SPECIAL_FLOATS = np.resize(EXTREME_FLOATS + [math.inf, -math.inf, math.nan, 0.1 + 0.2, 1 / 3], 600)
+INT64_LIMITS = np.resize(np.array([np.iinfo(np.int64).min, np.iinfo(np.int64).max, 0, -1], dtype=np.int64), 600)
+
+
 class TestWriteTable:
+    @pytest.mark.parametrize(
+        "columns",
+        [
+            [SPECIAL_FLOATS, INT64_LIMITS],
+            [
+                np.resize(np.array([0.1, -0.0, 1e-45, np.finfo(np.float32).max, math.inf, math.nan], np.float32), 600),
+                (np.arange(600) % 256).astype(np.uint8),
+                np.full(600, np.iinfo(np.uint64).max, dtype=np.uint64),
+            ],
+            [SPECIAL_FLOATS, np.resize(np.array(["tcp", "a,b", 'say "hi"', "two\nlines", ""]), 600), INT64_LIMITS],
+            [np.zeros(0), np.zeros(0, dtype=np.int64)],
+        ],
+        ids=["float64-int64", "float32-uint8-uint64", "with-strings", "no-rows"],
+    )
+    def test_bytes_match_csv_writer(self, tmp_path, columns):
+        header = ["x", "a,b", "n"][: len(columns)]
+        digest = write_table(tmp_path / "t.csv", header, columns)
+        written = (tmp_path / "t.csv").read_bytes()
+        assert written == csv_writer_bytes(header, columns)
+        assert digest == hashlib.sha256(written).digest()
+
     def test_numpy_floats_written_plain_and_reload_exact(self, tmp_path):
         x = np.array([np.float64(0.1) + 0.2, -0.0, 1e-310, np.inf, np.nan])
         write_table(tmp_path / "t.csv", ["x", "n", "label"], [x, np.arange(5), np.array([1, -1, 1, 1, -1])])

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -135,6 +137,11 @@ class TestRoc:
     def test_single_class_rejected(self):
         with pytest.raises(IsoguardError, match="both classes"):
             roc([1, 1, 1], [0.1, 0.2, 0.3])
+
+    def test_scores_at_both_float_limits(self):
+        curve = roc([0, 1, 0, 1], [-1.7976931348623157e308, 1.7976931348623157e308, -1e308, 1e308])
+        assert curve.auc == 1.0
+        assert curve.thresholds.tolist() == [math.inf, 1.7976931348623157e308, 1e308, -1e308, -1.7976931348623157e308]
 
     def test_staircase_monotonicity(self):
         rng = np.random.default_rng(2)
