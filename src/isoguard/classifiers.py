@@ -15,11 +15,19 @@ distance ties by ascending training-row index and sends an even vote split
 (score exactly 0.5) to label 0; margin models map a score of exactly zero
 to class 1. ``MODEL_KINDS`` holds one row per model class, and the model
 files name its ``kind`` values.
+
+A model file holds every fitted parameter, except that KNN, a lazy
+learner, has none but ``k`` and its training rows. Its file holds ``k``,
+``n_features``, ``n_rows`` and ``rows_sha256``, the sha256 of the rows'
+C-ordered float64 bytes followed by the labels' int64 bytes, and
+``load_model`` is given the rows and checks them against that digest.
 """
 from __future__ import annotations
 
+import hashlib
 import json
 import math
+import re
 from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
@@ -77,7 +85,8 @@ class KnnModel:
     n_features: int
 
 
-def knn_fit(X, y, k: int = 5) -> KnnModel:
+def _knn_model(X, y, k: int) -> KnnModel:
+    """A KNN model holding C-ordered copies of the training rows. A fit and a load both build it here."""
     X = _as_matrix(X)
     if X.shape[0] == 0:
         raise IsoguardError("cannot fit KNN on an empty training set")
@@ -85,6 +94,46 @@ def knn_fit(X, y, k: int = 5) -> KnnModel:
     if not 1 <= k <= X.shape[0]:
         raise IsoguardError(f"k must satisfy 1 <= k <= {X.shape[0]}, got {k}")
     return KnnModel(k=k, X=X.copy(), y=y.copy(), n_features=X.shape[1])
+
+
+def knn_fit(X, y, k: int = 5) -> KnnModel:
+    return _knn_model(X, y, k)
+
+
+@dataclass
+class KnnReference:
+    """What a KNN model file holds: ``k`` and which training rows the model keeps."""
+
+    k: int
+    n_features: int
+    n_rows: int
+    rows_sha256: str
+
+
+def _rows_sha256(model: KnnModel) -> str:
+    """Hex sha256 of the C-ordered float64 bytes of ``model.X``, then the int64 bytes of ``model.y``."""
+    digest = hashlib.sha256(np.ascontiguousarray(model.X, dtype=np.float64))
+    digest.update(np.ascontiguousarray(model.y, dtype=np.int64))
+    return digest.hexdigest()
+
+
+def _knn_reference(model: KnnModel) -> KnnReference:
+    return KnnReference(k=model.k, n_features=model.n_features, n_rows=model.y.size, rows_sha256=_rows_sha256(model))
+
+
+def _knn_from_reference(ref: KnnReference, rows) -> KnnModel:
+    """The model ``ref`` describes, built from the training rows ``rows`` = (X, y), which must be the ones it was fit on."""
+    if rows is None:
+        raise IsoguardError("a KNN model file holds no training rows; load it with the rows it was fit on")
+    X, y = rows
+    X = _as_matrix(X)
+    fit_shape = (ref.n_rows, ref.n_features)
+    if X.shape != fit_shape:
+        raise IsoguardError(f"training rows have shape {X.shape}, but the model was fit on {fit_shape}")
+    model = _knn_model(X, y, ref.k)
+    if _rows_sha256(model) != ref.rows_sha256:
+        raise IsoguardError("training rows differ from the ones the model was fit on (rows_sha256 mismatch)")
+    return model
 
 
 _KNN_CHUNK_BYTES = 4 << 20  # bytes of the float64 distance block (query rows x training rows) one chunk fills
@@ -410,14 +459,13 @@ def _check_shape(name: str, a: np.ndarray, shape: tuple[int, ...]) -> None:
         raise IsoguardError(f"{name} has shape {a.shape}, expected {shape}")
 
 
-def _check_knn(model: KnnModel) -> None:
-    n = model.y.size
-    _check_shape("y", model.y, (n,))
-    _check_shape("X", model.X, (n, model.n_features))
-    if not np.isin(model.y, (0, 1)).all():
-        raise IsoguardError("y must hold only 0/1 labels")
-    if not 1 <= model.k <= n:
-        raise IsoguardError(f"k must satisfy 1 <= k <= {n}, got {model.k}")
+def _check_knn(ref: KnnReference) -> None:
+    if not re.fullmatch(r"[0-9a-f]{64}", ref.rows_sha256):
+        raise IsoguardError(f"rows_sha256 must be 64 lowercase hex digits, got {ref.rows_sha256!r}")
+    if ref.n_rows < 1:
+        raise IsoguardError(f"n_rows must be >= 1, got {ref.n_rows}")
+    if not 1 <= ref.k <= ref.n_rows:
+        raise IsoguardError(f"k must satisfy 1 <= k <= {ref.n_rows}, got {ref.k}")
 
 
 def _check_gnb(model: GaussianNbModel) -> None:
@@ -448,7 +496,7 @@ class ModelKind:
     kind: str  # the "kind" value of the model JSON
     score: Callable[..., np.ndarray]  # (model, X) -> scores, larger means more likely class 1
     label: Callable[[np.ndarray], np.ndarray]  # scores -> True where the label is 1
-    check: Callable[..., None]  # a loaded model's shape and range checks
+    check: Callable[..., None]  # shape and range checks of what a model file holds
 
 
 MODEL_KINDS: dict[type, ModelKind] = {
@@ -487,25 +535,30 @@ def predict_model(model: ClassifierModel, X) -> np.ndarray:
 def model_to_json(model: ClassifierModel) -> str:
     if type(model) not in MODEL_KINDS:
         raise IsoguardError(f"unknown model type {type(model).__name__}")
-    return json.dumps({"kind": MODEL_KINDS[type(model)].kind, **to_doc(model)}, sort_keys=True)
+    stored = _knn_reference(model) if isinstance(model, KnnModel) else model
+    return json.dumps({"kind": MODEL_KINDS[type(model)].kind, **to_doc(stored)}, sort_keys=True)
 
 
-def model_from_json(text: str) -> ClassifierModel:
-    """Parse a model document; shapes and ranges that do not fit ``n_features`` raise IsoguardError."""
+def model_from_json(text: str, rows=None) -> ClassifierModel:
+    """Parse a model document; shapes and ranges that do not fit ``n_features`` raise IsoguardError.
+
+    ``rows`` = (X, y) are the training rows a KNN document refers to; the
+    other kinds hold all they need and ignore it."""
     doc = json.loads(text)
     kind = doc.pop("kind", None)
     cls = _CLASS_OF_KIND.get(kind)
     if cls is None:
         raise IsoguardError(f"unknown model kind {kind!r}")
-    model = from_doc(cls, doc, "model")
-    MODEL_KINDS[cls].check(model)
-    return model
+    stored = from_doc(KnnReference if cls is KnnModel else cls, doc, "model")
+    MODEL_KINDS[cls].check(stored)
+    return _knn_from_reference(stored, rows) if cls is KnnModel else stored
 
 
 def save_model(model: ClassifierModel, path: str | Path) -> None:
     Path(path).write_text(model_to_json(model) + "\n", encoding="utf-8")
 
 
-def load_model(path: str | Path) -> ClassifierModel:
+def load_model(path: str | Path, rows=None) -> ClassifierModel:
+    """The model saved at ``path``; a KNN model is given its training ``rows`` = (X, y)."""
     with artifact_reader(path):
-        return model_from_json(Path(path).read_text(encoding="utf-8"))
+        return model_from_json(Path(path).read_text(encoding="utf-8"), rows)

@@ -174,6 +174,8 @@ def _read_records(raw: bytes, path: Path) -> tuple[list[str], list[list[str]]]:
             raise IsoguardError(f"{path}: file is empty, expected a header row") from None
         except UnicodeDecodeError:
             raise IsoguardError(f"{path}: not UTF-8 text") from None
+        except csv.Error as e:  # a cell longer than csv.field_size_limit(), say
+            raise IsoguardError(f"{path}: unreadable CSV at line {reader.line_num}: {e}") from None
 
     if len(set(header)) != len(header):
         raise IsoguardError(f"{path}: duplicate column names in header")

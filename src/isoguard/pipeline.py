@@ -222,7 +222,7 @@ def _read_verdict_labels(path: Path, train: Dataset) -> np.ndarray:
             labels = [int(rec[3]) for rec in reader]
         except UnicodeDecodeError:
             raise IsoguardError(f"{path.name}: not UTF-8 text; rerun the detect stage") from None
-        except (IndexError, ValueError):
+        except (IndexError, ValueError, csv.Error):  # csv.Error: a cell longer than csv.field_size_limit(), say
             raise IsoguardError(
                 f"{path.name}: malformed verdict row at line {reader.line_num}; rerun the detect stage"
             ) from None
@@ -380,14 +380,19 @@ def stage_evaluate(cfg: PipelineConfig, out: Path) -> ComparisonReport:
     """Evaluate both arms on the shared test partition and write the reports."""
     rfe, _, (train, test) = _read_selected(out, cfg.target_column, "train", "test")
     labels = _read_verdict_labels(out / "verdicts_train.csv", train)
-    X_test = test.matrix()[:, list(rfe.selected)]
+    selected = list(rfe.selected)
+    X_test = test.matrix()[:, selected]
     y_test = test.target
+    # each arm's training rows, by the expressions stage_train fits on; the KNN files refer to them
+    X, y = train.matrix()[:, selected], train.target
+    keep = labels == 1
+    training_rows = {"before": (X, y), "after": (X[keep], y[keep])}
 
     arms: dict[str, dict[str, ClassifierEvaluation]] = {"before": {}, "after": {}}
     for arm, suffix in (("before", ""), ("after", "_clean")):
         for name in MODELS:
             path = _artifact(out / f"model_{name}{suffix}.json", "train")
-            model = clf.load_model(path)
+            model = clf.load_model(path, training_rows[arm])
             with artifact_reader(path):  # parameters that load but overflow when scoring
                 scores = clf.score_model(model, X_test)
             arms[arm][name] = evaluate_predictions(y_test, clf.labels_from_scores(model, scores), scores)

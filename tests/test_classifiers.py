@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -523,7 +524,7 @@ class TestCommonContracts:
         for name, model in models.items():
             path = tmp_path / f"{name}.json"
             save_model(model, path)
-            reloaded = load_model(path)
+            reloaded = load_model(path, (X, y))
             np.testing.assert_array_equal(predict_model(reloaded, X), predict_model(model, X))
             np.testing.assert_array_equal(score_model(reloaded, X), score_model(model, X))
 
@@ -631,6 +632,13 @@ def _set(key, value):
     return edit
 
 
+def _drop(key):
+    def edit(doc):
+        del doc[key]
+
+    return edit
+
+
 MODEL_CORRUPTIONS = [
     ("abc", _set_stump("feature", 99), "stump 0 has feature 99 and polarity"),
     ("abc", _set_stump("feature", -1), "stump 0 has feature -1 and polarity"),
@@ -648,20 +656,20 @@ MODEL_CORRUPTIONS = [
      "variances must all be > 0, got 0.0"),
     ("nb", _set("variances", lambda d: [d["variances"][0], [-1.0] + d["variances"][1][1:]]),
      "variances must all be > 0, got -1.0"),
-    ("knn", _set("X", lambda d: [row[:2] for row in d["X"]]), "X has shape (50, 2), expected (50, 3)"),
-    ("knn", _set("y", lambda d: d["y"][:-1]), "X has shape (50, 3), expected (49, 3)"),
-    ("knn", _set("y", lambda d: [[v] for v in d["y"]]), "y has shape (50, 1), expected (50,)"),
-    ("knn", _set("y", lambda d: [2] + d["y"][1:]), "y must hold only 0/1 labels"),
+    ("knn", _drop("rows_sha256"), "missing key 'rows_sha256'"),
+    ("knn", _set("rows_sha256", lambda d: d["rows_sha256"][:-1]), "rows_sha256 must be 64 lowercase hex digits, got"),
+    ("knn", _set("rows_sha256", lambda d: d["rows_sha256"].upper()), "rows_sha256 must be 64 lowercase hex digits"),
+    ("knn", _set("n_rows", 0), "n_rows must be >= 1, got 0"),
     ("knn", _set("k", 0), "k must satisfy 1 <= k <= 50, got 0"),
     ("knn", _set("k", 51), "k must satisfy 1 <= k <= 50, got 51"),
     ("knn", _set("kind", "forest"), "unknown model kind 'forest'"),
     # a non-integral value is rejected, not truncated to an int
     ("abc", _set_stump("polarity", 1.9), "polarity must be an integer, got 1.9"),
     ("abc", _set_stump("feature", 0.7), "feature must be an integer, got 0.7"),
-    ("knn", _set("y", lambda d: [0.9] + d["y"][1:]), "y element must be an integer, got 0.9"),
+    ("knn", _set("n_rows", 4), "k must satisfy 1 <= k <= 4, got 5"),
     ("knn", _set("k", 1.5), "k must be an integer, got 1.5"),
     ("knn", _set("k", True), "k must be an integer, got True"),
-    ("knn", _set("y", lambda d: [2**70] + d["y"][1:]), "too large"),
+    ("knn", _set("X", [[0.0, 0.0, 0.0]]), "unknown model keys: ['X']"),
     # every number must be a finite JSON number, and every key a field
     ("lr", _set("bias", "0.5"), "bias must be a finite number, got '0.5'"),
     ("svm", _set("weights", lambda d: [math.nan] + d["weights"][1:]),
@@ -671,14 +679,19 @@ MODEL_CORRUPTIONS = [
     ("abc", _set_stump("alpha", None), "stumps[0].alpha must be a finite number, got None"),
     ("knn", _set("extra", 1), "unknown model keys: ['extra']"),
     ("abc", _set_stump("extra", 1), "unknown keys in model section 'stumps[0]': ['extra']"),
+    ("knn", _set("rows_sha256", 5), "rows_sha256 must be a string, got 5"),
+    ("knn", _set("n_rows", 50.0), "n_rows must be an integer, got 50.0"),
 ]
 
 
 class TestLoadModelChecks:
     @pytest.fixture(scope="class")
-    def saved_docs(self):
-        rng = np.random.default_rng(60)
-        X, y = blobs(rng, n_per_class=25, d=3, sep=1.5)
+    def rows(self):
+        return blobs(np.random.default_rng(60), n_per_class=25, d=3, sep=1.5)
+
+    @pytest.fixture(scope="class")
+    def saved_docs(self, rows):
+        X, y = rows
         models = {
             "knn": knn_fit(X, y, k=5),
             "nb": gnb_fit(X, y),
@@ -688,20 +701,57 @@ class TestLoadModelChecks:
         }
         return {name: json.loads(model_to_json(model)) for name, model in models.items()}
 
-    def test_fitted_models_pass_the_checks(self, saved_docs, tmp_path):
+    def test_fitted_models_pass_the_checks(self, saved_docs, rows, tmp_path):
         for name, doc in saved_docs.items():
             path = tmp_path / f"model_{name}.json"
             path.write_text(json.dumps(doc, sort_keys=True) + "\n", encoding="utf-8")
-            save_model(load_model(path), tmp_path / "again.json")
+            save_model(load_model(path, rows), tmp_path / "again.json")
             assert (tmp_path / "again.json").read_bytes() == path.read_bytes(), name
 
     @pytest.mark.parametrize("name, edit, message", MODEL_CORRUPTIONS)
-    def test_corrupt_model_rejected_naming_the_file(self, saved_docs, tmp_path, name, edit, message):
+    def test_corrupt_model_rejected_naming_the_file(self, saved_docs, rows, tmp_path, name, edit, message):
         doc = json.loads(json.dumps(saved_docs[name]))
         edit(doc)
         path = tmp_path / f"model_{name}.json"
         path.write_text(json.dumps(doc), encoding="utf-8")
         with pytest.raises(IsoguardError) as caught:
-            load_model(path)
+            load_model(path, rows)
         assert str(caught.value).startswith(f"{path}: unreadable artifact (")
         assert message in str(caught.value)
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            (lambda X, y: None, "a KNN model file holds no training rows"),
+            (lambda X, y: (X, np.where(np.arange(y.size) == 7, 1 - y, y)), "rows_sha256 mismatch"),
+            (lambda X, y: (np.where(X == X[3, 1], np.nextafter(X, np.inf), X), y), "rows_sha256 mismatch"),
+            (lambda X, y: (X[::-1], y[::-1]), "rows_sha256 mismatch"),
+            (lambda X, y: (X[:-1], y[:-1]), "training rows have shape (49, 3), but the model was fit on (50, 3)"),
+            (lambda X, y: (X[:, :2], y), "training rows have shape (50, 2), but the model was fit on (50, 3)"),
+            (lambda X, y: (X, np.where(np.arange(y.size) == 0, 2, y)), "labels must be binary 0/1"),
+        ],
+        ids=["no-rows", "label-flipped", "cell-one-ulp-up", "rows-reversed", "row-missing", "column-missing", "label-2"],
+    )
+    def test_knn_needs_the_rows_it_was_fit_on(self, saved_docs, rows, tmp_path, change, message):
+        path = tmp_path / "model_knn.json"
+        path.write_text(json.dumps(saved_docs["knn"]), encoding="utf-8")
+        with pytest.raises(IsoguardError) as caught:
+            load_model(path, change(*rows))
+        assert str(caught.value).startswith(f"{path}: unreadable artifact (")
+        assert message in str(caught.value)
+
+
+def test_knn_model_does_not_depend_on_the_memory_layout():
+    rng = np.random.default_rng(61)
+    X, y = blobs(rng, n_per_class=30, d=5)
+    fortran = np.asfortranarray(X)[:, [0, 2, 3]]  # a column slice, laid out as the pipeline's selected features
+    assert fortran.flags.f_contiguous and not fortran.flags.c_contiguous
+    c_ordered = np.ascontiguousarray(fortran)
+    a, b = knn_fit(fortran, y, k=5), knn_fit(c_ordered, y, k=5)
+    for model, X_fit in ((a, fortran), (b, c_ordered)):  # scores come from q @ X.T: keep one layout, and own it
+        assert model.X.flags.c_contiguous and not np.shares_memory(model.X, X_fit)
+    assert model_to_json(a) == model_to_json(b)
+    rows_bytes = c_ordered.tobytes() + y.astype(np.int64).tobytes()
+    assert json.loads(model_to_json(a))["rows_sha256"] == hashlib.sha256(rows_bytes).hexdigest()
+    Q = rng.normal(1.0, 2.0, size=(40, 3))
+    np.testing.assert_array_equal(score_model(a, Q), score_model(b, Q))

@@ -109,6 +109,17 @@ class TestDispatch:
         assert f"ingest: {csv_path}: not UTF-8 text" in err
         assert "Traceback" not in err
 
+    def test_input_cell_past_the_csv_field_limit_exits_2(self, workspace, capsys):
+        tmp_path, cfg_path = workspace
+        csv_path = tmp_path / "input.csv"
+        lines = csv_path.read_bytes().split(b"\n")
+        lines[3] = b"1" * 200_000 + lines[3][lines[3].index(b","):]
+        csv_path.write_bytes(b"\n".join(lines))
+        assert cli_dispatch(["ingest", "--config", str(cfg_path), "--seed", "1", "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert f"ingest: {csv_path}: unreadable CSV at line 4: field larger than field limit" in err
+        assert "Traceback" not in err
+
     def test_module_entry_point_runs_main(self, tmp_path):
         env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
         missing = tmp_path / "nonexistent.json"
@@ -332,6 +343,67 @@ class TestArtifactMismatch:
         assert f"train: verdicts_train.csv: malformed verdict row at line {len(lines)}" in capsys.readouterr().err
 
 
+    def test_verdict_cell_past_the_csv_field_limit_exits_2(self, workspace, capsys):
+        tmp_path, cfg_path = workspace
+        out = tmp_path / "run"
+        args = ["--config", str(cfg_path), "--seed", "3", "--out", str(out)]
+        assert cli_dispatch(["pipeline"] + args) == 0
+        verdicts = out / "verdicts_train.csv"
+        lines = verdicts.read_text(encoding="utf-8").splitlines()
+        row, score, rest = lines[5].split(",", 2)
+        lines[5] = ",".join([row, "0." + "1" * 200_000, rest])
+        verdicts.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        assert cli_dispatch(["train"] + args) == 2
+        err = capsys.readouterr().err
+        assert "train: verdicts_train.csv: malformed verdict row at line 6; rerun the detect stage" in err
+        assert "Traceback" not in err
+
+
+class TestKnnTrainingRows:
+    """A KNN model file refers to its training rows; evaluate rebuilds them and checks the digest."""
+
+    @pytest.fixture()
+    def trained(self, workspace, capsys):
+        tmp_path, cfg_path = workspace
+        out = tmp_path / "run"
+        args = ["--config", str(cfg_path), "--seed", "3", "--out", str(out)]
+        for command in ("ingest", "select", "detect", "train"):
+            assert cli_dispatch([command] + args) == 0
+        capsys.readouterr()
+        return out, args
+
+    def test_flipped_verdict_after_train_exits_2(self, trained, capsys):
+        out, args = trained
+        verdicts = out / "verdicts_train.csv"
+        lines = verdicts.read_text(encoding="utf-8").splitlines()
+        row, score, mean_path, label = lines[1].split(",")
+        lines[1] = ",".join([row, score, mean_path, str(-int(label))])
+        verdicts.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert cli_dispatch(["evaluate"] + args) == 2
+        err = capsys.readouterr().err
+        assert f"evaluate: {out / 'model_knn_clean.json'}: unreadable artifact (training rows " in err
+        assert "Traceback" not in err
+        assert not (out / "report.json").exists()
+
+    def test_ingest_with_another_seed_exits_2(self, trained, capsys):
+        out, args = trained
+        reseeded = list(args)
+        reseeded[args.index("--seed") + 1] = "4"
+        assert cli_dispatch(["ingest"] + reseeded) == 0
+        assert cli_dispatch(["evaluate"] + args) == 2
+        err = capsys.readouterr().err
+        expected = "unreadable artifact (training rows differ from the ones the model was fit on (rows_sha256 mismatch))"
+        assert f"evaluate: {out / 'model_knn.json'}: {expected}" in err
+        assert "Traceback" not in err
+        assert not (out / "report.json").exists()
+
+    def test_untouched_rows_evaluate(self, trained):
+        out, args = trained
+        assert cli_dispatch(["evaluate"] + args) == 0
+        assert (out / "report.json").exists()
+
+
 # an integer field of each JSON artifact, as a path of keys and list indices
 INT_FIELDS = {
     "rfe.json": ("trace", 0, "removed"),
@@ -407,7 +479,6 @@ class TestCorruptArtifacts:
     @pytest.mark.parametrize(
         "name, key, value",
         [
-            ("knn", "X", lambda d: [[1e308] * len(d["X"][0])] + d["X"][1:]),
             ("nb", "means", lambda d: [d["means"][0], [1e308] * len(d["means"][1])]),
             ("lr", "weights", lambda d: [1e308] * len(d["weights"])),
             ("svm", "weights", lambda d: [1e308] * len(d["weights"])),

@@ -291,8 +291,8 @@ class TestRunPipeline:
         assert digest(out / "verdicts_train.csv") == "917538ee07fc7138a0c273bc42f3090fb536bec79eb6ae3fe31b5e1b244c7654"
         assert digest(out / "verdicts_test.csv") == "a01df08fae8649b9ffb73c228196ec862be5f393801abe0c70c7714e5cc9fe94"
         pins = {
-            "model_knn.json": "2295e6e7b4976501c71cf656a4eebca2e2c6b6187bb0d7d7de61a43342c91bd0",
-            "model_knn_clean.json": "0e5738d30bf862f27196aaa56d656dd356a2f4a5ce155e2c76c40e8ea5f73207",
+            "model_knn.json": "00dd2232f88b58d50bbfe20fcc4207d7210f5a0ac4c6bdea782436edf0bca94c",
+            "model_knn_clean.json": "d12b2686eb8f47409354b55510bf186d9a2e887e4df389835933684e5784d50f",
             "model_svm.json": "a6af460c204e0f1676077dca72a2dee95b5e493bafaedb07a7bcc4aaf1f50164",
             "model_svm_clean.json": "31bca9c33fa225149eb5cb5dcbd3afe6306e547dd0361d3f67147a25e44928b5",
             "model_nb.json": "a70d1454edb00f15d79fe2d6d14792f61e9478a75858cccc79162314c1c08019",
@@ -320,6 +320,14 @@ class TestRunPipeline:
         }
         for name, pin in pins.items():
             assert digest(out / name) == pin, name
+        # The sha256 of the C-ordered float64 X bytes, then the int64 y bytes, that the KNN files held
+        # inline before they referred to their rows: the rows evaluate rebuilds are those, bit for bit.
+        inline_rows = {
+            "model_knn.json": "a92a006f6cc460b579dcee7797fce34abf1326cb990db44c7414c35daa846ed0",
+            "model_knn_clean.json": "88caea5a5a9140f62bccbe7623d4c8637136c57bb287cdccd69eb1bd28fa4350",
+        }
+        for name, rows_digest in inline_rows.items():
+            assert json.loads((out / name).read_text())["rows_sha256"] == rows_digest, name
 
     def test_every_csv_cell_is_a_plain_number(self, tmp_path):
         cfg = small_config(tmp_path)
