@@ -1,9 +1,8 @@
 """Command-line entry point.
 
-Subcommands mirror the pipeline stages (ingest, select, detect, train,
-evaluate), plus `pipeline` for the whole experiment and `synth` for the
-synthetic dataset generator. Exit codes: 0 success, 1 usage error, 2
-data/contract error.
+Subcommands mirror the stages of ``pipeline.STAGES``, plus `pipeline` for
+the whole experiment and `synth` for the synthetic dataset generator.
+Exit codes: 0 success, 1 usage error, 2 data/contract error.
 """
 from __future__ import annotations
 
@@ -15,7 +14,7 @@ from pathlib import Path
 from .errors import IsoguardError
 from .evaluation import render_table
 from .parallel import worker_count
-from .pipeline import PipelineConfig, load_config, run_pipeline, run_stage, run_synth
+from .pipeline import STAGES, PipelineConfig, load_config, run_pipeline, run_stage, run_synth
 
 
 class UsageError(Exception):
@@ -36,14 +35,7 @@ def build_parser() -> _Parser:
         p.add_argument("--seed", type=int, help="master seed (required here or in the config)")
         p.add_argument("--out", type=Path, help="output directory (default: config out_dir)")
 
-    for name, text in (
-        ("pipeline", "run every stage end to end"),
-        ("ingest", "load, split and transform the input CSV"),
-        ("select", "recursive feature elimination on train.csv"),
-        ("detect", "fit the isolation forest and emit verdicts"),
-        ("train", "train both classifier arms"),
-        ("evaluate", "score both arms on the test partition"),
-    ):
+    for name, text in (("pipeline", "run every stage end to end"), *((s.name, s.help) for s in STAGES)):
         p = sub.add_parser(name, help=text, add_help=True)
         common(p, config_required=True)
 

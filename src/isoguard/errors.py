@@ -11,6 +11,14 @@ class PipelineError(IsoguardError):
     """Stage-level failure; the message names the failing stage."""
 
 
+class ArtifactError(IsoguardError):
+    """An artifact that does not hold what its writer writes; ``paths`` are the file(s) at fault."""
+
+    def __init__(self, message: str, *paths: str | Path) -> None:
+        super().__init__(message)
+        self.paths = tuple(Path(p) for p in paths)
+
+
 def checked_int(value: object, what: str, low: int | None = None, high: int | None = None) -> int:
     """``value`` as an int in [low, high); a float or bool is rejected, not truncated."""
     if type(value) is not int or (low is not None and value < low) or (high is not None and value >= high):
@@ -29,7 +37,7 @@ def checked_float(value: object, what: str) -> float:
 @contextmanager
 def artifact_reader(path: str | Path):
     """Turn what parsing a truncated or hand-edited JSON artifact raises
-    into an IsoguardError that names the file."""
+    into an ArtifactError that names the file."""
     try:
         yield
     # JSONDecodeError is a ValueError; AttributeError and TypeError come
@@ -37,4 +45,4 @@ def artifact_reader(path: str | Path):
     # OverflowError from an integer too large for an int64 array
     except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as e:
         detail = f"missing key {e}" if isinstance(e, KeyError) else str(e)
-        raise IsoguardError(f"{path}: unreadable artifact ({detail}); rerun the stage that writes it") from None
+        raise ArtifactError(f"{path}: unreadable artifact ({detail})", path) from None

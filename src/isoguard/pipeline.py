@@ -10,6 +10,12 @@ directory, so the monolithic run and the stage-by-stage subcommands are
 the same code path and produce identical bytes for identical seeds. All
 stage seeds derive from the single master seed.
 
+``STAGES`` states once what each stage reads and writes, and so which stage
+W writes each artifact. A stage whose input is not a file stops with
+``missing artifact X; run the W stage first``; any other error about an
+artifact names the file and ends ``; rerun the W stage``, or, when two
+files disagree, ``; rerun the W1 and W2 stages`` in stage order.
+
 A ``PipelineConfig`` checks every field's type, and every range that does
 not depend on the data, when it is built, so no command starts a stage,
 or makes a directory, with a config of the wrong type or out of range. A
@@ -23,6 +29,7 @@ import functools
 import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,7 +50,7 @@ from .data import (
     write_csv,
     write_table,
 )
-from .errors import IsoguardError, PipelineError, artifact_reader
+from .errors import ArtifactError, IsoguardError, PipelineError, artifact_reader
 from .evaluation import (
     ClassifierEvaluation,
     ComparisonReport,
@@ -57,7 +64,30 @@ from .prng import derive_seed
 from .synthetic import SyntheticSpec, generate_synthetic, write_injection_mask
 
 MODELS = ("knn", "svm", "nb", "lr", "abc")
-STAGES = ("ingest", "select", "detect", "train", "evaluate")
+ARMS = (("before", ""), ("after", "_clean"))  # arm A trains on every row, arm B without the flagged ones
+_ARM_MODELS = tuple(name + suffix for _, suffix in ARMS for name in MODELS)  # knn, ..., abc, knn_clean, ..., abc_clean
+
+
+class Stage(NamedTuple):
+    name: str  # also the CLI subcommand; the stage runs as the module global stage_<name>
+    help: str
+    reads: tuple[str, ...]  # artifacts in the output directory, each written by an earlier stage
+    writes: tuple[str, ...]
+
+
+STAGES = (
+    Stage("ingest", "load, split and transform the input CSV", (), ("transforms.json", "train.csv", "test.csv")),
+    Stage("select", "recursive feature elimination on train.csv", ("train.csv",), ("rfe.json",)),
+    Stage("detect", "fit the isolation forest and emit verdicts", ("train.csv", "test.csv", "rfe.json"),
+          ("verdicts_train.csv", "verdicts_test.csv", "forest.json", "scatter_full.csv", "scatter_clean.csv")),
+    Stage("train", "train both classifier arms", ("train.csv", "rfe.json", "verdicts_train.csv"),
+          tuple(f"model_{m}.json" for m in _ARM_MODELS)),
+    Stage("evaluate", "score both arms on the test partition",
+          ("train.csv", "test.csv", "rfe.json", "verdicts_train.csv", *(f"model_{m}.json" for m in _ARM_MODELS)),
+          ("report.json", "report.txt", *(f"roc_{m}.csv" for m in _ARM_MODELS))),
+)
+STAGE_NAMES = tuple(stage.name for stage in STAGES)
+WRITER = {artifact: stage.name for stage in STAGES for artifact in stage.writes}
 
 
 @dataclass(frozen=True)
@@ -186,56 +216,60 @@ def _require_seed(cfg: PipelineConfig) -> int:
     return cfg.seed
 
 
-def _artifact(path: Path, stage: str) -> Path:
-    """``path`` if it is a file; otherwise (absent, or a directory) an error naming the stage that writes it."""
-    if not path.is_file():
-        raise IsoguardError(f"missing artifact {path.name}; run the {stage} stage first")
-    return path
-
-
 def _read_artifact_csv(out: Path, name: str, target_column: str, column_names: list[str] | None = None) -> Dataset:
-    """A partition written by ingest: numeric only, and with the columns rfe.json records when given."""
-    ds = load_csv(_artifact(out / name, "ingest"), target_column=target_column)
+    """A partition: numeric, each row's squared norm within float64, and with rfe.json's columns when given."""
+    path = out / name
+    try:
+        ds = load_csv(path, target_column=target_column)
+    except IsoguardError as e:
+        raise ArtifactError(str(e), path) from None
     nominal = [n for n, k in zip(ds.feature_names, ds.kinds) if k is not ColumnKind.NUMERIC]
     if nominal:
-        raise IsoguardError(f"{name}: column {nominal[0]!r} holds a non-numeric cell; rerun the ingest stage")
+        raise ArtifactError(f"{name}: column {nominal[0]!r} holds a non-numeric cell", path)
     if column_names is not None and list(ds.feature_names) != column_names:
-        raise IsoguardError(
-            f"{name}: feature columns differ from the {len(column_names)} that rfe.json records; "
-            "rerun the ingest and select stages"
+        raise ArtifactError(
+            f"{name}: feature columns differ from the {len(column_names)} that rfe.json records", path, out / "rfe.json"
         )
+    with np.errstate(over="ignore"):  # such a row would overflow the kNN distances
+        huge = np.flatnonzero(np.isinf(np.einsum("ij,ij->i", ds.rows, ds.rows)))
+    if huge.size:
+        raise ArtifactError(f"{name}: row {huge[0] + 2} has a squared norm past the float64 range", path)
     return ds
 
 
 def _read_selected(out: Path, target_column: str, *names: str) -> tuple[RfeResult, list[str], list[Dataset]]:
     """rfe.json's result and column names, and each named partition, which must hold those columns."""
-    rfe, column_names = load_rfe(_artifact(out / "rfe.json", "select"))
+    rfe, column_names = load_rfe(out / "rfe.json")
     return rfe, column_names, [_read_artifact_csv(out, f"{n}.csv", target_column, column_names) for n in names]
 
 
 def _read_verdict_labels(path: Path, train: Dataset) -> np.ndarray:
     """Verdict labels of ``train``'s rows; the row counts must agree."""
-    with open(_artifact(path, "detect"), newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
             next(reader, None)  # the header; an empty file has no rows either, and fails the count below
             labels = [int(rec[3]) for rec in reader]
         except UnicodeDecodeError:
-            raise IsoguardError(f"{path.name}: not UTF-8 text; rerun the detect stage") from None
+            raise ArtifactError(f"{path.name}: not UTF-8 text", path) from None
         except (IndexError, ValueError, csv.Error):  # csv.Error: a cell longer than csv.field_size_limit(), say
-            raise IsoguardError(
-                f"{path.name}: malformed verdict row at line {reader.line_num}; rerun the detect stage"
-            ) from None
+            raise ArtifactError(f"{path.name}: malformed verdict row at line {reader.line_num}", path) from None
     # checked as Python ints, so a label too large for int64 is named rather than overflowing
     bad = next((v for v in labels if v not in (1, -1)), None)
     if bad is not None:
-        raise IsoguardError(f"{path.name}: verdict label {bad} is not 1 or -1; rerun the detect stage")
+        raise ArtifactError(f"{path.name}: verdict label {bad} is not 1 or -1", path)
     if len(labels) != train.n_rows:
-        raise IsoguardError(
-            f"{path.name} has {len(labels)} verdict rows but train.csv has {train.n_rows} rows; "
-            "rerun the detect stage"
-        )
+        raise ArtifactError(f"{path.name} has {len(labels)} verdict rows but train.csv has {train.n_rows} rows", path)
     return np.array(labels, dtype=np.int64)
+
+
+def _arm_rows(train: Dataset, selected: list[int], labels: np.ndarray) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """Each arm's training rows (X, y) at the ``selected`` columns: arm A all, arm B those whose verdict is +1.
+    train fits on them and evaluate rebuilds the kNN models from them, so a kNN file's rows_sha256 holds.
+    Arm A's X is a Fortran-ordered column slice and arm B's a C-ordered copy."""
+    X, y = train.matrix()[:, selected], train.target
+    keep = labels == 1
+    return {"before": (X, y), "after": (X[keep], y[keep])}
 
 
 # ---------------------------------------------------------------------------
@@ -243,15 +277,24 @@ def _read_verdict_labels(path: Path, train: Dataset) -> np.ndarray:
 
 
 def _stage(fn):
-    """``fn``, re-raising an IsoguardError as a PipelineError that names the stage."""
-    name = fn.__name__.removeprefix("stage_")
+    """``fn`` run as the stage of its name: only once every artifact it reads is a file, and with each
+    IsoguardError re-raised as a PipelineError naming the stage, plus an ArtifactError's rerun advice."""
+    stage = STAGES[STAGE_NAMES.index(fn.__name__.removeprefix("stage_"))]
 
     @functools.wraps(fn)
     def run(cfg: PipelineConfig, out: Path):
         try:
+            for name in stage.reads:
+                if not (out / name).is_file():  # absent, or a directory in its place
+                    raise IsoguardError(f"missing artifact {name}; run the {WRITER[name]} stage first")
             return fn(cfg, out)
+        except ArtifactError as e:  # advice naming, in stage order, the stage that writes each file at fault
+            at_fault = {WRITER[p.name] for p in e.paths}
+            writers = [w for w in STAGE_NAMES if w in at_fault]
+            advice = f"rerun the {' and '.join(writers)} stage{'s' * (len(writers) > 1)}"
+            raise PipelineError(f"{stage.name}: {e}; {advice}") from e
         except IsoguardError as e:
-            raise PipelineError(f"{name}: {e}") from e
+            raise PipelineError(f"{stage.name}: {e}") from e
 
     return run
 
@@ -352,25 +395,22 @@ def stage_train(cfg: PipelineConfig, out: Path) -> None:
     """
     rfe, _, (train,) = _read_selected(out, cfg.target_column, "train")
     labels = _read_verdict_labels(out / "verdicts_train.csv", train)
-    X = train.matrix()[:, list(rfe.selected)]
-    y = train.target
+    rows = _arm_rows(train, list(rfe.selected), labels)
 
-    models = _fit_all(X, y, cfg.classifiers)
+    models = _fit_all(*rows["before"], cfg.classifiers)
     for name, model in models.items():
         clf.save_model(model, out / f"model_{name}.json")
 
-    keep = labels == 1
-    y_clean = y[keep]
+    X_clean, y_clean = rows["after"]
     for cls in (0, 1):
         if not (y_clean == cls).any():
             # a higher tau, or a lower fraction, flags fewer rows
             fixed = cfg.forest.threshold.mode == "fixed"
             advice = "raise forest.threshold.tau" if fixed else "lower forest.threshold.fraction"
             raise IsoguardError(f"outlier removal emptied class {cls} in the training partition; {advice}")
-    # Nothing removed: arm B reuses arm A's models. A refit on X[keep] would not
-    # match them byte for byte: X is a Fortran-ordered column slice, X[keep] a
-    # C-ordered copy, and logreg_fit's BLAS products differ in the last bits.
-    clean_models = models if keep.all() else _fit_all(X[keep], y_clean, cfg.classifiers)
+    # Nothing removed: arm B reuses arm A's models. A refit on arm B's C-ordered rows would
+    # not match them byte for byte, as logreg_fit's BLAS products differ in the last bits.
+    clean_models = models if (labels == 1).all() else _fit_all(X_clean, y_clean, cfg.classifiers)
     for name, model in clean_models.items():
         clf.save_model(model, out / f"model_{name}_clean.json")
 
@@ -383,15 +423,12 @@ def stage_evaluate(cfg: PipelineConfig, out: Path) -> ComparisonReport:
     selected = list(rfe.selected)
     X_test = test.matrix()[:, selected]
     y_test = test.target
-    # each arm's training rows, by the expressions stage_train fits on; the KNN files refer to them
-    X, y = train.matrix()[:, selected], train.target
-    keep = labels == 1
-    training_rows = {"before": (X, y), "after": (X[keep], y[keep])}
+    training_rows = _arm_rows(train, selected, labels)  # the KNN files refer to these
 
     arms: dict[str, dict[str, ClassifierEvaluation]] = {"before": {}, "after": {}}
-    for arm, suffix in (("before", ""), ("after", "_clean")):
+    for arm, suffix in ARMS:
         for name in MODELS:
-            path = _artifact(out / f"model_{name}{suffix}.json", "train")
+            path = out / f"model_{name}{suffix}.json"
             model = clf.load_model(path, training_rows[arm])
             with artifact_reader(path):  # parameters that load but overflow when scoring
                 scores = clf.score_model(model, X_test)
@@ -430,19 +467,17 @@ def _prepare_out(cfg: PipelineConfig) -> Path:
 
 def run_stage(name: str, cfg: PipelineConfig) -> ComparisonReport | None:
     """Run the stage ``name`` (ingest, select, detect, train or evaluate) alone."""
-    if name not in STAGES:
-        raise IsoguardError(f"unknown stage {name!r}; expected one of {', '.join(STAGES)}")
+    if name not in STAGE_NAMES:
+        raise IsoguardError(f"unknown stage {name!r}; expected one of {', '.join(STAGE_NAMES)}")
     return globals()[f"stage_{name}"](cfg, _prepare_out(cfg))  # the module global, as rebound if it is
 
 
 def run_pipeline(cfg: PipelineConfig) -> ComparisonReport:
-    """Run every stage in order into one output directory."""
+    """Run every stage in order into one output directory; evaluate, the last, gives the report."""
     out = _prepare_out(cfg)
-    stage_ingest(cfg, out)
-    stage_select(cfg, out)
-    stage_detect(cfg, out)
-    stage_train(cfg, out)
-    return stage_evaluate(cfg, out)
+    for stage in STAGES:
+        result = globals()[f"stage_{stage.name}"](cfg, out)  # the module global, as rebound if it is
+    return result
 
 
 def run_synth(cfg: PipelineConfig) -> Path:

@@ -3,6 +3,7 @@ import json
 import operator
 import os
 import re
+import shutil
 import subprocess
 import sys
 from dataclasses import replace
@@ -17,12 +18,25 @@ from isoguard.data import write_csv
 from isoguard.errors import IsoguardError
 from isoguard.feature_selection import load_rfe
 from isoguard.iforest import load_forest
-from isoguard.pipeline import ForestSettings, PipelineConfig, ThresholdSettings, config_from_dict
+from isoguard.pipeline import (
+    MODELS,
+    STAGES,
+    WRITER,
+    ForestSettings,
+    PipelineConfig,
+    ThresholdSettings,
+    config_from_dict,
+)
 from isoguard.synthetic import SyntheticSpec, generate_synthetic
 
 
 @pytest.fixture()
 def workspace(tmp_path):
+    return make_workspace(tmp_path)
+
+
+def make_workspace(tmp_path):
+    """A small synthetic input CSV and a fast config naming it, in ``tmp_path``."""
     ds, _ = generate_synthetic(
         SyntheticSpec(n_normal=200, n_anomaly=50, n_informative=3, n_noise=3, seed=1)
     )
@@ -498,17 +512,15 @@ class TestCorruptArtifacts:
         assert "Traceback" not in err
         assert not (out / "report.json").exists()
 
-    @pytest.mark.parametrize(
-        "stage, name",
-        [("detect", "rfe.json"), ("train", "verdicts_train.csv"), ("evaluate", "model_knn.json"), ("select", "train.csv")],
-    )
-    def test_artifact_that_is_a_directory_exits_2(self, finished_run, capsys, stage, name):
+    @pytest.mark.parametrize("stage", ["detect", "evaluate"])
+    @pytest.mark.parametrize("value, code", [("1e308", 2), ("1e150", 0)])
+    def test_test_row_whose_squared_norm_overflows_exits_2(self, finished_run, capsys, stage, value, code):
         out, args = finished_run
-        (out / name).unlink()
-        (out / name).mkdir()
-        assert cli_dispatch([stage] + args) == 2
+        _edit_csv(out / "test.csv", _set_features(3, value))
+        assert cli_dispatch([stage] + args) == code
         err = capsys.readouterr().err
-        assert f"{stage}: missing artifact {name}; run the " in err
+        if code == 2:
+            assert err.endswith(f"{stage}: test.csv: row 4 has a squared norm past the float64 range; rerun the ingest stage\n")
         assert "Traceback" not in err
 
     @pytest.mark.parametrize(
@@ -543,6 +555,13 @@ def _edit_csv(path, edit):
 def _set_cell(row, col, value):
     def edit(rows):
         rows[row][col] = value
+
+    return edit
+
+
+def _set_features(row, value):
+    def edit(rows):
+        rows[row][:-1] = [value] * (len(rows[row]) - 1)  # every cell but the target, which is last
 
     return edit
 
@@ -592,6 +611,107 @@ class TestCorruptCsvArtifacts:
         err = capsys.readouterr().err
         assert f"{stage}: {message.format(out=out)}" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "stage, name, edit", [("detect", "test.csv", _drop_first_column), ("train", "train.csv", _set_cell(0, 2, "x"))]
+    )
+    def test_column_mismatch_names_both_writers(self, workspace, capsys, stage, name, edit):
+        tmp_path, cfg_path = workspace
+        out = tmp_path / "run"
+        args = ["--config", str(cfg_path), "--seed", "3", "--out", str(out)]
+        assert cli_dispatch(["pipeline"] + args) == 0
+        _edit_csv(out / name, edit)
+        capsys.readouterr()
+        assert cli_dispatch([stage] + args) == 2
+        expected = f"{stage}: {name}: feature columns differ from the 6 that rfe.json records"
+        assert capsys.readouterr().err == f"isoguard: error: {expected}; rerun the ingest and select stages\n"
+
+
+# every (stage, artifact it reads) pair that STAGES declares
+READS = [(stage.name, name) for stage in STAGES for name in stage.reads]
+
+
+def _truncate(path):
+    data = path.read_bytes()
+    path.write_bytes(data[: len(data) // 2])
+
+
+def _replace_with_directory(path):
+    path.unlink()
+    path.mkdir()
+
+
+DAMAGES = {"missing": Path.unlink, "directory": _replace_with_directory, "truncated": _truncate}
+
+
+class TestStageTable:
+    """The STAGES table against what the stages do: each writes what it declares, needs no more than
+    it declares to read, and a damaged read is blamed on the stage the table says writes it."""
+
+    @pytest.fixture(scope="class")
+    def monolith(self, tmp_path_factory):
+        tmp_path = tmp_path_factory.mktemp("monolith")
+        cfg_path = make_workspace(tmp_path)[1]
+        out = tmp_path / "run"
+        assert cli_dispatch(["pipeline", "--config", str(cfg_path), "--seed", "3", "--out", str(out)]) == 0
+        return cfg_path, out
+
+    @staticmethod
+    def args(cfg_path, out):
+        return ["--config", str(cfg_path), "--seed", "3", "--out", str(out)]
+
+    def test_pipeline_writes_exactly_the_declared_artifacts(self, monolith):
+        _, out = monolith
+        declared = {name for stage in STAGES for name in stage.writes}
+        assert sorted(p.name for p in out.iterdir()) == sorted(declared | {"config.resolved.json"})
+
+    @pytest.mark.parametrize("stage", STAGES, ids=[stage.name for stage in STAGES])
+    def test_stage_needs_only_its_declared_reads(self, monolith, tmp_path, capsys, stage):
+        cfg_path, mono = monolith
+        fresh = tmp_path / "fresh"
+        fresh.mkdir()
+        for name in stage.reads:
+            shutil.copyfile(mono / name, fresh / name)
+        assert cli_dispatch([stage.name] + self.args(cfg_path, fresh)) == 0, capsys.readouterr().err
+        assert sorted(p.name for p in fresh.iterdir()) == sorted({*stage.reads, *stage.writes, "config.resolved.json"})
+        for name in stage.writes:
+            assert (fresh / name).read_bytes() == (mono / name).read_bytes(), name
+
+    @pytest.mark.parametrize(
+        "damage, stage, name",
+        [(damage, stage, name) for damage in DAMAGES for stage, name in READS],
+        ids=[f"{damage}-{stage}-{name}" for damage in DAMAGES for stage, name in READS],
+    )
+    def test_damaged_read_names_its_writer(self, monolith, tmp_path, capsys, damage, stage, name):
+        cfg_path, mono = monolith
+        out = tmp_path / "run"
+        shutil.copytree(mono, out)
+        DAMAGES[damage](out / name)
+        capsys.readouterr()
+        assert cli_dispatch([stage] + self.args(cfg_path, out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"isoguard: error: {stage}: ")
+        if damage == "truncated":
+            assert err.endswith(f"; rerun the {WRITER[name]} stage\n")
+        else:
+            assert err == f"isoguard: error: {stage}: missing artifact {name}; run the {WRITER[name]} stage first\n"
+        assert "Traceback" not in err
+
+    def test_readme_artifact_table_matches_stages(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        table = readme.split("## Output artifacts", 1)[1].split("\n## ", 1)[0]
+        documented = {}
+        for line in table.splitlines():
+            if not line.startswith("| `"):
+                continue
+            files, written_by, read_by = line.split("|")[1:4]
+            stages = (tuple(re.findall(r"`(\w+)`", written_by)), tuple(re.findall(r"`(\w+)`", read_by)))
+            for pattern in re.findall(r"`([^`]+)`", files):
+                names = [pattern.replace("<name>", m) for m in MODELS] if "<name>" in pattern else [pattern]
+                documented |= dict.fromkeys(names, stages)
+        assert documented.pop("config.resolved.json") == ((), ())  # written by every command, read by none
+        declared = {name: ((writer,), tuple(s.name for s in STAGES if name in s.reads)) for name, writer in WRITER.items()}
+        assert documented == declared
 
 
 class TestThreadsEnv:
