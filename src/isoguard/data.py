@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
+import itertools
 import json
 import math
 import threading
@@ -126,6 +127,14 @@ def load_csv(path: str | Path, target_column: str = "class") -> Dataset:
     otherwise the lexicographically smaller value taking 0. Missing cells
     and ragged rows are errors.
 
+    The file is parsed ``_PARSE_CHUNK_ROWS`` records at a time, so a parse
+    holds the file's bytes, one chunk of records and the typed columns at
+    once. The first fault found is the one reported, in this order: header
+    faults (an empty file, duplicate column names, a missing target
+    column); then, chunk by chunk in file order, row faults (text that is
+    not UTF-8 or not CSV, a ragged row, an empty cell); then an empty
+    table; then a target column that is not binary.
+
     Every call reads the file, but identical bytes are parsed once per
     process: a table whose features are all Numeric is memoized under the
     sha256 of its bytes and ``target_column``, at most two of them, least
@@ -145,9 +154,15 @@ def load_csv(path: str | Path, target_column: str = "class") -> Dataset:
         if hit is not None:
             _parsed.move_to_end(key)
             return _copy_arrays(hit)
-    header, records = _read_records(raw, path)
-    del raw  # freed before the column build, which sets the parse's peak memory
-    ds = _build_dataset(header, records, target_column, path)
+    feature_names, columns, target = _parse_columns(raw, path, target_column)
+    del raw  # freed before the columns are stacked, which sets the parse's peak memory
+    ds = Dataset(
+        feature_names=feature_names,
+        kinds=tuple(ColumnKind.NUMERIC if c.dtype == np.float64 else ColumnKind.NOMINAL for c in columns),
+        rows=np.column_stack(columns) if columns else np.empty((target.size, 0)),
+        target=target,
+        target_name=target_column,
+    )
     if ds.is_encoded:
         _remember(key, _copy_arrays(ds))
     return ds
@@ -163,13 +178,13 @@ def _decoded(raw: bytes) -> io.TextIOWrapper:
     return io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8-sig", newline="")
 
 
-def _read_records(raw: bytes, path: Path) -> tuple[list[str], list[list[str]]]:
-    """Header and data records of the CSV bytes ``raw``, checked for a full, rectangular grid."""
+def _records(raw: bytes, path: Path):
+    """The header, then each data record, of the CSV bytes ``raw`` as ``csv.reader`` reads them."""
     with _decoded(raw) as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
-            records = list(reader)
+            yield next(reader)
+            yield from reader
         except StopIteration:
             raise IsoguardError(f"{path}: file is empty, expected a header row") from None
         except UnicodeDecodeError:
@@ -177,58 +192,93 @@ def _read_records(raw: bytes, path: Path) -> tuple[list[str], list[list[str]]]:
         except csv.Error as e:  # a cell longer than csv.field_size_limit(), say
             raise IsoguardError(f"{path}: unreadable CSV at line {reader.line_num}: {e}") from None
 
+
+_PARSE_CHUNK_ROWS = 1024  # records checked and typed at a time; bounds the parse's transient memory
+
+
+def _parse_columns(raw: bytes, path: Path, target_column: str) -> tuple[tuple[str, ...], list[np.ndarray], np.ndarray]:
+    """Feature names, feature columns and 0/1 target of the CSV bytes ``raw``.
+
+    Records are checked and typed ``_PARSE_CHUNK_ROWS`` at a time. A column
+    stays float64 while every cell so far is a finite float; once one is
+    not, it keeps its strings, and those of the chunks before are read
+    again from ``raw``.
+    """
+    records = _records(raw, path)
+    header = next(records)
     if len(set(header)) != len(header):
         raise IsoguardError(f"{path}: duplicate column names in header")
+    if target_column not in header:
+        raise IsoguardError(f"{path}: target column {target_column!r} not found")
+    target_pos = header.index(target_column)
+    features = [j for j in range(len(header)) if j != target_pos]
+
+    numbers: dict[int, list[np.ndarray]] = {j: [] for j in features}  # column -> its float64 chunks
+    strings: dict[int, list[str]] = {}  # column -> its cells, once one is not a finite float
+    target_values: dict[str, int] = {}  # distinct target value -> its first-seen order
+    target_codes: list[np.ndarray] = []
+    n = 0
+    while chunk := list(itertools.islice(records, _PARSE_CHUNK_ROWS)):
+        _check_grid(chunk, header, n + 2, path)
+        cells = list(zip(*chunk))
+        codes = [target_values.setdefault(v, len(target_values)) for v in cells[target_pos]]
+        target_codes.append(np.array(codes, dtype=np.int64))
+        turned = [j for j in numbers if not _append_finite(numbers[j], cells[j])]
+        for j in turned:
+            del numbers[j]
+        if turned:
+            strings.update(_leading_cells(raw, path, turned, n))
+        for j, column in strings.items():
+            column.extend(cells[j])
+        n += len(chunk)
+    if n == 0:
+        raise IsoguardError(f"{path}: no data rows")
+    target = _encode_target(np.concatenate(target_codes), list(target_values), target_column, path)
+    columns = [
+        np.concatenate(numbers.pop(j)) if j in numbers else np.array(strings.pop(j), dtype=object) for j in features
+    ]
+    return tuple(header[j] for j in features), columns, target
+
+
+def _check_grid(records: list[list[str]], header: list[str], first_row: int, path: Path) -> None:
+    """Raise on the first of ``records`` (data rows ``first_row`` on) that is ragged or has an empty cell."""
     width = len(header)
     if any(len(rec) != width or "" in rec for rec in records):
-        for rownum, rec in enumerate(records, start=2):
+        for rownum, rec in enumerate(records, start=first_row):
             if len(rec) != width:
                 raise IsoguardError(f"{path}: row {rownum} has {len(rec)} cells, expected {width}")
             for col, cell in zip(header, rec):
                 if cell == "":
                     raise IsoguardError(f"{path}: missing value at row {rownum}, column {col!r}")
-    if not records:
-        raise IsoguardError(f"{path}: no data rows")
-    return header, records
 
 
-def _build_dataset(header: list[str], records: list[list[str]], target_column: str, path: Path) -> Dataset:
-    """Type each column of ``records``: Numeric when every cell is a finite float, else Nominal."""
-    if target_column not in header:
-        raise IsoguardError(f"{path}: target column {target_column!r} not found")
-    target_pos = header.index(target_column)
-    feature_names = tuple(n for n in header if n != target_column)
-
-    columns = list(zip(*records))
-    target = _encode_target(columns.pop(target_pos), target_column, path)
-
-    n = len(records)
-    kinds: list[ColumnKind] = []
-    data_cols: list[np.ndarray] = []
-    for values in columns:
-        try:
-            numbers = np.fromiter(map(float, values), np.float64, count=n)
-        except ValueError:
-            numbers = None
-        if numbers is not None and np.isfinite(numbers).all():
-            kinds.append(ColumnKind.NUMERIC)
-            data_cols.append(numbers)
-        else:
-            kinds.append(ColumnKind.NOMINAL)
-            data_cols.append(np.array(values, dtype=object))
-    rows = np.column_stack(data_cols) if data_cols else np.empty((n, 0))
-
-    return Dataset(
-        feature_names=feature_names,
-        kinds=tuple(kinds),
-        rows=rows,
-        target=target,
-        target_name=target_column,
-    )
+def _append_finite(chunks: list[np.ndarray], cells: tuple[str, ...]) -> bool:
+    """Append ``cells`` to ``chunks`` as float64 and return True when every one is a finite float."""
+    try:
+        numbers = np.fromiter(map(float, cells), np.float64, count=len(cells))
+    except ValueError:
+        return False
+    if not np.isfinite(numbers).all():
+        return False
+    chunks.append(numbers)
+    return True
 
 
-def _encode_target(raw: tuple[str, ...], name: str, path: Path) -> np.ndarray:
-    distinct = sorted(set(raw))
+def _leading_cells(raw: bytes, path: Path, columns: list[int], n_rows: int) -> dict[int, list[str]]:
+    """The cells of ``columns`` in the first ``n_rows`` data records of ``raw``, read again."""
+    cells: dict[int, list[str]] = {j: [] for j in columns}
+    if n_rows:
+        records = _records(raw, path)
+        next(records)
+        for rec in itertools.islice(records, n_rows):
+            for j, column in cells.items():
+                column.append(rec[j])
+    return cells
+
+
+def _encode_target(codes: np.ndarray, values: list[str], name: str, path: Path) -> np.ndarray:
+    """0/1 labels of a target column given as ``codes``, indices into its distinct ``values``."""
+    distinct = sorted(values)
     if len(distinct) != 2:
         raise IsoguardError(
             f"{path}: target column {name!r} must be binary, found {len(distinct)} distinct values"
@@ -240,7 +290,7 @@ def _encode_target(raw: tuple[str, ...], name: str, path: Path) -> np.ndarray:
         zero = "0"
     else:
         zero = distinct[0]
-    return np.array([0 if v == zero else 1 for v in raw], dtype=np.int64)
+    return (codes != values.index(zero)).astype(np.int64)
 
 
 def fit_label_encoder(ds: Dataset) -> EncoderState:

@@ -20,7 +20,9 @@ the leaf itself. forest.json stores exactly these arrays, one set per
 tree, and the loader checks that they link up into such a tree. Scoring
 walks every row of a batch through one tree a level at a time:
 ``height_limit`` steps of numpy gathers over a feature-major copy of the
-batch, with no per-node or per-row Python.
+batch, with no per-node or per-row Python. Each tree writes its path
+lengths into its own row of one t x n matrix, allocated once per batch,
+and the score averages its columns.
 """
 from __future__ import annotations
 
@@ -232,8 +234,13 @@ def mean_path_lengths(forest: IsolationForest, X: np.ndarray) -> np.ndarray:
     XT = np.ascontiguousarray(X.T).ravel()
     rows = np.arange(X.shape[0])
     c = np.array([expected_path_length(size) for size in range(forest.m + 1)])
-    depths = run_indexed(lambda i: _walk(forest.trees[i], XT, rows, c, forest.height_limit), forest.t)
-    return np.mean(np.stack(depths, axis=0), axis=0)
+    depths = np.empty((forest.t, X.shape[0]))
+
+    def _one(i: int) -> None:
+        depths[i] = _walk(forest.trees[i], XT, rows, c, forest.height_limit)
+
+    run_indexed(_one, forest.t)
+    return np.mean(depths, axis=0)
 
 
 def score_batch(forest: IsolationForest, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

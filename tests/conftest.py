@@ -14,11 +14,11 @@ def empty_parse_memo():
 def parses(monkeypatch):
     """The file names ``load_csv`` parsed (rather than took from its memo), in call order."""
     seen = []
-    read_records = data._read_records
+    parse_columns = data._parse_columns
 
-    def counting(raw, path):
+    def counting(raw, path, target_column):
         seen.append(path.name)
-        return read_records(raw, path)
+        return parse_columns(raw, path, target_column)
 
-    monkeypatch.setattr(data, "_read_records", counting)
+    monkeypatch.setattr(data, "_parse_columns", counting)
     return seen

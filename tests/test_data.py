@@ -5,6 +5,8 @@ import math
 import os
 import random
 import re
+import sys
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -57,15 +59,18 @@ def finite_float(text):
     return value if math.isfinite(value) else None
 
 
-def load_columns_against_oracle(tmp_path, columns):
-    """Load ``columns`` (name -> cell strings) through ``load_csv`` and check
-    each column against ``finite_float``: Numeric with the oracle's bits
-    when every cell is a finite float, else Nominal with its strings."""
+def load_columns_against_oracle(tmp_path, columns, bom=False, lineterminator="\n"):
+    """Load ``columns`` (name -> cell strings), written by ``csv.writer``,
+    through ``load_csv`` and check each column against ``finite_float``:
+    Numeric with the oracle's bits when every cell is a finite float, else
+    Nominal with its strings."""
     names = list(columns)
-    lines = [",".join(names + ["class"])]
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator=lineterminator)
+    writer.writerow(names + ["class"])
     for i in range(len(columns[names[0]])):
-        lines.append(",".join([columns[n][i] for n in names] + [["normal", "anomaly"][i % 2]]))
-    ds = load_csv(write(tmp_path, "\n".join(lines) + "\n"))
+        writer.writerow([columns[n][i] for n in names] + [["normal", "anomaly"][i % 2]])
+    ds = load_csv(write(tmp_path, ("\ufeff" if bom else "") + text.getvalue()))
     assert ds.feature_names == tuple(names)
     for j, name in enumerate(names):
         parsed = [finite_float(v) for v in columns[name]]
@@ -77,6 +82,16 @@ def load_columns_against_oracle(tmp_path, columns):
             assert ds.kinds[j] is ColumnKind.NOMINAL, name
             assert ds.rows[:, j].tolist() == columns[name], name
     return ds
+
+
+FINITE_SPELLINGS = [
+    "0", "42", "-7", "+3", "-2.5", "+1.25e-3", "6E+2", ".5", "5.", "1e308", "-1e308",
+    "-0", "-0.0", " 7 ", "\t1.5", "1_000", "1_0.2_5", "4.9e-324",
+]
+OTHER_SPELLINGS = [
+    "0x10", "nan", "NaN", "-nan", "+NAN", "inf", "-Infinity", "+INF", "infinity",
+    "1e999", "-1E999", "tcp", "abc", "1.2.3", "e5", "--1", "1__0", "_1",
+]
 
 
 def numeric_dataset(values, target, names=None):
@@ -161,14 +176,7 @@ class TestLoadCsv:
     def test_kind_rule_on_seeded_spelling_corpus(self, tmp_path):
         """Random columns of cell spellings: a column is Numeric exactly when
         every cell is a finite float, and its values keep the oracle's bits."""
-        finite = [
-            "0", "42", "-7", "+3", "-2.5", "+1.25e-3", "6E+2", ".5", "5.", "1e308", "-1e308",
-            "-0", "-0.0", " 7 ", "\t1.5", "1_000", "1_0.2_5", "4.9e-324",
-        ]
-        other = [
-            "0x10", "nan", "NaN", "-nan", "+NAN", "inf", "-Infinity", "+INF", "infinity",
-            "1e999", "-1E999", "tcp", "abc", "1.2.3", "e5", "--1", "1__0", "_1",
-        ]
+        finite, other = FINITE_SPELLINGS, OTHER_SPELLINGS
         rng = random.Random(20211)
         n_rows, n_cols = 12, 80
         columns = {}
@@ -222,7 +230,14 @@ class TestLoadCsv:
 def same_dataset(a, b):
     assert (a.feature_names, a.kinds, a.target_name) == (b.feature_names, b.kinds, b.target_name)
     assert a.rows.dtype == b.rows.dtype and a.rows.shape == b.rows.shape
-    assert a.rows.tobytes() == b.rows.tobytes()
+    if a.rows.dtype == object:  # str cells in Nominal columns, float cells in Numeric ones
+        numeric = np.array([k is ColumnKind.NUMERIC for k in a.kinds], dtype=bool)
+        assert a.rows[:, ~numeric].tolist() == b.rows[:, ~numeric].tolist()
+        assert {type(v) for v in a.rows[:, numeric].ravel()} <= {float}
+        assert {type(v) for v in b.rows[:, numeric].ravel()} <= {float}
+        assert a.rows[:, numeric].astype(np.float64).tobytes() == b.rows[:, numeric].astype(np.float64).tobytes()
+    else:
+        assert a.rows.tobytes() == b.rows.tobytes()
     assert a.rows.flags.c_contiguous == b.rows.flags.c_contiguous
     assert a.target.dtype == b.target.dtype and a.target.tolist() == b.target.tolist()
 
@@ -397,6 +412,144 @@ class TestWriteThrough:
         else:
             assert outcome(load_csv(path))
         assert parses == ["w.csv"]
+
+
+def chunked_table(seed):
+    """Seeded columns (name -> cell strings) of 2 to 10 rows: numbers, spellings
+    ``float`` reads, words, text needing quotes, and columns whose only
+    non-finite or non-numeric cell is the last or a random row. Seeds 4 and
+    up keep only the columns that stay Numeric."""
+    rng = random.Random(seed)
+    n = rng.randint(2, 10)
+
+    def numbers():
+        return [repr(rng.uniform(-1e6, 1e6)) for _ in range(n)]
+
+    columns = {
+        "number": numbers(),
+        "spelled": [rng.choice(FINITE_SPELLINGS) for _ in range(n)],
+        "proto": [rng.choice(["tcp", "udp", "icmp"]) for _ in range(n)],
+        "quoted": [rng.choice(["a,b", 'say "hi"', "two\nlines", "cr\r\nlf", "plain"]) for _ in range(n)],
+    }
+    for late in ("nan", "inf", "1e999", "abc"):
+        columns[f"last_{late}"] = numbers()[:-1] + [late]
+    word_at_random_row = [rng.choice(FINITE_SPELLINGS) for _ in range(n)]
+    word_at_random_row[rng.randrange(n)] = rng.choice(OTHER_SPELLINGS)
+    columns["word_at_random_row"] = word_at_random_row
+    if seed >= 4:
+        columns = {name: columns[name] for name in ("number", "spelled")}
+    return columns
+
+
+def faulty_table(n_rows, bad_row, fault):
+    """``a,b,class`` with ``n_rows`` rows, data row ``bad_row`` (0-based) ragged or with ``b`` empty."""
+    lines = ["a,b,class"]
+    for i in range(n_rows):
+        label = ["normal", "anomaly"][i % 2]
+        if i != bad_row:
+            lines.append(f"{i},{i / 8},{label}")
+        else:
+            lines.append(f"{i},{label}" if fault == "ragged" else f"{i},,{label}")
+    return "\n".join(lines) + "\n"
+
+
+class TestChunkedParse:
+    """load_csv checks and types records _PARSE_CHUNK_ROWS at a time; the
+    chunk size changes neither the result nor the error."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("chunk_rows", [1, 2, 3])
+    def test_result_is_independent_of_the_chunk_size(self, tmp_path, monkeypatch, parses, chunk_rows, seed):
+        columns = chunked_table(seed)
+        style = {"bom": seed % 2 == 1, "lineterminator": "\r\n" if seed // 2 % 2 else "\n"}
+        whole = load_columns_against_oracle(tmp_path, columns, **style)
+        data._parsed.clear()
+        monkeypatch.setattr(data, "_PARSE_CHUNK_ROWS", chunk_rows)
+        chunked = load_columns_against_oracle(tmp_path, columns, **style)
+        assert parses == ["data.csv", "data.csv"]
+        same_dataset(chunked, whole)
+        assert chunked.rows.flags.c_contiguous
+        assert (ColumnKind.NOMINAL in chunked.kinds) is (seed < 4)
+
+    @pytest.mark.parametrize("fault", ["ragged", "empty"])
+    @pytest.mark.parametrize(
+        "edge", ["first of the first", "last of the first", "first of the second", "last of the second"]
+    )
+    @pytest.mark.parametrize("chunk_rows", [1, 2, 3, None])
+    def test_row_fault_at_a_chunk_edge(self, tmp_path, monkeypatch, chunk_rows, edge, fault):
+        if chunk_rows is not None:
+            monkeypatch.setattr(data, "_PARSE_CHUNK_ROWS", chunk_rows)
+        size = data._PARSE_CHUNK_ROWS
+        bad_row = {"first of the first": 0, "last of the first": size - 1,
+                   "first of the second": size, "last of the second": 2 * size - 1}[edge]
+        path = write(tmp_path, faulty_table(2 * size + 1, bad_row, fault))
+        rownum = bad_row + 2  # the header is row 1
+        message = (f"row {rownum} has 2 cells, expected 3" if fault == "ragged"
+                   else f"missing value at row {rownum}, column 'b'")
+        with pytest.raises(IsoguardError, match=re.escape(f"{path}: {message}")):
+            load_csv(path)
+
+
+class TestErrorOrder:
+    """Header faults come first, then row faults chunk by chunk in file order."""
+
+    def test_ragged_row_wins_over_a_later_decode_error(self, tmp_path):
+        lines = faulty_table(5000, 1, "ragged").encode("utf-8").split(b"\n")
+        lines[4001] = b"\xff" + lines[4001]  # several chunks (and decode blocks) after row 3
+        path = tmp_path / "data.csv"
+        path.write_bytes(b"\n".join(lines))
+        with pytest.raises(IsoguardError, match=re.escape(f"{path}: row 3 has 2 cells, expected 3")):
+            load_csv(path)
+
+    def test_decode_error_wins_over_a_later_ragged_row(self, tmp_path):
+        lines = faulty_table(5000, 4500, "ragged").encode("utf-8").split(b"\n")
+        lines[3] = b"\xff" + lines[3]
+        path = tmp_path / "data.csv"
+        path.write_bytes(b"\n".join(lines))
+        with pytest.raises(IsoguardError, match=re.escape(f"{path}: not UTF-8 text")):
+            load_csv(path)
+
+    @pytest.mark.parametrize(
+        "header, message",
+        [("a,a,class", "duplicate column names in header"), ("a,b,label", "target column 'class' not found")],
+    )
+    def test_header_fault_wins_over_a_row_fault(self, tmp_path, header, message):
+        rows = faulty_table(3, 0, "ragged").split("\n", 1)[1]  # row 2 is ragged
+        with pytest.raises(IsoguardError, match=re.escape(message)):
+            load_csv(write(tmp_path, header + "\n" + rows))
+
+    def test_row_fault_wins_over_a_non_binary_target(self, tmp_path):
+        path = write(tmp_path, "a,class\n1,x\n2\n3,z\n4,w\n")
+        with pytest.raises(IsoguardError, match="row 3 has 1 cells, expected 2"):
+            load_csv(path)
+
+
+class TestParseMemory:
+    def test_peak_is_the_file_the_dataset_and_one_chunk(self, tmp_path):
+        """A mixed table of several chunks parses within its file's bytes, the
+        Dataset it returns and one chunk of records; a record list of the
+        whole file and its transpose would take about twice that."""
+        rng = random.Random(3)
+        n_rows = 8 * data._PARSE_CHUNK_ROWS
+        text = io.StringIO()
+        writer = csv.writer(text, lineterminator="\n")
+        writer.writerow([f"c{j}" for j in range(12)] + ["class"])
+        for i in range(n_rows):
+            nominal = [rng.choice(["tcp", "udp", "icmp"]) for _ in range(2)]
+            numeric = [repr(rng.uniform(-1e3, 1e3)) for _ in range(10)]
+            writer.writerow(nominal + numeric + [["normal", "anomaly"][i % 2]])
+        path = write(tmp_path, text.getvalue())
+        tracemalloc.start()
+        try:
+            ds = load_csv(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert ds.kinds == (ColumnKind.NOMINAL,) * 2 + (ColumnKind.NUMERIC,) * 10
+        dataset_bytes = ds.rows.nbytes + sum(map(sys.getsizeof, ds.rows.ravel().tolist())) + ds.target.nbytes
+        records = list(csv.reader(io.StringIO(text.getvalue())))[1 : 1 + data._PARSE_CHUNK_ROWS]
+        chunk_bytes = sum(sys.getsizeof(rec) + sum(map(sys.getsizeof, rec)) for rec in records)
+        assert peak < path.stat().st_size + dataset_bytes + chunk_bytes
 
 
 class TestLabelEncoder:

@@ -1,6 +1,7 @@
 import json
 import math
-from dataclasses import dataclass
+import tracemalloc
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -310,6 +311,39 @@ class TestScore:
         forest = self.constant_forest(m=8)
         with pytest.raises(IsoguardError, match="mismatch"):
             score_batch(forest, np.zeros((3, 5)))
+
+
+class TestMeanPathLengthsInPlace:
+    """Each tree writes its path lengths into one t x n matrix; the mean over
+    it keeps the bits of averaging the stacked per-tree vectors."""
+
+    @pytest.mark.parametrize("t, n", [(17, 1), (17, 2), (5, 300), (64, 57)])
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_bits_match_the_stacked_per_tree_mean(self, monkeypatch, t, n, threads):
+        monkeypatch.setenv("ISOGUARD_THREADS", threads)
+        rng = np.random.default_rng(t * 1000 + n)
+        forest = fit_forest(rng.normal(size=(200, 3)), t=t, m=32, seed=n)
+        X = rng.normal(scale=3.0, size=(n, 3))
+        per_tree = [mean_path_lengths(replace(forest, trees=[tree], t=1), X) for tree in forest.trees]
+        expected = np.mean(np.stack(per_tree, axis=0), axis=0)
+        assert mean_path_lengths(forest, X).tobytes() == expected.tobytes()
+
+    def test_peak_memory_is_one_depth_matrix(self, monkeypatch):
+        """Keeping t per-tree vectors and stacking a copy of them would peak
+        near 2 * t * n * 8 bytes."""
+        monkeypatch.setenv("ISOGUARD_THREADS", "2")
+        t, n = 50, 20_000
+        rng = np.random.default_rng(0)
+        forest = fit_forest(rng.normal(size=(1000, 3)), t=t, m=64, seed=1)
+        X = rng.normal(size=(n, 3))
+        tracemalloc.start()
+        try:
+            mean_path_lengths(forest, X)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the depth matrix, the feature-major copy of X, and a few row vectors per worker
+        assert peak < t * n * 8 + X.nbytes + 16 * n * 8
 
 
 class TestPredict:
