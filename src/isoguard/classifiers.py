@@ -16,6 +16,11 @@ distance ties by ascending training-row index and sends an even vote split
 to class 1. ``MODEL_KINDS`` holds one row per model class, and the model
 files name its ``kind`` values.
 
+Every fit and every score reads its input as C-ordered float64 rows, copied
+only when the caller's are laid out otherwise. BLAS products round by
+layout, so this keeps every model and every score a function of the values
+alone: the experiment's two arms differ in their training rows only.
+
 A model file holds every fitted parameter, except that KNN, a lazy
 learner, has none but ``k`` and its training rows. Its file holds ``k``,
 ``n_features``, ``n_rows`` and ``rows_sha256``, the sha256 of the rows'
@@ -42,7 +47,8 @@ from .errors import IsoguardError, artifact_reader
 
 
 def _as_matrix(X) -> np.ndarray:
-    X = np.asarray(X, dtype=np.float64)
+    """``X`` as C-ordered float64 rows, copied only when it is not already; every fit and score reads its input here."""
+    X = np.ascontiguousarray(X, dtype=np.float64)
     if X.ndim != 2:
         raise IsoguardError(f"expected a 2-D matrix, got shape {X.shape}")
     return X
@@ -86,14 +92,14 @@ class KnnModel:
 
 
 def _knn_model(X, y, k: int) -> KnnModel:
-    """A KNN model holding C-ordered copies of the training rows. A fit and a load both build it here."""
-    X = _as_matrix(X)
+    """A KNN model holding its own C-ordered copies of the training rows. A fit and a load both build it here."""
+    X = _as_matrix(np.array(X, dtype=np.float64, order="C"))  # one copy, whatever the caller's layout
     if X.shape[0] == 0:
         raise IsoguardError("cannot fit KNN on an empty training set")
     y = _as_labels(y, X.shape[0])
     if not 1 <= k <= X.shape[0]:
         raise IsoguardError(f"k must satisfy 1 <= k <= {X.shape[0]}, got {k}")
-    return KnnModel(k=k, X=X.copy(), y=y.copy(), n_features=X.shape[1])
+    return KnnModel(k=k, X=X, y=y.copy(), n_features=X.shape[1])
 
 
 def knn_fit(X, y, k: int = 5) -> KnnModel:
@@ -126,10 +132,9 @@ def _knn_from_reference(ref: KnnReference, rows) -> KnnModel:
     if rows is None:
         raise IsoguardError("a KNN model file holds no training rows; load it with the rows it was fit on")
     X, y = rows
-    X = _as_matrix(X)
     fit_shape = (ref.n_rows, ref.n_features)
-    if X.shape != fit_shape:
-        raise IsoguardError(f"training rows have shape {X.shape}, but the model was fit on {fit_shape}")
+    if np.shape(X) != fit_shape:
+        raise IsoguardError(f"training rows have shape {np.shape(X)}, but the model was fit on {fit_shape}")
     model = _knn_model(X, y, ref.k)
     if _rows_sha256(model) != ref.rows_sha256:
         raise IsoguardError("training rows differ from the ones the model was fit on (rows_sha256 mismatch)")
@@ -368,13 +373,12 @@ def _stump_outputs(feature_values: np.ndarray, threshold: float, polarity: int) 
 
 
 def _best_stump(
-    X: np.ndarray, t: np.ndarray, weights: np.ndarray, orders: np.ndarray | None = None
+    X: np.ndarray, t: np.ndarray, weights: np.ndarray, orders: np.ndarray
 ) -> tuple[float, int, float, int]:
     """Minimal weighted error over all midpoint thresholds, both polarities.
 
-    ``orders`` is ``np.argsort(X, axis=0, kind="stable")``; pass it to reuse
-    one presort across boosting rounds (only the weights change between
-    them), or leave it out to sort here.
+    ``orders`` is ``np.argsort(X, axis=0, kind="stable")``, one presort
+    that serves every boosting round (only the weights change between them).
 
     Ties resolve toward the lower feature index, then the smaller
     threshold, then polarity +1. Within a feature the errors of every cut
@@ -383,8 +387,6 @@ def _best_stump(
     at that threshold, polarity +1; across features only a strictly
     smaller error replaces the best so far, which keeps the lower feature.
     """
-    if orders is None:
-        orders = np.argsort(X, axis=0, kind="stable")
     best = (np.inf, -1, 0.0, 1)
     w_pos_total = weights[t > 0].sum()
     for f in range(X.shape[1]):

@@ -319,10 +319,11 @@ def apply_label_encoder(ds: Dataset, enc: EncoderState) -> Dataset:
 
 
 def fit_scaler(ds: Dataset) -> ScalerState:
-    """Mean and population (1/n) standard deviation per feature column."""
+    """Mean and population (1/n) standard deviation per feature column, reduced over C-ordered
+    rows so that no bit of them depends on the memory layout of ``ds.rows``."""
     if ds.n_rows == 0:
         raise IsoguardError("cannot fit scaler on an empty dataset")
-    X = ds.matrix()
+    X = np.ascontiguousarray(ds.matrix())
     means = X.mean(axis=0)
     stds = X.std(axis=0)  # ddof=0: population convention
     return ScalerState(feature_names=ds.feature_names, means=means, stds=stds)

@@ -265,8 +265,7 @@ def _read_verdict_labels(path: Path, train: Dataset) -> np.ndarray:
 
 def _arm_rows(train: Dataset, selected: list[int], labels: np.ndarray) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     """Each arm's training rows (X, y) at the ``selected`` columns: arm A all, arm B those whose verdict is +1.
-    train fits on them and evaluate rebuilds the kNN models from them, so a kNN file's rows_sha256 holds.
-    Arm A's X is a Fortran-ordered column slice and arm B's a C-ordered copy."""
+    train fits on them and evaluate rebuilds the kNN models from them, so a kNN file's rows_sha256 holds."""
     X, y = train.matrix()[:, selected], train.target
     keep = labels == 1
     return {"before": (X, y), "after": (X[keep], y[keep])}
@@ -303,19 +302,17 @@ def _stage(fn):
 def stage_ingest(cfg: PipelineConfig, out: Path) -> None:
     """Load, split, fit encoder+scaler on train only, transform both partitions."""
     seed = _require_seed(cfg)
-    raw = load_csv(cfg.input, target_column=cfg.target_column)
     split = SplitSpec(
         test_fraction=cfg.split.test_fraction,
         seed=derive_seed(seed, "split"),
         stratified=cfg.split.stratified,
     )
-    train_raw, test_raw = train_test_split(raw, split)
-    encoder = fit_label_encoder(train_raw)
-    train_enc = apply_label_encoder(train_raw, encoder)
-    test_enc = apply_label_encoder(test_raw, encoder)
-    scaler = fit_scaler(train_enc)
-    train = apply_scaler(train_enc, scaler)
-    test = apply_scaler(test_enc, scaler)
+    # each rebinding of train and test frees the form it replaces
+    train, test = train_test_split(load_csv(cfg.input, target_column=cfg.target_column), split)
+    encoder = fit_label_encoder(train)
+    train, test = apply_label_encoder(train, encoder), apply_label_encoder(test, encoder)
+    scaler = fit_scaler(train)
+    train, test = apply_scaler(train, scaler), apply_scaler(test, scaler)
     save_transforms(encoder, scaler, out / "transforms.json")
     write_csv(train, out / "train.csv")
     write_csv(test, out / "test.csv")
@@ -396,23 +393,16 @@ def stage_train(cfg: PipelineConfig, out: Path) -> None:
     rfe, _, (train,) = _read_selected(out, cfg.target_column, "train")
     labels = _read_verdict_labels(out / "verdicts_train.csv", train)
     rows = _arm_rows(train, list(rfe.selected), labels)
-
-    models = _fit_all(*rows["before"], cfg.classifiers)
-    for name, model in models.items():
-        clf.save_model(model, out / f"model_{name}.json")
-
-    X_clean, y_clean = rows["after"]
-    for cls in (0, 1):
-        if not (y_clean == cls).any():
+    for arm, suffix in ARMS:
+        X, y = rows[arm]
+        emptied = np.setdiff1d(train.target, y)  # classes the partition has but the arm's rows lack
+        if emptied.size:
             # a higher tau, or a lower fraction, flags fewer rows
             fixed = cfg.forest.threshold.mode == "fixed"
             advice = "raise forest.threshold.tau" if fixed else "lower forest.threshold.fraction"
-            raise IsoguardError(f"outlier removal emptied class {cls} in the training partition; {advice}")
-    # Nothing removed: arm B reuses arm A's models. A refit on arm B's C-ordered rows would
-    # not match them byte for byte, as logreg_fit's BLAS products differ in the last bits.
-    clean_models = models if (labels == 1).all() else _fit_all(X_clean, y_clean, cfg.classifiers)
-    for name, model in clean_models.items():
-        clf.save_model(model, out / f"model_{name}_clean.json")
+            raise IsoguardError(f"outlier removal emptied class {emptied[0]} in the training partition; {advice}")
+        for name, model in _fit_all(X, y, cfg.classifiers).items():
+            clf.save_model(model, out / f"model_{name}{suffix}.json")
 
 
 @_stage

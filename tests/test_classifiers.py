@@ -423,8 +423,9 @@ class TestAdaBoost:
 
         t = 2.0 * y - 1.0
         weights = np.full(len(y), 1.0 / len(y))
+        orders = np.argsort(X, axis=0, kind="stable")
         for _ in range(5):
-            err, f, thr, pol = _best_stump(X, t, weights)
+            err, f, thr, pol = _best_stump(X, t, weights, orders)
             if err >= 0.5 or err < 1e-10:
                 break
             alpha = 0.5 * math.log((1 - err) / err)
@@ -455,10 +456,8 @@ class TestAdaBoost:
         rng = np.random.default_rng(30)
         for case in range(80):
             X, t, weights = stump_case(rng, case)
-            expected = reference_best_stump(X, t, weights)
-            assert _best_stump(X, t, weights) == expected, case
             orders = np.argsort(X, axis=0, kind="stable")
-            assert _best_stump(X, t, weights, orders) == expected, case
+            assert _best_stump(X, t, weights, orders) == reference_best_stump(X, t, weights), case
 
     def test_fit_matches_fit_driven_by_per_cut_loop(self, monkeypatch):
         rng = np.random.default_rng(31)
@@ -466,7 +465,7 @@ class TestAdaBoost:
         X, y = blobs(rng, n_per_class=40, d=4, sep=0.8)
         inputs.append((np.round(X), y))
         fitted = [model_to_json(adaboost_fit(X, y, n_stumps=15)) for X, y in inputs]
-        monkeypatch.setattr(classifiers, "_best_stump", lambda X, t, w, orders=None: reference_best_stump(X, t, w))
+        monkeypatch.setattr(classifiers, "_best_stump", lambda X, t, w, orders: reference_best_stump(X, t, w))
         assert [model_to_json(adaboost_fit(X, y, n_stumps=15)) for X, y in inputs] == fitted
 
     def test_all_constant_features_rejected(self):
@@ -741,17 +740,34 @@ class TestLoadModelChecks:
         assert message in str(caught.value)
 
 
-def test_knn_model_does_not_depend_on_the_memory_layout():
-    rng = np.random.default_rng(61)
-    X, y = blobs(rng, n_per_class=30, d=5)
-    fortran = np.asfortranarray(X)[:, [0, 2, 3]]  # a column slice, laid out as the pipeline's selected features
+LAYOUT_FITS = {  # each model class's fit with its default settings, fewer stumps for speed
+    KnnModel: knn_fit,
+    GaussianNbModel: gnb_fit,
+    LogisticModel: logreg_fit,
+    LinearSvmModel: svm_fit,
+    AdaBoostModel: lambda X, y: adaboost_fit(X, y, n_stumps=10),
+}
+
+
+@pytest.mark.parametrize("cls", list(LAYOUT_FITS), ids=[classifiers.MODEL_KINDS[c].kind for c in LAYOUT_FITS])
+def test_model_does_not_depend_on_the_memory_layout(cls):
+    """A fit on a column slice of a Fortran-ordered matrix, as the pipeline's selected features are,
+    and a fit on its C-ordered copy give the same model file, and each model scores both layouts of
+    a query alike: the arms of an experiment may differ in their rows alone."""
+    assert set(LAYOUT_FITS) == set(classifiers.MODEL_KINDS)
+    rng = np.random.default_rng(62)
+    columns = [0, 2, 3, 5, 6, 7, 9, 10, 11, 13, 14]
+    X, y = blobs(rng, n_per_class=150, d=16, sep=0.7)
+    fortran = np.asfortranarray(X)[:, columns]
     assert fortran.flags.f_contiguous and not fortran.flags.c_contiguous
-    c_ordered = np.ascontiguousarray(fortran)
-    a, b = knn_fit(fortran, y, k=5), knn_fit(c_ordered, y, k=5)
-    for model, X_fit in ((a, fortran), (b, c_ordered)):  # scores come from q @ X.T: keep one layout, and own it
-        assert model.X.flags.c_contiguous and not np.shares_memory(model.X, X_fit)
-    assert model_to_json(a) == model_to_json(b)
-    rows_bytes = c_ordered.tobytes() + y.astype(np.int64).tobytes()
-    assert json.loads(model_to_json(a))["rows_sha256"] == hashlib.sha256(rows_bytes).hexdigest()
-    Q = rng.normal(1.0, 2.0, size=(40, 3))
-    np.testing.assert_array_equal(score_model(a, Q), score_model(b, Q))
+    layouts = (fortran, np.ascontiguousarray(fortran))
+    models = [LAYOUT_FITS[cls](X_fit, y) for X_fit in layouts]
+    assert model_to_json(models[0]) == model_to_json(models[1])
+    if cls is KnnModel:
+        for model, X_fit in zip(models, layouts):  # scores come from q @ X.T: keep one layout, and own it
+            assert model.X.flags.c_contiguous and not np.shares_memory(model.X, X_fit)
+        rows_bytes = layouts[1].tobytes() + y.astype(np.int64).tobytes()
+        assert json.loads(model_to_json(models[0]))["rows_sha256"] == hashlib.sha256(rows_bytes).hexdigest()
+    Q = np.asfortranarray(rng.normal(0.3, 1.5, size=(90, 16)))[:, columns]
+    for model in models:
+        np.testing.assert_array_equal(score_model(model, Q), score_model(model, np.ascontiguousarray(Q)))

@@ -645,6 +645,15 @@ class TestScaler:
         assert np.abs(out.mean(axis=0)).max() < 1e-9
         assert np.abs(out.std(axis=0) - 1.0).max() < 1e-9
 
+    def test_fit_does_not_depend_on_the_memory_layout(self):
+        rng = np.random.default_rng(12)
+        values = np.asfortranarray(rng.normal(3.0, 2.5, size=(3000, 9)))
+        fortran = numeric_dataset(values, rng.integers(0, 2, 3000))
+        assert fortran.rows.flags.f_contiguous and not fortran.rows.flags.c_contiguous
+        a = fit_scaler(fortran)
+        b = fit_scaler(replace(fortran, rows=np.ascontiguousarray(values)))
+        assert a.means.tobytes() == b.means.tobytes() and a.stds.tobytes() == b.stds.tobytes()
+
     def test_column_mismatch(self):
         sc = fit_scaler(numeric_dataset([[1.0], [2.0]], [0, 1], names=("a",)))
         with pytest.raises(IsoguardError, match="mismatch"):

@@ -2,6 +2,8 @@ import hashlib
 import json
 import math
 import re
+import tracemalloc
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -215,6 +217,27 @@ class TestRunPipeline:
             delta = report.after[m].anomaly_positive.accuracy - report.before[m].anomaly_positive.accuracy
             assert delta == 0.0
 
+    def test_threshold_one_fits_each_classifier_once_per_arm(self, tmp_path, monkeypatch):
+        # no outlier removed: arm B's models still come from a fit of its own, as arm A's do
+        names = ("knn_fit", "svm_fit", "gnb_fit", "logreg_fit", "adaboost_fit")
+        fits = []
+
+        def counting(name, fit):
+            def run(X, y, **kw):
+                fits.append(name)
+                return fit(X, y, **kw)
+
+            return run
+
+        for name in names:
+            monkeypatch.setattr(clf, name, counting(name, getattr(clf, name)))
+        cfg = small_config(
+            tmp_path,
+            forest=ForestSettings(trees=30, subsample=64, threshold=ThresholdSettings(mode="fixed", tau=1.0)),
+        )
+        assert run_pipeline(cfg).outliers_removed == 0
+        assert Counter(fits) == {name: 2 for name in names}
+
     def test_stage_isolation_matches_monolithic(self, tmp_path):
         cfg = small_config(tmp_path)
         mono = Path(cfg.out_dir)
@@ -297,7 +320,7 @@ class TestRunPipeline:
             "model_svm_clean.json": "31bca9c33fa225149eb5cb5dcbd3afe6306e547dd0361d3f67147a25e44928b5",
             "model_nb.json": "a70d1454edb00f15d79fe2d6d14792f61e9478a75858cccc79162314c1c08019",
             "model_nb_clean.json": "7be2b0ed8199b1f6c39138297331fc95173c7764e9cf164b48c508e941428ac0",
-            "model_lr.json": "97887e3b3f3b9183edc5a533ac94a3566cf79a1671acaf9542b99e0da8314fd6",
+            "model_lr.json": "b84e82c207a952e82be275afdabcb348bf8d603f039a9f8ddf3606acd7f230bc",
             "model_lr_clean.json": "3cf00189af0ddc6faa583ae28a81b5945b976ff27ed5156076d8b1df0b9ce4dc",
             "model_abc.json": "235dc212f459eb2cf378762463961f4b97efed00d7c2e280e067bb5c7ee05e0b",
             "model_abc_clean.json": "f2176bf71765e2b14ac01390d1ba0b40b2776ab5fecdb3abe505ffe3d4797225",
@@ -309,12 +332,12 @@ class TestRunPipeline:
             "scatter_clean.csv": "74a671dbc988b5b03d67b448c948d7f384e4f3057f831303727f13a716da3cc0",
             "roc_knn.csv": "377bfd126066a9f62799435dc276df7995feab18acf7190f095c77b0d68d7666",
             "roc_knn_clean.csv": "6f7362f729cd4f78a212243e0ff915dd355df0d6c4f629c6458bafdf9cf229ad",
-            "roc_svm.csv": "ed8f4ccc3d5851848b42a5b04f52675dccd43a101804811f85edc2e9b3aa5a14",
-            "roc_svm_clean.csv": "08d36cd0b4a0a7c420e7c3cdccdc34659e420d3d60bbe9defe0584c3aa668a83",
+            "roc_svm.csv": "1c280830dddd90f8679e71ca2800fb72a0ba74a6278f798dd397ef51752780c9",
+            "roc_svm_clean.csv": "cbc7dadb3d8f74c1ca9f6918e970ebeeaec01f35fbe996abcd81030ce92945e8",
             "roc_nb.csv": "eefc5689eb94eb1b0c0d24c132601ef91e085ebe9e0feb9d615a356926c3e6bf",
             "roc_nb_clean.csv": "40e3566c41ca52440993066ec5d3b8857c572c2f7aac07f9f3fa973629a23f17",
-            "roc_lr.csv": "852ed1ff88facdad298ca75970ab5edb8e6d34373cc580da05655e31800bb59c",
-            "roc_lr_clean.csv": "5e96b4c6063ae127461490e0555e57e19609148ee466863007eaa313577f7065",
+            "roc_lr.csv": "e7cc74873ddd0112f804c226ade4fc4ace44dfcf2b1964d8813f5663069f95a7",
+            "roc_lr_clean.csv": "8da01402c44f6c70a3c4aa171ee1793f12419f6257f3757087a525a0f0e8c777",
             "roc_abc.csv": "02a07adeb902ef1b4df6920c9a4f29c59042c7bbba8d2d00979f197e59f4de75",
             "roc_abc_clean.csv": "51818f6cb6fade9b8d2b99205f81c3d8baa55638e224f28d2617fdfd4f1271d1",
         }
@@ -443,6 +466,37 @@ class TestRunPipeline:
         cfg = small_config(tmp_path, seed=None)
         with pytest.raises(IsoguardError, match="master seed"):
             run_pipeline(cfg)
+
+
+class TestIngestMemory:
+    def test_peak_is_the_parse_and_one_float_table(self, tmp_path):
+        """Ingest drops each form of the partitions once the next is built, so past the parse of
+        its input it holds at most one more float64 table of the rows: keeping the parsed table
+        of Python floats, the split and the encoded partitions alive until the end would take
+        more than twice that."""
+        rng = np.random.default_rng(3)
+        n_rows, n_numeric = 8 * data._PARSE_CHUNK_ROWS, 10
+        nominal = rng.choice(["tcp", "udp", "icmp"], size=(n_rows, 2))
+        numeric = rng.uniform(-1e3, 1e3, size=(n_rows, n_numeric))
+        lines = [",".join([f"c{j}" for j in range(2 + n_numeric)] + ["class"])]
+        lines += [",".join([*p, *map(repr, x.tolist()), ("normal", "anomaly")[i % 2]])
+                  for i, (p, x) in enumerate(zip(nominal, numeric))]
+        path = tmp_path / "mixed.csv"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        cfg = PipelineConfig(input=str(path), seed=1, out_dir=str(tmp_path / "run"))
+        out = Path(cfg.out_dir)
+        out.mkdir()
+        peaks = []
+        for run in (lambda: load_csv(path), lambda: stage_ingest(cfg, out)):
+            data._parsed.clear()
+            tracemalloc.start()
+            try:
+                run()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        parse_peak, ingest_peak = peaks
+        assert ingest_peak < parse_peak + n_rows * (2 + n_numeric) * 8
 
 
 class TestIntrusionShapedInput:
