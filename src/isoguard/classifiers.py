@@ -40,7 +40,7 @@ from pathlib import Path
 import numpy as np
 
 from .codec import IntArray, from_doc, to_doc
-from .errors import IsoguardError, artifact_reader
+from .errors import IsoguardError, artifact_reader, checked_labels
 
 # ---------------------------------------------------------------------------
 # shared helpers
@@ -52,15 +52,6 @@ def _as_matrix(X) -> np.ndarray:
     if X.ndim != 2:
         raise IsoguardError(f"expected a 2-D matrix, got shape {X.shape}")
     return X
-
-
-def _as_labels(y, n: int) -> np.ndarray:
-    y = np.asarray(y, dtype=np.int64)
-    if y.shape != (n,):
-        raise IsoguardError("label vector length must match row count")
-    if not np.isin(y, (0, 1)).all():
-        raise IsoguardError("labels must be binary 0/1")
-    return y
 
 
 def _check_features(n_expected: int, X: np.ndarray) -> np.ndarray:
@@ -96,7 +87,7 @@ def _knn_model(X, y, k: int) -> KnnModel:
     X = _as_matrix(np.array(X, dtype=np.float64, order="C"))  # one copy, whatever the caller's layout
     if X.shape[0] == 0:
         raise IsoguardError("cannot fit KNN on an empty training set")
-    y = _as_labels(y, X.shape[0])
+    y = checked_labels(y, n=X.shape[0])
     if not 1 <= k <= X.shape[0]:
         raise IsoguardError(f"k must satisfy 1 <= k <= {X.shape[0]}, got {k}")
     return KnnModel(k=k, X=X, y=y.copy(), n_features=X.shape[1])
@@ -196,7 +187,7 @@ class GaussianNbModel:
 
 def gnb_fit(X, y, var_smoothing: float = 1e-9) -> GaussianNbModel:
     X = _as_matrix(X)
-    y = _as_labels(y, X.shape[0])
+    y = checked_labels(y, n=X.shape[0])
     if not var_smoothing > 0.0:
         raise IsoguardError(f"var_smoothing must be > 0, got {var_smoothing}")
     if len(np.unique(y)) < 2:
@@ -273,7 +264,7 @@ def logreg_fit(X, y, learning_rate: float = 0.1, epochs: int = 300, l2: float = 
     loss is reported as a training failure rather than silently clipped.
     """
     X = _as_matrix(X)
-    y = _as_labels(y, X.shape[0]).astype(np.float64)
+    y = checked_labels(y, n=X.shape[0]).astype(np.float64)
     if epochs < 0:
         raise IsoguardError(f"epochs must be >= 0, got {epochs}")
     w = np.zeros(X.shape[1])
@@ -325,7 +316,7 @@ def svm_objective_grad(
 
 def svm_fit(X, y, lam: float = 1e-4, epochs: int = 300) -> LinearSvmModel:
     X = _as_matrix(X)
-    y = _as_labels(y, X.shape[0])
+    y = checked_labels(y, n=X.shape[0])
     if lam <= 0.0:
         raise IsoguardError(f"lam must be > 0, got {lam}")
     if epochs < 1:
@@ -416,7 +407,7 @@ def adaboost_fit(X, y, n_stumps: int = 50) -> AdaBoostModel:
     """Discrete AdaBoost. Stops early when the best stump is no better than
     chance (error >= 0.5) or when the data is perfectly classified."""
     X = _as_matrix(X)
-    y = _as_labels(y, X.shape[0])
+    y = checked_labels(y, n=X.shape[0])
     if n_stumps < 1:
         raise IsoguardError(f"n_stumps must be >= 1, got {n_stumps}")
     if len(np.unique(y)) < 2:

@@ -77,10 +77,7 @@ def cli_dispatch(argv: list[str]) -> int:
     except UsageError as e:
         print(str(e), file=sys.stderr)
         return 1
-    except IsoguardError as e:
-        print(f"isoguard: error: {e}", file=sys.stderr)
-        return 2
-    except OSError as e:
+    except (IsoguardError, OSError) as e:
         print(f"isoguard: error: {e}", file=sys.stderr)
         return 2
 

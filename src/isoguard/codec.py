@@ -1,9 +1,10 @@
-"""The JSON codec of the pipeline config, rfe.json, forest.json and the model files.
+"""The JSON codec of the pipeline config, transforms.json, rfe.json, forest.json and the model files.
 
 ``to_doc`` turns a dataclass into a JSON-ready dict and ``from_doc`` turns
 it back. Each field's annotation picks its decoder, so a value of the wrong
 type raises an IsoguardError naming the dotted field (``select.n_trees``,
-``stumps[0].polarity``, ``trees[3].left``) instead of flowing on into a stage.
+``stumps[0].polarity``, ``trees[3].left``, ``encoders.proto['tcp']``)
+instead of flowing on into a stage.
 ``check_types`` applies the same decoders to a dataclass built in Python.
 """
 from __future__ import annotations
@@ -30,6 +31,8 @@ def _plain(value):
         return value.tolist()
     if isinstance(value, list):
         return [_plain(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items()}
     return to_doc(value) if is_dataclass(value) else value
 
 
@@ -85,6 +88,11 @@ def _decode(tp, value, name: str, label: str):
         if type(value) is not list:
             raise IsoguardError(f"{name} must be a list, got {value!r}")
         return [_decode(args[0], v, f"{name}[{i}]", label) for i, v in enumerate(value)]
+    if origin is dict:  # dict[str, T]: an entry holding an object is named like a field, a scalar like an element
+        if type(value) is not dict:
+            raise IsoguardError(f"{name} must be an object, got {value!r}")
+        nested = is_dataclass(args[1]) or typing.get_origin(args[1]) is dict
+        return {k: _decode(args[1], v, f"{name}.{k}" if nested else f"{name}[{k!r}]", label) for k, v in value.items()}
     if origin is types.UnionType:  # X | None
         return None if value is None else _decode(args[0], value, name, label)
     if origin is typing.Annotated:

@@ -23,7 +23,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import IsoguardError, artifact_reader, checked_float, checked_int
+from .codec import from_doc, to_doc
+from .errors import IsoguardError, artifact_reader
 
 
 class ColumnKind(Enum):
@@ -243,13 +244,11 @@ def _parse_columns(raw: bytes, path: Path, target_column: str) -> tuple[tuple[st
 def _check_grid(records: list[list[str]], header: list[str], first_row: int, path: Path) -> None:
     """Raise on the first of ``records`` (data rows ``first_row`` on) that is ragged or has an empty cell."""
     width = len(header)
-    if any(len(rec) != width or "" in rec for rec in records):
-        for rownum, rec in enumerate(records, start=first_row):
-            if len(rec) != width:
-                raise IsoguardError(f"{path}: row {rownum} has {len(rec)} cells, expected {width}")
-            for col, cell in zip(header, rec):
-                if cell == "":
-                    raise IsoguardError(f"{path}: missing value at row {rownum}, column {col!r}")
+    for rownum, rec in enumerate(records, start=first_row):
+        if len(rec) != width:
+            raise IsoguardError(f"{path}: row {rownum} has {len(rec)} cells, expected {width}")
+        if "" in rec:
+            raise IsoguardError(f"{path}: missing value at row {rownum}, column {header[rec.index('')]!r}")
 
 
 def _append_finite(chunks: list[np.ndarray], cells: tuple[str, ...]) -> bool:
@@ -366,22 +365,17 @@ def train_test_split(ds: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
     if not 0.0 < spec.test_fraction < 1.0:
         raise IsoguardError(f"test_fraction must be in (0, 1), got {spec.test_fraction}")
     rng = np.random.default_rng(spec.seed)
+    groups = [np.flatnonzero(ds.target == cls) for cls in (0, 1)] if spec.stratified else [np.arange(ds.n_rows)]
     test_parts: list[np.ndarray] = []
-    if spec.stratified:
-        for cls in (0, 1):
-            members = np.flatnonzero(ds.target == cls)
-            if members.size < 2:
-                raise IsoguardError(
-                    f"stratified split needs >= 2 rows per class, class {cls} has {members.size}"
-                )
-            k = min(max(share_count(spec.test_fraction, members.size), 1), members.size - 1)
-            test_parts.append(rng.permutation(members)[:k])
-    else:
-        n = ds.n_rows
-        if n < 2:
-            raise IsoguardError("split needs at least 2 rows")
-        k = min(max(share_count(spec.test_fraction, n), 1), n - 1)
-        test_parts.append(rng.permutation(n)[:k])
+    for cls, members in enumerate(groups):
+        if members.size < 2:
+            raise IsoguardError(
+                f"stratified split needs >= 2 rows per class, class {cls} has {members.size}"
+                if spec.stratified
+                else "split needs at least 2 rows"
+            )
+        k = min(max(share_count(spec.test_fraction, members.size), 1), members.size - 1)
+        test_parts.append(rng.permutation(members)[:k])
     test_idx = np.sort(np.concatenate(test_parts))
     mask = np.zeros(ds.n_rows, dtype=bool)
     mask[test_idx] = True
@@ -389,34 +383,37 @@ def train_test_split(ds: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
     return ds.take_rows(train_idx), ds.take_rows(test_idx)
 
 
+@dataclass
+class _ColumnStats:
+    mean: float
+    std: float
+
+
+@dataclass
+class _TransformsDoc:
+    """What transforms.json holds: each nominal column's category codes, and each column's scaler statistics."""
+
+    encoders: dict[str, dict[str, int]]
+    scaler: dict[str, _ColumnStats]
+
+
 def save_transforms(enc: EncoderState, sc: ScalerState, path: str | Path) -> None:
     """Persist encoder mappings and scaler statistics as one JSON document."""
-    doc = {
-        "encoders": {col: dict(mapping) for col, mapping in enc.mappings.items()},
-        "scaler": {
-            name: {"mean": float(m), "std": float(s)}
-            for name, m, s in zip(sc.feature_names, sc.means, sc.stds)
-        },
-    }
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    doc = _TransformsDoc(
+        encoders=enc.mappings,
+        scaler={name: _ColumnStats(float(m), float(s)) for name, m, s in zip(sc.feature_names, sc.means, sc.stds)},
+    )
+    Path(path).write_text(json.dumps(to_doc(doc), indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def load_transforms(path: str | Path) -> tuple[EncoderState, ScalerState]:
-    """Read what ``save_transforms`` wrote; a malformed file or a non-numeric
-    code, mean or std raises IsoguardError naming the file."""
+    """Read what ``save_transforms`` wrote; a malformed file, an unknown key or
+    a value of the wrong type raises IsoguardError naming the file and the field."""
     with artifact_reader(path):
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-        enc = EncoderState(
-            mappings={
-                col: {k: checked_int(v, f"encoders.{col}[{k!r}]") for k, v in mapping.items()}
-                for col, mapping in doc["encoders"].items()
-            }
-        )
-        scaler = doc["scaler"]
-        names = tuple(scaler.keys())
-        means = np.array([checked_float(scaler[n]["mean"], f"scaler.{n}.mean") for n in names])
-        stds = np.array([checked_float(scaler[n]["std"], f"scaler.{n}.std") for n in names])
-    return enc, ScalerState(feature_names=names, means=means, stds=stds)
+        doc = from_doc(_TransformsDoc, json.loads(Path(path).read_text(encoding="utf-8")), "transforms")
+    stats = doc.scaler.values()
+    means, stds = np.array([c.mean for c in stats]), np.array([c.std for c in stats])
+    return EncoderState(mappings=doc.encoders), ScalerState(feature_names=tuple(doc.scaler), means=means, stds=stds)
 
 
 _WRITE_CHUNK_ROWS = 256  # rows encoded, hashed and written at a time; bounds the writer's transient memory

@@ -2,6 +2,8 @@ import sys
 from contextlib import contextmanager
 from pathlib import Path
 
+import numpy as np
+
 
 class IsoguardError(ValueError):
     """Raised when an input violates a documented contract."""
@@ -19,10 +21,10 @@ class ArtifactError(IsoguardError):
         self.paths = tuple(Path(p) for p in paths)
 
 
-def checked_int(value: object, what: str, low: int | None = None, high: int | None = None) -> int:
-    """``value`` as an int in [low, high); a float or bool is rejected, not truncated."""
-    if type(value) is not int or (low is not None and value < low) or (high is not None and value >= high):
-        bound = "" if low is None else f" in [{low}, {high})" if high is not None else f" >= {low}"
+def checked_int(value: object, what: str, low: int | None = None) -> int:
+    """``value`` as an int, at least ``low`` when given; a float or bool is rejected, not truncated."""
+    if type(value) is not int or (low is not None and value < low):
+        bound = "" if low is None else f" >= {low}"
         raise IsoguardError(f"{what} must be an integer{bound}, got {value!r}")
     return value
 
@@ -32,6 +34,17 @@ def checked_float(value: object, what: str) -> float:
     if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
         raise IsoguardError(f"{what} must be a finite number, got {value!r}")
     return float(value)
+
+
+def checked_labels(values, what: str = "labels", n: int | None = None) -> np.ndarray:
+    """``values`` as an int64 vector of 0/1 labels, of length ``n`` when given. The values are
+    checked before the cast, so a fractional (0.6) or string ("1") label is rejected, not truncated."""
+    values = np.asarray(values)
+    if n is not None and values.shape != (n,):
+        raise IsoguardError("label vector length must match row count")
+    if not np.isin(values, (0, 1)).all():
+        raise IsoguardError(f"{what} must be binary 0/1")
+    return values.astype(np.int64, copy=False)
 
 
 @contextmanager

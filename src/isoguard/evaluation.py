@@ -17,7 +17,7 @@ import numpy as np
 
 from .codec import to_doc
 from .data import write_table
-from .errors import IsoguardError
+from .errors import IsoguardError, checked_labels
 
 
 @dataclass(frozen=True)
@@ -76,17 +76,10 @@ class ComparisonReport:
             )
 
 
-def _check_binary(name: str, values: np.ndarray) -> np.ndarray:
-    values = np.asarray(values, dtype=np.int64)
-    if not np.isin(values, (0, 1)).all():
-        raise IsoguardError(f"{name} must contain only 0/1 labels")
-    return values
-
-
 def confusion(y_true, y_pred) -> ConfusionCounts:
     """Exact confusion counts with anomaly (1) as the positive class."""
-    y_true = _check_binary("y_true", y_true)
-    y_pred = _check_binary("y_pred", y_pred)
+    y_true = checked_labels(y_true, "y_true")
+    y_pred = checked_labels(y_pred, "y_pred")
     if y_true.shape != y_pred.shape:
         raise IsoguardError(f"length mismatch: {y_true.shape[0]} true vs {y_pred.shape[0]} predicted")
     tp = int(((y_true == 1) & (y_pred == 1)).sum())
@@ -153,7 +146,7 @@ def roc(y_true, scores) -> RocCurve:
     Equal scores collapse into one sweep point, which credits tied pairs
     half a concordance, matching the pairwise-ranking formulation.
     """
-    y_true = _check_binary("y_true", y_true)
+    y_true = checked_labels(y_true, "y_true")
     scores = np.asarray(scores, dtype=np.float64)
     if y_true.shape != scores.shape:
         raise IsoguardError("y_true and scores must have equal length")

@@ -37,7 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from .codec import from_doc, to_doc
-from .errors import IsoguardError, artifact_reader
+from .errors import IsoguardError, artifact_reader, checked_labels
 from .iforest import ITree, TreeWriter
 from .parallel import run_indexed  # noqa: F401  (not called here; perfbench's tracer rebinds it)
 from .prng import extend_hashes, hash64, unit_uniforms
@@ -280,17 +280,13 @@ def fit_extra_trees(
     """Fit the ensemble. ``feature_keys`` names each column's random stream;
     the default keys are the column positions."""
     X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.int64)
     if X.ndim != 2 or X.shape[0] == 0 or X.shape[1] == 0:
         raise IsoguardError(f"expected a non-empty 2-D matrix, got shape {X.shape}")
     if not np.isfinite(X).all():
         raise IsoguardError("the feature matrix holds NaN or infinite values")
     if params.n_trees < 1:
         raise IsoguardError(f"n_trees must be >= 1, got {params.n_trees}")
-    if y.shape != (X.shape[0],):
-        raise IsoguardError("label vector length must match row count")
-    if not np.isin(y, (0, 1)).all():
-        raise IsoguardError("labels must be binary 0/1")
+    y = checked_labels(y, n=X.shape[0])
     if len(np.unique(y)) < 2:
         raise IsoguardError("training labels contain a single class; importances are undefined")
     d = X.shape[1]
@@ -333,7 +329,7 @@ def rfe_select(
     round_no = 0
     while surviving.size > target_count:
         round_no += 1
-        imp = fit_extra_trees(X[:, surviving], y, params, feature_keys=keys[surviving]).importances
+        imp = fit_extra_trees(X.take(surviving, axis=1), y, params, feature_keys=keys[surviving]).importances
         n_drop = min(step, surviving.size - target_count)
         # importance ascending; ties resolved toward the higher original index
         removal_order = np.lexsort((-surviving, imp))
@@ -347,7 +343,9 @@ def rfe_select(
     return RfeResult(
         selected=tuple(int(i) for i in surviving),
         trace=tuple(trace),
-        final_importances=fit_extra_trees(X[:, surviving], y, params, feature_keys=keys[surviving]).importances,
+        final_importances=fit_extra_trees(
+            X.take(surviving, axis=1), y, params, feature_keys=keys[surviving]
+        ).importances,
     )
 
 

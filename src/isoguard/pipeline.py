@@ -266,7 +266,7 @@ def _read_verdict_labels(path: Path, train: Dataset) -> np.ndarray:
 def _arm_rows(train: Dataset, selected: list[int], labels: np.ndarray) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     """Each arm's training rows (X, y) at the ``selected`` columns: arm A all, arm B those whose verdict is +1.
     train fits on them and evaluate rebuilds the kNN models from them, so a kNN file's rows_sha256 holds."""
-    X, y = train.matrix()[:, selected], train.target
+    X, y = train.matrix().take(selected, axis=1), train.target
     keep = labels == 1
     return {"before": (X, y), "after": (X[keep], y[keep])}
 
@@ -411,7 +411,7 @@ def stage_evaluate(cfg: PipelineConfig, out: Path) -> ComparisonReport:
     rfe, _, (train, test) = _read_selected(out, cfg.target_column, "train", "test")
     labels = _read_verdict_labels(out / "verdicts_train.csv", train)
     selected = list(rfe.selected)
-    X_test = test.matrix()[:, selected]
+    X_test = test.matrix().take(selected, axis=1)
     y_test = test.target
     training_rows = _arm_rows(train, selected, labels)  # the KNN files refer to these
 

@@ -35,6 +35,8 @@ from isoguard.classifiers import (
     svm_score,
 )
 from isoguard.errors import IsoguardError
+from isoguard.evaluation import confusion, roc
+from isoguard.feature_selection import ExtraTreesParams, fit_extra_trees
 
 
 def blobs(rng, n_per_class=40, d=3, sep=3.0):
@@ -771,3 +773,25 @@ def test_model_does_not_depend_on_the_memory_layout(cls):
     Q = np.asfortranarray(rng.normal(0.3, 1.5, size=(90, 16)))[:, columns]
     for model in models:
         np.testing.assert_array_equal(score_model(model, Q), score_model(model, np.ascontiguousarray(Q)))
+
+
+LABEL_READERS = {  # every learner and metric that takes 0/1 labels, given labels y for rows X
+    "knn_fit": knn_fit,
+    "gnb_fit": gnb_fit,
+    "logreg_fit": logreg_fit,
+    "svm_fit": svm_fit,
+    "adaboost_fit": adaboost_fit,
+    "fit_extra_trees": lambda X, y: fit_extra_trees(X, y, ExtraTreesParams(n_trees=2)),
+    "confusion": lambda X, y: confusion(y, (X[:, 0] > 1.5).astype(int)),
+    "roc": lambda X, y: roc(y, X[:, 0]),
+}
+
+
+@pytest.mark.parametrize("bad", [0.6, 1.9])
+@pytest.mark.parametrize("name", list(LABEL_READERS))
+def test_fractional_labels_rejected_not_truncated(name, bad):
+    X, y = blobs(np.random.default_rng(3), n_per_class=10)
+    y = y.astype(np.float64)
+    y[[0, -1]] = bad
+    with pytest.raises(IsoguardError, match="must be binary 0/1"):
+        LABEL_READERS[name](X, y)

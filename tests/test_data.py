@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import io
+import json
 import math
 import os
 import random
@@ -783,6 +784,28 @@ class TestTransformsRoundTrip:
         with pytest.raises(IsoguardError) as caught:
             load_transforms(tmp_path / "transforms.json")
         assert str(tmp_path / "transforms.json") in str(caught.value)
+        assert message in str(caught.value)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda doc: doc.update(extra=1), "unknown transforms keys: ['extra']"),
+            (lambda doc: doc.update(scaler=[]), "scaler must be an object, got []"),
+            (lambda doc: doc["encoders"].update(proto=[]), "encoders.proto must be an object, got []"),
+        ],
+        ids=["unknown key", "scaler list", "encoder list"],
+    )
+    def test_load_rejects_misshapen_document(self, tmp_path, edit, message):
+        ds = proto_dur_dataset()
+        enc = fit_label_encoder(ds)
+        path = tmp_path / "transforms.json"
+        save_transforms(enc, fit_scaler(apply_label_encoder(ds, enc)), path)
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        edit(doc)
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(IsoguardError) as caught:
+            load_transforms(path)
+        assert str(caught.value).startswith(f"{path}: unreadable artifact (")
         assert message in str(caught.value)
 
     def test_fit_on_train_statistics_drive_test_transform(self):

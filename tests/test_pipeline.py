@@ -300,7 +300,9 @@ class TestRunPipeline:
 
     def test_golden_digests(self, tmp_path):
         # Pinned bytes of the partition, selector, forest, verdict, scatter, model, report and ROC
-        # artifacts (Python 3.11, numpy 2.4).
+        # artifacts (Python 3.11, numpy 2.4). They hold for the CPU and BLAS kernel they were
+        # recorded on (OpenBLAS 0.3.31, SkylakeX kernel): another CPU's SIMD or BLAS kernel
+        # can round the same sums differently and change model, report and ROC bytes.
         # The rerun and thread-count tests compare the code with itself, so only
         # a pin catches a changed draw that every run repeats.
         cfg = small_config(tmp_path)
@@ -397,6 +399,21 @@ class TestRunPipeline:
         stage_evaluate(cfg, out)
         assert len(calls) == 2
         assert (out / "report.json").read_bytes() == expected
+
+    def test_classifiers_get_c_ordered_rows(self, tmp_path, monkeypatch):
+        # the stages cut the selected columns C-ordered, so no fit or score re-lays them out
+        copies = []
+        as_matrix = clf._as_matrix
+
+        def counting(X):
+            out = as_matrix(X)
+            if not np.shares_memory(out, X):
+                copies.append(out.shape)
+            return out
+
+        monkeypatch.setattr(clf, "_as_matrix", counting)
+        run_pipeline(small_config(tmp_path))
+        assert copies == []
 
     def test_resolved_config_reproduces_run(self, tmp_path):
         cfg = small_config(tmp_path)
