@@ -36,6 +36,7 @@ import re
 from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Annotated
 
 import numpy as np
 
@@ -103,7 +104,7 @@ class KnnReference:
 
     k: int
     n_features: int
-    n_rows: int
+    n_rows: Annotated[int, ">= 1"]
     rows_sha256: str
 
 
@@ -455,8 +456,6 @@ def _check_shape(name: str, a: np.ndarray, shape: tuple[int, ...]) -> None:
 def _check_knn(ref: KnnReference) -> None:
     if not re.fullmatch(r"[0-9a-f]{64}", ref.rows_sha256):
         raise IsoguardError(f"rows_sha256 must be 64 lowercase hex digits, got {ref.rows_sha256!r}")
-    if ref.n_rows < 1:
-        raise IsoguardError(f"n_rows must be >= 1, got {ref.n_rows}")
     if not 1 <= ref.k <= ref.n_rows:
         raise IsoguardError(f"k must satisfy 1 <= k <= {ref.n_rows}, got {ref.k}")
 

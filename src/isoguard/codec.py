@@ -5,11 +5,19 @@ it back. Each field's annotation picks its decoder, so a value of the wrong
 type raises an IsoguardError naming the dotted field (``select.n_trees``,
 ``stumps[0].polarity``, ``trees[3].left``, ``encoders.proto['tcp']``)
 instead of flowing on into a stage.
+
+A field states its own range or choice in its annotation, so no loader
+repeats it: ``Annotated[int, ">= 1"]`` or ``Annotated[float, "in (0, 0.5]"]``
+bounds a number (the spec is ``>``/``>=`` a bound, or an interval with
+open or closed ends, and is the text of the message:
+``forest.trees must be >= 1, got 0``), and ``Literal["fixed",
+"contamination"]`` lists the values a field may take.
 ``check_types`` applies the same decoders to a dataclass built in Python.
 """
 from __future__ import annotations
 
 import functools
+import operator
 import types
 import typing
 from dataclasses import MISSING, fields, is_dataclass
@@ -93,13 +101,35 @@ def _decode(tp, value, name: str, label: str):
             raise IsoguardError(f"{name} must be an object, got {value!r}")
         nested = is_dataclass(args[1]) or typing.get_origin(args[1]) is dict
         return {k: _decode(args[1], v, f"{name}.{k}" if nested else f"{name}[{k!r}]", label) for k, v in value.items()}
-    if origin is types.UnionType:  # X | None
+    if origin is types.UnionType or origin is typing.Union:  # X | None; Annotated[...] | None is a typing.Union
         return None if value is None else _decode(args[0], value, name, label)
+    if origin is typing.Literal:
+        if value not in args:
+            raise IsoguardError(f"{name} must be {' or '.join(map(repr, args))}, got {value!r}")
+        return value
     if origin is typing.Annotated:
-        return _array(value, name, args[1])
+        base, spec = args
+        if base is np.ndarray:
+            return _array(value, name, spec)
+        value = _decode(base, value, name, label)
+        if not _in_range(value, spec):
+            raise IsoguardError(f"{name} must be {spec}, got {value!r}")
+        return value
     if tp is np.ndarray:
         return _array(value, name, np.float64)
     return _SCALARS[tp](value, name)
+
+
+_BOUNDS = {">": operator.gt, ">=": operator.ge, "(": operator.gt, "[": operator.ge, ")": operator.lt, "]": operator.le}
+
+
+def _in_range(value, spec: str) -> bool:
+    """Whether ``value`` meets ``spec``: a bound such as ">= 1" or "> 0", or an interval such as "in (0, 0.5]"."""
+    if spec.startswith("in "):
+        low, high = spec[3:].split(", ")
+        return _BOUNDS[low[0]](value, float(low[1:])) and _BOUNDS[high[-1]](value, float(high[:-1]))
+    op, bound = spec.split(" ")
+    return _BOUNDS[op](value, float(bound))
 
 
 def _exactly(kind: type, noun: str):
@@ -119,9 +149,10 @@ def _array(value, name: str, dtype: type) -> np.ndarray:
     checked in one pass over the object array; only when that fails does
     the scalar check run per cell, to name the first bad one."""
     cells = np.array(value, dtype=object)
-    if set(map(type, cells.ravel().tolist())) <= ({int} if dtype is np.int64 else {int, float}):
+    flat = cells.ravel().tolist()  # not cells.flat, which stops at 32 dimensions and JSON can nest to numpy's 64
+    if set(map(type, flat)) <= ({int} if dtype is np.int64 else {int, float}):
         a = cells.astype(dtype)  # an int beyond int64 or float range raises OverflowError here
         if np.isfinite(a).all():
             return a
     check = checked_int if dtype is np.int64 else checked_float
-    return np.array([check(v, f"{name} element") for v in cells.flat], dtype).reshape(cells.shape)
+    return np.array([check(v, f"{name} element") for v in flat], dtype).reshape(cells.shape)

@@ -21,11 +21,10 @@ class ArtifactError(IsoguardError):
         self.paths = tuple(Path(p) for p in paths)
 
 
-def checked_int(value: object, what: str, low: int | None = None) -> int:
-    """``value`` as an int, at least ``low`` when given; a float or bool is rejected, not truncated."""
-    if type(value) is not int or (low is not None and value < low):
-        bound = "" if low is None else f" >= {low}"
-        raise IsoguardError(f"{what} must be an integer{bound}, got {value!r}")
+def checked_int(value: object, what: str) -> int:
+    """``value`` as an int; a float or bool is rejected, not truncated."""
+    if type(value) is not int:
+        raise IsoguardError(f"{what} must be an integer, got {value!r}")
     return value
 
 
@@ -40,7 +39,9 @@ def checked_labels(values, what: str = "labels", n: int | None = None) -> np.nda
     """``values`` as an int64 vector of 0/1 labels, of length ``n`` when given. The values are
     checked before the cast, so a fractional (0.6) or string ("1") label is rejected, not truncated."""
     values = np.asarray(values)
-    if n is not None and values.shape != (n,):
+    if values.ndim != 1:
+        raise IsoguardError(f"{what} must be a vector, got shape {values.shape}")
+    if n is not None and values.size != n:
         raise IsoguardError("label vector length must match row count")
     if not np.isin(values, (0, 1)).all():
         raise IsoguardError(f"{what} must be binary 0/1")
@@ -55,7 +56,8 @@ def artifact_reader(path: str | Path):
         yield
     # JSONDecodeError is a ValueError; AttributeError and TypeError come
     # from a JSON value of the wrong type where an object was expected, and
-    # OverflowError from an integer too large for an int64 array
-    except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as e:
+    # OverflowError from an integer too large for an int64 array, and
+    # RecursionError from JSON nested deeper than the parser's stack
+    except (KeyError, TypeError, ValueError, AttributeError, OverflowError, RecursionError) as e:
         detail = f"missing key {e}" if isinstance(e, KeyError) else str(e)
         raise ArtifactError(f"{path}: unreadable artifact ({detail})", path) from None

@@ -31,11 +31,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
+from typing import Annotated
 
 import numpy as np
 
 from .codec import IntArray, from_doc, to_doc
-from .errors import IsoguardError, artifact_reader, checked_int
+from .errors import IsoguardError, artifact_reader
 from .parallel import run_indexed
 from .prng import derive_seed
 
@@ -85,11 +86,11 @@ class ITree:
 @dataclass
 class IsolationForest:
     trees: list[ITree]
-    t: int
-    m: int
+    t: Annotated[int, ">= 1"]
+    m: Annotated[int, ">= 2"]
     height_limit: int
     seed: int
-    n_features: int
+    n_features: Annotated[int, ">= 1"]
 
 
 @dataclass(frozen=True, slots=True)
@@ -336,9 +337,6 @@ def forest_to_json(forest: IsolationForest) -> str:
 def forest_from_json(text: str) -> IsolationForest:
     """Parse a forest document; anything but t well-formed trees raises IsoguardError."""
     forest = from_doc(IsolationForest, json.loads(text), "forest")
-    checked_int(forest.t, "t", 1)
-    checked_int(forest.m, "m", 2)
-    checked_int(forest.n_features, "n_features", 1)
     if forest.height_limit != math.ceil(math.log2(forest.m)):
         raise IsoguardError(f"height_limit {forest.height_limit!r} does not match m = {forest.m}")
     if len(forest.trees) != forest.t:

@@ -29,7 +29,7 @@ import functools
 import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import NamedTuple
+from typing import Annotated, Literal, NamedTuple
 
 import numpy as np
 
@@ -92,44 +92,44 @@ WRITER = {artifact: stage.name for stage in STAGES for artifact in stage.writes}
 
 @dataclass(frozen=True)
 class SplitSettings:
-    test_fraction: float = 0.2
+    test_fraction: Annotated[float, "in (0, 1)"] = 0.2
     stratified: bool = True
 
 
 @dataclass(frozen=True)
 class SelectSettings:
-    target_count: int = 15
-    step: int = 1
-    n_trees: int = 50
-    max_depth: int | None = None
-    min_samples_split: int = 2
-    sample_cap: int | None = None  # optional row cap for the selector fits on large data
+    target_count: Annotated[int, ">= 1"] = 15
+    step: Annotated[int, ">= 1"] = 1
+    n_trees: Annotated[int, ">= 1"] = 50
+    max_depth: Annotated[int, ">= 1"] | None = None
+    min_samples_split: Annotated[int, ">= 2"] = 2
+    sample_cap: Annotated[int, ">= 1"] | None = None  # optional row cap for the selector fits on large data
 
 
 @dataclass(frozen=True)
 class ThresholdSettings:
-    mode: str = "fixed"  # "fixed" or "contamination"
-    tau: float = 0.5
-    fraction: float = 0.1
+    mode: Literal["fixed", "contamination"] = "fixed"
+    tau: Annotated[float, "in (0, 1]"] = 0.5  # scores lie in (0, 1]
+    fraction: Annotated[float, "in (0, 0.5]"] = 0.1
 
 
 @dataclass(frozen=True)
 class ForestSettings:
-    trees: int = 100
-    subsample: int = 256  # clamped to the training row count at fit time
+    trees: Annotated[int, ">= 1"] = 100
+    subsample: Annotated[int, ">= 2"] = 256  # clamped to the training row count at fit time
     threshold: ThresholdSettings = field(default_factory=ThresholdSettings)
 
 
 @dataclass(frozen=True)
 class ClassifierSettings:
-    knn_k: int = 5
-    nb_var_smoothing: float = 1e-9
-    lr_learning_rate: float = 0.1
-    lr_epochs: int = 300
-    lr_l2: float = 1e-4
-    svm_lambda: float = 1e-4
-    svm_epochs: int = 300
-    adaboost_stumps: int = 50
+    knn_k: Annotated[int, ">= 1"] = 5
+    nb_var_smoothing: Annotated[float, "> 0"] = 1e-9
+    lr_learning_rate: Annotated[float, "> 0"] = 0.1
+    lr_epochs: Annotated[int, ">= 0"] = 300
+    lr_l2: Annotated[float, ">= 0"] = 1e-4
+    svm_lambda: Annotated[float, "> 0"] = 1e-4
+    svm_epochs: Annotated[int, ">= 1"] = 300
+    adaboost_stumps: Annotated[int, ">= 1"] = 50
 
 
 @dataclass(frozen=True)
@@ -147,39 +147,10 @@ class PipelineConfig:
     synthetic: SyntheticSpec = field(default_factory=SyntheticSpec)
 
     def __post_init__(self) -> None:
-        """Stop on a setting of the wrong type or outside its range, naming the dotted
-        field. None of these ranges depends on the data, so they hold before any stage runs."""
+        """Stop on a setting of the wrong type or outside the range its annotation states,
+        naming the dotted field. None of these ranges depends on the data, so they hold
+        before any stage runs."""
         check_types(self, "config")
-        sel, cs, threshold = self.select, self.classifiers, self.forest.threshold
-        if threshold.mode not in ("fixed", "contamination"):
-            raise IsoguardError(f"forest.threshold.mode must be 'fixed' or 'contamination', got {threshold.mode!r}")
-        lower_bounds = {  # None, where a field allows it, means unbounded and passes
-            "select.target_count": (sel.target_count, ">=", 1),
-            "select.step": (sel.step, ">=", 1),
-            "select.n_trees": (sel.n_trees, ">=", 1),
-            "select.max_depth": (sel.max_depth, ">=", 1),
-            "select.min_samples_split": (sel.min_samples_split, ">=", 2),
-            "select.sample_cap": (sel.sample_cap, ">=", 1),
-            "forest.trees": (self.forest.trees, ">=", 1),
-            "forest.subsample": (self.forest.subsample, ">=", 2),
-            "classifiers.knn_k": (cs.knn_k, ">=", 1),
-            "classifiers.nb_var_smoothing": (cs.nb_var_smoothing, ">", 0),
-            "classifiers.lr_learning_rate": (cs.lr_learning_rate, ">", 0),
-            "classifiers.lr_epochs": (cs.lr_epochs, ">=", 0),
-            "classifiers.lr_l2": (cs.lr_l2, ">=", 0),
-            "classifiers.svm_lambda": (cs.svm_lambda, ">", 0),
-            "classifiers.svm_epochs": (cs.svm_epochs, ">=", 1),
-            "classifiers.adaboost_stumps": (cs.adaboost_stumps, ">=", 1),
-        }
-        for name, (value, op, low) in lower_bounds.items():
-            if value is not None and not (value > low if op == ">" else value >= low):
-                raise IsoguardError(f"{name} must be {op} {low}, got {value!r}")
-        if not 0.0 < self.split.test_fraction < 1.0:
-            raise IsoguardError(f"split.test_fraction must be in (0, 1), got {self.split.test_fraction!r}")
-        if threshold.mode == "fixed" and not 0.0 < threshold.tau <= 1.0:  # scores lie in (0, 1]
-            raise IsoguardError(f"forest.threshold.tau must be in (0, 1], got {threshold.tau!r}")
-        if threshold.mode == "contamination" and not 0.0 < threshold.fraction <= 0.5:
-            raise IsoguardError(f"forest.threshold.fraction must be in (0, 0.5], got {threshold.fraction!r}")
 
 
 def config_from_dict(doc: dict) -> PipelineConfig:
@@ -194,7 +165,7 @@ def load_config(path: str | Path) -> PipelineConfig:
         doc = json.loads(path.read_text(encoding="utf-8"))
     except UnicodeDecodeError:
         raise IsoguardError(f"{path}: config is not UTF-8 text") from None
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, RecursionError) as e:  # RecursionError: nested deeper than the parser's stack
         raise IsoguardError(f"{path}: invalid JSON: {e}") from None
     if not isinstance(doc, dict):
         raise IsoguardError(f"{path}: config must be a JSON object")

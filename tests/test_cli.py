@@ -231,6 +231,9 @@ CONFIG_MISTYPES = CONFIG_TYPE_ERRORS + [
     ("classifiers.adaboost_stumps", 0, "classifiers.adaboost_stumps must be >= 1, got 0"),
     ("select.sample_cap", 0, "select.sample_cap must be >= 1, got 0"),
     ("select.sample_cap", -5, "select.sample_cap must be >= 1, got -5"),
+    # tau and fraction are checked whichever threshold mode uses them
+    ("forest.threshold", {"mode": "contamination", "tau": 1.5}, "forest.threshold.tau must be in (0, 1], got 1.5"),
+    ("forest.threshold", {"mode": "fixed", "fraction": 0.9}, "forest.threshold.fraction must be in (0, 0.5], got 0.9"),
 ]
 
 
@@ -280,6 +283,17 @@ class TestConfigMistypes:
     def test_constructor_rejects_a_section_of_the_wrong_class(self):
         with pytest.raises(IsoguardError, match=re.escape("select must be a SelectSettings, got {'n_trees': 4}")):
             PipelineConfig(select={"n_trees": 4})
+
+    def test_config_nested_past_the_parser_stack_exits_2(self, workspace, capsys):
+        tmp_path, cfg_path = workspace
+        doc = json.loads(cfg_path.read_text())
+        cfg_path.write_text(json.dumps(doc)[:-1] + ', "select": ' + "[" * 100_000 + "]" * 100_000 + "}")
+        out = tmp_path / "never"
+        assert cli_dispatch(["pipeline", "--config", str(cfg_path), "--seed", "3", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{cfg_path}: invalid JSON: maximum recursion depth exceeded" in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_synth_config_needs_no_input(self, tmp_path, capsys):
         cfg_path = tmp_path / "config.json"
@@ -455,6 +469,16 @@ class TestCorruptArtifacts:
         assert cli_dispatch(["detect"] + args) == 2
         err = capsys.readouterr().err
         assert f"detect: {out / 'rfe.json'}: unreadable artifact (missing key 'final_importances')" in err
+
+    def test_rfe_nested_past_the_parser_stack_exits_2(self, finished_run, capsys):
+        out, args = finished_run
+        rfe = out / "rfe.json"
+        rfe.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+        assert cli_dispatch(["detect"] + args) == 2
+        err = capsys.readouterr().err
+        assert f"detect: {rfe}: unreadable artifact (maximum recursion depth exceeded" in err
+        assert err.endswith("; rerun the select stage\n")
+        assert "Traceback" not in err
 
     def test_truncated_rfe_exits_2(self, finished_run, capsys):
         out, args = finished_run

@@ -60,6 +60,13 @@ class TestConfusion:
             confusion([1, 2], [1, 0])
 
 
+@pytest.mark.parametrize("measure", [confusion, roc])
+def test_two_dimensional_labels_rejected(measure):
+    # a matrix of 0/1 labels is not a label vector, whether or not its cells are binary
+    with pytest.raises(IsoguardError, match=r"y_true must be a vector, got shape \(2, 2\)"):
+        measure([[0, 1], [1, 0]], [[0.1, 0.9], [0.8, 0.2]])
+
+
 class TestMetrics:
     def test_worked_example(self):
         m = metrics(ConfusionCounts(tp=9, fp=1, fn=9, tn=81))

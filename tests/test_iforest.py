@@ -716,6 +716,7 @@ class TestLoadForestChecks:
             ("empty-tree", "trees[0]: node arrays must share one non-zero length"),
             ("split-relabelled-as-leaf", "trees[0]: a leaf's children must be the leaf itself"),
             ("split-size-off", "trees[0]: a split's size must be the sum of its children's"),
+            ("m-one", "m must be >= 2, got 1"),
         ],
     )
     def test_corruption_raises_naming_the_file(self, saved, corruption, message):
@@ -768,6 +769,8 @@ class TestLoadForestChecks:
             tree["feature"][1] = -1
         elif corruption == "split-size-off":
             tree["size"][1] += 1
+        elif corruption == "m-one":
+            doc["m"] = 1
         if corruption == "truncated":
             text = path.read_text(encoding="utf-8")
             path.write_text(text[: len(text) * 2 // 3], encoding="utf-8")
