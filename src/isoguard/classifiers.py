@@ -16,10 +16,12 @@ distance ties by ascending training-row index and sends an even vote split
 to class 1. ``MODEL_KINDS`` holds one row per model class, and the model
 files name its ``kind`` values.
 
-Every fit and every score reads its input as C-ordered float64 rows, copied
-only when the caller's are laid out otherwise. BLAS products round by
-layout, so this keeps every model and every score a function of the values
-alone: the experiment's two arms differ in their training rows only.
+Every fit and every score reads its input through ``errors.checked_matrix``:
+C-ordered float64 rows of finite values, copied only when the caller's are
+laid out otherwise. A fit needs at least one row, and a score the model's
+feature count (it may hold no rows). BLAS products round by layout, so this
+keeps every model and every score a function of the values alone: the
+experiment's two arms differ in their training rows only.
 
 A model file holds every fitted parameter, except that KNN, a lazy
 learner, has none but ``k`` and its training rows. Its file holds ``k``,
@@ -41,25 +43,10 @@ from typing import Annotated
 import numpy as np
 
 from .codec import IntArray, from_doc, to_doc
-from .errors import IsoguardError, artifact_reader, checked_labels
+from .errors import IsoguardError, artifact_reader, checked_labels, checked_matrix
 
 # ---------------------------------------------------------------------------
 # shared helpers
-
-
-def _as_matrix(X) -> np.ndarray:
-    """``X`` as C-ordered float64 rows, copied only when it is not already; every fit and score reads its input here."""
-    X = np.ascontiguousarray(X, dtype=np.float64)
-    if X.ndim != 2:
-        raise IsoguardError(f"expected a 2-D matrix, got shape {X.shape}")
-    return X
-
-
-def _check_features(n_expected: int, X: np.ndarray) -> np.ndarray:
-    X = _as_matrix(X)
-    if X.shape[1] != n_expected:
-        raise IsoguardError(f"feature count mismatch: model expects {n_expected}, got {X.shape[1]}")
-    return X
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -85,9 +72,7 @@ class KnnModel:
 
 def _knn_model(X, y, k: int) -> KnnModel:
     """A KNN model holding its own C-ordered copies of the training rows. A fit and a load both build it here."""
-    X = _as_matrix(np.array(X, dtype=np.float64, order="C"))  # one copy, whatever the caller's layout
-    if X.shape[0] == 0:
-        raise IsoguardError("cannot fit KNN on an empty training set")
+    X = checked_matrix(np.array(X, dtype=np.float64, order="C"), min_rows=1)  # one copy, whatever the caller's layout
     y = checked_labels(y, n=X.shape[0])
     if not 1 <= k <= X.shape[0]:
         raise IsoguardError(f"k must satisfy 1 <= k <= {X.shape[0]}, got {k}")
@@ -138,7 +123,7 @@ _KNN_CHUNK_BYTES = 4 << 20  # bytes of the float64 distance block (query rows x 
 
 def _knn_positive_counts(model: KnnModel, X) -> np.ndarray:
     """Number of the k nearest training rows labeled 1, per query row."""
-    X = _check_features(model.n_features, X)
+    X = checked_matrix(X, n_features=model.n_features)
     train = model.X
     n_train = train.shape[0]
     k = model.k
@@ -187,7 +172,7 @@ class GaussianNbModel:
 
 
 def gnb_fit(X, y, var_smoothing: float = 1e-9) -> GaussianNbModel:
-    X = _as_matrix(X)
+    X = checked_matrix(X, min_rows=1)
     y = checked_labels(y, n=X.shape[0])
     if not var_smoothing > 0.0:
         raise IsoguardError(f"var_smoothing must be > 0, got {var_smoothing}")
@@ -222,7 +207,7 @@ def _gnb_joint_log_likelihood(model: GaussianNbModel, X: np.ndarray) -> np.ndarr
 
 def gnb_score(model: GaussianNbModel, X) -> np.ndarray:
     """Posterior P(class=1 | x) via log-sum-exp normalization."""
-    X = _check_features(model.n_features, X)
+    X = checked_matrix(X, n_features=model.n_features)
     jll = _gnb_joint_log_likelihood(model, X)
     return np.exp(jll[:, 1] - np.logaddexp(jll[:, 0], jll[:, 1]))
 
@@ -264,7 +249,7 @@ def logreg_fit(X, y, learning_rate: float = 0.1, epochs: int = 300, l2: float = 
     epochs=0 returns the zero model (score 0.5 everywhere). A non-finite
     loss is reported as a training failure rather than silently clipped.
     """
-    X = _as_matrix(X)
+    X = checked_matrix(X, min_rows=1)
     y = checked_labels(y, n=X.shape[0]).astype(np.float64)
     if epochs < 0:
         raise IsoguardError(f"epochs must be >= 0, got {epochs}")
@@ -284,7 +269,7 @@ def logreg_fit(X, y, learning_rate: float = 0.1, epochs: int = 300, l2: float = 
 
 
 def logreg_score(model: LogisticModel, X) -> np.ndarray:
-    X = _check_features(model.n_features, X)
+    X = checked_matrix(X, n_features=model.n_features)
     return _sigmoid(X @ model.weights + model.bias)
 
 
@@ -316,7 +301,7 @@ def svm_objective_grad(
 
 
 def svm_fit(X, y, lam: float = 1e-4, epochs: int = 300) -> LinearSvmModel:
-    X = _as_matrix(X)
+    X = checked_matrix(X, min_rows=1)
     y = checked_labels(y, n=X.shape[0])
     if lam <= 0.0:
         raise IsoguardError(f"lam must be > 0, got {lam}")
@@ -337,7 +322,7 @@ def svm_fit(X, y, lam: float = 1e-4, epochs: int = 300) -> LinearSvmModel:
 
 def svm_score(model: LinearSvmModel, X) -> np.ndarray:
     """Raw margin w.x + b; uncalibrated but rank-correct for ROC."""
-    X = _check_features(model.n_features, X)
+    X = checked_matrix(X, n_features=model.n_features)
     return X @ model.weights + model.bias
 
 
@@ -407,7 +392,7 @@ def _best_stump(
 def adaboost_fit(X, y, n_stumps: int = 50) -> AdaBoostModel:
     """Discrete AdaBoost. Stops early when the best stump is no better than
     chance (error >= 0.5) or when the data is perfectly classified."""
-    X = _as_matrix(X)
+    X = checked_matrix(X, min_rows=1)
     y = checked_labels(y, n=X.shape[0])
     if n_stumps < 1:
         raise IsoguardError(f"n_stumps must be >= 1, got {n_stumps}")
@@ -437,7 +422,7 @@ def adaboost_fit(X, y, n_stumps: int = 50) -> AdaBoostModel:
 
 def adaboost_score(model: AdaBoostModel, X) -> np.ndarray:
     """Weighted stump vote sum in the +-1 convention (an uncalibrated margin)."""
-    X = _check_features(model.n_features, X)
+    X = checked_matrix(X, n_features=model.n_features)
     total = np.zeros(X.shape[0])
     for stump in model.stumps:
         total += stump.alpha * _stump_outputs(X[:, stump.feature], stump.threshold, stump.polarity)
@@ -537,8 +522,10 @@ def model_from_json(text: str, rows=None) -> ClassifierModel:
     ``rows`` = (X, y) are the training rows a KNN document refers to; the
     other kinds hold all they need and ignore it."""
     doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise IsoguardError(f"model must be an object, got {doc!r}")
     kind = doc.pop("kind", None)
-    cls = _CLASS_OF_KIND.get(kind)
+    cls = _CLASS_OF_KIND.get(kind) if isinstance(kind, str) else None
     if cls is None:
         raise IsoguardError(f"unknown model kind {kind!r}")
     stored = from_doc(KnnReference if cls is KnnModel else cls, doc, "model")

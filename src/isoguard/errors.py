@@ -48,6 +48,19 @@ def checked_labels(values, what: str = "labels", n: int | None = None) -> np.nda
     return values.astype(np.int64, copy=False)
 
 
+def checked_matrix(X, what: str = "X", n_features: int | None = None, min_rows: int = 0) -> np.ndarray:
+    """``X`` as C-ordered float64 rows of finite values, copied only when it is laid out otherwise.
+    It must be 2-D with at least ``min_rows`` rows and one column, and ``n_features`` columns when given."""
+    X = np.ascontiguousarray(X, dtype=np.float64)
+    if X.ndim != 2 or X.shape[0] < min_rows or X.shape[1] == 0:
+        raise IsoguardError(f"{what} must be a non-empty 2-D matrix, got shape {X.shape}")
+    if n_features is not None and X.shape[1] != n_features:
+        raise IsoguardError(f"feature count mismatch: model expects {n_features}, got {X.shape[1]}")
+    if not np.isfinite(X).all():
+        raise IsoguardError(f"{what} holds NaN or infinite values")
+    return X
+
+
 @contextmanager
 def artifact_reader(path: str | Path):
     """Turn what parsing a truncated or hand-edited JSON artifact raises

@@ -37,7 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from .codec import from_doc, to_doc
-from .errors import IsoguardError, artifact_reader, checked_labels
+from .errors import IsoguardError, artifact_reader, checked_labels, checked_matrix
 from .iforest import ITree, TreeWriter
 from .parallel import run_indexed  # noqa: F401  (not called here; perfbench's tracer rebinds it)
 from .prng import extend_hashes, hash64, unit_uniforms
@@ -225,11 +225,12 @@ def _build_trees(
 
     Each step takes the next drawing node of every live tree and splits
     all of them with one ``_best_splits`` call; each tree's nodes, draws
-    and importance sums still follow that tree's own pre-order.
+    and importance sums still follow that tree's own pre-order. ``X`` is
+    C-ordered (``checked_matrix``), so ``_best_splits``' ``X.ravel()`` makes
+    no copy.
     """
     n_total, d = X.shape
     n_candidates = max(1, math.ceil(math.sqrt(d)))
-    X = np.ascontiguousarray(X)  # _best_splits gathers from X.ravel(), which must not copy
     # every node's rows list its class-1 rows first; the children keep that
     # order, as each takes its rows from the parent's in order
     is_one = y == 1
@@ -271,6 +272,14 @@ def _build_trees(
     return [tree.nodes.tree() for tree in trees]
 
 
+def _checked_keys(feature_keys: np.ndarray | None, d: int) -> np.ndarray:
+    """Each of the ``d`` columns' draw key: ``feature_keys``, or by default the column positions."""
+    keys = np.arange(d, dtype=np.uint64) if feature_keys is None else np.asarray(feature_keys, dtype=np.uint64)
+    if keys.shape != (d,):
+        raise IsoguardError("feature_keys must provide one key per column")
+    return keys
+
+
 def fit_extra_trees(
     X: np.ndarray,
     y: np.ndarray,
@@ -279,20 +288,14 @@ def fit_extra_trees(
 ) -> ExtraTreesEstimator:
     """Fit the ensemble. ``feature_keys`` names each column's random stream;
     the default keys are the column positions."""
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[0] == 0 or X.shape[1] == 0:
-        raise IsoguardError(f"expected a non-empty 2-D matrix, got shape {X.shape}")
-    if not np.isfinite(X).all():
-        raise IsoguardError("the feature matrix holds NaN or infinite values")
+    X = checked_matrix(X, min_rows=1)
     if params.n_trees < 1:
         raise IsoguardError(f"n_trees must be >= 1, got {params.n_trees}")
     y = checked_labels(y, n=X.shape[0])
     if len(np.unique(y)) < 2:
         raise IsoguardError("training labels contain a single class; importances are undefined")
     d = X.shape[1]
-    keys = np.arange(d, dtype=np.uint64) if feature_keys is None else np.asarray(feature_keys, dtype=np.uint64)
-    if keys.shape != (d,):
-        raise IsoguardError("feature_keys must provide one key per column")
+    keys = _checked_keys(feature_keys, d)
 
     # the trees grow together in one thread: a lockstep step is a handful of
     # numpy calls plus per-node Python that holds the GIL, so threads only add overhead
@@ -316,13 +319,13 @@ def rfe_select(
     lowest-importance features (never dropping below the target). Equal
     importances are resolved by removing the higher original index first.
     """
-    X = np.asarray(X, dtype=np.float64)
+    X = checked_matrix(X, min_rows=1)
     d = X.shape[1]
     if not 1 <= target_count < d:
         raise IsoguardError(f"target_count must satisfy 1 <= target < {d}, got {target_count}")
     if step < 1:
         raise IsoguardError(f"step must be >= 1, got {step}")
-    keys = np.arange(d, dtype=np.uint64) if feature_keys is None else np.asarray(feature_keys, dtype=np.uint64)
+    keys = _checked_keys(feature_keys, d)
 
     surviving = np.arange(d)
     trace: list[tuple[int, int, float]] = []

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -34,7 +35,7 @@ from isoguard.classifiers import (
     svm_objective_grad,
     svm_score,
 )
-from isoguard.errors import IsoguardError
+from isoguard.errors import IsoguardError, checked_matrix
 from isoguard.evaluation import confusion, roc
 from isoguard.feature_selection import ExtraTreesParams, fit_extra_trees
 
@@ -795,3 +796,46 @@ def test_fractional_labels_rejected_not_truncated(name, bad):
     y[[0, -1]] = bad
     with pytest.raises(IsoguardError, match="must be binary 0/1"):
         LABEL_READERS[name](X, y)
+
+
+def test_checked_matrix_copies_only_other_layouts():
+    X = np.arange(12.0).reshape(4, 3)
+    assert checked_matrix(X) is X
+    for other in (np.asfortranarray(X), X.astype(np.int64), X.tolist()):
+        out = checked_matrix(other)
+        assert out.dtype == np.float64 and out.flags.c_contiguous
+        np.testing.assert_array_equal(out, X)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("cls", list(LAYOUT_FITS), ids=[classifiers.MODEL_KINDS[c].kind for c in LAYOUT_FITS])
+def test_fit_rejects_non_finite_cells(cls, value):
+    X, y = blobs(np.random.default_rng(4), n_per_class=10, d=2)
+    X[5, 1] = value
+    with pytest.raises(IsoguardError, match="X holds NaN or infinite values"):
+        LAYOUT_FITS[cls](X, y)
+
+
+@pytest.mark.parametrize("shape", [(4, 0), (0, 3), (4,)], ids=["no-columns", "no-rows", "vector"])
+@pytest.mark.parametrize("cls", list(LAYOUT_FITS), ids=[classifiers.MODEL_KINDS[c].kind for c in LAYOUT_FITS])
+def test_fit_rejects_misshapen_matrix(cls, shape):
+    y = np.arange(shape[0]) % 2
+    with pytest.raises(IsoguardError, match=re.escape(f"X must be a non-empty 2-D matrix, got shape {shape}")):
+        LAYOUT_FITS[cls](np.zeros(shape), y)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("name", ["knn", "nb", "lr", "svm", "abc"])
+def test_score_rejects_non_finite_cells(name, value):
+    _, _, models = TestCommonContracts().fitted_models()
+    Q = np.zeros((3, 3))
+    Q[1, 0] = value
+    with pytest.raises(IsoguardError, match="X holds NaN or infinite values"):
+        score_model(models[name], Q)
+
+
+@pytest.mark.parametrize("name", ["knn", "nb", "lr", "svm", "abc"])
+def test_score_of_no_rows_is_empty(name):
+    _, _, models = TestCommonContracts().fitted_models()
+    scores = score_model(models[name], np.empty((0, 3)))
+    assert scores.shape == (0,)

@@ -515,6 +515,20 @@ class TestCorruptArtifacts:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize(
+        "text, message",
+        [("[]", "model must be an object, got []"), ('{"kind": []}', "unknown model kind []")],
+        ids=["list", "list-kind"],
+    )
+    def test_model_of_the_wrong_json_type_exits_2(self, finished_run, capsys, text, message):
+        out, args = finished_run
+        path = out / "model_nb.json"
+        path.write_text(text, encoding="utf-8")
+        assert cli_dispatch(["evaluate"] + args) == 2
+        err = capsys.readouterr().err
+        assert f"evaluate: {path}: unreadable artifact ({message})" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
         "name, key, value",
         [
             ("nb", "means", lambda d: [d["means"][0], [1e308] * len(d["means"][1])]),

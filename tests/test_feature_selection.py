@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -221,6 +222,29 @@ class TestRfe:
             rfe_select(X, y, target_count=4, params=ExtraTreesParams(n_trees=3))
         with pytest.raises(IsoguardError, match="target_count"):
             rfe_select(X, y, target_count=0, params=ExtraTreesParams(n_trees=3))
+
+    @pytest.mark.parametrize("shape", [(5,), (0, 3), (40, 0)], ids=["vector", "no-rows", "no-columns"])
+    def test_misshapen_matrix_rejected(self, shape):
+        y = np.arange(shape[0]) % 2
+        with pytest.raises(IsoguardError, match=re.escape(f"X must be a non-empty 2-D matrix, got shape {shape}")):
+            rfe_select(np.zeros(shape), y, 1, params=ExtraTreesParams(n_trees=2))
+
+    def test_non_finite_rejected(self):
+        X, y = self.informative_noise_data(5, n=40, informative=2, noise=1)
+        X[7, 1] = np.nan
+        with pytest.raises(IsoguardError, match="X holds NaN or infinite values"):
+            rfe_select(X, y, 1, params=ExtraTreesParams(n_trees=2))
+
+    @pytest.mark.parametrize("n_keys", [2, 4])
+    def test_one_key_per_column(self, n_keys):
+        X, y = self.informative_noise_data(5, n=40, informative=2, noise=1)
+        keys = np.arange(n_keys)
+        for select in (
+            lambda: rfe_select(X, y, 1, params=ExtraTreesParams(n_trees=2), feature_keys=keys),
+            lambda: fit_extra_trees(X, y, ExtraTreesParams(n_trees=2), feature_keys=keys),
+        ):
+            with pytest.raises(IsoguardError, match="feature_keys must provide one key per column"):
+                select()
 
     def test_permutation_equivariance_with_traveling_keys(self):
         X, y = self.informative_noise_data(6, n=120, informative=3, noise=5)

@@ -403,15 +403,15 @@ class TestRunPipeline:
     def test_classifiers_get_c_ordered_rows(self, tmp_path, monkeypatch):
         # the stages cut the selected columns C-ordered, so no fit or score re-lays them out
         copies = []
-        as_matrix = clf._as_matrix
+        checked_matrix = clf.checked_matrix
 
-        def counting(X):
-            out = as_matrix(X)
+        def counting(X, **kwargs):
+            out = checked_matrix(X, **kwargs)
             if not np.shares_memory(out, X):
                 copies.append(out.shape)
             return out
 
-        monkeypatch.setattr(clf, "_as_matrix", counting)
+        monkeypatch.setattr(clf, "checked_matrix", counting)
         run_pipeline(small_config(tmp_path))
         assert copies == []
 
