@@ -72,7 +72,7 @@ class KnnModel:
 
 def _knn_model(X, y, k: int) -> KnnModel:
     """A KNN model holding its own C-ordered copies of the training rows. A fit and a load both build it here."""
-    X = checked_matrix(np.array(X, dtype=np.float64, order="C"), min_rows=1)  # one copy, whatever the caller's layout
+    X = checked_matrix(np.array(X, dtype=np.float64, order="C"))  # one copy, whatever the caller's layout
     y = checked_labels(y, n=X.shape[0])
     if not 1 <= k <= X.shape[0]:
         raise IsoguardError(f"k must satisfy 1 <= k <= {X.shape[0]}, got {k}")
@@ -172,7 +172,7 @@ class GaussianNbModel:
 
 
 def gnb_fit(X, y, var_smoothing: float = 1e-9) -> GaussianNbModel:
-    X = checked_matrix(X, min_rows=1)
+    X = checked_matrix(X)
     y = checked_labels(y, n=X.shape[0])
     if not var_smoothing > 0.0:
         raise IsoguardError(f"var_smoothing must be > 0, got {var_smoothing}")
@@ -249,7 +249,7 @@ def logreg_fit(X, y, learning_rate: float = 0.1, epochs: int = 300, l2: float = 
     epochs=0 returns the zero model (score 0.5 everywhere). A non-finite
     loss is reported as a training failure rather than silently clipped.
     """
-    X = checked_matrix(X, min_rows=1)
+    X = checked_matrix(X)
     y = checked_labels(y, n=X.shape[0]).astype(np.float64)
     if epochs < 0:
         raise IsoguardError(f"epochs must be >= 0, got {epochs}")
@@ -301,7 +301,7 @@ def svm_objective_grad(
 
 
 def svm_fit(X, y, lam: float = 1e-4, epochs: int = 300) -> LinearSvmModel:
-    X = checked_matrix(X, min_rows=1)
+    X = checked_matrix(X)
     y = checked_labels(y, n=X.shape[0])
     if lam <= 0.0:
         raise IsoguardError(f"lam must be > 0, got {lam}")
@@ -392,7 +392,7 @@ def _best_stump(
 def adaboost_fit(X, y, n_stumps: int = 50) -> AdaBoostModel:
     """Discrete AdaBoost. Stops early when the best stump is no better than
     chance (error >= 0.5) or when the data is perfectly classified."""
-    X = checked_matrix(X, min_rows=1)
+    X = checked_matrix(X)
     y = checked_labels(y, n=X.shape[0])
     if n_stumps < 1:
         raise IsoguardError(f"n_stumps must be >= 1, got {n_stumps}")

@@ -48,16 +48,17 @@ def checked_labels(values, what: str = "labels", n: int | None = None) -> np.nda
     return values.astype(np.int64, copy=False)
 
 
-def checked_matrix(X, what: str = "X", n_features: int | None = None, min_rows: int = 0) -> np.ndarray:
+def checked_matrix(X, n_features: int | None = None) -> np.ndarray:
     """``X`` as C-ordered float64 rows of finite values, copied only when it is laid out otherwise.
-    It must be 2-D with at least ``min_rows`` rows and one column, and ``n_features`` columns when given."""
+    It must be 2-D with at least one column. A matrix to fit (no ``n_features``) needs a row; one
+    to score needs ``n_features`` columns and may hold no rows."""
     X = np.ascontiguousarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[0] < min_rows or X.shape[1] == 0:
-        raise IsoguardError(f"{what} must be a non-empty 2-D matrix, got shape {X.shape}")
+    if X.ndim != 2 or X.shape[1] == 0 or (n_features is None and X.shape[0] == 0):
+        raise IsoguardError(f"X must be a non-empty 2-D matrix, got shape {X.shape}")
     if n_features is not None and X.shape[1] != n_features:
         raise IsoguardError(f"feature count mismatch: model expects {n_features}, got {X.shape[1]}")
     if not np.isfinite(X).all():
-        raise IsoguardError(f"{what} holds NaN or infinite values")
+        raise IsoguardError("X holds NaN or infinite values")
     return X
 
 

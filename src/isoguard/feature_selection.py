@@ -288,7 +288,7 @@ def fit_extra_trees(
 ) -> ExtraTreesEstimator:
     """Fit the ensemble. ``feature_keys`` names each column's random stream;
     the default keys are the column positions."""
-    X = checked_matrix(X, min_rows=1)
+    X = checked_matrix(X)
     if params.n_trees < 1:
         raise IsoguardError(f"n_trees must be >= 1, got {params.n_trees}")
     y = checked_labels(y, n=X.shape[0])
@@ -319,7 +319,7 @@ def rfe_select(
     lowest-importance features (never dropping below the target). Equal
     importances are resolved by removing the higher original index first.
     """
-    X = checked_matrix(X, min_rows=1)
+    X = checked_matrix(X)
     d = X.shape[1]
     if not 1 <= target_count < d:
         raise IsoguardError(f"target_count must satisfy 1 <= target < {d}, got {target_count}")

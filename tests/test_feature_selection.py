@@ -39,22 +39,32 @@ def separable_data(rng, n=120, d=6, informative=2):
     return X, y
 
 
+# both read the matrix through one rule, so each rejects the same matrices
+MATRIX_READERS = {
+    "fit_extra_trees": lambda X, y: fit_extra_trees(X, y, ExtraTreesParams(n_trees=2, seed=1)),
+    "rfe_select": lambda X, y: rfe_select(X, y, 1, params=ExtraTreesParams(n_trees=2, seed=1)),
+}
+
+
 class TestFitExtraTrees:
     def test_single_class_rejected(self):
         X = np.random.default_rng(0).normal(size=(10, 3))
         with pytest.raises(IsoguardError, match="single class"):
             fit_extra_trees(X, np.zeros(10, dtype=int))
 
-    def test_empty_matrix_rejected(self):
+    @pytest.mark.parametrize("shape", [(0, 3), (40, 0)], ids=["no-rows", "no-columns"])
+    @pytest.mark.parametrize("read", MATRIX_READERS.values(), ids=MATRIX_READERS)
+    def test_empty_matrix_rejected(self, read, shape):
         with pytest.raises(IsoguardError, match="non-empty"):
-            fit_extra_trees(np.empty((0, 3)), np.empty(0, dtype=int))
+            read(np.empty(shape), np.arange(shape[0]) % 2)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-    def test_non_finite_rejected(self, value):
+    @pytest.mark.parametrize("read", MATRIX_READERS.values(), ids=MATRIX_READERS)
+    def test_non_finite_rejected(self, read, value):
         X, y = separable_data(np.random.default_rng(6), n=50, d=4)
         X[17, 2] = value
         with pytest.raises(IsoguardError, match="NaN or infinite"):
-            fit_extra_trees(X, y, ExtraTreesParams(n_trees=2, seed=1))
+            read(X, y)
 
     @pytest.mark.parametrize("n_trees", [0, -1])
     def test_no_trees_rejected(self, n_trees):
@@ -223,17 +233,9 @@ class TestRfe:
         with pytest.raises(IsoguardError, match="target_count"):
             rfe_select(X, y, target_count=0, params=ExtraTreesParams(n_trees=3))
 
-    @pytest.mark.parametrize("shape", [(5,), (0, 3), (40, 0)], ids=["vector", "no-rows", "no-columns"])
-    def test_misshapen_matrix_rejected(self, shape):
-        y = np.arange(shape[0]) % 2
-        with pytest.raises(IsoguardError, match=re.escape(f"X must be a non-empty 2-D matrix, got shape {shape}")):
-            rfe_select(np.zeros(shape), y, 1, params=ExtraTreesParams(n_trees=2))
-
-    def test_non_finite_rejected(self):
-        X, y = self.informative_noise_data(5, n=40, informative=2, noise=1)
-        X[7, 1] = np.nan
-        with pytest.raises(IsoguardError, match="X holds NaN or infinite values"):
-            rfe_select(X, y, 1, params=ExtraTreesParams(n_trees=2))
+    def test_vector_rejected(self):
+        with pytest.raises(IsoguardError, match=re.escape("X must be a non-empty 2-D matrix, got shape (5,)")):
+            rfe_select(np.zeros(5), np.arange(5) % 2, 1, params=ExtraTreesParams(n_trees=2))
 
     @pytest.mark.parametrize("n_keys", [2, 4])
     def test_one_key_per_column(self, n_keys):
