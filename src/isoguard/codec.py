@@ -3,7 +3,7 @@
 ``to_doc`` turns a dataclass into a JSON-ready dict and ``from_doc`` turns
 it back. Each field's annotation picks its decoder, so a value of the wrong
 type raises an IsoguardError naming the dotted field (``select.n_trees``,
-``stumps[0].polarity``, ``trees[3].left``, ``encoders.proto['tcp']``)
+``stumps[0].polarity``, ``trees[3].leaf_size``, ``encoders.proto['tcp']``)
 instead of flowing on into a stage.
 
 A field states its own range or choice in its annotation, so no loader

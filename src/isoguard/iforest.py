@@ -16,8 +16,11 @@ c(size) extra path length.
 
 Each tree is a set of parallel per-node arrays in depth-first pre-order
 (the layout of scikit-learn's ``Tree``), and a leaf's two children are
-the leaf itself. forest.json stores exactly these arrays, one set per
-tree, and the loader checks that they link up into such a tree. Scoring
+the leaf itself. forest.json stores of each tree only what the others
+follow from: the pre-order features (-1 at a leaf), one threshold per
+split and one size per leaf. The split/leaf flags fix a full binary tree
+(Jacobson's succinct trees), so the loader checks that they form one and
+derives the links, depths and split sizes for all trees at once. Scoring
 walks every row of a batch through one tree a level at a time:
 ``height_limit`` steps of numpy gathers over a feature-major copy of the
 batch, with no per-node or per-row Python. Each tree writes its path
@@ -71,8 +74,9 @@ class ITree:
     Rows with ``x[feature] < threshold`` go to ``left``, all others (NaN
     included) to ``right``. At a leaf ``feature`` is -1, ``threshold`` is
     0.0 (never read, like scikit-learn's ``TREE_UNDEFINED``) and both
-    children are the leaf's own id. The same six arrays, as lists, are an
-    isolation tree's entry in forest.json.
+    children are the leaf's own id. An isolation tree's entry in
+    forest.json holds ``feature``, the splits' ``threshold``s and the
+    leaves' ``size``s; the loader derives the other arrays from them.
     """
 
     feature: IntArray
@@ -254,14 +258,18 @@ def score_batch(forest: IsolationForest, X: np.ndarray) -> tuple[np.ndarray, np.
 def label_scores(s: np.ndarray, threshold: float | None = None, contamination: float | None = None) -> np.ndarray:
     """Label every score +1 (normal) or -1 (outlier).
 
-    Fixed-threshold mode (default threshold 0.5) labels -1 iff s >= threshold;
-    the boundary score counts as an outlier. Contamination mode labels -1 the
-    top ceil(fraction * n) scores, ties broken by ascending row index.
+    Fixed-threshold mode (default threshold 0.5, in (0, 1]) labels -1 iff
+    s >= threshold; the boundary score counts as an outlier. Contamination
+    mode labels -1 the top ceil(fraction * n) scores, ties broken by
+    ascending row index.
     """
     if threshold is not None and contamination is not None:
         raise IsoguardError("pass either a fixed threshold or a contamination fraction, not both")
     if contamination is None:
-        return np.where(s >= (0.5 if threshold is None else threshold), -1, 1)
+        threshold = 0.5 if threshold is None else threshold
+        if not 0.0 < threshold <= 1.0:  # scores lie in (0, 1]; a NaN threshold would label every row normal
+            raise IsoguardError(f"threshold must be in (0, 1], got {threshold}")
+        return np.where(s >= threshold, -1, 1)
     if not 0.0 < contamination <= 0.5:
         raise IsoguardError(f"contamination must be in (0, 0.5], got {contamination}")
     # counted on the fraction's decimal value: 0.07 of 100 rows is 7, where the float product is 7.000000000000001
@@ -286,64 +294,130 @@ def predict(
     ]
 
 
-def _check_tree(tree: ITree, j: int, forest: IsolationForest) -> None:
-    """Raise unless tree ``j`` is a binary tree in ``forest``'s bounds: a leaf
-    (feature -1) is its own two children, every other node has exactly one
-    parent, which precedes it, depths follow the links up to height_limit,
-    and each split holds the rows of its two children, down to leaves of
-    1..m rows that hold m in all."""
+@dataclass
+class _StoredTree:
+    """An isolation tree as forest.json holds it, in depth-first pre-order."""
 
-    def fail(message: str):
+    feature: IntArray  # one per node, -1 at a leaf
+    threshold: np.ndarray  # one per split
+    leaf_size: IntArray  # one per leaf
+
+
+@dataclass
+class _StoredForest(IsolationForest):
+    """forest.json's document: the forest's own fields, with each tree in its stored form."""
+
+    trees: list[_StoredTree]
+
+
+def _nodes(forest: _StoredForest) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """Every tree's six node arrays, derived from its stored form, laid end to end.
+
+    Returns the node index where each tree starts and the ``ITree`` fields
+    over all nodes, with child ids counted from the tree's own root. Raises
+    unless each tree is one full binary tree in pre-order within the
+    forest's bounds. The split/leaf flags alone fix the tree: with a running
+    balance of +1 per split and -1 per leaf, counted from 0 before the
+    root, a node's subtree ends at the first node from it whose balance
+    after it is one below the balance before it. All trees are derived
+    together, with no Python per node.
+    """
+
+    def fail(j, message: str):
         raise IsoguardError(f"trees[{j}]: {message}")
 
-    k = tree.feature.size
-    shapes = [a.shape for a in (tree.feature, tree.threshold, tree.left, tree.right, tree.size, tree.depth)]
-    if k == 0 or shapes != [(k,)] * 6:
-        fail(f"node arrays must share one non-zero length, got shapes {shapes}")
-    bad = tree.feature[(tree.feature < -1) | (tree.feature >= forest.n_features)]
+    counts = np.array([tree.feature.size for tree in forest.trees])
+    empty = np.flatnonzero(counts == 0)
+    if empty.size:
+        fail(empty[0], "feature must hold at least one node")
+    starts = np.cumsum(counts) - counts
+    tree_of = np.repeat(np.arange(counts.size), counts)
+    feature = np.concatenate([tree.feature for tree in forest.trees])
+    n = feature.size
+    bad = np.flatnonzero((feature < -1) | (feature >= forest.n_features))
     if bad.size:
-        fail(f"split feature must be an integer in [0, {forest.n_features}), got {bad[0]}")
-    ids = np.arange(k)
-    leaf = tree.feature == -1
-    if (leaf & ((tree.left != ids) | (tree.right != ids))).any():
-        fail("a leaf's children must be the leaf itself")
+        fail(tree_of[bad[0]], f"split feature must be an integer in [0, {forest.n_features}), got {feature[bad[0]]}")
+    leaf = feature == -1
+    step = np.where(leaf, -1, 1)
+    after = np.cumsum(step)
+    after -= np.repeat(after[starts] - step[starts], counts)  # each tree's balance counts from 0 before its root
+    last = np.zeros(n, dtype=bool)
+    last[starts + counts - 1] = True
+    bad = np.flatnonzero((after < 0) != last)
+    if bad.size:
+        fail(tree_of[bad[0]], "split/leaf flags do not form one full binary tree in pre-order")
+    for column, n_nodes, noun in (("threshold", counts // 2, "split"), ("leaf_size", counts // 2 + 1, "leaf")):
+        held = np.array([getattr(tree, column).size for tree in forest.trees])
+        bad = np.flatnonzero(held != n_nodes)
+        if bad.size:
+            j = bad[0]
+            fail(j, f"holds {held[j]} {column} values for {n_nodes[j]} {noun} nodes")
+    leaf_size = np.concatenate([tree.leaf_size for tree in forest.trees])
+    bad = np.flatnonzero((leaf_size < 1) | (leaf_size > forest.m))
+    if bad.size:
+        fail(tree_of[leaf][bad[0]], f"leaf size must be an integer in [1, {forest.m}], got {leaf_size[bad[0]]}")
+    rows_before = np.zeros(n + 1, dtype=np.int64)  # leaf rows before each node
+    rows_before[1:][leaf] = leaf_size
+    np.cumsum(rows_before, out=rows_before)
+    total = rows_before[starts + counts] - rows_before[starts]
+    bad = np.flatnonzero(total != forest.m)
+    if bad.size:
+        fail(bad[0], f"tree leaves hold {total[bad[0]]} rows, expected m = {forest.m}")
+    ids = np.arange(n)
+    # sorted by (balance after the node, node), so one search finds, from any node on, the first that leaves a balance
+    keys = np.sort((after + 1) * n + ids)
+    end = keys[np.searchsorted(keys, (after - step) * n + ids)] % n
     split = ids[~leaf]
-    parents = np.concatenate((split, split))
-    children = np.concatenate((tree.left[split], tree.right[split]))
-    if ((children <= parents) | (children >= k)).any():
-        fail("a split's children must be later nodes of the tree")
-    if (np.bincount(children, minlength=k) != (ids > 0)).any():
-        fail("every node but the root must have exactly one parent")
-    if tree.depth[0] != 0 or (tree.depth[children] != tree.depth[parents] + 1).any():
-        fail("node depths do not match the child links")
-    if tree.depth.max() > forest.height_limit:
-        fail(f"tree deeper than height_limit {forest.height_limit}")
-    leaf_size = tree.size[leaf]
-    bad = leaf_size[(leaf_size < 1) | (leaf_size > forest.m)]
+    # a node's depth counts the splits above it, whose (split, end] ranges hold it: a difference array over those ranges
+    depth = np.cumsum(np.bincount(split + 1, minlength=n + 1) - np.bincount(end[split] + 1, minlength=n + 1))[:-1]
+    bad = np.flatnonzero(depth > forest.height_limit)
     if bad.size:
-        fail(f"leaf size must be an integer in [1, {forest.m}], got {bad[0]}")
-    if leaf_size.sum() != forest.m:
-        fail(f"tree leaves hold {leaf_size.sum()} rows, expected m = {forest.m}")
-    if (tree.size[split] != tree.size[tree.left[split]] + tree.size[tree.right[split]]).any():
-        fail("a split's size must be the sum of its children's")
+        fail(tree_of[bad[0]], f"tree deeper than height_limit {forest.height_limit}")
+    threshold = np.zeros(n)
+    threshold[split] = np.concatenate([tree.threshold for tree in forest.trees])
+    left, right = ids.copy(), ids.copy()
+    left[split] = split + 1
+    right[split] = end[split + 1] + 1
+    root = starts[tree_of]
+    size = rows_before[end + 1] - rows_before[ids]
+    columns = dict(feature=feature, threshold=threshold, left=left - root, right=right - root, size=size, depth=depth)
+    return starts, columns
 
 
 def forest_to_json(forest: IsolationForest) -> str:
-    """Serialize to JSON; float values round-trip exactly, so a reloaded
-    forest reproduces scores bit for bit."""
-    return json.dumps(to_doc(forest), sort_keys=True)
+    """Serialize to JSON, each tree as its pre-order ``feature``, split
+    ``threshold``s and ``leaf_size``s; the loader derives the rest. Raises
+    unless every tree's other arrays are the ones those imply (links, split
+    sizes, depths, and 0.0 at a leaf's threshold), so the file reloads to
+    this very forest. Float values round-trip exactly, so a reloaded forest
+    reproduces scores bit for bit."""
+    trees = []
+    for j, tree in enumerate(forest.trees):
+        if any(a.shape != tree.feature.shape for a in (tree.threshold, tree.left, tree.right, tree.size, tree.depth)):
+            raise IsoguardError(f"trees[{j}]: node arrays must share one length")
+        split = tree.feature >= 0
+        trees.append(_StoredTree(tree.feature, tree.threshold[split], tree.size[~split]))
+    stored = _StoredForest(**{**vars(forest), "trees": trees})
+    starts, columns = _nodes(stored)
+    for name, derived in columns.items():
+        bad = np.flatnonzero(np.concatenate([getattr(tree, name) for tree in forest.trees]) != derived)
+        if bad.size:
+            j = np.searchsorted(starts, bad[0], side="right") - 1
+            raise IsoguardError(f"trees[{j}]: {name} is not what its pre-order split/leaf flags imply")
+    return json.dumps(to_doc(stored), sort_keys=True, separators=(",", ":"))
 
 
 def forest_from_json(text: str) -> IsolationForest:
     """Parse a forest document; anything but t well-formed trees raises IsoguardError."""
-    forest = from_doc(IsolationForest, json.loads(text), "forest")
-    if forest.height_limit != math.ceil(math.log2(forest.m)):
-        raise IsoguardError(f"height_limit {forest.height_limit!r} does not match m = {forest.m}")
-    if len(forest.trees) != forest.t:
-        raise IsoguardError(f"holds {len(forest.trees)} trees, expected t = {forest.t}")
-    for j, tree in enumerate(forest.trees):
-        _check_tree(tree, j, forest)
-    return forest
+    stored = from_doc(_StoredForest, json.loads(text), "forest")
+    if stored.height_limit != math.ceil(math.log2(stored.m)):
+        raise IsoguardError(f"height_limit {stored.height_limit!r} does not match m = {stored.m}")
+    if len(stored.trees) != stored.t:
+        raise IsoguardError(f"holds {len(stored.trees)} trees, expected t = {stored.t}")
+    starts, columns = _nodes(stored)
+    bounds = zip(starts.tolist(), starts[1:].tolist() + [None])
+    trees = [ITree(**{name: a[begin:end] for name, a in columns.items()}) for begin, end in bounds]
+    return IsolationForest(**{**vars(stored), "trees": trees})
 
 
 def save_forest(forest: IsolationForest, path: str | Path) -> None:

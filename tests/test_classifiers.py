@@ -265,6 +265,10 @@ class TestGaussianNb:
         with pytest.raises(IsoguardError, match="both classes"):
             gnb_fit(np.zeros((4, 2)), [0, 0, 0, 0])
 
+    def test_label_count_other_than_row_count_rejected(self):
+        with pytest.raises(IsoguardError, match="label vector length must match row count"):
+            gnb_fit(np.zeros((3, 2)), [0, 1])
+
     def test_variances_positive_even_for_constant_data(self):
         X = np.ones((6, 2))
         model = gnb_fit(X, [0, 0, 0, 1, 1, 1])
@@ -401,6 +405,11 @@ class TestLinearSvm:
             svm_fit(X, y, lam=0.0)
         with pytest.raises(IsoguardError, match="epochs"):
             svm_fit(X, y, epochs=0)
+
+    def test_non_finite_weights_rejected(self):
+        # a subnormal lam makes the first step size 1 / lam overflow to infinity, and the weights with it
+        with pytest.raises(IsoguardError, match="SVM training produced non-finite weights"):
+            svm_fit([[10.0], [20.0], [-10.0], [-20.0]], [1, 1, 0, 0], lam=1e-320, epochs=1)
 
 
 class TestAdaBoost:
@@ -702,6 +711,10 @@ class TestLoadModelChecks:
             "abc": adaboost_fit(X, y, n_stumps=5),
         }
         return {name: json.loads(model_to_json(model)) for name, model in models.items()}
+
+    def test_unknown_model_type_is_not_written(self):
+        with pytest.raises(IsoguardError, match="unknown model type object"):
+            model_to_json(object())
 
     def test_fitted_models_pass_the_checks(self, saved_docs, rows, tmp_path):
         for name, doc in saved_docs.items():

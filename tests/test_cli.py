@@ -436,7 +436,7 @@ class TestKnnTrainingRows:
 INT_FIELDS = {
     "rfe.json": ("trace", 0, "removed"),
     "model_abc_clean.json": ("stumps", 0, "feature"),
-    "forest.json": ("trees", 0, "left", 0),
+    "forest.json": ("trees", 0, "leaf_size", 0),
 }
 
 

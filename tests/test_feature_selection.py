@@ -2,7 +2,6 @@ import dataclasses
 import json
 import math
 import re
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,7 +20,7 @@ from isoguard.feature_selection import (
     rfe_select,
     save_rfe,
 )
-from isoguard.iforest import ITree, _check_tree
+from isoguard.iforest import IsolationForest, ITree, forest_to_json
 from isoguard.prng import hash64, unit_uniforms
 
 
@@ -484,14 +483,13 @@ class TestBuildTreeOracle:
 
     @pytest.mark.parametrize("case", range(len(oracle_cases())))
     def test_trees_are_well_formed(self, case):
-        # the isolation forest's loader check, with every row as the sample and no height limit to speak of
+        # the isolation forest's saver check (links, sizes and depths are the ones the
+        # pre-order split/leaf flags imply), with every row as the sample and no height limit to speak of
         X, y, keys, params = oracle_cases()[case]
         n, d = X.shape
-        bounds = SimpleNamespace(n_features=d, m=n, height_limit=n)
         est = fit_extra_trees(X, y, params, feature_keys=keys)
         assert len(est.trees) == params.n_trees
-        for j, tree in enumerate(est.trees):
-            _check_tree(tree, j, bounds)
+        forest_to_json(IsolationForest(trees=est.trees, t=params.n_trees, m=n, height_limit=n, seed=0, n_features=d))
 
     def test_deep_tree_crosses_node_draw_blocks(self):
         # more than two blocks of split nodes, so later node ids draw from later blocks

@@ -1,12 +1,14 @@
 import json
 import math
+import re
 import tracemalloc
 from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
 
-from isoguard.errors import IsoguardError
+from isoguard.codec import to_doc
+from isoguard.errors import ArtifactError, IsoguardError
 from isoguard.iforest import (
     IsolationForest,
     ITree,
@@ -225,6 +227,9 @@ class TestFitForest:
             fit_forest(X, t=0, m=4)
         with pytest.raises(IsoguardError, match=">= 2"):
             fit_forest(X, t=5, m=1)
+        for shape in ((5,), (4, 2, 2)):
+            with pytest.raises(IsoguardError, match=re.escape(f"expected a 2-D matrix, got shape {shape}")):
+                fit_forest(np.zeros(shape), t=2, m=2)
 
     @pytest.mark.parametrize("value", [np.inf, -np.inf])
     def test_infinite_value_rejected(self, value):
@@ -413,6 +418,11 @@ class TestPredict:
             label_scores(s, threshold=0.5, contamination=0.1)
         with pytest.raises(IsoguardError, match="contamination"):
             label_scores(s, contamination=0.6)
+
+    @pytest.mark.parametrize("bad", [math.nan, 0.0, -0.5, 1.5, math.inf])
+    def test_fixed_threshold_outside_the_score_range_rejected(self, bad):
+        with pytest.raises(IsoguardError, match=re.escape(f"threshold must be in (0, 1], got {bad}")):
+            label_scores(np.array([0.9, 0.1]), threshold=bad)
 
     def test_far_point_gets_max_score(self):
         rng = np.random.default_rng(12)
@@ -660,31 +670,9 @@ class TestLoadForestChecks:
         assert tree["feature"][0] >= 0 and tree["feature"][1] >= 0, "tree 0 should split at its root and node 1"
         return tree
 
-    @staticmethod
-    def leftmost_path(tree):
-        """Node ids from the root down the left links to a leaf."""
-        path = [0]
-        while tree["feature"][path[-1]] >= 0:
-            path.append(tree["left"][path[-1]])
-        return path
-
-    @staticmethod
-    def add_leaf(tree, depth):
-        i = len(tree["feature"])
-        for key, value in (("feature", -1), ("threshold", 0.0), ("left", i), ("right", i), ("size", 1), ("depth", depth)):
-            tree[key].append(value)
-        return i
-
-    @staticmethod
-    def swap_nodes(tree, a, b):
-        """Renumber nodes a and b into each other's place, links included."""
-        for key in ("left", "right"):
-            tree[key] = [{a: b, b: a}.get(c, c) for c in tree[key]]
-        for column in tree.values():
-            column[a], column[b] = column[b], column[a]
-
     def test_saved_forest_loads(self, saved):
-        path, _ = saved
+        path, doc = saved
+        assert sorted(doc["trees"][0]) == ["feature", "leaf_size", "threshold"]
         forest = load_forest(path)
         assert forest.t == 4 and len(forest.trees) == 4
         for tree in forest.trees:
@@ -697,9 +685,10 @@ class TestLoadForestChecks:
             ("feature-out-of-range", "trees[0]: split feature must be an integer in [0, 3), got 3"),
             ("feature-negative", "trees[0]: split feature must be an integer in [0, 3), got -2"),
             ("feature-float", "trees[0].feature element must be an integer, got 1.0"),
-            ("missing-child", "missing key 'trees[0].right'"),
+            ("missing-leaf-sizes", "missing key 'trees[0].leaf_size'"),
             ("wrong-t", "holds 4 trees, expected t = 5"),
             ("leaf-size-zero", "trees[0]: leaf size must be an integer in [1, 32], got 0"),
+            ("leaf-size-above-m", "trees[0]: leaf size must be an integer in [1, 32], got 33"),
             ("leaf-sizes-off-m", "trees[0]: tree leaves hold 33 rows, expected m = 32"),
             ("too-deep", "trees[0]: tree deeper than height_limit 5"),
             ("height-limit-off-m", "height_limit 6 does not match m = 32"),
@@ -709,42 +698,39 @@ class TestLoadForestChecks:
             ("value-bool", "trees[0].threshold element must be a finite number, got True"),
             ("node-not-an-object", "trees[1] must be an object, got [1, 2]"),
             ("truncated", "unreadable artifact"),
-            ("child-before-parent", "trees[0]: a split's children must be later nodes of the tree"),
-            ("two-parents", "trees[0]: every node but the root must have exactly one parent"),
-            ("depth-off-by-one", "trees[0]: node depths do not match the child links"),
-            ("ragged-arrays", "trees[0]: node arrays must share one non-zero length"),
-            ("empty-tree", "trees[0]: node arrays must share one non-zero length"),
-            ("split-relabelled-as-leaf", "trees[0]: a leaf's children must be the leaf itself"),
-            ("split-size-off", "trees[0]: a split's size must be the sum of its children's"),
+            ("one-threshold-extra", "trees[0]: holds {extra} threshold values for {splits} split nodes"),
+            ("one-leaf-size-short", "trees[0]: holds {short} leaf_size values for {leaves} leaf nodes"),
+            ("empty-tree", "trees[0]: feature must hold at least one node"),
+            ("split-relabelled-as-leaf", "trees[0]: split/leaf flags do not form one full binary tree in pre-order"),
+            ("leaf-relabelled-as-split", "trees[0]: split/leaf flags do not form one full binary tree in pre-order"),
+            ("node-after-the-tree", "trees[0]: split/leaf flags do not form one full binary tree in pre-order"),
+            ("old-six-array-form", "unknown keys in forest section 'trees[0]': ['depth', 'left', 'right', 'size']"),
             ("m-one", "m must be >= 2, got 1"),
         ],
     )
     def test_corruption_raises_naming_the_file(self, saved, corruption, message):
         path, doc = saved
         tree = self.first_tree(doc)
-        leaf = self.leftmost_path(tree)[-1]
+        splits, leaves = len(tree["threshold"]), len(tree["leaf_size"])
+        message = message.format(extra=splits + 1, splits=splits, short=leaves - 1, leaves=leaves)
         if corruption == "feature-out-of-range":
             tree["feature"][0] = 3
         elif corruption == "feature-negative":
             tree["feature"][0] = -2  # -1 marks a leaf
         elif corruption == "feature-float":
             tree["feature"][0] = 1.0
-        elif corruption == "missing-child":
-            del tree["right"]
+        elif corruption == "missing-leaf-sizes":
+            del tree["leaf_size"]
         elif corruption == "wrong-t":
             doc["t"] = 5
         elif corruption == "leaf-size-zero":
-            tree["size"][leaf] = 0
+            tree["leaf_size"][0] = 0
+        elif corruption == "leaf-size-above-m":
+            tree["leaf_size"][0] = 33
         elif corruption == "leaf-sizes-off-m":
-            for i in self.leftmost_path(tree):  # the leaf and every split above it
-                tree["size"][i] += 1
-        elif corruption == "too-deep":
-            node = leaf
-            for _ in range(6):
-                tree["feature"][node] = 0
-                depth = tree["depth"][node] + 1
-                tree["left"][node], tree["right"][node] = self.add_leaf(tree, depth), self.add_leaf(tree, depth)
-                node = tree["left"][node]
+            tree["leaf_size"][0] += 1
+        elif corruption == "too-deep":  # six splits down the left, one more than height_limit allows
+            doc["trees"][0] = {"feature": [0] * 6 + [-1] * 7, "threshold": [0.5] * 6, "leaf_size": [26] + [1] * 6}
         elif corruption == "height-limit-off-m":
             doc["height_limit"] = 6
         elif corruption == "seed-float":
@@ -754,21 +740,21 @@ class TestLoadForestChecks:
             tree["threshold"][0] = bad[corruption]
         elif corruption == "node-not-an-object":
             doc["trees"][1] = [1, 2]
-        elif corruption == "child-before-parent":
-            self.swap_nodes(tree, 0, 1)
-        elif corruption == "two-parents":
-            tree["right"][0] = tree["left"][0]
-        elif corruption == "depth-off-by-one":
-            tree["depth"][leaf] -= 1
-        elif corruption == "ragged-arrays":
-            tree["size"].pop()
+        elif corruption == "one-threshold-extra":
+            tree["threshold"].append(0.5)
+        elif corruption == "one-leaf-size-short":
+            tree["leaf_size"].pop()
         elif corruption == "empty-tree":
             for column in tree.values():
                 column.clear()
         elif corruption == "split-relabelled-as-leaf":
             tree["feature"][1] = -1
-        elif corruption == "split-size-off":
-            tree["size"][1] += 1
+        elif corruption == "leaf-relabelled-as-split":
+            tree["feature"][-1] = 0
+        elif corruption == "node-after-the-tree":
+            tree["feature"].append(-1)
+        elif corruption == "old-six-array-form":
+            doc = to_doc(load_forest(path))
         elif corruption == "m-one":
             doc["m"] = 1
         if corruption == "truncated":
@@ -776,7 +762,83 @@ class TestLoadForestChecks:
             path.write_text(text[: len(text) * 2 // 3], encoding="utf-8")
         else:
             path.write_text(json.dumps(doc, sort_keys=True), encoding="utf-8")
-        with pytest.raises(IsoguardError) as caught:
+        with pytest.raises(ArtifactError) as caught:
             load_forest(path)
+        assert caught.value.paths == (path,)
         assert str(path) in str(caught.value)
         assert message in str(caught.value)
+
+    def test_every_cut_of_a_saved_forest_is_refused(self, tmp_path):
+        path = tmp_path / "forest.json"
+        save_forest(fit_forest([[0.0, 1.0], [2.0, 1.5], [0.5, 3.0]], t=2, m=2, seed=5), path)
+        data = path.read_bytes()
+        for cut in range(len(data) - 1):  # the last byte is the newline after a complete document
+            path.write_bytes(data[:cut])
+            with pytest.raises(ArtifactError) as caught:
+                load_forest(path)
+            assert caught.value.paths == (path,) and str(path) in str(caught.value), cut
+
+
+class TestForestFileRoundTrip:
+    @pytest.mark.parametrize(
+        "shape, t, m, seed, cells",
+        [
+            ((10, 2), 1, 2, 0, "plain"),
+            ((40, 3), 5, 40, 1, "identical"),
+            ((300, 5), 12, 64, 2, "nan"),
+            ((200, 1), 7, 100, 3, "plain"),
+            ((500, 8), 30, 256, 4, "integer"),
+            ((64, 4), 3, 64, 5, "nan"),
+        ],
+    )
+    def test_rebuilt_arrays_text_and_scores_are_the_fitted_ones(self, shape, t, m, seed, cells):
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=shape)
+        if cells == "identical":  # every tree is a single root leaf
+            X[:] = 1.25
+        elif cells == "nan":
+            X[rng.random(shape) < 0.1] = np.nan
+        elif cells == "integer":
+            X = rng.integers(0, 4, size=shape).astype(np.float64)
+        forest = fit_forest(X, t=t, m=m, seed=seed)
+        text = forest_to_json(forest)
+        reloaded = forest_from_json(text)
+        for tree, again in zip(forest.trees, reloaded.trees, strict=True):
+            for name in ("feature", "threshold", "left", "right", "size", "depth"):
+                fitted, rebuilt = getattr(tree, name), getattr(again, name)
+                assert rebuilt.dtype == fitted.dtype and np.array_equal(rebuilt, fitted), name
+        assert forest_to_json(reloaded) == text
+        Y = np.vstack([X, rng.normal(size=shape) * 3])
+        for fitted, rebuilt in zip(score_batch(forest, Y), score_batch(reloaded, Y)):
+            assert fitted.tobytes() == rebuilt.tobytes()
+
+
+class TestSaveForestChecks:
+    @pytest.fixture()
+    def forest(self):
+        forest = fit_forest(np.random.default_rng(41).normal(size=(120, 3)), t=3, m=32, seed=6)
+        assert forest.trees[1].feature[0] >= 0
+        return forest
+
+    @pytest.mark.parametrize("name", ["threshold", "left", "right", "size", "depth"])
+    def test_links_other_than_the_flags_imply_are_refused(self, forest, name):
+        tree = forest.trees[1]
+        leaf = int(np.flatnonzero(tree.feature < 0)[0])
+        edit = {
+            "threshold": lambda a: a.__setitem__(leaf, 1.5),  # a leaf's threshold is never stored
+            "left": lambda a: a.__setitem__(0, tree.right[0]),
+            "right": lambda a: a.__setitem__(0, tree.left[0]),
+            "size": lambda a: a.__setitem__(0, a[0] + 1),
+            "depth": lambda a: a.__setitem__(leaf, a[leaf] + 1),
+        }
+        changed = getattr(tree, name).copy()
+        edit[name](changed)
+        forest.trees[1] = replace(tree, **{name: changed})
+        message = f"trees[1]: {name} is not what its pre-order split/leaf flags imply"
+        with pytest.raises(IsoguardError, match=re.escape(message)):
+            forest_to_json(forest)
+
+    def test_ragged_node_arrays_are_refused(self, forest):
+        forest.trees[2] = replace(forest.trees[2], depth=forest.trees[2].depth[:-1])
+        with pytest.raises(IsoguardError, match=re.escape("trees[2]: node arrays must share one length")):
+            forest_to_json(forest)

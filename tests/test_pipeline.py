@@ -309,8 +309,8 @@ class TestRunPipeline:
         run_pipeline(cfg)
         out = Path(cfg.out_dir)
         assert digest(out / "rfe.json") == "e7121965e7304237cafe292a717f037e5ca339d3f1615a2516cb16453ec8e8e3"
-        assert digest(out / "forest.json") == "6266fc0d844d514db6c3fbea8cfb690296312c419bbf5a38370c13622c1988a1"
-        # the flat file holds the very forest the nested file held before
+        assert digest(out / "forest.json") == "92dc38265324ee6e348ac96168edb7e9418b6ea8ed265cd446ced606ccc03b2d"
+        # the three-array pre-order file holds the very forest the six-array and nested files held before
         nested = nested_forest_json(iforest.load_forest(out / "forest.json")).encode()
         assert hashlib.sha256(nested).hexdigest() == "bb10e3619cd397e828420116db3376e0bde9590102d3753e22d6d68a094acd2a"
         assert digest(out / "verdicts_train.csv") == "917538ee07fc7138a0c273bc42f3090fb536bec79eb6ae3fe31b5e1b244c7654"
