@@ -322,21 +322,20 @@ def _nodes(forest: _StoredForest) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     after it is one below the balance before it. All trees are derived
     together, with no Python per node.
     """
-
-    def fail(j, message: str):
-        raise IsoguardError(f"trees[{j}]: {message}")
-
+    if not forest.trees:
+        raise IsoguardError("a forest must hold at least one tree")
     counts = np.array([tree.feature.size for tree in forest.trees])
     empty = np.flatnonzero(counts == 0)
     if empty.size:
-        fail(empty[0], "feature must hold at least one node")
+        raise IsoguardError(f"trees[{empty[0]}]: feature must hold at least one node")
     starts = np.cumsum(counts) - counts
     tree_of = np.repeat(np.arange(counts.size), counts)
     feature = np.concatenate([tree.feature for tree in forest.trees])
     n = feature.size
     bad = np.flatnonzero((feature < -1) | (feature >= forest.n_features))
     if bad.size:
-        fail(tree_of[bad[0]], f"split feature must be an integer in [0, {forest.n_features}), got {feature[bad[0]]}")
+        j, got = tree_of[bad[0]], feature[bad[0]]
+        raise IsoguardError(f"trees[{j}]: split feature must be an integer in [0, {forest.n_features}), got {got}")
     leaf = feature == -1
     step = np.where(leaf, -1, 1)
     after = np.cumsum(step)
@@ -345,24 +344,25 @@ def _nodes(forest: _StoredForest) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     last[starts + counts - 1] = True
     bad = np.flatnonzero((after < 0) != last)
     if bad.size:
-        fail(tree_of[bad[0]], "split/leaf flags do not form one full binary tree in pre-order")
+        raise IsoguardError(f"trees[{tree_of[bad[0]]}]: split/leaf flags do not form one full binary tree in pre-order")
     for column, n_nodes, noun in (("threshold", counts // 2, "split"), ("leaf_size", counts // 2 + 1, "leaf")):
         held = np.array([getattr(tree, column).size for tree in forest.trees])
         bad = np.flatnonzero(held != n_nodes)
         if bad.size:
             j = bad[0]
-            fail(j, f"holds {held[j]} {column} values for {n_nodes[j]} {noun} nodes")
+            raise IsoguardError(f"trees[{j}]: holds {held[j]} {column} values for {n_nodes[j]} {noun} nodes")
     leaf_size = np.concatenate([tree.leaf_size for tree in forest.trees])
     bad = np.flatnonzero((leaf_size < 1) | (leaf_size > forest.m))
     if bad.size:
-        fail(tree_of[leaf][bad[0]], f"leaf size must be an integer in [1, {forest.m}], got {leaf_size[bad[0]]}")
+        j, got = tree_of[leaf][bad[0]], leaf_size[bad[0]]
+        raise IsoguardError(f"trees[{j}]: leaf size must be an integer in [1, {forest.m}], got {got}")
     rows_before = np.zeros(n + 1, dtype=np.int64)  # leaf rows before each node
     rows_before[1:][leaf] = leaf_size
     np.cumsum(rows_before, out=rows_before)
     total = rows_before[starts + counts] - rows_before[starts]
     bad = np.flatnonzero(total != forest.m)
     if bad.size:
-        fail(bad[0], f"tree leaves hold {total[bad[0]]} rows, expected m = {forest.m}")
+        raise IsoguardError(f"trees[{bad[0]}]: tree leaves hold {total[bad[0]]} rows, expected m = {forest.m}")
     ids = np.arange(n)
     # sorted by (balance after the node, node), so one search finds, from any node on, the first that leaves a balance
     keys = np.sort((after + 1) * n + ids)
@@ -372,7 +372,7 @@ def _nodes(forest: _StoredForest) -> tuple[np.ndarray, dict[str, np.ndarray]]:
     depth = np.cumsum(np.bincount(split + 1, minlength=n + 1) - np.bincount(end[split] + 1, minlength=n + 1))[:-1]
     bad = np.flatnonzero(depth > forest.height_limit)
     if bad.size:
-        fail(tree_of[bad[0]], f"tree deeper than height_limit {forest.height_limit}")
+        raise IsoguardError(f"trees[{tree_of[bad[0]]}]: tree deeper than height_limit {forest.height_limit}")
     threshold = np.zeros(n)
     threshold[split] = np.concatenate([tree.threshold for tree in forest.trees])
     left, right = ids.copy(), ids.copy()

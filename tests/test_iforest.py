@@ -433,17 +433,38 @@ class TestPredict:
 
 
 class TestPersistence:
-    def test_round_trip_scores_bit_for_bit(self, tmp_path):
-        rng = np.random.default_rng(13)
-        X = rng.normal(size=(200, 4))
-        forest = fit_forest(X, t=15, m=64, seed=21)
+    @pytest.mark.parametrize(
+        "shape, t, m, seed, cells",
+        [
+            ((10, 2), 1, 2, 0, "plain"),
+            ((40, 3), 5, 40, 1, "identical"),
+            ((300, 5), 12, 64, 2, "nan"),
+            ((200, 1), 7, 100, 3, "plain"),
+            ((500, 8), 30, 256, 4, "integer"),
+            ((64, 4), 3, 64, 5, "nan"),
+            ((200, 4), 15, 64, 21, "plain"),
+        ],
+    )
+    def test_rebuilt_arrays_text_and_scores_are_the_fitted_ones(self, shape, t, m, seed, cells):
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=shape)
+        if cells == "identical":  # every tree is a single root leaf
+            X[:] = 1.25
+        elif cells == "nan":
+            X[rng.random(shape) < 0.1] = np.nan
+        elif cells == "integer":
+            X = rng.integers(0, 4, size=shape).astype(np.float64)
+        forest = fit_forest(X, t=t, m=m, seed=seed)
         text = forest_to_json(forest)
         reloaded = forest_from_json(text)
-        s1, h1 = score_batch(forest, X)
-        s2, h2 = score_batch(reloaded, X)
-        np.testing.assert_array_equal(s1, s2)
-        np.testing.assert_array_equal(h1, h2)
+        for tree, again in zip(forest.trees, reloaded.trees, strict=True):
+            for name in ("feature", "threshold", "left", "right", "size", "depth"):
+                fitted, rebuilt = getattr(tree, name), getattr(again, name)
+                assert rebuilt.dtype == fitted.dtype and np.array_equal(rebuilt, fitted), name
         assert forest_to_json(reloaded) == text
+        Y = np.vstack([X, rng.normal(size=shape) * 3])
+        for fitted, rebuilt in zip(score_batch(forest, Y), score_batch(reloaded, Y)):
+            assert fitted.tobytes() == rebuilt.tobytes()
 
 
 # The node-object isolation tree and its stack walk as they stood before
@@ -779,40 +800,6 @@ class TestLoadForestChecks:
             assert caught.value.paths == (path,) and str(path) in str(caught.value), cut
 
 
-class TestForestFileRoundTrip:
-    @pytest.mark.parametrize(
-        "shape, t, m, seed, cells",
-        [
-            ((10, 2), 1, 2, 0, "plain"),
-            ((40, 3), 5, 40, 1, "identical"),
-            ((300, 5), 12, 64, 2, "nan"),
-            ((200, 1), 7, 100, 3, "plain"),
-            ((500, 8), 30, 256, 4, "integer"),
-            ((64, 4), 3, 64, 5, "nan"),
-        ],
-    )
-    def test_rebuilt_arrays_text_and_scores_are_the_fitted_ones(self, shape, t, m, seed, cells):
-        rng = np.random.default_rng(seed)
-        X = rng.normal(size=shape)
-        if cells == "identical":  # every tree is a single root leaf
-            X[:] = 1.25
-        elif cells == "nan":
-            X[rng.random(shape) < 0.1] = np.nan
-        elif cells == "integer":
-            X = rng.integers(0, 4, size=shape).astype(np.float64)
-        forest = fit_forest(X, t=t, m=m, seed=seed)
-        text = forest_to_json(forest)
-        reloaded = forest_from_json(text)
-        for tree, again in zip(forest.trees, reloaded.trees, strict=True):
-            for name in ("feature", "threshold", "left", "right", "size", "depth"):
-                fitted, rebuilt = getattr(tree, name), getattr(again, name)
-                assert rebuilt.dtype == fitted.dtype and np.array_equal(rebuilt, fitted), name
-        assert forest_to_json(reloaded) == text
-        Y = np.vstack([X, rng.normal(size=shape) * 3])
-        for fitted, rebuilt in zip(score_batch(forest, Y), score_batch(reloaded, Y)):
-            assert fitted.tobytes() == rebuilt.tobytes()
-
-
 class TestSaveForestChecks:
     @pytest.fixture()
     def forest(self):
@@ -836,6 +823,11 @@ class TestSaveForestChecks:
         forest.trees[1] = replace(tree, **{name: changed})
         message = f"trees[1]: {name} is not what its pre-order split/leaf flags imply"
         with pytest.raises(IsoguardError, match=re.escape(message)):
+            forest_to_json(forest)
+
+    def test_forest_without_trees_is_refused(self, forest):
+        forest.trees.clear()
+        with pytest.raises(IsoguardError, match="a forest must hold at least one tree"):
             forest_to_json(forest)
 
     def test_ragged_node_arrays_are_refused(self, forest):
