@@ -8,10 +8,11 @@ keyed by (seed, tree, node, feature key) hashes: no tree depends on the
 order in which trees are built, and permuting columns together with their
 keys permutes the result identically.
 
-Each tree is an ``iforest.ITree``, written in pre-order by the isolation
-forest's ``TreeWriter``. The node in a draw key is not the array index:
-it counts, in pre-order, only the nodes that reach the draw, so a leaf
-cut off by purity, size or depth takes no id.
+Each tree is an ``iforest.ITree``, the isolation forest's one tree form
+(pre-order split features, split thresholds and leaf sizes), written by
+its ``TreeWriter``. The node in a draw key is not the array index: it
+counts, in pre-order, only the nodes that reach the draw, so a leaf cut
+off by purity, size or depth takes no id.
 
 The trees of one fit grow in lockstep. Each tree keeps its own stack of
 pending nodes and pops them in pre-order, left child first, writing the
@@ -19,12 +20,15 @@ nodes that are cut off as leaves, until it reaches a node that draws. One
 step gathers that node from every live tree and finds all their best
 splits with one set of numpy calls over the concatenated rows (node-local
 bounds by ``reduceat``, thresholds, class counts, Gini, a per-node
-argmax). A short Python pass then writes each split into its tree and
-pushes the children. The draws stay per tree and in pre-order, because a
-node's id, and so its hashes, depend on how many nodes before it in its
-own tree reached the draw: a level-by-level or cross-tree numbering would
-draw different numbers. Each tree also keeps its own importance row,
-summed in its own pre-order, so every result equals a tree built alone.
+argmax). A short Python pass then writes each of those nodes into its
+tree, as a split or, when no candidate splits, as a leaf, and pushes the
+children. A tree takes no further step until its drawing node is
+written, so its nodes still go out in pre-order. The draws stay per tree
+and in pre-order, because a node's id, and so its hashes, depend on how
+many nodes before it in its own tree reached the draw: a level-by-level
+or cross-tree numbering would draw different numbers. Each tree also
+keeps its own importance row, summed in its own pre-order, so every
+result equals a tree built alone.
 """
 from __future__ import annotations
 
@@ -109,8 +113,7 @@ class _GrowingTree:
 
     def __init__(self, tree_hash: int, importances: np.ndarray, root: tuple[np.ndarray, int]) -> None:
         self.nodes = TreeWriter()
-        # (rows, class-1 count, depth, parent whose right child this is, or -1)
-        self.stack: list[tuple[np.ndarray, int, int, int]] = [(*root, 0, -1)]
+        self.stack: list[tuple[np.ndarray, int, int]] = [(*root, 0)]  # (rows, class-1 count, depth)
         self.importances = importances
         self.tree_hash = tree_hash
         self.blocks: list[tuple[np.ndarray, np.ndarray]] = []  # (candidates, draws) per _DRAW_BLOCK ids
@@ -118,18 +121,16 @@ class _GrowingTree:
 
     def next_draw(
         self, keys: np.ndarray, n_candidates: int, min_split: int, max_depth: int | None
-    ) -> tuple[int, np.ndarray, int, int, np.ndarray, np.ndarray] | None:
-        """Write pending nodes in pre-order up to the first that draws, and
-        return it as (index, rows, class-1 count, depth, candidates, draws);
-        None once the tree is complete."""
-        stack, nodes = self.stack, self.nodes
+    ) -> tuple[np.ndarray, int, int, np.ndarray, np.ndarray] | None:
+        """Write pending nodes in pre-order as leaves up to the first that
+        draws, and return that one, unwritten, as (rows, class-1 count,
+        depth, candidates, draws); None once the tree is complete."""
+        stack = self.stack
         while stack:
-            rows, n1, depth, parent = stack.pop()
+            rows, n1, depth = stack.pop()
             n_node = rows.size
-            i = nodes.add_leaf(n_node, depth)
-            if parent >= 0:
-                nodes.right[parent] = i
             if n1 == 0 or n1 == n_node or n_node < min_split or (max_depth is not None and depth >= max_depth):
+                self.nodes.leaf(n_node)
                 continue
             # depth-first pre-order ids of the nodes that draw: they decide
             # which hashes a node draws, so a leaf cut off above takes none
@@ -138,7 +139,7 @@ class _GrowingTree:
                 self.blocks.append(_node_draws(self.tree_hash, self.next_id, _DRAW_BLOCK, keys, n_candidates))
             self.next_id += 1
             candidates, draws = self.blocks[block]
-            return i, rows, n1, depth, candidates[slot], draws[slot]
+            return rows, n1, depth, candidates[slot], draws[slot]
         return None
 
 
@@ -250,10 +251,10 @@ def _build_trees(
             if not batch:
                 break
             live = [entry[0] for entry in batch]
-            _, _, rows, n1, _, candidates, draws = zip(*batch)
+            _, rows, n1, _, candidates, draws = zip(*batch)
             splits, left_rows, right_rows = _best_splits(X, rows, n1, np.array(candidates), np.array(draws))
             at_left = at_right = 0
-            for (tree, i, node_rows, node_n1, depth, _, _), split in zip(batch, splits):
+            for (tree, node_rows, node_n1, depth, _, _), split in zip(batch, splits):
                 decrease, feature, threshold, n_left, n1_left = split
                 n_node = node_rows.size
                 left = left_rows[at_left : at_left + n_left]
@@ -261,14 +262,12 @@ def _build_trees(
                 at_left += n_left
                 at_right += n_node - n_left
                 if not math.isfinite(decrease):
+                    tree.nodes.leaf(n_node)
                     continue
                 tree.importances[feature] += (n_node / n_total) * decrease
-                tree.nodes.feature[i] = feature
-                tree.nodes.threshold[i] = threshold
-                # the left child is this tree's next node in pre-order
-                tree.nodes.left[i] = i + 1
-                tree.stack.append((right, node_n1 - n1_left, depth + 1, i))
-                tree.stack.append((left, n1_left, depth + 1, -1))
+                tree.nodes.split(feature, threshold)
+                tree.stack.append((right, node_n1 - n1_left, depth + 1))
+                tree.stack.append((left, n1_left, depth + 1))
     return [tree.nodes.tree() for tree in trees]
 
 

@@ -14,18 +14,17 @@ truncated at height ceil(log2(m)); an external node reached early stands
 in for an unbuilt subtree of `size` training rows and contributes
 c(size) extra path length.
 
-Each tree is a set of parallel per-node arrays in depth-first pre-order
-(the layout of scikit-learn's ``Tree``), and a leaf's two children are
-the leaf itself. forest.json stores of each tree only what the others
-follow from: the pre-order features (-1 at a leaf), one threshold per
-split and one size per leaf. The split/leaf flags fix a full binary tree
-(Jacobson's succinct trees), so the loader checks that they form one and
-derives the links, depths and split sizes for all trees at once. Scoring
-walks every row of a batch through one tree a level at a time:
-``height_limit`` steps of numpy gathers over a feature-major copy of the
-batch, with no per-node or per-row Python. Each tree writes its path
-lengths into its own row of one t x n matrix, allocated once per batch,
-and the score averages its columns.
+Each tree of either forest is three arrays in depth-first pre-order: the
+split feature of every node (-1 at a leaf), the threshold of every split
+and the training-row count of every leaf. That one form is used in
+memory and in forest.json. The split/leaf flags fix a full binary tree
+(Jacobson's succinct trees), so the loader checks that they form one,
+and scoring derives every node's children and depth for all trees at
+once. Scoring walks every row of a batch through one tree a level at a
+time: ``height_limit`` steps of numpy gathers over a feature-major copy
+of the batch, with no per-node or per-row Python. Each tree writes its
+path lengths into its own row of one t x n matrix, allocated once per
+batch, and the score averages its columns.
 """
 from __future__ import annotations
 
@@ -69,22 +68,19 @@ def expected_path_length(m: int) -> float:
 
 @dataclass(frozen=True, eq=False)
 class ITree:
-    """One tree of either forest; node 0 is the root and every child id exceeds its parent's.
+    """One tree of either forest, in depth-first pre-order, left subtree first.
 
-    Rows with ``x[feature] < threshold`` go to ``left``, all others (NaN
-    included) to ``right``. At a leaf ``feature`` is -1, ``threshold`` is
-    0.0 (never read, like scikit-learn's ``TREE_UNDEFINED``) and both
-    children are the leaf's own id. An isolation tree's entry in
-    forest.json holds ``feature``, the splits' ``threshold``s and the
-    leaves' ``size``s; the loader derives the other arrays from them.
+    ``feature`` holds every node's split feature, -1 at a leaf;
+    ``threshold`` one value per split and ``leaf_size`` the training rows
+    of each leaf, both in pre-order. Rows with ``x[feature] < threshold``
+    go left, all others (NaN included) right. The split/leaf flags fix
+    every link, so this is also a tree's form in forest.json, and scoring
+    derives the links.
     """
 
     feature: IntArray
     threshold: np.ndarray
-    left: IntArray
-    right: IntArray
-    size: IntArray  # training rows that reached the node
-    depth: IntArray  # edges from the root
+    leaf_size: IntArray
 
 
 @dataclass
@@ -110,64 +106,60 @@ class OutlierVerdict:
 
 
 class TreeWriter:
-    """The per-node columns of a tree being written in pre-order; both the
+    """The three columns of a tree being written in pre-order; both the
     isolation trees and feature_selection's extra-trees are grown through it."""
 
     def __init__(self) -> None:
         self.feature: list[int] = []
         self.threshold: list[float] = []
-        self.left: list[int] = []
-        self.right: list[int] = []
-        self.size: list[int] = []
-        self.depth: list[int] = []
+        self.leaf_size: list[int] = []
 
-    def add_leaf(self, size: int, depth: int) -> int:
-        """Append a leaf and return its id; a caller may turn it into a split."""
-        i = len(self.feature)
+    def leaf(self, size: int) -> None:
         self.feature.append(-1)
-        self.threshold.append(0.0)
-        self.left.append(i)
-        self.right.append(i)
-        self.size.append(size)
-        self.depth.append(depth)
-        return i
+        self.leaf_size.append(size)
+
+    def split(self, feature: int, threshold: float) -> None:
+        self.feature.append(feature)
+        self.threshold.append(threshold)
 
     def tree(self) -> ITree:
-        ints = (np.array(a, dtype=np.int64) for a in (self.left, self.right, self.size, self.depth))
-        return ITree(np.array(self.feature, dtype=np.int64), np.array(self.threshold, dtype=np.float64), *ints)
+        return ITree(
+            np.array(self.feature, dtype=np.int64),
+            np.array(self.threshold, dtype=np.float64),
+            np.array(self.leaf_size, dtype=np.int64),
+        )
 
 
 def build_itree(sample: np.ndarray, height_limit: int, rng: np.random.Generator) -> ITree:
     """Grow one isolation tree over ``sample`` (rows x features).
 
     A node goes external when it holds <= 1 row, the height limit is
-    reached, or no feature varies within the node. Nodes are numbered and
+    reached, or no feature varies within the node. Nodes are written and
     their draws taken in depth-first pre-order, left subtree first.
     """
     nodes = TreeWriter()
 
-    def grow(rows: np.ndarray, d: int) -> int:
+    def grow(rows: np.ndarray, d: int) -> None:
         n = rows.shape[0]
         if n == 0:
             raise IsoguardError("cannot build a tree over an empty sample")
-        i = nodes.add_leaf(n, d)
         if n <= 1 or d >= height_limit:
-            return i
+            nodes.leaf(n)
+            return
         lo = rows.min(axis=0)
         hi = rows.max(axis=0)
         varying = np.flatnonzero(hi > lo)
         if varying.size == 0:
-            return i
+            nodes.leaf(n)
+            return
         f = int(varying[rng.integers(varying.size)])
         split = float(rng.uniform(lo[f], hi[f]))
         if split <= lo[f]:  # guard against a degenerate float draw
             split = float(np.nextafter(lo[f], hi[f]))
+        nodes.split(f, split)
         mask = rows[:, f] < split
-        nodes.feature[i] = f
-        nodes.threshold[i] = split
-        nodes.left[i] = grow(rows[mask], d + 1)
-        nodes.right[i] = grow(rows[~mask], d + 1)
-        return i
+        grow(rows[mask], d + 1)
+        grow(rows[~mask], d + 1)
 
     grow(sample, 0)
     return nodes.tree()
@@ -210,39 +202,89 @@ def fit_forest(X: np.ndarray, t: int = 100, m: int = 256, seed: int = 0) -> Isol
     return IsolationForest(trees=trees, t=t, m=m, height_limit=height_limit, seed=seed, n_features=X.shape[1])
 
 
-def _walk(tree: ITree, XT: np.ndarray, rows: np.ndarray, c: np.ndarray, height_limit: int) -> np.ndarray:
-    """Path length h(x) of every row in one tree: edges walked plus c(size) at the reached leaf.
+@dataclass(frozen=True)
+class _Nodes:
+    """Every node of a list of trees, laid end to end, with global node ids."""
 
+    root: IntArray  # per tree, its root's id
+    feature: IntArray
+    threshold: np.ndarray  # 0.0 at a leaf
+    left: IntArray  # a leaf's children are the leaf itself
+    right: IntArray
+    depth: IntArray  # edges from the tree's root
+    leaf_size: IntArray  # 0 at a split
+
+
+def _balance(feature: np.ndarray, root: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each node's step, +1 at a split and -1 at a leaf, and the running
+    balance after it, counted within its tree from 0 before the root."""
+    step = np.where(feature == -1, -1, 1)
+    after = np.cumsum(step)
+    after -= np.repeat(after[root] - step[root], counts)
+    return step, after
+
+
+def _nodes(trees: list[ITree]) -> _Nodes:
+    """The walk tables of ``trees``, each a full binary tree in pre-order.
+
+    The split/leaf flags alone fix a tree: a node's subtree ends at the
+    first node from it whose balance after it is one below the balance
+    before it. All trees are derived together, with no Python per node.
+    """
+    counts = np.array([tree.feature.size for tree in trees])
+    root = np.cumsum(counts) - counts
+    feature = np.concatenate([tree.feature for tree in trees])
+    n = feature.size
+    step, after = _balance(feature, root, counts)
+    ids = np.arange(n)
+    # sorted by (balance after the node, node), so one search finds, from any node on, the first that leaves a balance
+    keys = np.sort((after + 1) * n + ids)
+    end = keys[np.searchsorted(keys, (after - step) * n + ids)] % n
+    leaf = step < 0
+    split = ids[~leaf]
+    # a node's depth counts the splits above it, whose (split, end] ranges hold it: a difference array over those ranges
+    depth = np.cumsum(np.bincount(split + 1, minlength=n + 1) - np.bincount(end[split] + 1, minlength=n + 1))[:-1]
+    threshold = np.zeros(n)
+    threshold[split] = np.concatenate([tree.threshold for tree in trees])
+    left, right = ids.copy(), ids.copy()
+    left[split] = split + 1
+    right[split] = end[split + 1] + 1
+    leaf_size = np.zeros(n, dtype=np.int64)
+    leaf_size[leaf] = np.concatenate([tree.leaf_size for tree in trees])
+    return _Nodes(root, feature, threshold, left, right, depth, leaf_size)
+
+
+def mean_path_lengths(forest: IsolationForest, X: np.ndarray) -> np.ndarray:
+    """E(h(x)) per row: average path length across all trees.
+
+    h(x) in one tree is the edges walked plus c(size) at the reached leaf.
     ``XT`` is the batch flattened feature-major, so row r's value of
     feature f sits at ``f * n + r``. Node ids are kept doubled: slot
     ``2i`` holds node i's right child and ``2i + 1`` its left, so adding
     ``x < threshold`` picks the branch. A leaf routes to itself, which
     lets every row take exactly ``height_limit`` steps.
     """
-    n = rows.size
-    offset = np.repeat(np.maximum(tree.feature, 0) * n, 2)  # a leaf reads column 0, then stays put
-    threshold = np.repeat(tree.threshold, 2)
-    child = 2 * np.stack((tree.right, tree.left), axis=1).ravel()
-    node = np.zeros(n, dtype=np.int64)
-    for _ in range(height_limit):
-        node = child.take(node + (XT.take(offset.take(node) + rows) < threshold.take(node)))
-    return np.repeat(tree.depth + c.take(tree.size), 2).take(node)
-
-
-def mean_path_lengths(forest: IsolationForest, X: np.ndarray) -> np.ndarray:
-    """E(h(x)) per row: average path length across all trees."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != forest.n_features:
         raise IsoguardError(
             f"feature count mismatch: forest expects {forest.n_features}, got {X.shape[1] if X.ndim == 2 else X.shape}"
         )
+    n = X.shape[0]
     XT = np.ascontiguousarray(X.T).ravel()
-    rows = np.arange(X.shape[0])
+    rows = np.arange(n)
     c = np.array([expected_path_length(size) for size in range(forest.m + 1)])
-    depths = np.empty((forest.t, X.shape[0]))
+    nodes = _nodes(forest.trees)
+    offset = np.repeat(np.maximum(nodes.feature, 0) * n, 2)  # a leaf reads column 0, then stays put
+    threshold = np.repeat(nodes.threshold, 2)
+    child = 2 * np.stack((nodes.right, nodes.left), axis=1).ravel()
+    h = np.repeat(nodes.depth + c.take(nodes.leaf_size), 2)
+    depths = np.empty((forest.t, n))
 
     def _one(i: int) -> None:
-        depths[i] = _walk(forest.trees[i], XT, rows, c, forest.height_limit)
+        node = np.full(n, 2 * nodes.root[i])
+        for _ in range(forest.height_limit):
+            node = child.take(node + (XT.take(offset.take(node) + rows) < threshold.take(node)))
+        depths[i] = h.take(node)
 
     run_indexed(_one, forest.t)
     return np.mean(depths, axis=0)
@@ -294,130 +336,67 @@ def predict(
     ]
 
 
-@dataclass
-class _StoredTree:
-    """An isolation tree as forest.json holds it, in depth-first pre-order."""
-
-    feature: IntArray  # one per node, -1 at a leaf
-    threshold: np.ndarray  # one per split
-    leaf_size: IntArray  # one per leaf
-
-
-@dataclass
-class _StoredForest(IsolationForest):
-    """forest.json's document: the forest's own fields, with each tree in its stored form."""
-
-    trees: list[_StoredTree]
-
-
-def _nodes(forest: _StoredForest) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """Every tree's six node arrays, derived from its stored form, laid end to end.
-
-    Returns the node index where each tree starts and the ``ITree`` fields
-    over all nodes, with child ids counted from the tree's own root. Raises
-    unless each tree is one full binary tree in pre-order within the
-    forest's bounds. The split/leaf flags alone fix the tree: with a running
-    balance of +1 per split and -1 per leaf, counted from 0 before the
-    root, a node's subtree ends at the first node from it whose balance
-    after it is one below the balance before it. All trees are derived
-    together, with no Python per node.
-    """
-    if not forest.trees:
-        raise IsoguardError("a forest must hold at least one tree")
-    counts = np.array([tree.feature.size for tree in forest.trees])
+def _check_trees(forest: IsolationForest) -> None:
+    """Raise unless each tree is one full binary tree in pre-order within
+    the forest's bounds: with a running balance of +1 per split and -1 per
+    leaf, counted from 0 before the root, only the last node ends below 0."""
+    trees = forest.trees
+    counts = np.array([tree.feature.size for tree in trees])
     empty = np.flatnonzero(counts == 0)
     if empty.size:
         raise IsoguardError(f"trees[{empty[0]}]: feature must hold at least one node")
-    starts = np.cumsum(counts) - counts
+    root = np.cumsum(counts) - counts
     tree_of = np.repeat(np.arange(counts.size), counts)
-    feature = np.concatenate([tree.feature for tree in forest.trees])
-    n = feature.size
+    feature = np.concatenate([tree.feature for tree in trees])
     bad = np.flatnonzero((feature < -1) | (feature >= forest.n_features))
     if bad.size:
         j, got = tree_of[bad[0]], feature[bad[0]]
         raise IsoguardError(f"trees[{j}]: split feature must be an integer in [0, {forest.n_features}), got {got}")
-    leaf = feature == -1
-    step = np.where(leaf, -1, 1)
-    after = np.cumsum(step)
-    after -= np.repeat(after[starts] - step[starts], counts)  # each tree's balance counts from 0 before its root
-    last = np.zeros(n, dtype=bool)
-    last[starts + counts - 1] = True
+    _, after = _balance(feature, root, counts)
+    last = np.zeros(feature.size, dtype=bool)
+    last[root + counts - 1] = True
     bad = np.flatnonzero((after < 0) != last)
     if bad.size:
         raise IsoguardError(f"trees[{tree_of[bad[0]]}]: split/leaf flags do not form one full binary tree in pre-order")
     for column, n_nodes, noun in (("threshold", counts // 2, "split"), ("leaf_size", counts // 2 + 1, "leaf")):
-        held = np.array([getattr(tree, column).size for tree in forest.trees])
+        held = np.array([getattr(tree, column).size for tree in trees])
         bad = np.flatnonzero(held != n_nodes)
         if bad.size:
             j = bad[0]
             raise IsoguardError(f"trees[{j}]: holds {held[j]} {column} values for {n_nodes[j]} {noun} nodes")
-    leaf_size = np.concatenate([tree.leaf_size for tree in forest.trees])
+    leaf_size = np.concatenate([tree.leaf_size for tree in trees])
     bad = np.flatnonzero((leaf_size < 1) | (leaf_size > forest.m))
     if bad.size:
-        j, got = tree_of[leaf][bad[0]], leaf_size[bad[0]]
+        j, got = tree_of[feature == -1][bad[0]], leaf_size[bad[0]]
         raise IsoguardError(f"trees[{j}]: leaf size must be an integer in [1, {forest.m}], got {got}")
-    rows_before = np.zeros(n + 1, dtype=np.int64)  # leaf rows before each node
-    rows_before[1:][leaf] = leaf_size
-    np.cumsum(rows_before, out=rows_before)
-    total = rows_before[starts + counts] - rows_before[starts]
+    total = np.array([tree.leaf_size.sum() for tree in trees])
     bad = np.flatnonzero(total != forest.m)
     if bad.size:
         raise IsoguardError(f"trees[{bad[0]}]: tree leaves hold {total[bad[0]]} rows, expected m = {forest.m}")
-    ids = np.arange(n)
-    # sorted by (balance after the node, node), so one search finds, from any node on, the first that leaves a balance
-    keys = np.sort((after + 1) * n + ids)
-    end = keys[np.searchsorted(keys, (after - step) * n + ids)] % n
-    split = ids[~leaf]
-    # a node's depth counts the splits above it, whose (split, end] ranges hold it: a difference array over those ranges
-    depth = np.cumsum(np.bincount(split + 1, minlength=n + 1) - np.bincount(end[split] + 1, minlength=n + 1))[:-1]
-    bad = np.flatnonzero(depth > forest.height_limit)
+    bad = np.flatnonzero(_nodes(trees).depth > forest.height_limit)
     if bad.size:
         raise IsoguardError(f"trees[{tree_of[bad[0]]}]: tree deeper than height_limit {forest.height_limit}")
-    threshold = np.zeros(n)
-    threshold[split] = np.concatenate([tree.threshold for tree in forest.trees])
-    left, right = ids.copy(), ids.copy()
-    left[split] = split + 1
-    right[split] = end[split + 1] + 1
-    root = starts[tree_of]
-    size = rows_before[end + 1] - rows_before[ids]
-    columns = dict(feature=feature, threshold=threshold, left=left - root, right=right - root, size=size, depth=depth)
-    return starts, columns
 
 
 def forest_to_json(forest: IsolationForest) -> str:
     """Serialize to JSON, each tree as its pre-order ``feature``, split
-    ``threshold``s and ``leaf_size``s; the loader derives the rest. Raises
-    unless every tree's other arrays are the ones those imply (links, split
-    sizes, depths, and 0.0 at a leaf's threshold), so the file reloads to
-    this very forest. Float values round-trip exactly, so a reloaded forest
-    reproduces scores bit for bit."""
-    trees = []
-    for j, tree in enumerate(forest.trees):
-        if any(a.shape != tree.feature.shape for a in (tree.threshold, tree.left, tree.right, tree.size, tree.depth)):
-            raise IsoguardError(f"trees[{j}]: node arrays must share one length")
-        split = tree.feature >= 0
-        trees.append(_StoredTree(tree.feature, tree.threshold[split], tree.size[~split]))
-    stored = _StoredForest(**{**vars(forest), "trees": trees})
-    starts, columns = _nodes(stored)
-    for name, derived in columns.items():
-        bad = np.flatnonzero(np.concatenate([getattr(tree, name) for tree in forest.trees]) != derived)
-        if bad.size:
-            j = np.searchsorted(starts, bad[0], side="right") - 1
-            raise IsoguardError(f"trees[{j}]: {name} is not what its pre-order split/leaf flags imply")
-    return json.dumps(to_doc(stored), sort_keys=True, separators=(",", ":"))
+    ``threshold``s and ``leaf_size``s. Raises unless ``forest_from_json``
+    accepts the text, so every saved file loads. Float values round-trip
+    exactly, so a reloaded forest reproduces scores bit for bit."""
+    text = json.dumps(to_doc(forest), sort_keys=True, separators=(",", ":"))
+    forest_from_json(text)
+    return text
 
 
 def forest_from_json(text: str) -> IsolationForest:
     """Parse a forest document; anything but t well-formed trees raises IsoguardError."""
-    stored = from_doc(_StoredForest, json.loads(text), "forest")
-    if stored.height_limit != math.ceil(math.log2(stored.m)):
-        raise IsoguardError(f"height_limit {stored.height_limit!r} does not match m = {stored.m}")
-    if len(stored.trees) != stored.t:
-        raise IsoguardError(f"holds {len(stored.trees)} trees, expected t = {stored.t}")
-    starts, columns = _nodes(stored)
-    bounds = zip(starts.tolist(), starts[1:].tolist() + [None])
-    trees = [ITree(**{name: a[begin:end] for name, a in columns.items()}) for begin, end in bounds]
-    return IsolationForest(**{**vars(stored), "trees": trees})
+    forest = from_doc(IsolationForest, json.loads(text), "forest")
+    if forest.height_limit != math.ceil(math.log2(forest.m)):
+        raise IsoguardError(f"height_limit {forest.height_limit!r} does not match m = {forest.m}")
+    if len(forest.trees) != forest.t:
+        raise IsoguardError(f"holds {len(forest.trees)} trees, expected t = {forest.t}")
+    _check_trees(forest)
+    return forest
 
 
 def save_forest(forest: IsolationForest, path: str | Path) -> None:

@@ -1,6 +1,7 @@
 """Mutation probe of the ``raise`` statements in a module: which checks does no test rely on?
 
-Each ``raise`` in the given source files is replaced by ``pass``, one at a
+Each ``raise`` in the given source files (by default every
+``src/isoguard/*.py``) is replaced by ``pass``, one at a
 time, in a scratch copy of the repository (``src/``, ``tests/``, ``demos/``,
 ``pyproject.toml`` and ``README.md``; the checkout itself is never edited).
 For each mutant the test files run with ``-x`` under a per-mutant timeout.
@@ -11,6 +12,7 @@ passes. The survivors are the checks that no test relies on.
 ``tests/test_acceptance.py`` is left out: it holds the two
 deliberate criterion-2 failures, which would kill every mutant.
 
+    python tests/mutate_raises.py
     python tests/mutate_raises.py src/isoguard/classifiers.py src/isoguard/errors.py
     python tests/mutate_raises.py --root ../other-checkout --timeout 120 src/isoguard/errors.py
 
@@ -62,13 +64,16 @@ def run_tests(copy: Path, test_files: list[str], timeout: float) -> str:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("modules", nargs="+", help="source files to mutate, relative to --root")
+    parser.add_argument(
+        "modules", nargs="*", help="source files to mutate, relative to --root (default: every src/isoguard/*.py)"
+    )
     parser.add_argument("--root", default=Path(__file__).resolve().parent.parent, type=Path, help="repository to copy")
     parser.add_argument("--timeout", type=float, default=180.0, help="seconds per mutant before it counts as killed")
     parser.add_argument("--workdir", default=None, help="directory for the scratch copy (default: the system's)")
     args = parser.parse_args(argv)
 
     root = args.root.resolve()
+    modules = args.modules or sorted(str(p.relative_to(root)) for p in (root / "src" / "isoguard").glob("*.py"))
     tests = sorted(
         str(p.relative_to(root)) for p in (root / "tests").glob("test_*.py") if p.name != "test_acceptance.py"
     )
@@ -84,7 +89,7 @@ def main(argv: list[str] | None = None) -> int:
             print("the unmutated tests do not pass; nothing to probe", file=sys.stderr)
             return 2
         survivors, total = [], 0
-        for module in args.modules:
+        for module in modules:
             target = copy / module
             original = target.read_text(encoding="utf-8")
             try:

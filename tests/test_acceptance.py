@@ -72,14 +72,7 @@ class TestCriterion1ScoreNormalizationAnchor:
         assert anchored_h[0] == pytest.approx(expected_path_length(m), abs=1e-12)
         assert abs(anchored[0] - 0.5) <= 1e-12
 
-        one_leaf = ITree(
-            feature=np.array([-1]),
-            threshold=np.array([np.nan]),
-            left=np.array([0]),
-            right=np.array([0]),
-            size=np.array([1]),
-            depth=np.array([0]),
-        )
+        one_leaf = ITree(feature=np.array([-1]), threshold=np.array([]), leaf_size=np.array([1]))
         shallow = IsolationForest(trees=[one_leaf] * 10, t=10, m=2, height_limit=1, seed=0, n_features=2)
         unit, unit_h = score_batch(shallow, np.array([[0.0, 0.0]]))
         assert unit_h[0] == 0.0

@@ -87,6 +87,15 @@ class TestDispatch:
         assert code == 1
         assert "seed" in capsys.readouterr().err
 
+    def test_missing_out_exits_1_and_writes_nothing(self, workspace, capsys, monkeypatch):
+        tmp_path, cfg_path = workspace  # the config sets no out_dir
+        cwd = tmp_path / "cwd"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        assert cli_dispatch(["ingest", "--config", str(cfg_path), "--seed", "1"]) == 1
+        assert "an output directory is required: pass --out or set 'out_dir' in the config" in capsys.readouterr().err
+        assert list(cwd.iterdir()) == []
+
     def test_data_error_exits_2(self, workspace, capsys):
         tmp_path, cfg_path = workspace
         doc = json.loads(cfg_path.read_text())

@@ -17,6 +17,7 @@ from isoguard import data
 from isoguard.data import (
     ColumnKind,
     Dataset,
+    EncoderState,
     SplitSpec,
     apply_label_encoder,
     apply_scaler,
@@ -148,6 +149,16 @@ class TestLoadCsv:
             load_csv(tmp_path / "absent.csv")
         with pytest.raises(IsoguardError, match="no such file"):
             load_csv(tmp_path)  # a directory
+
+    def test_empty_file(self, tmp_path):
+        path = write(tmp_path, "")
+        with pytest.raises(IsoguardError, match=re.escape(f"{path}: file is empty, expected a header row")):
+            load_csv(path)
+
+    def test_matrix_of_raw_nominals_is_refused(self, tmp_path):
+        ds = load_csv(write(tmp_path, "a,class\nx,0\ny,1\n"))
+        with pytest.raises(IsoguardError, match="dataset still holds raw nominal strings; encode it first"):
+            ds.matrix()
 
     def test_ragged_rows(self, tmp_path):
         path = write(tmp_path, "a,b,class\n1,2,normal\n3,anomaly\n4,5,6,normal\n")
@@ -600,6 +611,10 @@ class TestLabelEncoder:
         probe = Dataset(ds.feature_names, ds.kinds, bad, np.array([0]))
         with pytest.raises(IsoguardError, match="unseen category 'sctp' in column 'protocol_type'"):
             apply_label_encoder(probe, enc)
+
+    def test_column_without_a_fitted_encoder(self):
+        with pytest.raises(IsoguardError, match="encoder was not fitted for column 'proto'"):
+            EncoderState({}).encode("proto", "tcp")
 
     def test_no_nominal_columns_is_identity(self):
         ds = numeric_dataset([[1.0, 2.0]], [0])

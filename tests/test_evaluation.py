@@ -145,6 +145,10 @@ class TestRoc:
         with pytest.raises(IsoguardError, match="both classes"):
             roc([1, 1, 1], [0.1, 0.2, 0.3])
 
+    def test_length_mismatch(self):
+        with pytest.raises(IsoguardError, match="y_true and scores must have equal length"):
+            roc([0, 1, 1], [0.1, 0.2])
+
     def test_scores_at_both_float_limits(self):
         curve = roc([0, 1, 0, 1], [-1.7976931348623157e308, 1.7976931348623157e308, -1e308, 1e308])
         assert curve.auc == 1.0

@@ -20,7 +20,7 @@ from isoguard.feature_selection import (
     rfe_select,
     save_rfe,
 )
-from isoguard.iforest import IsolationForest, ITree, forest_to_json
+from isoguard.iforest import IsolationForest, ITree, _check_trees
 from isoguard.prng import hash64, unit_uniforms
 
 
@@ -119,24 +119,26 @@ class TestFitExtraTrees:
         n, d = X.shape
         est = fit_extra_trees(X, y, ExtraTreesParams(n_trees=4, seed=7))
 
-        def check(tree, node, rows, acc):
-            assert tree.size[node] == rows.size
-            if tree.feature[node] == -1:
+        def check(nodes, rows, acc):
+            """Walk the next node in pre-order, with its subtree, over ``rows``."""
+            feature, threshold, size = next(nodes)
+            assert size == rows.size
+            if feature == -1:
                 return
-            mask = X[rows, tree.feature[node]] < tree.threshold[node]
+            mask = X[rows, feature] < threshold
             left, right = rows[mask], rows[~mask]
             assert left.size > 0 and right.size > 0
             recomputed = gini(y[rows]) - (
                 left.size * gini(y[left]) + right.size * gini(y[right])
             ) / rows.size
             assert recomputed >= -1e-15
-            acc[tree.feature[node]] += (rows.size / n) * recomputed
-            check(tree, tree.left[node], left, acc)
-            check(tree, tree.right[node], right, acc)
+            acc[feature] += (rows.size / n) * recomputed
+            check(nodes, left, acc)
+            check(nodes, right, acc)
 
         for tree, want in zip(est.trees, est.tree_importances):
             acc = np.zeros(d)
-            check(tree, 0, np.arange(n), acc)
+            check(iter(preorder(tree)), np.arange(n), acc)
             np.testing.assert_allclose(acc / acc.sum(), want, rtol=0, atol=1e-12)
 
     def test_no_split_anywhere_is_an_error(self):
@@ -149,8 +151,7 @@ class TestFitExtraTrees:
 
 def stump(feature):
     """A root split on ``feature`` at 0.5 over two one-row leaves."""
-    ints = (np.array(a) for a in ([1, 1, 2], [2, 1, 2], [2, 1, 1], [0, 1, 1]))
-    return ITree(np.array([feature, -1, -1]), np.array([0.5, 0.0, 0.0]), *ints)
+    return ITree(np.array([feature, -1, -1]), np.array([0.5]), np.array([1, 1]))
 
 
 class TestFeatureImportances:
@@ -304,6 +305,8 @@ class TestRfe:
             ("trace", [{"round": True, "removed": 1, "importance": 0.1}], "trace[0].round must be an integer, got True"),
             ("column_names", ["col0", 1, "col2", "col3", "col4", "col5"], "column_names[1] must be a string, got 1"),
             ("selected_names", ["col0", "col2", "col5"], "selected_names must be the column_names at selected"),
+            ("selected", "12", "selected must be a list, got '12'"),
+            ("selected", 7, "selected must be a list, got 7"),
         ],
     )
     def test_load_rejects_bad_types(self, tmp_path, key, value, message):
@@ -408,8 +411,25 @@ def oracle_build_tree(X, y, keys, params, tree_index, importances):
 
 
 def preorder(tree):
-    """The (feature, threshold, n) rows of an ITree, whose arrays are in pre-order."""
-    return list(zip(tree.feature.tolist(), tree.threshold.tolist(), tree.size.tolist()))
+    """The (feature, threshold, n) rows of an ITree in pre-order: a leaf is
+    (-1, 0.0, its size), and a split's n sums its subtree's leaves."""
+    thresholds, sizes = iter(tree.threshold.tolist()), iter(tree.leaf_size.tolist())
+    out = []
+
+    def visit():  # the next node in pre-order, with its subtree; returns its n
+        feature = int(tree.feature[len(out)])
+        if feature == -1:
+            out.append((-1, 0.0, next(sizes)))
+            return out[-1][2]
+        at = len(out)
+        out.append((feature, next(thresholds)))
+        out[at] += (visit() + visit(),)
+        return out[at][2]
+
+    visit()
+    assert len(out) == tree.feature.size
+    assert next(thresholds, None) is None and next(sizes, None) is None
+    return out
 
 
 def oracle_cases():
@@ -483,13 +503,14 @@ class TestBuildTreeOracle:
 
     @pytest.mark.parametrize("case", range(len(oracle_cases())))
     def test_trees_are_well_formed(self, case):
-        # the isolation forest's saver check (links, sizes and depths are the ones the
-        # pre-order split/leaf flags imply), with every row as the sample and no height limit to speak of
+        # the isolation forest loader's tree checks (the split/leaf flags form one full binary tree in
+        # pre-order, one threshold per split and one size per leaf, the leaves hold every row), with every
+        # row as the sample and no height limit to speak of
         X, y, keys, params = oracle_cases()[case]
         n, d = X.shape
         est = fit_extra_trees(X, y, params, feature_keys=keys)
         assert len(est.trees) == params.n_trees
-        forest_to_json(IsolationForest(trees=est.trees, t=params.n_trees, m=n, height_limit=n, seed=0, n_features=d))
+        _check_trees(IsolationForest(trees=est.trees, t=params.n_trees, m=n, height_limit=n, seed=0, n_features=d))
 
     def test_deep_tree_crosses_node_draw_blocks(self):
         # more than two blocks of split nodes, so later node ids draw from later blocks

@@ -3,11 +3,12 @@ import math
 import re
 import tracemalloc
 from dataclasses import dataclass, replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from isoguard.codec import to_doc
+from isoguard import iforest
 from isoguard.errors import ArtifactError, IsoguardError
 from isoguard.iforest import (
     IsolationForest,
@@ -88,34 +89,57 @@ class TestExpectedPathLength:
         assert gaps == sorted(gaps, reverse=True)
 
 
-def flat_tree(feature, threshold, left, right, size, depth) -> ITree:
-    """An ITree from plain lists (pre-order; a leaf has feature -1 and itself as both children)."""
+def flat_tree(feature, threshold, leaf_size) -> ITree:
+    """An ITree from plain lists: pre-order features (-1 at a leaf), one threshold per split, one size per leaf."""
     return ITree(
         feature=np.array(feature, dtype=np.int64),
         threshold=np.array(threshold, dtype=np.float64),
-        left=np.array(left, dtype=np.int64),
-        right=np.array(right, dtype=np.int64),
-        size=np.array(size, dtype=np.int64),
-        depth=np.array(depth, dtype=np.int64),
+        leaf_size=np.array(leaf_size, dtype=np.int64),
     )
 
 
 def leaf_tree(size: int) -> ITree:
-    return flat_tree([-1], [np.nan], [0], [0], [size], [0])
+    return flat_tree([-1], [], [size])
+
+
+def node_arrays(tree: ITree) -> SimpleNamespace:
+    """Every node's feature, threshold (0.0 at a leaf), children (a leaf's
+    are itself), size and depth, rebuilt from the pre-order arrays by
+    following the split/leaf flags from the root."""
+    k = tree.feature.size
+    thresholds, sizes = iter(tree.threshold.tolist()), iter(tree.leaf_size.tolist())
+    out = {name: [0] * k for name in ("threshold", "left", "right", "size", "depth")}
+
+    def visit(i, d):
+        """Fill in node i's subtree and return the id after it."""
+        out["depth"][i] = d
+        if tree.feature[i] < 0:
+            out["threshold"][i], out["left"][i], out["right"][i], out["size"][i] = 0.0, i, i, next(sizes)
+            return i + 1
+        out["threshold"][i], out["left"][i] = next(thresholds), i + 1
+        right = out["right"][i] = visit(i + 1, d + 1)
+        end = visit(right, d + 1)
+        out["size"][i] = out["size"][i + 1] + out["size"][right]
+        return end
+
+    assert visit(0, 0) == k
+    assert next(thresholds, None) is None and next(sizes, None) is None
+    return SimpleNamespace(feature=tree.feature, **{name: np.array(values) for name, values in out.items()})
 
 
 def walk_leaves(tree: ITree):
     """(node id, depth) of every leaf, found by following the child links from the root."""
+    nodes = node_arrays(tree)
     out = []
 
     def visit(i, d):
         if tree.feature[i] < 0:
-            assert tree.left[i] == i and tree.right[i] == i
+            assert nodes.left[i] == i and nodes.right[i] == i
             out.append((i, d))
         else:
-            assert tree.left[i] > i and tree.right[i] > i
-            visit(int(tree.left[i]), d + 1)
-            visit(int(tree.right[i]), d + 1)
+            assert nodes.left[i] > i and nodes.right[i] > i
+            visit(int(nodes.left[i]), d + 1)
+            visit(int(nodes.right[i]), d + 1)
 
     visit(0, 0)
     return out
@@ -124,11 +148,12 @@ def walk_leaves(tree: ITree):
 def one_tree_path_length(tree: ITree, x) -> float:
     """h(x) in a single tree, through the batch path."""
     x = np.asarray(x, dtype=np.float64)
+    nodes = node_arrays(tree)
     forest = IsolationForest(
         trees=[tree],
         t=1,
-        m=int(tree.size.max()),
-        height_limit=int(tree.depth.max()),
+        m=int(nodes.size.max()),
+        height_limit=int(nodes.depth.max()),
         seed=0,
         n_features=x.size,
     )
@@ -140,22 +165,23 @@ class TestBuildItree:
         rng = np.random.default_rng(0)
         tree = build_itree(np.array([[1.0, 2.0]]), 8, rng)
         assert tree.feature.tolist() == [-1]
-        assert tree.size.tolist() == [1]
+        assert node_arrays(tree).size.tolist() == [1]
         assert walk_leaves(tree) == [(0, 0)]
 
     def test_two_distinct_rows_forced_partition(self):
         rng = np.random.default_rng(0)
         tree = build_itree(np.array([[0.0], [1.0]]), 1, rng)
+        nodes = node_arrays(tree)
         assert tree.feature.tolist() == [0, -1, -1]
-        assert (tree.left[0], tree.right[0]) == (1, 2)
-        assert tree.size.tolist() == [2, 1, 1]
+        assert (nodes.left[0], nodes.right[0]) == (1, 2)
+        assert nodes.size.tolist() == [2, 1, 1]
         assert 0.0 < tree.threshold[0] <= 1.0
 
     def test_identical_rows_external_immediately(self):
         rng = np.random.default_rng(0)
         tree = build_itree(np.full((7, 3), 4.2), 8, rng)
         assert tree.feature.tolist() == [-1]
-        assert tree.size.tolist() == [7]
+        assert node_arrays(tree).size.tolist() == [7]
 
     def test_empty_sample_rejected(self):
         with pytest.raises(IsoguardError):
@@ -167,22 +193,24 @@ class TestBuildItree:
         tree = build_itree(sample, 3, rng)
         leaves = walk_leaves(tree)
         assert max(d for _, d in leaves) <= 3
-        assert all(tree.depth[i] == d for i, d in leaves)
+        # the depths that scoring derives from the flags
+        assert all(iforest._nodes([tree]).depth[i] == d for i, d in leaves)
 
     def test_split_strictly_between_min_and_max(self):
         rng = np.random.default_rng(5)
         sample = rng.normal(size=(32, 3))
         tree = build_itree(sample, 5, rng)
+        nodes = node_arrays(tree)
 
         def check(i, rows):
-            assert tree.size[i] == rows.shape[0]
+            assert nodes.size[i] == rows.shape[0]
             if tree.feature[i] < 0:
                 return
             values = rows[:, tree.feature[i]]
-            assert values.min() < tree.threshold[i] <= values.max()
-            mask = values < tree.threshold[i]
-            check(int(tree.left[i]), rows[mask])
-            check(int(tree.right[i]), rows[~mask])
+            assert values.min() < nodes.threshold[i] <= values.max()
+            mask = values < nodes.threshold[i]
+            check(int(nodes.left[i]), rows[mask])
+            check(int(nodes.right[i]), rows[~mask])
 
         check(0, sample)
 
@@ -195,7 +223,7 @@ class TestFitForest:
         assert forest.height_limit == 6
         for tree in forest.trees:
             leaves = walk_leaves(tree)
-            assert sum(tree.size[i] for i, _ in leaves) == 64
+            assert sum(node_arrays(tree).size[i] for i, _ in leaves) == 64
             assert max(d for _, d in leaves) <= 6
 
     def test_determinism(self):
@@ -217,7 +245,7 @@ class TestFitForest:
         X = rng.normal(size=(16, 2))
         forest = fit_forest(X, t=3, m=16, seed=0)
         for tree in forest.trees:
-            assert sum(tree.size[i] for i, _ in walk_leaves(tree)) == 16
+            assert sum(node_arrays(tree).size[i] for i, _ in walk_leaves(tree)) == 16
 
     def test_errors(self):
         X = np.zeros((10, 2))
@@ -249,21 +277,13 @@ class TestPathLength:
         assert one_tree_path_length(leaf_tree(1), [0.0]) == 0.0
 
     def test_depth_one(self):
-        tree = flat_tree([0, -1, -1], [0.5, np.nan, np.nan], [1, 1, 2], [2, 1, 2], [2, 1, 1], [0, 1, 1])
+        tree = flat_tree([0, -1, -1], [0.5], [1, 1])
         assert one_tree_path_length(tree, [0.2]) == 1.0
         assert one_tree_path_length(tree, [0.9]) == 1.0
 
     def test_external_size_adjustment(self):
         # external of size 2 at depth 3 contributes c(2) = 1
-        nan = np.nan
-        d3 = flat_tree(
-            feature=[0, 0, 0, -1, -1, -1, -1],
-            threshold=[0.5, 0.25, 0.125, nan, nan, nan, nan],
-            left=[1, 2, 3, 3, 4, 5, 6],
-            right=[6, 5, 4, 3, 4, 5, 6],
-            size=[5, 4, 3, 2, 1, 1, 1],
-            depth=[0, 1, 2, 3, 3, 2, 1],
-        )
+        d3 = flat_tree(feature=[0, 0, 0, -1, -1, -1, -1], threshold=[0.5, 0.25, 0.125], leaf_size=[2, 1, 1, 1])
         assert one_tree_path_length(d3, [0.01]) == 4.0
 
     def test_batch_matches_single(self):
@@ -458,7 +478,7 @@ class TestPersistence:
         text = forest_to_json(forest)
         reloaded = forest_from_json(text)
         for tree, again in zip(forest.trees, reloaded.trees, strict=True):
-            for name in ("feature", "threshold", "left", "right", "size", "depth"):
+            for name in ("feature", "threshold", "leaf_size"):
                 fitted, rebuilt = getattr(tree, name), getattr(again, name)
                 assert rebuilt.dtype == fitted.dtype and np.array_equal(rebuilt, fitted), name
         assert forest_to_json(reloaded) == text
@@ -536,35 +556,30 @@ def oracle_mean_path_lengths(trees, X):
     return np.mean(np.stack([oracle_path_lengths(tree, X) for tree in trees], axis=0), axis=0)
 
 
-def to_oracle(tree: ITree, i: int = 0):
-    if tree.feature[i] < 0:
-        return OracleExternal(size=int(tree.size[i]))
-    return OracleInternal(
-        feature=int(tree.feature[i]),
-        value=float(tree.threshold[i]),
-        left=to_oracle(tree, int(tree.left[i])),
-        right=to_oracle(tree, int(tree.right[i])),
-    )
+def to_oracle(tree: ITree):
+    nodes = node_arrays(tree)
+
+    def convert(i):
+        if tree.feature[i] < 0:
+            return OracleExternal(size=int(nodes.size[i]))
+        return OracleInternal(
+            feature=int(tree.feature[i]),
+            value=float(nodes.threshold[i]),
+            left=convert(int(nodes.left[i])),
+            right=convert(int(nodes.right[i])),
+        )
+
+    return convert(0)
 
 
 def assert_flat_layout(tree: ITree):
-    """Pre-order numbering, self-looping leaves, sizes and depths consistent with the links."""
-    k = tree.feature.size
-    assert all(a.shape == (k,) for a in (tree.threshold, tree.left, tree.right, tree.size, tree.depth))
-    order = []
-
-    def visit(i, d):
-        order.append(i)
-        assert tree.depth[i] == d
-        if tree.feature[i] < 0:
-            assert tree.left[i] == tree.right[i] == i and tree.threshold[i] == 0.0
-            return
-        visit(int(tree.left[i]), d + 1)
-        visit(int(tree.right[i]), d + 1)
-        assert tree.size[i] == tree.size[tree.left[i]] + tree.size[tree.right[i]]
-
-    visit(0, 0)
-    assert order == list(range(k))
+    """Split/leaf flags that form one full binary tree in pre-order, one
+    threshold per split and one size of at least 1 per leaf."""
+    splits = int(np.count_nonzero(tree.feature >= 0))
+    assert (tree.feature.dtype, tree.threshold.dtype, tree.leaf_size.dtype) == (np.int64, np.float64, np.int64)
+    assert tree.threshold.shape == (splits,) and tree.leaf_size.shape == (splits + 1,)
+    assert (tree.leaf_size >= 1).all()
+    node_arrays(tree)  # follows the flags from the root through every node
 
 
 def _data(case: str):
@@ -654,7 +669,7 @@ class TestMatchesNodeObjectOracle:
         # rows built from the thresholds themselves exercise the tie
         X, _, m = _data("plain")
         forest = fit_forest(X, t=12, m=m, seed=31)
-        values = np.concatenate([tree.threshold[tree.feature >= 0] for tree in forest.trees])
+        values = np.concatenate([tree.threshold for tree in forest.trees])
         Y = np.repeat(values[:, None], X.shape[1], axis=1)
         got = mean_path_lengths(forest, Y)
         assert np.array_equal(got, oracle_mean_path_lengths(oracle_forest(X, 12, m, 31), Y))
@@ -663,8 +678,44 @@ class TestMatchesNodeObjectOracle:
         X, Y, m = _data("identical-rows")
         forest = fit_forest(X, t=5, m=m, seed=0)
         for tree in forest.trees:
-            assert tree.feature.tolist() == [-1] and tree.size.tolist() == [40]
+            assert tree.feature.tolist() == [-1] and tree.leaf_size.tolist() == [40]
         assert np.array_equal(mean_path_lengths(forest, Y), np.full(Y.shape[0], expected_path_length(40)))
+
+    def test_hand_built_three_array_forest(self):
+        trees = [
+            flat_tree([1, -1, 0, -1, -1], [0.0, 0.5], [3, 2, 3]),
+            flat_tree([0, 0, -1, -1, -1], [0.25, -1.0], [1, 5, 2]),
+            leaf_tree(8),
+        ]
+        expected = [
+            OracleInternal(1, 0.0, OracleExternal(3), OracleInternal(0, 0.5, OracleExternal(2), OracleExternal(3))),
+            OracleInternal(0, 0.25, OracleInternal(0, -1.0, OracleExternal(1), OracleExternal(5)), OracleExternal(2)),
+            OracleExternal(8),
+        ]
+        assert [to_oracle(tree) for tree in trees] == expected
+        forest = IsolationForest(trees=trees, t=3, m=8, height_limit=3, seed=0, n_features=2)
+        # rows on each threshold, on either side of it, and NaN or infinite cells
+        values = [-1.0, -0.5, 0.0, 0.25, 0.5, 0.75, np.nan, np.inf, -np.inf]
+        Y = np.array([[a, b] for a in values for b in values])
+        want = oracle_mean_path_lengths(expected, Y)
+        assert np.array_equal(mean_path_lengths(forest, Y), want)
+        assert np.array_equal(mean_path_lengths(forest_from_json(forest_to_json(forest)), Y), want)
+
+    def test_derived_links_and_depths_follow_the_flags(self):
+        X, _, m = _data("plain")
+        forest = fit_forest(X, t=12, m=m, seed=31)
+        trees = forest.trees + [leaf_tree(3), flat_tree([0, -1, -1], [0.5], [1, 2])]
+        derived = iforest._nodes(trees)
+        assert derived.root.tolist() == np.cumsum([0] + [tree.feature.size for tree in trees[:-1]]).tolist()
+        for tree, root in zip(trees, derived.root.tolist()):
+            nodes = node_arrays(tree)
+            span = slice(root, root + tree.feature.size)
+            assert np.array_equal(derived.feature[span], tree.feature)
+            assert np.array_equal(derived.threshold[span], nodes.threshold)
+            assert np.array_equal(derived.left[span], nodes.left + root)
+            assert np.array_equal(derived.right[span], nodes.right + root)
+            assert np.array_equal(derived.depth[span], nodes.depth)
+            assert np.array_equal(derived.leaf_size[span], np.where(tree.feature < 0, nodes.size, 0))
 
     def test_predict_verdicts_match_oracle_scores(self):
         X, Y, m = _data("nan-inf-cells")
@@ -774,8 +825,12 @@ class TestLoadForestChecks:
             tree["feature"][-1] = 0
         elif corruption == "node-after-the-tree":
             tree["feature"].append(-1)
-        elif corruption == "old-six-array-form":
-            doc = to_doc(load_forest(path))
+        elif corruption == "old-six-array-form":  # every node's threshold, links, size and depth
+            for stored, loaded in zip(doc["trees"], load_forest(path).trees):
+                nodes = node_arrays(loaded)
+                del stored["leaf_size"]
+                for name in ("threshold", "left", "right", "size", "depth"):
+                    stored[name] = getattr(nodes, name).tolist()
         elif corruption == "m-one":
             doc["m"] = 1
         if corruption == "truncated":
@@ -807,30 +862,21 @@ class TestSaveForestChecks:
         assert forest.trees[1].feature[0] >= 0
         return forest
 
-    @pytest.mark.parametrize("name", ["threshold", "left", "right", "size", "depth"])
-    def test_links_other_than_the_flags_imply_are_refused(self, forest, name):
-        tree = forest.trees[1]
-        leaf = int(np.flatnonzero(tree.feature < 0)[0])
-        edit = {
-            "threshold": lambda a: a.__setitem__(leaf, 1.5),  # a leaf's threshold is never stored
-            "left": lambda a: a.__setitem__(0, tree.right[0]),
-            "right": lambda a: a.__setitem__(0, tree.left[0]),
-            "size": lambda a: a.__setitem__(0, a[0] + 1),
-            "depth": lambda a: a.__setitem__(leaf, a[leaf] + 1),
-        }
-        changed = getattr(tree, name).copy()
-        edit[name](changed)
-        forest.trees[1] = replace(tree, **{name: changed})
-        message = f"trees[1]: {name} is not what its pre-order split/leaf flags imply"
-        with pytest.raises(IsoguardError, match=re.escape(message)):
-            forest_to_json(forest)
-
     def test_forest_without_trees_is_refused(self, forest):
         forest.trees.clear()
-        with pytest.raises(IsoguardError, match="a forest must hold at least one tree"):
+        with pytest.raises(IsoguardError, match=re.escape("holds 0 trees, expected t = 3")):
             forest_to_json(forest)
 
-    def test_ragged_node_arrays_are_refused(self, forest):
-        forest.trees[2] = replace(forest.trees[2], depth=forest.trees[2].depth[:-1])
-        with pytest.raises(IsoguardError, match=re.escape("trees[2]: node arrays must share one length")):
-            forest_to_json(forest)
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"t": 4}, "holds 3 trees, expected t = 4"),
+            ({"height_limit": 9}, "height_limit 9 does not match m = 32"),
+            ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+        ],
+    )
+    def test_forest_the_loader_refuses_is_not_saved(self, forest, tmp_path, change, message):
+        path = tmp_path / "forest.json"
+        with pytest.raises(IsoguardError, match=re.escape(message)):
+            save_forest(replace(forest, **change), path)
+        assert not path.exists()

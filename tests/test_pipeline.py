@@ -64,11 +64,18 @@ def digest(path: Path) -> str:
 def nested_forest_json(forest: iforest.IsolationForest) -> str:
     """The forest.json bytes of the earlier nested writer, one object per node, kept as an oracle."""
 
-    def node(tree, i):
-        if tree.feature[i] < 0:
-            return {"size": int(tree.size[i])}
-        left, right = node(tree, int(tree.left[i])), node(tree, int(tree.right[i]))
-        return {"feature": int(tree.feature[i]), "value": float(tree.threshold[i]), "left": left, "right": right}
+    def nested(tree):
+        features, thresholds, sizes = (iter(a.tolist()) for a in (tree.feature, tree.threshold, tree.leaf_size))
+
+        def node():  # the next node in pre-order, with its subtree
+            feature = next(features)
+            if feature < 0:
+                return {"size": next(sizes)}
+            value = next(thresholds)
+            left = node()
+            return {"feature": feature, "value": value, "left": left, "right": node()}
+
+        return node()
 
     doc = {
         "t": forest.t,
@@ -76,7 +83,7 @@ def nested_forest_json(forest: iforest.IsolationForest) -> str:
         "height_limit": forest.height_limit,
         "seed": forest.seed,
         "n_features": forest.n_features,
-        "trees": [node(tree, 0) for tree in forest.trees],
+        "trees": [nested(tree) for tree in forest.trees],
     }
     return json.dumps(doc, sort_keys=True) + "\n"
 
@@ -147,6 +154,9 @@ class TestConfig:
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         with pytest.raises(IsoguardError, match="invalid JSON"):
+            load_config(bad)
+        bad.write_text("[1, 2]")
+        with pytest.raises(IsoguardError, match=re.escape(f"{bad}: config must be a JSON object")):
             load_config(bad)
 
 
