@@ -20,11 +20,12 @@ and the training-row count of every leaf. That one form is used in
 memory and in forest.json. The split/leaf flags fix a full binary tree
 (Jacobson's succinct trees), so the loader checks that they form one,
 and scoring derives every node's children and depth for all trees at
-once. Scoring walks every row of a batch through one tree a level at a
-time: ``height_limit`` steps of numpy gathers over a feature-major copy
-of the batch, with no per-node or per-row Python. Each tree writes its
-path lengths into its own row of one t x n matrix, allocated once per
-batch, and the score averages its columns.
+once. Scoring splits a batch's rows into one block per worker; a block
+walks its rows through a few trees at a time, a level at a time:
+``height_limit`` steps of numpy gathers over a feature-major copy of the
+batch, with no per-node or per-row Python. Each tree's path lengths go
+into a running sum per row, in tree order, so no trees x rows matrix is
+held, and the score divides the sums by t.
 """
 from __future__ import annotations
 
@@ -39,7 +40,7 @@ import numpy as np
 
 from .codec import IntArray, from_doc, to_doc
 from .errors import IsoguardError, artifact_reader
-from .parallel import run_indexed
+from .parallel import run_indexed, worker_count
 from .prng import derive_seed
 
 EULER_MASCHERONI = 0.5772156649  # truncated constant used by the score normalizer
@@ -254,6 +255,20 @@ def _nodes(trees: list[ITree]) -> _Nodes:
     return _Nodes(root, feature, threshold, left, right, depth, leaf_size)
 
 
+def _walk_tables(forest: IsolationForest, n: int) -> tuple[np.ndarray, ...]:
+    """Per tree its root's doubled id, and per doubled node id the offset of
+    its feature's column in a feature-major batch of n rows, its threshold,
+    its child and the path length h of a row that ends there. The derivation's
+    own arrays are freed on return, before any row is walked."""
+    c = np.array([expected_path_length(size) for size in range(forest.m + 1)])
+    nodes = _nodes(forest.trees)
+    offset = np.repeat(np.maximum(nodes.feature, 0) * n, 2)  # a leaf reads column 0, then stays put
+    threshold = np.repeat(nodes.threshold, 2)
+    child = 2 * np.stack((nodes.right, nodes.left), axis=1).ravel()
+    h = np.repeat(nodes.depth + c.take(nodes.leaf_size), 2)
+    return 2 * nodes.root, offset, threshold, child, h
+
+
 def mean_path_lengths(forest: IsolationForest, X: np.ndarray) -> np.ndarray:
     """E(h(x)) per row: average path length across all trees.
 
@@ -263,6 +278,13 @@ def mean_path_lengths(forest: IsolationForest, X: np.ndarray) -> np.ndarray:
     ``2i`` holds node i's right child and ``2i + 1`` its left, so adding
     ``x < threshold`` picks the branch. A leaf routes to itself, which
     lets every row take exactly ``height_limit`` steps.
+
+    The rows split into one contiguous block per worker. A block walks as
+    many trees at a time as there are blocks, one row of ``node`` each, so
+    every numpy call still covers about n row-tree pairs, and adds each
+    tree's path lengths to its rows' running sums in tree order: the bits
+    of averaging a trees x rows matrix down its columns, for any worker
+    count.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != forest.n_features:
@@ -271,23 +293,24 @@ def mean_path_lengths(forest: IsolationForest, X: np.ndarray) -> np.ndarray:
         )
     n = X.shape[0]
     XT = np.ascontiguousarray(X.T).ravel()
-    rows = np.arange(n)
-    c = np.array([expected_path_length(size) for size in range(forest.m + 1)])
-    nodes = _nodes(forest.trees)
-    offset = np.repeat(np.maximum(nodes.feature, 0) * n, 2)  # a leaf reads column 0, then stays put
-    threshold = np.repeat(nodes.threshold, 2)
-    child = 2 * np.stack((nodes.right, nodes.left), axis=1).ravel()
-    h = np.repeat(nodes.depth + c.take(nodes.leaf_size), 2)
-    depths = np.empty((forest.t, n))
+    root, offset, threshold, child, h = _walk_tables(forest, n)
+    blocks = worker_count()
+    total = np.zeros(n)
 
-    def _one(i: int) -> None:
-        node = np.full(n, 2 * nodes.root[i])
-        for _ in range(forest.height_limit):
-            node = child.take(node + (XT.take(offset.take(node) + rows) < threshold.take(node)))
-        depths[i] = h.take(node)
+    def _block(b: int) -> None:
+        lo, hi = n * b // blocks, n * (b + 1) // blocks
+        rows = np.arange(lo, hi)
+        block_total = total[lo:hi]
+        for first in range(0, forest.t, blocks):
+            node = np.repeat(root[first : first + blocks, None], rows.size, axis=1)
+            for _ in range(forest.height_limit):
+                node = child.take(node + (XT.take(offset.take(node) + rows) < threshold.take(node)))
+            for path_lengths in h.take(node):
+                block_total += path_lengths
 
-    run_indexed(_one, forest.t)
-    return np.mean(depths, axis=0)
+    run_indexed(_block, blocks)
+    total /= forest.t
+    return total
 
 
 def score_batch(forest: IsolationForest, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -341,6 +364,11 @@ def _check_trees(forest: IsolationForest) -> None:
     the forest's bounds: with a running balance of +1 per split and -1 per
     leaf, counted from 0 before the root, only the last node ends below 0."""
     trees = forest.trees
+    for j, tree in enumerate(trees):
+        for column in ("feature", "threshold", "leaf_size"):
+            ndim = getattr(tree, column).ndim
+            if ndim != 1:
+                raise IsoguardError(f"trees[{j}].{column} must be a flat list of numbers, got {ndim} levels of nesting")
     counts = np.array([tree.feature.size for tree in trees])
     empty = np.flatnonzero(counts == 0)
     if empty.size:

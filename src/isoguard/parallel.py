@@ -1,9 +1,10 @@
 """Worker-thread sizing for the scoring pool, set by the ISOGUARD_THREADS environment variable.
 
 Only batch scoring (``iforest.mean_path_lengths``) runs on threads, one
-tree per task: a tree walks the whole batch level by level in a fixed
-handful of numpy gathers and compares over every row, which run with the
-GIL released, so workers overlap. Tree fits are per-node Python that
+contiguous block of rows per task: a block walks its rows through
+``worker_count()`` trees at a time, level by level, in a fixed handful
+of numpy gathers and compares, which run with the GIL released, so
+workers overlap. Tree fits are per-node Python that
 holds the GIL, so they run serially; the extra-trees of one fit grow in
 lockstep on the calling thread (``feature_selection._build_trees``),
 one set of numpy calls per step for the next node of every tree. The

@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import sys
 import tracemalloc
 from dataclasses import dataclass, replace
 from types import SimpleNamespace
@@ -8,7 +9,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from isoguard import iforest
+from isoguard import iforest, parallel
 from isoguard.errors import ArtifactError, IsoguardError
 from isoguard.iforest import (
     IsolationForest,
@@ -339,10 +340,12 @@ class TestScore:
 
 
 class TestMeanPathLengthsInPlace:
-    """Each tree writes its path lengths into one t x n matrix; the mean over
-    it keeps the bits of averaging the stacked per-tree vectors."""
+    """The rows split into one block per worker, and each block adds every
+    tree's path lengths to its rows' running sums in tree order, a set of
+    ``blocks`` trees per walk; the mean keeps the bits of averaging the
+    stacked per-tree vectors, and no trees x rows buffer is held."""
 
-    @pytest.mark.parametrize("t, n", [(17, 1), (17, 2), (5, 300), (64, 57)])
+    @pytest.mark.parametrize("t, n", [(17, 0), (17, 1), (17, 2), (1, 3), (5, 300), (64, 57), (6, 301)])
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_bits_match_the_stacked_per_tree_mean(self, monkeypatch, t, n, threads):
         monkeypatch.setenv("ISOGUARD_THREADS", threads)
@@ -353,11 +356,34 @@ class TestMeanPathLengthsInPlace:
         expected = np.mean(np.stack(per_tree, axis=0), axis=0)
         assert mean_path_lengths(forest, X).tobytes() == expected.tobytes()
 
-    def test_peak_memory_is_one_depth_matrix(self, monkeypatch):
-        """Keeping t per-tree vectors and stacking a copy of them would peak
-        near 2 * t * n * 8 bytes."""
+    @pytest.mark.parametrize("blocks", [1, 2, 3, 5, 8])
+    def test_bits_do_not_depend_on_the_block_count(self, monkeypatch, blocks):
+        """One thread per block, up to more threads than CPUs and, at 8, more
+        blocks than the 7 rows; a 1 us switch interval interleaves the
+        threads' in-place sums, so a lost update would show."""
+        rng = np.random.default_rng(blocks)
+        forest = fit_forest(rng.normal(size=(200, 3)), t=11, m=32, seed=blocks)
+        batches = [rng.normal(scale=3.0, size=(n, 3)) for n in (7, 1001)]
+        expected = [
+            np.mean(np.stack([mean_path_lengths(replace(forest, trees=[tree], t=1), X) for tree in forest.trees]), axis=0)
+            for X in batches
+        ]
+        monkeypatch.setattr(iforest, "worker_count", lambda: blocks)
+        monkeypatch.setattr(parallel, "worker_count", lambda: blocks)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = [mean_path_lengths(forest, X) for X in batches]
+        finally:
+            sys.setswitchinterval(interval)
+        assert [g.tobytes() for g in got] == [e.tobytes() for e in expected]
+
+    @pytest.mark.parametrize("t", [50, 200])
+    def test_peak_memory_holds_no_trees_by_rows_buffer(self, monkeypatch, t):
+        """The bound has no t term: a t x n matrix of path lengths would
+        take 160 kB per tree here, and four times the trees fit the same bound."""
         monkeypatch.setenv("ISOGUARD_THREADS", "2")
-        t, n = 50, 20_000
+        n = 20_000
         rng = np.random.default_rng(0)
         forest = fit_forest(rng.normal(size=(1000, 3)), t=t, m=64, seed=1)
         X = rng.normal(size=(n, 3))
@@ -367,8 +393,8 @@ class TestMeanPathLengthsInPlace:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # the depth matrix, the feature-major copy of X, and a few row vectors per worker
-        assert peak < t * n * 8 + X.nbytes + 16 * n * 8
+        # the feature-major copy of X, the running sums and a few row vectors per worker
+        assert peak < X.nbytes + 16 * n * 8
 
 
 class TestPredict:
@@ -622,6 +648,8 @@ def _data(case: str):
         return X, np.empty((0, 5)), 64
     if case == "one-row-batch":
         return X, rng.normal(size=(1, 5)), 64
+    if case == "odd-row-batch":  # blocks of unequal size
+        return X, rng.normal(size=(151, 5)), 64
     raise AssertionError(case)
 
 
@@ -637,6 +665,7 @@ EQUIVALENCE_CASES = (
     "integer-ties",
     "empty-batch",
     "one-row-batch",
+    "odd-row-batch",
 )
 
 
@@ -656,13 +685,14 @@ class TestMatchesNodeObjectOracle:
     def test_mean_path_lengths_bit_for_bit(self, case, threads, monkeypatch):
         monkeypatch.setenv("ISOGUARD_THREADS", threads)
         X, Y, m = _data(case)
-        forest = fit_forest(X, t=12, m=m, seed=31)
-        expected = oracle_mean_path_lengths(oracle_forest(X, 12, m, 31), Y)
-        got = mean_path_lengths(forest, Y)
-        assert got.shape == (Y.shape[0],)
-        assert np.array_equal(got, expected)
-        reloaded = forest_from_json(forest_to_json(forest))
-        assert np.array_equal(mean_path_lengths(reloaded, Y), expected)
+        for t in (12, 13):  # at 13 trees on two workers, the last set of trees walked together holds one
+            forest = fit_forest(X, t=t, m=m, seed=31)
+            expected = oracle_mean_path_lengths(oracle_forest(X, t, m, 31), Y)
+            got = mean_path_lengths(forest, Y)
+            assert got.shape == (Y.shape[0],)
+            assert np.array_equal(got, expected), t
+            reloaded = forest_from_json(forest_to_json(forest))
+            assert np.array_equal(mean_path_lengths(reloaded, Y), expected), t
 
     def test_rows_on_split_thresholds_go_right(self):
         # thresholds are continuous draws, so random rows never sit on one;
@@ -843,6 +873,22 @@ class TestLoadForestChecks:
         assert caught.value.paths == (path,)
         assert str(path) in str(caught.value)
         assert message in str(caught.value)
+
+    @pytest.mark.parametrize("column", ["feature", "threshold", "leaf_size"])
+    @pytest.mark.parametrize("t", [1, 2])
+    @pytest.mark.parametrize("nesting, levels", [("list-in-a-list", 2), ("scalar", 0)])
+    def test_column_that_is_not_a_flat_list_is_refused(self, tmp_path, column, t, nesting, levels):
+        """With one tree, a nested column would load and save back nested;
+        with more, numpy would fail to join the trees' columns."""
+        path = tmp_path / "forest.json"
+        save_forest(fit_forest(np.random.default_rng(40).normal(size=(120, 3)), t=t, m=32, seed=2), path)
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        tree = doc["trees"][t - 1]
+        tree[column] = [tree[column]] if nesting == "list-in-a-list" else tree[column][0]
+        path.write_text(json.dumps(doc, sort_keys=True), encoding="utf-8")
+        message = f"trees[{t - 1}].{column} must be a flat list of numbers, got {levels} levels of nesting"
+        with pytest.raises(ArtifactError, match=re.escape(message)):
+            load_forest(path)
 
     def test_every_cut_of_a_saved_forest_is_refused(self, tmp_path):
         path = tmp_path / "forest.json"
