@@ -8,27 +8,23 @@ keyed by (seed, tree, node, feature key) hashes: no tree depends on the
 order in which trees are built, and permuting columns together with their
 keys permutes the result identically.
 
-Each tree is an ``iforest.ITree``, the isolation forest's one tree form
-(pre-order split features, split thresholds and leaf sizes), written by
-its ``TreeWriter``. The node in a draw key is not the array index: it
-counts, in pre-order, only the nodes that reach the draw, so a leaf cut
-off by purity, size or depth takes no id.
+A fit keeps only each tree's importance row: no tree is stored. The node
+in a draw key counts, in pre-order, only the nodes that reach the draw,
+so a node cut off by purity, size or depth takes no id.
 
 The trees of one fit grow in lockstep. Each tree keeps its own stack of
-pending nodes and pops them in pre-order, left child first, writing the
-nodes that are cut off as leaves, until it reaches a node that draws. One
-step gathers that node from every live tree and finds all their best
+pending nodes that can draw, and a child that cannot never enters it.
+One step pops the next node of every live tree and finds all their best
 splits with one set of numpy calls over the concatenated rows (node-local
 bounds by ``reduceat``, thresholds, class counts, Gini, a per-node
-argmax). A short Python pass then writes each of those nodes into its
-tree, as a split or, when no candidate splits, as a leaf, and pushes the
-children. A tree takes no further step until its drawing node is
-written, so its nodes still go out in pre-order. The draws stay per tree
-and in pre-order, because a node's id, and so its hashes, depend on how
-many nodes before it in its own tree reached the draw: a level-by-level
-or cross-tree numbering would draw different numbers. Each tree also
-keeps its own importance row, summed in its own pre-order, so every
-result equals a tree built alone.
+argmax). A short Python pass then adds each split's impurity decrease
+into its tree's importance row and pushes the children that can draw. A
+tree takes no further step until its node is split, so its nodes still
+draw in pre-order. The draws stay per tree and in pre-order, because a
+node's id, and so its hashes, depend on how many nodes before it in its
+own tree reached the draw: a level-by-level or cross-tree numbering
+would draw different numbers. Each tree's importance row is summed in
+its own pre-order, so every result equals a tree built alone.
 """
 from __future__ import annotations
 
@@ -42,7 +38,6 @@ import numpy as np
 
 from .codec import from_doc, to_doc
 from .errors import IsoguardError, artifact_reader, checked_labels, checked_matrix
-from .iforest import ITree, TreeWriter
 from .parallel import run_indexed  # noqa: F401  (not called here; perfbench's tracer rebinds it)
 from .prng import extend_hashes, hash64, unit_uniforms
 
@@ -61,14 +56,14 @@ class ExtraTreesParams:
 
 @dataclass
 class ExtraTreesEstimator:
-    trees: list[ITree]  # split features are column indices within the fitted matrix
-    # per-tree importances normalized to sum 1; None for trees with no split
-    tree_importances: list[np.ndarray | None]
+    # each tree's importance row, normalized to sum 1, over the fitted
+    # matrix's columns; None for a tree with no split
+    trees: list[np.ndarray | None]
 
     @property
     def importances(self) -> np.ndarray:
         """Mean over trees of per-tree normalized impurity decrease; nonnegative, summing to 1."""
-        vecs = [v for v in self.tree_importances if v is not None]
+        vecs = [v for v in self.trees if v is not None]
         if not vecs:
             raise IsoguardError("no split anywhere in the ensemble; importances are undefined")
         return np.mean(np.stack(vecs, axis=0), axis=0)
@@ -106,55 +101,44 @@ def _node_draws(
 
 
 class _GrowingTree:
-    """One tree of a lockstep build: its writer, its stack of pending nodes,
-    its importance row and its own draw-id counter and draw blocks."""
+    """One tree of a lockstep build: its stack of pending nodes that can
+    draw, its importance row and its own draw-id counter and draw blocks."""
 
-    __slots__ = ("nodes", "stack", "importances", "tree_hash", "blocks", "next_id")
+    __slots__ = ("stack", "importances", "tree_hash", "blocks", "next_id")
 
-    def __init__(self, tree_hash: int, importances: np.ndarray, root: tuple[np.ndarray, int]) -> None:
-        self.nodes = TreeWriter()
-        self.stack: list[tuple[np.ndarray, int, int]] = [(*root, 0)]  # (rows, class-1 count, depth)
+    def __init__(self, tree_hash: int, importances: np.ndarray) -> None:
+        self.stack: list[tuple[np.ndarray, int, int]] = []  # (rows, class-1 count, depth)
         self.importances = importances
         self.tree_hash = tree_hash
         self.blocks: list[tuple[np.ndarray, np.ndarray]] = []  # (candidates, draws) per _DRAW_BLOCK ids
         self.next_id = 0
 
-    def next_draw(
-        self, keys: np.ndarray, n_candidates: int, min_split: int, max_depth: int | None
-    ) -> tuple[np.ndarray, int, int, np.ndarray, np.ndarray] | None:
-        """Write pending nodes in pre-order as leaves up to the first that
-        draws, and return that one, unwritten, as (rows, class-1 count,
-        depth, candidates, draws); None once the tree is complete."""
-        stack = self.stack
-        while stack:
-            rows, n1, depth = stack.pop()
-            n_node = rows.size
-            if n1 == 0 or n1 == n_node or n_node < min_split or (max_depth is not None and depth >= max_depth):
-                self.nodes.leaf(n_node)
-                continue
-            # depth-first pre-order ids of the nodes that draw: they decide
-            # which hashes a node draws, so a leaf cut off above takes none
-            block, slot = divmod(self.next_id, _DRAW_BLOCK)
-            if block == len(self.blocks):
-                self.blocks.append(_node_draws(self.tree_hash, self.next_id, _DRAW_BLOCK, keys, n_candidates))
-            self.next_id += 1
-            candidates, draws = self.blocks[block]
-            return rows, n1, depth, candidates[slot], draws[slot]
-        return None
+    def next_draw(self, keys: np.ndarray, n_candidates: int) -> tuple[np.ndarray, int, int, np.ndarray, np.ndarray]:
+        """Pop the next node in pre-order and give it the next draw id:
+        (rows, class-1 count, depth, candidates, draws)."""
+        rows, n1, depth = self.stack.pop()
+        # depth-first pre-order ids of the nodes that draw: they decide
+        # which hashes a node draws
+        block, slot = divmod(self.next_id, _DRAW_BLOCK)
+        if block == len(self.blocks):
+            self.blocks.append(_node_draws(self.tree_hash, self.next_id, _DRAW_BLOCK, keys, n_candidates))
+        self.next_id += 1
+        candidates, draws = self.blocks[block]
+        return rows, n1, depth, candidates[slot], draws[slot]
 
 
 def _best_splits(
     X: np.ndarray, rows: Sequence[np.ndarray], n1: Sequence[int], candidates: np.ndarray, draws: np.ndarray
-) -> tuple[list[tuple[float, int, float, int, int]], np.ndarray, np.ndarray]:
+) -> tuple[list[tuple[float, int, int, int]], np.ndarray, np.ndarray]:
     """The best candidate split of every node in a batch, in one set of numpy calls.
 
     Node ``b`` holds ``rows[b]``, its ``n1[b]`` class-1 rows first, and
     draws candidate columns ``candidates[b]`` with threshold uniforms
     ``draws[b]``. Returns, per node, the best candidate's impurity
-    decrease (not finite when no candidate splits), its column, its
-    threshold, and the size and class-1 count of its left side; then the
-    rows that go left and the rows that go right, each concatenated in
-    node order, so each child's class-1 rows still come first.
+    decrease (not finite when no candidate splits), its column, and the
+    size and class-1 count of its left side; then the rows that go left
+    and the rows that go right, each concatenated in node order, so each
+    child's class-1 rows still come first.
 
     The work arrays hold one row per candidate slot and one column per
     row of the batch (or per node), so every reduction runs along
@@ -201,11 +185,10 @@ def _best_splits(
     # each row's left mask at its node's best candidate
     goes_left = left_masks.ravel().take(best.repeat(sizes) * rows_all.size + np.arange(rows_all.size))
     splits = [
-        (dec, column, thr, int(n), int(a))
-        for dec, column, thr, n, a in zip(
+        (dec, column, int(n), int(a))
+        for dec, column, n, a in zip(
             decrease[at].tolist(),
             candidates[nodes, best].tolist(),
-            thresholds[at].tolist(),
             side_sizes[at].tolist(),
             c1[at].tolist(),
         )
@@ -220,55 +203,53 @@ def _build_trees(
     params: ExtraTreesParams,
     tree_indices: Sequence[int],
     importances: Sequence[np.ndarray],
-) -> list[ITree]:
+) -> None:
     """Grow the trees ``tree_indices`` in lockstep, adding each tree's
     weighted impurity decreases into its row of ``importances``.
 
     Each step takes the next drawing node of every live tree and splits
-    all of them with one ``_best_splits`` call; each tree's nodes, draws
-    and importance sums still follow that tree's own pre-order. ``X`` is
+    all of them with one ``_best_splits`` call; each tree's draws and
+    importance sums still follow that tree's own pre-order. ``X`` is
     C-ordered (``checked_matrix``), so ``_best_splits``' ``X.ravel()`` makes
     no copy.
     """
     n_total, d = X.shape
     n_candidates = max(1, math.ceil(math.sqrt(d)))
+    min_split, max_depth = params.min_samples_split, params.max_depth
+
+    def push(stack: list, rows: np.ndarray, n1: int, depth: int) -> None:
+        """Push a node that can draw: it holds both classes, enough rows and sits above max_depth."""
+        size = rows.size
+        if 0 < n1 < size and size >= min_split and (max_depth is None or depth < max_depth):
+            stack.append((rows, n1, depth))
+
     # every node's rows list its class-1 rows first; the children keep that
     # order, as each takes its rows from the parent's in order
     is_one = y == 1
-    root = (np.concatenate((np.flatnonzero(is_one), np.flatnonzero(~is_one))), int(is_one.sum()))
+    root, root_n1 = np.concatenate((np.flatnonzero(is_one), np.flatnonzero(~is_one))), int(is_one.sum())
     # hash64 is a left fold: each node only folds its id and a tag onto a tree's hash
-    trees = [_GrowingTree(int(hash64(params.seed, t)), acc, root) for t, acc in zip(tree_indices, importances)]
-    live = trees
+    live = [_GrowingTree(int(hash64(params.seed, t)), acc) for t, acc in zip(tree_indices, importances)]
+    for tree in live:
+        push(tree.stack, root, root_n1, 0)
     # an empty side's Gini is 0/0 = nan: masked to -inf for a constant
-    # candidate, and otherwise picked by argmax, which leaves the node a leaf
+    # candidate, and otherwise picked by argmax, which leaves the node unsplit
     with np.errstate(invalid="ignore", divide="ignore"):
-        while live:
-            batch = []
-            for tree in live:
-                node = tree.next_draw(keys, n_candidates, params.min_samples_split, params.max_depth)
-                if node is not None:
-                    batch.append((tree, *node))
-            if not batch:
-                break
-            live = [entry[0] for entry in batch]
+        while live := [tree for tree in live if tree.stack]:
+            batch = [(tree, *tree.next_draw(keys, n_candidates)) for tree in live]
             _, rows, n1, _, candidates, draws = zip(*batch)
             splits, left_rows, right_rows = _best_splits(X, rows, n1, np.array(candidates), np.array(draws))
             at_left = at_right = 0
-            for (tree, node_rows, node_n1, depth, _, _), split in zip(batch, splits):
-                decrease, feature, threshold, n_left, n1_left = split
+            for (tree, node_rows, node_n1, depth, _, _), (decrease, feature, n_left, n1_left) in zip(batch, splits):
                 n_node = node_rows.size
                 left = left_rows[at_left : at_left + n_left]
                 right = right_rows[at_right : at_right + n_node - n_left]
                 at_left += n_left
                 at_right += n_node - n_left
                 if not math.isfinite(decrease):
-                    tree.nodes.leaf(n_node)
                     continue
                 tree.importances[feature] += (n_node / n_total) * decrease
-                tree.nodes.split(feature, threshold)
-                tree.stack.append((right, node_n1 - n1_left, depth + 1))
-                tree.stack.append((left, n1_left, depth + 1))
-    return [tree.nodes.tree() for tree in trees]
+                push(tree.stack, right, node_n1 - n1_left, depth + 1)
+                push(tree.stack, left, n1_left, depth + 1)
 
 
 def _checked_keys(feature_keys: np.ndarray | None, d: int) -> np.ndarray:
@@ -299,9 +280,8 @@ def fit_extra_trees(
     # the trees grow together in one thread: a lockstep step is a handful of
     # numpy calls plus per-node Python that holds the GIL, so threads only add overhead
     acc = np.zeros((params.n_trees, d), dtype=np.float64)
-    trees = _build_trees(X, y, keys, params, range(params.n_trees), acc)
-    tree_importances = [row / total if (total := row.sum()) > 0.0 else None for row in acc]
-    return ExtraTreesEstimator(trees=trees, tree_importances=tree_importances)
+    _build_trees(X, y, keys, params, range(params.n_trees), acc)
+    return ExtraTreesEstimator(trees=[row / total if (total := row.sum()) > 0.0 else None for row in acc])
 
 
 def rfe_select(

@@ -14,18 +14,18 @@ truncated at height ceil(log2(m)); an external node reached early stands
 in for an unbuilt subtree of `size` training rows and contributes
 c(size) extra path length.
 
-Each tree of either forest is three arrays in depth-first pre-order: the
-split feature of every node (-1 at a leaf), the threshold of every split
-and the training-row count of every leaf. That one form is used in
-memory and in forest.json. The split/leaf flags fix a full binary tree
-(Jacobson's succinct trees), so the loader checks that they form one,
-and scoring derives every node's children and depth for all trees at
-once. Scoring splits a batch's rows into one block per worker; a block
-walks its rows through a few trees at a time, a level at a time:
-``height_limit`` steps of numpy gathers over a feature-major copy of the
-batch, with no per-node or per-row Python. Each tree's path lengths go
-into a running sum per row, in tree order, so no trees x rows matrix is
-held, and the score divides the sums by t.
+Each tree is three arrays in depth-first pre-order: the split feature of
+every node (-1 at a leaf), the threshold of every split and the
+training-row count of every leaf. That one form is used in memory and in
+forest.json. The split/leaf flags fix a full binary tree (Jacobson's
+succinct trees), so the loader checks that they form one, and scoring
+derives every node's children and depth for all trees at once. Scoring
+splits a batch's rows into one block per worker, never more blocks than
+rows; a block walks its rows through a few trees at a time, a level at a
+time: ``height_limit`` steps of numpy gathers over a feature-major copy
+of the batch, with no per-node or per-row Python. Each tree's path
+lengths go into a running sum per row, in tree order, so no trees x rows
+matrix is held, and the score divides the sums by t.
 """
 from __future__ import annotations
 
@@ -69,7 +69,7 @@ def expected_path_length(m: int) -> float:
 
 @dataclass(frozen=True, eq=False)
 class ITree:
-    """One tree of either forest, in depth-first pre-order, left subtree first.
+    """One isolation tree, in depth-first pre-order, left subtree first.
 
     ``feature`` holds every node's split feature, -1 at a leaf;
     ``threshold`` one value per split and ``leaf_size`` the training rows
@@ -106,31 +106,6 @@ class OutlierVerdict:
     score: AnomalyScore
 
 
-class TreeWriter:
-    """The three columns of a tree being written in pre-order; both the
-    isolation trees and feature_selection's extra-trees are grown through it."""
-
-    def __init__(self) -> None:
-        self.feature: list[int] = []
-        self.threshold: list[float] = []
-        self.leaf_size: list[int] = []
-
-    def leaf(self, size: int) -> None:
-        self.feature.append(-1)
-        self.leaf_size.append(size)
-
-    def split(self, feature: int, threshold: float) -> None:
-        self.feature.append(feature)
-        self.threshold.append(threshold)
-
-    def tree(self) -> ITree:
-        return ITree(
-            np.array(self.feature, dtype=np.int64),
-            np.array(self.threshold, dtype=np.float64),
-            np.array(self.leaf_size, dtype=np.int64),
-        )
-
-
 def build_itree(sample: np.ndarray, height_limit: int, rng: np.random.Generator) -> ITree:
     """Grow one isolation tree over ``sample`` (rows x features).
 
@@ -138,32 +113,36 @@ def build_itree(sample: np.ndarray, height_limit: int, rng: np.random.Generator)
     reached, or no feature varies within the node. Nodes are written and
     their draws taken in depth-first pre-order, left subtree first.
     """
-    nodes = TreeWriter()
+    feature: list[int] = []
+    threshold: list[float] = []
+    leaf_size: list[int] = []
 
     def grow(rows: np.ndarray, d: int) -> None:
         n = rows.shape[0]
         if n == 0:
             raise IsoguardError("cannot build a tree over an empty sample")
-        if n <= 1 or d >= height_limit:
-            nodes.leaf(n)
-            return
-        lo = rows.min(axis=0)
-        hi = rows.max(axis=0)
-        varying = np.flatnonzero(hi > lo)
-        if varying.size == 0:
-            nodes.leaf(n)
-            return
-        f = int(varying[rng.integers(varying.size)])
-        split = float(rng.uniform(lo[f], hi[f]))
-        if split <= lo[f]:  # guard against a degenerate float draw
-            split = float(np.nextafter(lo[f], hi[f]))
-        nodes.split(f, split)
-        mask = rows[:, f] < split
-        grow(rows[mask], d + 1)
-        grow(rows[~mask], d + 1)
+        if n > 1 and d < height_limit:
+            lo = rows.min(axis=0)
+            hi = rows.max(axis=0)
+            varying = np.flatnonzero(hi > lo)
+            if varying.size:
+                f = int(varying[rng.integers(varying.size)])
+                split = float(rng.uniform(lo[f], hi[f]))
+                if split <= lo[f]:  # guard against a degenerate float draw
+                    split = float(np.nextafter(lo[f], hi[f]))
+                feature.append(f)
+                threshold.append(split)
+                mask = rows[:, f] < split
+                grow(rows[mask], d + 1)
+                grow(rows[~mask], d + 1)
+                return
+        feature.append(-1)
+        leaf_size.append(n)
 
     grow(sample, 0)
-    return nodes.tree()
+    return ITree(
+        np.array(feature, dtype=np.int64), np.array(threshold, dtype=np.float64), np.array(leaf_size, dtype=np.int64)
+    )
 
 
 def fit_forest(X: np.ndarray, t: int = 100, m: int = 256, seed: int = 0) -> IsolationForest:
@@ -279,12 +258,12 @@ def mean_path_lengths(forest: IsolationForest, X: np.ndarray) -> np.ndarray:
     ``x < threshold`` picks the branch. A leaf routes to itself, which
     lets every row take exactly ``height_limit`` steps.
 
-    The rows split into one contiguous block per worker. A block walks as
-    many trees at a time as there are blocks, one row of ``node`` each, so
-    every numpy call still covers about n row-tree pairs, and adds each
-    tree's path lengths to its rows' running sums in tree order: the bits
-    of averaging a trees x rows matrix down its columns, for any worker
-    count.
+    The rows split into one contiguous block per worker, at most one per
+    row, so a one-row batch starts no thread pool. A block walks as many
+    trees at a time as there are blocks, one row of ``node`` each, so every
+    numpy call still covers about n row-tree pairs, and adds each tree's
+    path lengths to its rows' running sums in tree order: the bits of
+    averaging a trees x rows matrix down its columns, for any worker count.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != forest.n_features:
@@ -294,7 +273,7 @@ def mean_path_lengths(forest: IsolationForest, X: np.ndarray) -> np.ndarray:
     n = X.shape[0]
     XT = np.ascontiguousarray(X.T).ravel()
     root, offset, threshold, child, h = _walk_tables(forest, n)
-    blocks = worker_count()
+    blocks = min(worker_count(), n)
     total = np.zeros(n)
 
     def _block(b: int) -> None:

@@ -1,13 +1,14 @@
 """Worker-thread sizing for the scoring pool, set by the ISOGUARD_THREADS environment variable.
 
 Only batch scoring (``iforest.mean_path_lengths``) runs on threads, one
-contiguous block of rows per task: a block walks its rows through
-``worker_count()`` trees at a time, level by level, in a fixed handful
-of numpy gathers and compares, which run with the GIL released, so
-workers overlap. Tree fits are per-node Python that
-holds the GIL, so they run serially; the extra-trees of one fit grow in
-lockstep on the calling thread (``feature_selection._build_trees``),
-one set of numpy calls per step for the next node of every tree. The
+contiguous block of rows per task and never more blocks than rows: a
+block walks its rows through as many trees at a time as there are
+blocks, level by level, in a fixed handful of numpy gathers and
+compares, which run with the GIL released, so workers overlap. Fits are
+per-node Python that holds the GIL, so they run serially: the isolation
+trees one by one, and the extra-trees of one fit in lockstep on the
+calling thread, one set of numpy calls per step for the next drawing
+node of every tree, adding only into each tree's importance row. The
 pool never has more workers than the CPUs this process may use.
 """
 from __future__ import annotations

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 import re
@@ -20,13 +19,7 @@ from isoguard.feature_selection import (
     rfe_select,
     save_rfe,
 )
-from isoguard.iforest import IsolationForest, ITree, _check_trees
 from isoguard.prng import hash64, unit_uniforms
-
-
-def gini(labels):
-    p1 = labels.mean()
-    return 1.0 - (1.0 - p1) ** 2 - p1**2
 
 
 def separable_data(rng, n=120, d=6, informative=2):
@@ -113,34 +106,6 @@ class TestFitExtraTrees:
         est = fit_extra_trees(X, y, ExtraTreesParams(n_trees=12, seed=9))
         assert est.importances.sum() == pytest.approx(1.0, abs=1e-9)
 
-    def test_gini_decrease_matches_direct_recomputation(self):
-        rng = np.random.default_rng(5)
-        X, y = separable_data(rng, n=50, d=4)
-        n, d = X.shape
-        est = fit_extra_trees(X, y, ExtraTreesParams(n_trees=4, seed=7))
-
-        def check(nodes, rows, acc):
-            """Walk the next node in pre-order, with its subtree, over ``rows``."""
-            feature, threshold, size = next(nodes)
-            assert size == rows.size
-            if feature == -1:
-                return
-            mask = X[rows, feature] < threshold
-            left, right = rows[mask], rows[~mask]
-            assert left.size > 0 and right.size > 0
-            recomputed = gini(y[rows]) - (
-                left.size * gini(y[left]) + right.size * gini(y[right])
-            ) / rows.size
-            assert recomputed >= -1e-15
-            acc[feature] += (rows.size / n) * recomputed
-            check(nodes, left, acc)
-            check(nodes, right, acc)
-
-        for tree, want in zip(est.trees, est.tree_importances):
-            acc = np.zeros(d)
-            check(iter(preorder(tree)), np.arange(n), acc)
-            np.testing.assert_allclose(acc / acc.sum(), want, rtol=0, atol=1e-12)
-
     def test_no_split_anywhere_is_an_error(self):
         X = np.ones((10, 2))  # constant features: no split possible
         y = np.array([0, 1] * 5)
@@ -149,18 +114,10 @@ class TestFitExtraTrees:
             est.importances
 
 
-def stump(feature):
-    """A root split on ``feature`` at 0.5 over two one-row leaves."""
-    return ITree(np.array([feature, -1, -1]), np.array([0.5]), np.array([1, 1]))
-
-
 class TestFeatureImportances:
     def test_mean_of_one_hot_trees(self):
         # two hand-built trees putting all weight on features 0 and 1
-        est = ExtraTreesEstimator(
-            trees=[stump(0), stump(1)],
-            tree_importances=[np.array([1.0, 0.0]), np.array([0.0, 1.0])],
-        )
+        est = ExtraTreesEstimator(trees=[np.array([1.0, 0.0]), np.array([0.0, 1.0])])
         np.testing.assert_allclose(est.importances, [0.5, 0.5])
 
 
@@ -410,28 +367,6 @@ def oracle_build_tree(X, y, keys, params, tree_index, importances):
     return out
 
 
-def preorder(tree):
-    """The (feature, threshold, n) rows of an ITree in pre-order: a leaf is
-    (-1, 0.0, its size), and a split's n sums its subtree's leaves."""
-    thresholds, sizes = iter(tree.threshold.tolist()), iter(tree.leaf_size.tolist())
-    out = []
-
-    def visit():  # the next node in pre-order, with its subtree; returns its n
-        feature = int(tree.feature[len(out)])
-        if feature == -1:
-            out.append((-1, 0.0, next(sizes)))
-            return out[-1][2]
-        at = len(out)
-        out.append((feature, next(thresholds)))
-        out[at] += (visit() + visit(),)
-        return out[at][2]
-
-    visit()
-    assert len(out) == tree.feature.size
-    assert next(thresholds, None) is None and next(sizes, None) is None
-    return out
-
-
 def oracle_cases():
     """(X, y, keys or None, params): random inputs with the awkward shapes spelled out."""
     rng = np.random.default_rng(31)
@@ -464,7 +399,7 @@ def oracle_cases():
     # depth and split-size limits
     X = rng.normal(size=(300, 10))
     y = (X[:, 1] * X[:, 2] > 0).astype(np.int64)
-    for max_depth, min_split in ((1, 2), (3, 2), (6, 40), (None, 25), (0, 2)):
+    for max_depth, min_split in ((1, 2), (3, 2), (6, 40), (None, 25), (0, 2), (None, 301)):
         cases.append((X, y, None, ExtraTreesParams(n_trees=3, max_depth=max_depth, min_samples_split=min_split, seed=44)))
     # permuted and arbitrary 64-bit feature keys
     X = rng.normal(size=(180, 13))
@@ -480,6 +415,11 @@ def deep_data():
     return rng.normal(size=(600, 5)), rng.integers(0, 2, size=600)
 
 
+def split_count(oracle_tree):
+    """The split nodes of an ``oracle_build_tree`` output."""
+    return sum(feature != -1 for feature, _, _ in oracle_tree)
+
+
 class TestBuildTreeOracle:
     @pytest.mark.parametrize("case", range(len(oracle_cases())))
     def test_trees_and_importances_equal_the_oracle(self, case):
@@ -487,40 +427,32 @@ class TestBuildTreeOracle:
         d = X.shape[1]
         keys = np.arange(d, dtype=np.uint64) if keys is None else keys
         est = fit_extra_trees(X, y, params, feature_keys=keys)
+        assert len(est.trees) == params.n_trees
         for i in range(params.n_trees):
             want_imp = np.zeros(d)
-            want = oracle_build_tree(X, y, keys, params, i, want_imp)
+            oracle_build_tree(X, y, keys, params, i, want_imp)
             got_imp = np.zeros(d)
-            [got] = _build_trees(X, y, keys, params, [i], [got_imp])
-            assert preorder(got) == want
+            _build_trees(X, y, keys, params, [i], [got_imp])
             assert np.array_equal(got_imp, want_imp)
-            assert preorder(est.trees[i]) == want
             total = want_imp.sum()
             if total > 0.0:
-                assert np.array_equal(est.tree_importances[i], want_imp / total)
+                assert np.array_equal(est.trees[i], want_imp / total)
             else:
-                assert est.tree_importances[i] is None
-
-    @pytest.mark.parametrize("case", range(len(oracle_cases())))
-    def test_trees_are_well_formed(self, case):
-        # the isolation forest loader's tree checks (the split/leaf flags form one full binary tree in
-        # pre-order, one threshold per split and one size per leaf, the leaves hold every row), with every
-        # row as the sample and no height limit to speak of
-        X, y, keys, params = oracle_cases()[case]
-        n, d = X.shape
-        est = fit_extra_trees(X, y, params, feature_keys=keys)
-        assert len(est.trees) == params.n_trees
-        _check_trees(IsolationForest(trees=est.trees, t=params.n_trees, m=n, height_limit=n, seed=0, n_features=d))
+                assert est.trees[i] is None
+        if all(tree is None for tree in est.trees):  # a root that cannot draw: too deep or too small
+            with pytest.raises(IsoguardError, match="no split"):
+                est.importances
 
     def test_deep_tree_crosses_node_draw_blocks(self):
         # more than two blocks of split nodes, so later node ids draw from later blocks
         X, y = deep_data()
         keys = np.arange(5, dtype=np.uint64)
         params = ExtraTreesParams(n_trees=1, seed=3)
-        want = oracle_build_tree(X, y, keys, params, 0, np.zeros(5))
-        assert sum(feature != -1 for feature, _, _ in want) > 2 * _DRAW_BLOCK
-        [got] = _build_trees(X, y, keys, params, [0], [np.zeros(5)])
-        assert preorder(got) == want
+        want = np.zeros(5)
+        assert split_count(oracle_build_tree(X, y, keys, params, 0, want)) > 2 * _DRAW_BLOCK
+        got = np.zeros(5)
+        _build_trees(X, y, keys, params, [0], [got])
+        assert np.array_equal(got, want)
 
     def test_lockstep_trees_equal_trees_built_alone(self):
         X, y = deep_data()
@@ -529,15 +461,14 @@ class TestBuildTreeOracle:
         for X, y, keys, params in cases:
             d = X.shape[1]
             keys = np.arange(d, dtype=np.uint64) if keys is None else keys
-            together_imp = np.zeros((params.n_trees, d))
-            together = _build_trees(X, y, keys, params, range(params.n_trees), together_imp)
-            split_counts.append([np.count_nonzero(tree.feature != -1) for tree in together])
-            for i, tree in enumerate(together):
-                alone_imp = np.zeros(d)
-                [alone] = _build_trees(X, y, keys, params, [i], [alone_imp])
-                for f in dataclasses.fields(ITree):
-                    assert np.array_equal(getattr(tree, f.name), getattr(alone, f.name)), f.name
-                assert np.array_equal(together_imp[i], alone_imp)
+            together = np.zeros((params.n_trees, d))
+            _build_trees(X, y, keys, params, range(params.n_trees), together)
+            for i in range(params.n_trees):
+                alone = np.zeros(d)
+                _build_trees(X, y, keys, params, [i], [alone])
+                assert np.array_equal(together[i], alone)
+            oracles = [oracle_build_tree(X, y, keys, params, i, np.zeros(d)) for i in range(params.n_trees)]
+            split_counts.append([split_count(tree) for tree in oracles])
         # some tree finishes while others in its fit still step
         assert any(len(set(counts)) > 1 for counts in split_counts)
         # the last case: each of its trees crosses more than two draw blocks

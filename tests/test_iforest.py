@@ -358,9 +358,9 @@ class TestMeanPathLengthsInPlace:
 
     @pytest.mark.parametrize("blocks", [1, 2, 3, 5, 8])
     def test_bits_do_not_depend_on_the_block_count(self, monkeypatch, blocks):
-        """One thread per block, up to more threads than CPUs and, at 8, more
-        blocks than the 7 rows; a 1 us switch interval interleaves the
-        threads' in-place sums, so a lost update would show."""
+        """One thread per block, up to more threads than CPUs and, at 8, a
+        block count capped at the 7 rows; a 1 us switch interval interleaves
+        the threads' in-place sums, so a lost update would show."""
         rng = np.random.default_rng(blocks)
         forest = fit_forest(rng.normal(size=(200, 3)), t=11, m=32, seed=blocks)
         batches = [rng.normal(scale=3.0, size=(n, 3)) for n in (7, 1001)]
@@ -377,6 +377,19 @@ class TestMeanPathLengthsInPlace:
         finally:
             sys.setswitchinterval(interval)
         assert [g.tobytes() for g in got] == [e.tobytes() for e in expected]
+
+    def test_one_row_starts_no_thread_pool(self, monkeypatch):
+        rng = np.random.default_rng(9)
+        forest = fit_forest(rng.normal(size=(200, 3)), t=11, m=32, seed=9)
+        monkeypatch.setattr(iforest, "worker_count", lambda: 2)
+        monkeypatch.setattr(parallel, "worker_count", lambda: 2)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a one-row batch started a thread pool")
+
+        monkeypatch.setattr(parallel, "ThreadPoolExecutor", no_pool)
+        s, mean_h = score_batch(forest, rng.normal(size=(1, 3)))
+        assert s.shape == mean_h.shape == (1,)
 
     @pytest.mark.parametrize("t", [50, 200])
     def test_peak_memory_holds_no_trees_by_rows_buffer(self, monkeypatch, t):
