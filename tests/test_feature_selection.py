@@ -22,6 +22,11 @@ from isoguard.feature_selection import (
 from isoguard.prng import hash64, unit_uniforms
 
 
+def gini(labels):
+    p1 = labels.mean()
+    return 1.0 - (1.0 - p1) ** 2 - p1**2
+
+
 def separable_data(rng, n=120, d=6, informative=2):
     """Feature `informative` separates the classes perfectly by a threshold."""
     X = rng.normal(size=(n, d))
@@ -105,6 +110,16 @@ class TestFitExtraTrees:
         y = rng.integers(0, 2, 60)
         est = fit_extra_trees(X, y, ExtraTreesParams(n_trees=12, seed=9))
         assert est.importances.sum() == pytest.approx(1.0, abs=1e-9)
+
+    def test_gini_decrease_matches_direct_recomputation(self):
+        rng = np.random.default_rng(5)
+        X, y = separable_data(rng, n=50, d=4)
+        keys = np.arange(4, dtype=np.uint64)
+        params = ExtraTreesParams(n_trees=4, seed=7)
+        est = fit_extra_trees(X, y, params)
+        for i, want in enumerate(est.trees):
+            acc = direct_importances(X, y, oracle_build_tree(X, y, keys, params, i, np.zeros(4)))
+            np.testing.assert_allclose(acc / acc.sum(), want, rtol=0, atol=1e-12)
 
     def test_no_split_anywhere_is_an_error(self):
         X = np.ones((10, 2))  # constant features: no split possible
@@ -409,6 +424,36 @@ def oracle_cases():
     return cases
 
 
+def direct_importances(X, y, oracle_tree):
+    """Walk an ``oracle_build_tree`` output over X's rows, checking that it is one
+    full binary tree whose node sizes count the rows reaching them, and recompute
+    each split's row-weighted Gini decrease from the labels themselves."""
+    n, d = X.shape
+    nodes = iter(oracle_tree)
+    acc = np.zeros(d)
+
+    def check(rows):
+        """Walk the next node in pre-order, with its subtree, over ``rows``."""
+        feature, threshold, size = next(nodes)
+        assert size == rows.size
+        if feature == -1:
+            return
+        mask = X[rows, feature] < threshold
+        left, right = rows[mask], rows[~mask]
+        assert left.size > 0 and right.size > 0
+        recomputed = gini(y[rows]) - (
+            left.size * gini(y[left]) + right.size * gini(y[right])
+        ) / rows.size
+        assert recomputed >= -1e-15
+        acc[feature] += (rows.size / n) * recomputed
+        check(left)
+        check(right)
+
+    check(np.arange(n))
+    assert next(nodes, None) is None
+    return acc
+
+
 def deep_data():
     """Random labels on 600 rows: every tree passes more than 2 * _DRAW_BLOCK split nodes."""
     rng = np.random.default_rng(8)
@@ -442,6 +487,28 @@ class TestBuildTreeOracle:
         if all(tree is None for tree in est.trees):  # a root that cannot draw: too deep or too small
             with pytest.raises(IsoguardError, match="no split"):
                 est.importances
+
+    @pytest.mark.parametrize("case", range(len(oracle_cases())))
+    def test_trees_are_well_formed(self, case):
+        # each importance row is None or a nonnegative row over the columns summing to 1, equal to
+        # the Gini decreases recomputed from the labels along the tree's splits
+        X, y, keys, params = oracle_cases()[case]
+        d = X.shape[1]
+        keys = np.arange(d, dtype=np.uint64) if keys is None else keys
+        est = fit_extra_trees(X, y, params, feature_keys=keys)
+        assert len(est.trees) == params.n_trees
+        for i, row in enumerate(est.trees):
+            acc = direct_importances(X, y, oracle_build_tree(X, y, keys, params, i, np.zeros(d)))
+            if row is None:
+                assert acc.sum() == pytest.approx(0.0, abs=1e-15)
+                continue
+            assert row.shape == (d,) and row.dtype == np.float64
+            assert (row >= 0.0).all()
+            assert row.sum() == pytest.approx(1.0, abs=1e-12)
+            np.testing.assert_allclose(row, acc / acc.sum(), rtol=0, atol=1e-12)
+        rows = [row for row in est.trees if row is not None]
+        if rows:
+            np.testing.assert_array_equal(est.importances, np.mean(rows, axis=0))
 
     def test_deep_tree_crosses_node_draw_blocks(self):
         # more than two blocks of split nodes, so later node ids draw from later blocks
