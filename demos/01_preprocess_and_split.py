@@ -13,7 +13,7 @@ import numpy as np
 
 from isoguard import (
     ColumnKind,
-    SplitSpec,
+    SplitSettings,
     apply_label_encoder,
     apply_scaler,
     fit_label_encoder,
@@ -45,7 +45,7 @@ for name, kind in zip(ds.feature_names, ds.kinds):
     print(f"  {name:<14} {kind.value}")
 print(f"labels: {int((ds.target == 0).sum())} normal / {int(ds.target.sum())} anomaly")
 
-train_raw, test_raw = train_test_split(ds, SplitSpec(test_fraction=0.25, seed=42))
+train_raw, test_raw = train_test_split(ds, SplitSettings(test_fraction=0.25), 42)
 print(f"\nstratified split: {train_raw.n_rows} train / {test_raw.n_rows} test")
 print(f"  test class balance: {np.bincount(test_raw.target).tolist()}")
 

@@ -8,7 +8,7 @@ Run: python demos/04_classifier_roc.py
 """
 import numpy as np
 
-from isoguard import SplitSpec, evaluate_predictions, train_test_split
+from isoguard import SplitSettings, evaluate_predictions, train_test_split
 from isoguard.classifiers import (
     adaboost_fit,
     gnb_fit,
@@ -21,7 +21,7 @@ from isoguard.classifiers import (
 from isoguard.synthetic import SyntheticSpec, generate_synthetic
 
 ds, _ = generate_synthetic(SyntheticSpec(n_normal=600, n_anomaly=200, outlier_fraction=0.0, seed=9))
-train, test = train_test_split(ds, SplitSpec(test_fraction=0.25, seed=1))
+train, test = train_test_split(ds, SplitSettings(test_fraction=0.25), 1)
 X, y = train.matrix(), train.target
 X_test, y_test = test.matrix(), test.target
 print(f"{train.n_rows} train / {test.n_rows} test rows, {ds.n_features} features\n")

@@ -12,7 +12,7 @@ from .data import (
     Dataset,
     EncoderState,
     ScalerState,
-    SplitSpec,
+    SplitSettings,
     apply_label_encoder,
     apply_scaler,
     fit_label_encoder,
@@ -39,8 +39,8 @@ from .evaluation import (
 )
 from .feature_selection import (
     ExtraTreesEstimator,
-    ExtraTreesParams,
     RfeResult,
+    SelectSettings,
     fit_extra_trees,
     rfe_select,
 )

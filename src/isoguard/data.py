@@ -20,10 +20,11 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from fractions import Fraction
 from pathlib import Path
+from typing import Annotated
 
 import numpy as np
 
-from .codec import from_doc, to_doc
+from .codec import check_types, from_doc, to_doc
 from .errors import IsoguardError, artifact_reader
 
 
@@ -94,10 +95,14 @@ class ScalerState:
 
 
 @dataclass(frozen=True)
-class SplitSpec:
-    test_fraction: float
-    seed: int
+class SplitSettings:
+    """The config's ``split`` section."""
+
+    test_fraction: Annotated[float, "in (0, 1)"] = 0.2
     stratified: bool = True
+
+    def __post_init__(self) -> None:
+        check_types(self, "config", "split")
 
 
 # load_csv's parse memo: (sha256 of the file's bytes, target column) -> an all-Numeric Dataset.
@@ -354,27 +359,26 @@ def share_count(fraction: float, n: int) -> int:
     return math.floor(Fraction(str(float(fraction))) * n + Fraction(1, 2))
 
 
-def train_test_split(ds: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset]:
-    """Deterministic, optionally stratified split into (train, test).
+def train_test_split(ds: Dataset, split: SplitSettings, seed: int) -> tuple[Dataset, Dataset]:
+    """Deterministic split into (train, test), stratified when ``split.stratified``,
+    drawn from ``seed``.
 
     Partitions are disjoint, cover all rows, and preserve original row
     order. Under stratification each class contributes
-    round(test_fraction * class size) test rows, clamped so both
+    round(split.test_fraction * class size) test rows, clamped so both
     partitions keep at least one row per class.
     """
-    if not 0.0 < spec.test_fraction < 1.0:
-        raise IsoguardError(f"test_fraction must be in (0, 1), got {spec.test_fraction}")
-    rng = np.random.default_rng(spec.seed)
-    groups = [np.flatnonzero(ds.target == cls) for cls in (0, 1)] if spec.stratified else [np.arange(ds.n_rows)]
+    rng = np.random.default_rng(seed)
+    groups = [np.flatnonzero(ds.target == cls) for cls in (0, 1)] if split.stratified else [np.arange(ds.n_rows)]
     test_parts: list[np.ndarray] = []
     for cls, members in enumerate(groups):
         if members.size < 2:
             raise IsoguardError(
                 f"stratified split needs >= 2 rows per class, class {cls} has {members.size}"
-                if spec.stratified
+                if split.stratified
                 else "split needs at least 2 rows"
             )
-        k = min(max(share_count(spec.test_fraction, members.size), 1), members.size - 1)
+        k = min(max(share_count(split.test_fraction, members.size), 1), members.size - 1)
         test_parts.append(rng.permutation(members)[:k])
     test_idx = np.sort(np.concatenate(test_parts))
     mask = np.zeros(ds.n_rows, dtype=bool)

@@ -94,22 +94,18 @@ def metrics(c: ConfusionCounts) -> MetricSet:
     if c.total == 0:
         raise IsoguardError("cannot compute metrics over zero instances")
     degenerate: list[str] = []
-    if c.tp + c.fp > 0:
-        precision = c.tp / (c.tp + c.fp)
-    else:
-        precision = 0.0
-        degenerate.append("precision")
-    if c.tp + c.fn > 0:
-        recall = c.tp / (c.tp + c.fn)
-    else:
-        recall = 0.0
-        degenerate.append("recall")
+
+    def ratio(name: str, num: float, den: float) -> float:
+        """num / den, or 0.0 flagged degenerate when den is 0."""
+        if den > 0:
+            return num / den
+        degenerate.append(name)
+        return 0.0
+
+    precision = ratio("precision", c.tp, c.tp + c.fp)
+    recall = ratio("recall", c.tp, c.tp + c.fn)
     accuracy = (c.tp + c.tn) / c.total
-    if precision + recall > 0:
-        f1 = 2.0 * precision * recall / (precision + recall)
-    else:
-        f1 = 0.0
-        degenerate.append("f1")
+    f1 = ratio("f1", 2.0 * precision * recall, precision + recall)
     return MetricSet(
         precision=precision, recall=recall, accuracy=accuracy, f1=f1, degenerate=tuple(degenerate)
     )

@@ -1,5 +1,8 @@
 """Feature ranking with extremely randomized trees, plus recursive elimination.
 
+A fit takes the config's ``select`` section, ``SelectSettings``, which
+checks its own ranges when built, and a seed for its draws.
+
 Each tree trains on the full sample (no bootstrap). At every node a
 pseudo-random subset of ceil(sqrt(d)) candidate features is drawn, one
 uniform threshold between each candidate's node-local min and max, and the
@@ -33,10 +36,11 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Annotated
 
 import numpy as np
 
-from .codec import from_doc, to_doc
+from .codec import check_types, from_doc, to_doc
 from .errors import IsoguardError, artifact_reader, checked_labels, checked_matrix
 from .parallel import run_indexed  # noqa: F401  (not called here; perfbench's tracer rebinds it)
 from .prng import extend_hashes, hash64, unit_uniforms
@@ -47,11 +51,18 @@ _DRAW_BLOCK = 64  # node ids whose draws are hashed in one batch
 
 
 @dataclass(frozen=True)
-class ExtraTreesParams:
-    n_trees: int = 50
-    max_depth: int | None = None
-    min_samples_split: int = 2
-    seed: int = 0
+class SelectSettings:
+    """The config's ``select`` section: the RFE target and step, and the extra-trees settings of each fit."""
+
+    target_count: Annotated[int, ">= 1"] = 15
+    step: Annotated[int, ">= 1"] = 1
+    n_trees: Annotated[int, ">= 1"] = 50
+    max_depth: Annotated[int, ">= 1"] | None = None
+    min_samples_split: Annotated[int, ">= 2"] = 2
+    sample_cap: Annotated[int, ">= 1"] | None = None  # optional row cap for the selector fits on large data
+
+    def __post_init__(self) -> None:
+        check_types(self, "config", "select")
 
 
 @dataclass
@@ -200,7 +211,8 @@ def _build_trees(
     X: np.ndarray,
     y: np.ndarray,
     keys: np.ndarray,
-    params: ExtraTreesParams,
+    settings: SelectSettings,
+    seed: int,
     tree_indices: Sequence[int],
     importances: Sequence[np.ndarray],
 ) -> None:
@@ -215,7 +227,7 @@ def _build_trees(
     """
     n_total, d = X.shape
     n_candidates = max(1, math.ceil(math.sqrt(d)))
-    min_split, max_depth = params.min_samples_split, params.max_depth
+    min_split, max_depth = settings.min_samples_split, settings.max_depth
 
     def push(stack: list, rows: np.ndarray, n1: int, depth: int) -> None:
         """Push a node that can draw: it holds both classes, enough rows and sits above max_depth."""
@@ -228,7 +240,7 @@ def _build_trees(
     is_one = y == 1
     root, root_n1 = np.concatenate((np.flatnonzero(is_one), np.flatnonzero(~is_one))), int(is_one.sum())
     # hash64 is a left fold: each node only folds its id and a tag onto a tree's hash
-    live = [_GrowingTree(int(hash64(params.seed, t)), acc) for t, acc in zip(tree_indices, importances)]
+    live = [_GrowingTree(int(hash64(seed, t)), acc) for t, acc in zip(tree_indices, importances)]
     for tree in live:
         push(tree.stack, root, root_n1, 0)
     # an empty side's Gini is 0/0 = nan: masked to -inf for a constant
@@ -263,14 +275,15 @@ def _checked_keys(feature_keys: np.ndarray | None, d: int) -> np.ndarray:
 def fit_extra_trees(
     X: np.ndarray,
     y: np.ndarray,
-    params: ExtraTreesParams = ExtraTreesParams(),
+    settings: SelectSettings = SelectSettings(),
+    seed: int = 0,
     feature_keys: np.ndarray | None = None,
 ) -> ExtraTreesEstimator:
-    """Fit the ensemble. ``feature_keys`` names each column's random stream;
-    the default keys are the column positions."""
+    """Fit ``settings.n_trees`` trees of at most ``settings.max_depth`` levels, splitting
+    nodes of at least ``settings.min_samples_split`` rows; every draw derives from ``seed``.
+    ``feature_keys`` names each column's random stream; the default keys are the column
+    positions."""
     X = checked_matrix(X)
-    if params.n_trees < 1:
-        raise IsoguardError(f"n_trees must be >= 1, got {params.n_trees}")
     y = checked_labels(y, n=X.shape[0])
     if len(np.unique(y)) < 2:
         raise IsoguardError("training labels contain a single class; importances are undefined")
@@ -279,31 +292,32 @@ def fit_extra_trees(
 
     # the trees grow together in one thread: a lockstep step is a handful of
     # numpy calls plus per-node Python that holds the GIL, so threads only add overhead
-    acc = np.zeros((params.n_trees, d), dtype=np.float64)
-    _build_trees(X, y, keys, params, range(params.n_trees), acc)
+    acc = np.zeros((settings.n_trees, d), dtype=np.float64)
+    _build_trees(X, y, keys, settings, seed, range(settings.n_trees), acc)
     return ExtraTreesEstimator(trees=[row / total if (total := row.sum()) > 0.0 else None for row in acc])
 
 
 def rfe_select(
     X: np.ndarray,
     y: np.ndarray,
-    target_count: int,
-    step: int = 1,
-    params: ExtraTreesParams = ExtraTreesParams(),
+    settings: SelectSettings = SelectSettings(),
+    seed: int = 0,
     feature_keys: np.ndarray | None = None,
 ) -> RfeResult:
-    """Recursive feature elimination down to ``target_count`` features.
+    """Recursive feature elimination down to ``settings.target_count`` features.
 
-    Each round refits the estimator on the survivors and drops the ``step``
+    Each round refits the estimator (``fit_extra_trees`` with ``settings``
+    and ``seed``) on the survivors and drops the ``settings.step``
     lowest-importance features (never dropping below the target). Equal
     importances are resolved by removing the higher original index first.
+    ``settings.sample_cap`` is not read here: the select stage draws the
+    capped rows before it calls this.
     """
     X = checked_matrix(X)
     d = X.shape[1]
-    if not 1 <= target_count < d:
+    target_count = settings.target_count
+    if target_count >= d:
         raise IsoguardError(f"target_count must satisfy 1 <= target < {d}, got {target_count}")
-    if step < 1:
-        raise IsoguardError(f"step must be >= 1, got {step}")
     keys = _checked_keys(feature_keys, d)
 
     surviving = np.arange(d)
@@ -311,8 +325,8 @@ def rfe_select(
     round_no = 0
     while surviving.size > target_count:
         round_no += 1
-        imp = fit_extra_trees(X.take(surviving, axis=1), y, params, feature_keys=keys[surviving]).importances
-        n_drop = min(step, surviving.size - target_count)
+        imp = fit_extra_trees(X.take(surviving, axis=1), y, settings, seed, keys[surviving]).importances
+        n_drop = min(settings.step, surviving.size - target_count)
         # importance ascending; ties resolved toward the higher original index
         removal_order = np.lexsort((-surviving, imp))
         doomed = removal_order[:n_drop]
@@ -325,9 +339,7 @@ def rfe_select(
     return RfeResult(
         selected=tuple(int(i) for i in surviving),
         trace=tuple(trace),
-        final_importances=fit_extra_trees(
-            X.take(surviving, axis=1), y, params, feature_keys=keys[surviving]
-        ).importances,
+        final_importances=fit_extra_trees(X.take(surviving, axis=1), y, settings, seed, keys[surviving]).importances,
     )
 
 

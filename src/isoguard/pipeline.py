@@ -39,7 +39,7 @@ from .codec import check_types, from_doc, to_doc
 from .data import (
     ColumnKind,
     Dataset,
-    SplitSpec,
+    SplitSettings,
     apply_label_encoder,
     apply_scaler,
     fit_label_encoder,
@@ -59,7 +59,7 @@ from .evaluation import (
     report_to_json,
     write_roc_csv,
 )
-from .feature_selection import ExtraTreesParams, RfeResult, load_rfe, rfe_select, save_rfe
+from .feature_selection import RfeResult, SelectSettings, load_rfe, rfe_select, save_rfe
 from .prng import derive_seed
 from .synthetic import SyntheticSpec, generate_synthetic, write_injection_mask
 
@@ -88,22 +88,6 @@ STAGES = (
 )
 STAGE_NAMES = tuple(stage.name for stage in STAGES)
 WRITER = {artifact: stage.name for stage in STAGES for artifact in stage.writes}
-
-
-@dataclass(frozen=True)
-class SplitSettings:
-    test_fraction: Annotated[float, "in (0, 1)"] = 0.2
-    stratified: bool = True
-
-
-@dataclass(frozen=True)
-class SelectSettings:
-    target_count: Annotated[int, ">= 1"] = 15
-    step: Annotated[int, ">= 1"] = 1
-    n_trees: Annotated[int, ">= 1"] = 50
-    max_depth: Annotated[int, ">= 1"] | None = None
-    min_samples_split: Annotated[int, ">= 2"] = 2
-    sample_cap: Annotated[int, ">= 1"] | None = None  # optional row cap for the selector fits on large data
 
 
 @dataclass(frozen=True)
@@ -273,13 +257,10 @@ def _stage(fn):
 def stage_ingest(cfg: PipelineConfig, out: Path) -> None:
     """Load, split, fit encoder+scaler on train only, transform both partitions."""
     seed = _require_seed(cfg)
-    split = SplitSpec(
-        test_fraction=cfg.split.test_fraction,
-        seed=derive_seed(seed, "split"),
-        stratified=cfg.split.stratified,
-    )
     # each rebinding of train and test frees the form it replaces
-    train, test = train_test_split(load_csv(cfg.input, target_column=cfg.target_column), split)
+    train, test = train_test_split(
+        load_csv(cfg.input, target_column=cfg.target_column), cfg.split, derive_seed(seed, "split")
+    )
     encoder = fit_label_encoder(train)
     train, test = apply_label_encoder(train, encoder), apply_label_encoder(test, encoder)
     scaler = fit_scaler(train)
@@ -301,13 +282,7 @@ def stage_select(cfg: PipelineConfig, out: Path) -> None:
         rng = np.random.default_rng(derive_seed(seed, "select-sample"))
         keep = np.sort(rng.permutation(X.shape[0])[:cap])
         X, y = X[keep], y[keep]
-    params = ExtraTreesParams(
-        n_trees=cfg.select.n_trees,
-        max_depth=cfg.select.max_depth,
-        min_samples_split=cfg.select.min_samples_split,
-        seed=derive_seed(seed, "select"),
-    )
-    result = rfe_select(X, y, target_count=cfg.select.target_count, step=cfg.select.step, params=params)
+    result = rfe_select(X, y, cfg.select, derive_seed(seed, "select"))
     save_rfe(result, list(train.feature_names), out / "rfe.json")
 
 
@@ -446,7 +421,7 @@ def run_synth(cfg: PipelineConfig) -> Path:
     spec = cfg.synthetic
     if cfg.seed is not None:
         spec = replace(spec, seed=cfg.seed)
-    ds, mask = generate_synthetic(spec)  # a bad spec fails here, before the output directory exists
+    ds, mask = generate_synthetic(spec)  # a bad spec failed when the config was built
     out = _make_out(cfg, "synthetic_spec.json", spec)
     write_csv(ds, out / "synthetic.csv")
     write_injection_mask(mask, out / "synthetic_mask.csv")

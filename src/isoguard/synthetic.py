@@ -6,41 +6,40 @@ on [-1, 1]. A fraction of the majority-class rows is replaced by far-field
 points at ``outlier_magnitude`` with random signs, still carrying the
 majority label. Those injected rows are the planted outliers a detector
 should isolate; the generator returns their mask as ground truth.
+
+``SyntheticSpec`` is the config's ``synthetic`` section and checks its own
+ranges when built, so a spec that reaches ``generate_synthetic`` is valid.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Annotated
 
 import numpy as np
 
+from .codec import check_types
 from .data import ColumnKind, Dataset, share_count, write_table
-from .errors import IsoguardError
 from .prng import derive_seed
 
 
 @dataclass(frozen=True)
 class SyntheticSpec:
-    n_normal: int = 1000
-    n_anomaly: int = 100
-    n_informative: int = 5
-    n_noise: int = 10
+    n_normal: Annotated[int, ">= 1"] = 1000
+    n_anomaly: Annotated[int, ">= 1"] = 100
+    n_informative: Annotated[int, ">= 1"] = 5
+    n_noise: Annotated[int, ">= 0"] = 10
     separation: float = 1.5
     outlier_magnitude: float = 12.0
-    outlier_fraction: float = 0.05
+    outlier_fraction: Annotated[float, "in [0, 1)"] = 0.05
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        check_types(self, "config", "synthetic")
 
 
 def generate_synthetic(spec: SyntheticSpec) -> tuple[Dataset, np.ndarray]:
     """Returns (dataset, injected_mask); mask rows are the planted outliers."""
-    if spec.n_normal < 1 or spec.n_anomaly < 1:
-        raise IsoguardError("both class counts must be >= 1")
-    if spec.n_informative < 1:
-        raise IsoguardError("degenerate spec: need at least 1 informative feature")
-    if spec.n_noise < 0:
-        raise IsoguardError(f"n_noise must be >= 0, got {spec.n_noise}")
-    if not 0.0 <= spec.outlier_fraction < 1.0:
-        raise IsoguardError(f"outlier_fraction must be in [0, 1), got {spec.outlier_fraction}")
     rng = np.random.default_rng(derive_seed(spec.seed, "synthetic"))
     n_total = spec.n_normal + spec.n_anomaly
     d = spec.n_informative + spec.n_noise

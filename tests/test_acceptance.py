@@ -17,7 +17,7 @@ import pytest
 from isoguard.classifiers import logreg_loss_grad, svm_objective_grad
 from isoguard.data import write_csv
 from isoguard.evaluation import confusion, metrics, roc
-from isoguard.feature_selection import ExtraTreesParams, rfe_select
+from isoguard.feature_selection import rfe_select
 from isoguard.iforest import (
     IsolationForest,
     ITree,
@@ -236,12 +236,7 @@ class TestCriterion7RfeRecovery:
             X = rng.normal(size=(200, informative + noise))
             y = (X[:, :informative].sum(axis=1) > 0).astype(np.int64)
             X[:, informative:] = rng.uniform(-1.0, 1.0, size=(200, noise))
-            result = rfe_select(
-                X,
-                y,
-                target_count=5,
-                params=ExtraTreesParams(n_trees=25, min_samples_split=25, seed=seed),
-            )
+            result = rfe_select(X, y, SelectSettings(target_count=5, n_trees=25, min_samples_split=25), seed)
             if sum(1 for i in result.selected if i < informative) >= 4:
                 hits += 1
         elapsed = time.perf_counter() - start

@@ -37,7 +37,7 @@ from isoguard.classifiers import (
 )
 from isoguard.errors import IsoguardError, checked_matrix
 from isoguard.evaluation import confusion, roc
-from isoguard.feature_selection import ExtraTreesParams, fit_extra_trees
+from isoguard.feature_selection import SelectSettings, fit_extra_trees
 
 
 def blobs(rng, n_per_class=40, d=3, sep=3.0):
@@ -795,7 +795,7 @@ LABEL_READERS = {  # every learner and metric that takes 0/1 labels, given label
     "logreg_fit": logreg_fit,
     "svm_fit": svm_fit,
     "adaboost_fit": adaboost_fit,
-    "fit_extra_trees": lambda X, y: fit_extra_trees(X, y, ExtraTreesParams(n_trees=2)),
+    "fit_extra_trees": lambda X, y: fit_extra_trees(X, y, SelectSettings(n_trees=2)),
     "confusion": lambda X, y: confusion(y, (X[:, 0] > 1.5).astype(int)),
     "roc": lambda X, y: roc(y, X[:, 0]),
 }

@@ -243,6 +243,8 @@ CONFIG_MISTYPES = CONFIG_TYPE_ERRORS + [
     # tau and fraction are checked whichever threshold mode uses them
     ("forest.threshold", {"mode": "contamination", "tau": 1.5}, "forest.threshold.tau must be in (0, 1], got 1.5"),
     ("forest.threshold", {"mode": "fixed", "fraction": 0.9}, "forest.threshold.fraction must be in (0, 0.5], got 0.9"),
+    ("synthetic.n_normal", 0, "synthetic.n_normal must be >= 1, got 0"),
+    ("synthetic.outlier_fraction", 1.0, "synthetic.outlier_fraction must be in [0, 1), got 1.0"),
 ]
 
 

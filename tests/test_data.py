@@ -18,7 +18,7 @@ from isoguard.data import (
     ColumnKind,
     Dataset,
     EncoderState,
-    SplitSpec,
+    SplitSettings,
     apply_label_encoder,
     apply_scaler,
     fit_label_encoder,
@@ -688,38 +688,38 @@ class TestSplit:
         return numeric_dataset(rng.normal(size=(n0 + n1, 3)), target)
 
     def test_counts(self):
-        train, test = train_test_split(self.make(), SplitSpec(test_fraction=0.2, seed=1))
+        train, test = train_test_split(self.make(), SplitSettings(test_fraction=0.2), 1)
         assert (train.n_rows, test.n_rows) == (80, 20)
 
     def test_same_seed_identical(self):
         ds = self.make()
-        a = train_test_split(ds, SplitSpec(test_fraction=0.3, seed=42))
-        b = train_test_split(ds, SplitSpec(test_fraction=0.3, seed=42))
+        a = train_test_split(ds, SplitSettings(test_fraction=0.3), 42)
+        b = train_test_split(ds, SplitSettings(test_fraction=0.3), 42)
         np.testing.assert_array_equal(a[0].rows, b[0].rows)
         np.testing.assert_array_equal(a[1].rows, b[1].rows)
         np.testing.assert_array_equal(a[1].target, b[1].target)
 
     def test_different_seed_differs(self):
         ds = self.make()
-        a = train_test_split(ds, SplitSpec(test_fraction=0.3, seed=1))
-        b = train_test_split(ds, SplitSpec(test_fraction=0.3, seed=2))
+        a = train_test_split(ds, SplitSettings(test_fraction=0.3), 1)
+        b = train_test_split(ds, SplitSettings(test_fraction=0.3), 2)
         assert not np.array_equal(a[1].rows, b[1].rows)
 
     def test_stratified_class_ratio(self):
-        _, test = train_test_split(self.make(), SplitSpec(test_fraction=0.2, seed=5, stratified=True))
+        _, test = train_test_split(self.make(), SplitSettings(test_fraction=0.2, stratified=True), 5)
         assert int((test.target == 0).sum()) == 18
         assert int((test.target == 1).sum()) == 2
 
     def test_stratified_test_size_is_exact_for_decimal_fractions(self):
         ds = numeric_dataset(np.arange(60, dtype=np.float64).reshape(-1, 1), [0] * 50 + [1] * 10)
         assert 0.29 * 50 < 14.5  # the float product rounds down, so half up would give 14
-        _, test = train_test_split(ds, SplitSpec(test_fraction=0.29, seed=1, stratified=True))
+        _, test = train_test_split(ds, SplitSettings(test_fraction=0.29, stratified=True), 1)
         assert int((test.target == 0).sum()) == 15  # 14.5 rounds half up
         assert int((test.target == 1).sum()) == 3  # 2.9
 
     def test_partitions_disjoint_and_cover(self):
         ds = self.make()
-        train, test = train_test_split(ds, SplitSpec(test_fraction=0.25, seed=9))
+        train, test = train_test_split(ds, SplitSettings(test_fraction=0.25), 9)
         combined = np.concatenate((train.rows, test.rows))
         assert combined.shape[0] == ds.n_rows
         # every original row appears exactly once across the partitions
@@ -729,11 +729,11 @@ class TestSplit:
     def test_small_class_rejected_when_stratified(self):
         ds = numeric_dataset([[0.0], [1.0], [2.0]], [0, 0, 1])
         with pytest.raises(IsoguardError, match=">= 2 rows per class"):
-            train_test_split(ds, SplitSpec(test_fraction=0.5, seed=1, stratified=True))
+            train_test_split(ds, SplitSettings(test_fraction=0.5, stratified=True), 1)
 
     def test_bad_fraction(self):
         with pytest.raises(IsoguardError, match="test_fraction"):
-            train_test_split(self.make(), SplitSpec(test_fraction=1.5, seed=1))
+            train_test_split(self.make(), SplitSettings(test_fraction=1.5), 1)
 
     @staticmethod
     def indexed(n):
@@ -742,7 +742,7 @@ class TestSplit:
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_unstratified_partitions_disjoint_cover_and_keep_order(self, seed):
-        train, test = train_test_split(self.indexed(50), SplitSpec(test_fraction=0.3, seed=seed, stratified=False))
+        train, test = train_test_split(self.indexed(50), SplitSettings(test_fraction=0.3, stratified=False), seed)
         train_rows, test_rows = train.rows[:, 0], test.rows[:, 0]
         assert (np.diff(train_rows) > 0).all() and (np.diff(test_rows) > 0).all()
         assert sorted(np.concatenate((train_rows, test_rows)).tolist()) == list(range(50))
@@ -752,12 +752,12 @@ class TestSplit:
         [(100, 0.2, 20), (10, 0.25, 3), (7, 0.5, 4), (5, 0.05, 1), (5, 0.95, 4), (2, 0.5, 1)],
     )
     def test_unstratified_test_size_rounds_half_up_and_clamps(self, n, fraction, expected):
-        train, test = train_test_split(self.indexed(n), SplitSpec(test_fraction=fraction, seed=4, stratified=False))
+        train, test = train_test_split(self.indexed(n), SplitSettings(test_fraction=fraction, stratified=False), 4)
         assert (train.n_rows, test.n_rows) == (n - expected, expected)
 
     def test_unstratified_one_row_rejected(self):
         with pytest.raises(IsoguardError, match="split needs at least 2 rows"):
-            train_test_split(self.indexed(1), SplitSpec(test_fraction=0.5, seed=1, stratified=False))
+            train_test_split(self.indexed(1), SplitSettings(test_fraction=0.5, stratified=False), 1)
 
 
 def proto_dur_dataset():

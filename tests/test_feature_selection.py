@@ -11,8 +11,8 @@ from isoguard.feature_selection import (
     _DRAW_BLOCK,
     _THRESHOLD_TAG,
     ExtraTreesEstimator,
-    ExtraTreesParams,
     RfeResult,
+    SelectSettings,
     _build_trees,
     fit_extra_trees,
     load_rfe,
@@ -38,8 +38,8 @@ def separable_data(rng, n=120, d=6, informative=2):
 
 # both read the matrix through one rule, so each rejects the same matrices
 MATRIX_READERS = {
-    "fit_extra_trees": lambda X, y: fit_extra_trees(X, y, ExtraTreesParams(n_trees=2, seed=1)),
-    "rfe_select": lambda X, y: rfe_select(X, y, 1, params=ExtraTreesParams(n_trees=2, seed=1)),
+    "fit_extra_trees": lambda X, y: fit_extra_trees(X, y, SelectSettings(n_trees=2), 1),
+    "rfe_select": lambda X, y: rfe_select(X, y, SelectSettings(target_count=1, n_trees=2), 1),
 }
 
 
@@ -67,21 +67,20 @@ class TestFitExtraTrees:
     def test_no_trees_rejected(self, n_trees):
         X, y = separable_data(np.random.default_rng(6), n=50, d=4)
         with pytest.raises(IsoguardError, match="n_trees must be >= 1"):
-            fit_extra_trees(X, y, ExtraTreesParams(n_trees=n_trees))
+            fit_extra_trees(X, y, SelectSettings(n_trees=n_trees))
 
     def test_deterministic(self):
         rng = np.random.default_rng(1)
         X, y = separable_data(rng)
-        params = ExtraTreesParams(n_trees=8, seed=5)
-        a = fit_extra_trees(X, y, params).importances
-        b = fit_extra_trees(X, y, params).importances
+        settings = SelectSettings(n_trees=8)
+        a = fit_extra_trees(X, y, settings, 5).importances
+        b = fit_extra_trees(X, y, settings, 5).importances
         np.testing.assert_array_equal(a, b)
 
     def test_single_stump_importance_is_one(self):
         rng = np.random.default_rng(2)
         X, y = separable_data(rng, d=4)
-        params = ExtraTreesParams(n_trees=1, max_depth=1, seed=3)
-        est = fit_extra_trees(X, y, params)
+        est = fit_extra_trees(X, y, SelectSettings(n_trees=1, max_depth=1), 3)
         assert np.count_nonzero(est.importances) == 1
         assert est.importances.sum() == pytest.approx(1.0, abs=1e-9)
 
@@ -90,7 +89,7 @@ class TestFitExtraTrees:
         X = np.zeros((80, 3))
         X[:, 0] = rng.normal(size=80)
         y = (X[:, 0] > 0).astype(np.int64)
-        est = fit_extra_trees(X, y, ExtraTreesParams(n_trees=10, seed=1))
+        est = fit_extra_trees(X, y, SelectSettings(n_trees=10), 1)
         imp = est.importances
         np.testing.assert_allclose(imp, [1.0, 0.0, 0.0], atol=1e-12)
 
@@ -99,7 +98,7 @@ class TestFitExtraTrees:
         for seed in range(20):
             rng = np.random.default_rng(100 + seed)
             X, y = separable_data(rng, n=150, d=6, informative=2)
-            est = fit_extra_trees(X, y, ExtraTreesParams(n_trees=20, seed=seed))
+            est = fit_extra_trees(X, y, SelectSettings(n_trees=20), seed)
             if est.importances.argmax() == 2:
                 hits += 1
         assert hits >= 19  # >= 95% of 20 seeds
@@ -108,23 +107,23 @@ class TestFitExtraTrees:
         rng = np.random.default_rng(4)
         X = rng.normal(size=(60, 5))
         y = rng.integers(0, 2, 60)
-        est = fit_extra_trees(X, y, ExtraTreesParams(n_trees=12, seed=9))
+        est = fit_extra_trees(X, y, SelectSettings(n_trees=12), 9)
         assert est.importances.sum() == pytest.approx(1.0, abs=1e-9)
 
     def test_gini_decrease_matches_direct_recomputation(self):
         rng = np.random.default_rng(5)
         X, y = separable_data(rng, n=50, d=4)
         keys = np.arange(4, dtype=np.uint64)
-        params = ExtraTreesParams(n_trees=4, seed=7)
-        est = fit_extra_trees(X, y, params)
+        settings = SelectSettings(n_trees=4)
+        est = fit_extra_trees(X, y, settings, 7)
         for i, want in enumerate(est.trees):
-            acc = direct_importances(X, y, oracle_build_tree(X, y, keys, params, i, np.zeros(4)))
+            acc = direct_importances(X, y, oracle_build_tree(X, y, keys, settings, 7, i, np.zeros(4)))
             np.testing.assert_allclose(acc / acc.sum(), want, rtol=0, atol=1e-12)
 
     def test_no_split_anywhere_is_an_error(self):
         X = np.ones((10, 2))  # constant features: no split possible
         y = np.array([0, 1] * 5)
-        est = fit_extra_trees(X, y, ExtraTreesParams(n_trees=3, seed=0))
+        est = fit_extra_trees(X, y, SelectSettings(n_trees=3), 0)
         with pytest.raises(IsoguardError, match="no split"):
             est.importances
 
@@ -147,18 +146,18 @@ class TestRfe:
 
     def test_selected_count(self):
         X, y = self.informative_noise_data(0)
-        result = rfe_select(X, y, target_count=5, params=ExtraTreesParams(n_trees=10, min_samples_split=20, seed=1))
+        result = rfe_select(X, y, SelectSettings(target_count=5, n_trees=10, min_samples_split=20), 1)
         assert len(result.selected) == 5
 
     def test_single_round_when_target_is_d_minus_one(self):
         X, y = self.informative_noise_data(1, n=100, informative=3, noise=3)
-        result = rfe_select(X, y, target_count=5, step=1, params=ExtraTreesParams(n_trees=5, seed=2))
+        result = rfe_select(X, y, SelectSettings(target_count=5, step=1, n_trees=5), 2)
         assert len(result.trace) == 1
         assert result.trace[0][0] == 1
 
     def test_monotone_containment_of_survivors(self):
         X, y = self.informative_noise_data(2, n=150, informative=4, noise=6)
-        result = rfe_select(X, y, target_count=3, params=ExtraTreesParams(n_trees=8, seed=3))
+        result = rfe_select(X, y, SelectSettings(target_count=3, n_trees=8), 3)
         survivors = set(range(X.shape[1]))
         seen = set()
         for round_no, removed, _ in result.trace:
@@ -170,15 +169,15 @@ class TestRfe:
 
     def test_determinism(self):
         X, y = self.informative_noise_data(3)
-        params = ExtraTreesParams(n_trees=10, min_samples_split=20, seed=4)
-        a = rfe_select(X, y, target_count=6, params=params)
-        b = rfe_select(X, y, target_count=6, params=params)
+        settings = SelectSettings(target_count=6, n_trees=10, min_samples_split=20)
+        a = rfe_select(X, y, settings, 4)
+        b = rfe_select(X, y, settings, 4)
         assert a.selected == b.selected
         assert a.trace == b.trace
 
     def test_step_respects_target(self):
         X, y = self.informative_noise_data(4, n=100, informative=3, noise=4)
-        result = rfe_select(X, y, target_count=4, step=5, params=ExtraTreesParams(n_trees=5, seed=5))
+        result = rfe_select(X, y, SelectSettings(target_count=4, step=5, n_trees=5), 5)
         assert len(result.selected) == 4
         assert len(result.trace) == 3  # one round dropping exactly d - target features
 
@@ -187,12 +186,7 @@ class TestRfe:
         hits = 0
         for seed in range(10):
             X, y = self.informative_noise_data(200 + seed, n=200, informative=informative, noise=10)
-            result = rfe_select(
-                X,
-                y,
-                target_count=5,
-                params=ExtraTreesParams(n_trees=25, min_samples_split=25, seed=seed),
-            )
+            result = rfe_select(X, y, SelectSettings(target_count=5, n_trees=25, min_samples_split=25), seed)
             kept = sum(1 for i in result.selected if i < informative)
             if kept >= 4:
                 hits += 1
@@ -201,21 +195,21 @@ class TestRfe:
     def test_invalid_target(self):
         X, y = self.informative_noise_data(5, n=60, informative=2, noise=2)
         with pytest.raises(IsoguardError, match="target_count"):
-            rfe_select(X, y, target_count=4, params=ExtraTreesParams(n_trees=3))
+            rfe_select(X, y, SelectSettings(target_count=4, n_trees=3))
         with pytest.raises(IsoguardError, match="target_count"):
-            rfe_select(X, y, target_count=0, params=ExtraTreesParams(n_trees=3))
+            rfe_select(X, y, SelectSettings(target_count=0, n_trees=3))
 
     def test_vector_rejected(self):
         with pytest.raises(IsoguardError, match=re.escape("X must be a non-empty 2-D matrix, got shape (5,)")):
-            rfe_select(np.zeros(5), np.arange(5) % 2, 1, params=ExtraTreesParams(n_trees=2))
+            rfe_select(np.zeros(5), np.arange(5) % 2, SelectSettings(target_count=1, n_trees=2))
 
     @pytest.mark.parametrize("n_keys", [2, 4])
     def test_one_key_per_column(self, n_keys):
         X, y = self.informative_noise_data(5, n=40, informative=2, noise=1)
         keys = np.arange(n_keys)
         for select in (
-            lambda: rfe_select(X, y, 1, params=ExtraTreesParams(n_trees=2), feature_keys=keys),
-            lambda: fit_extra_trees(X, y, ExtraTreesParams(n_trees=2), feature_keys=keys),
+            lambda: rfe_select(X, y, SelectSettings(target_count=1, n_trees=2), feature_keys=keys),
+            lambda: fit_extra_trees(X, y, SelectSettings(n_trees=2), feature_keys=keys),
         ):
             with pytest.raises(IsoguardError, match="feature_keys must provide one key per column"):
                 select()
@@ -223,17 +217,17 @@ class TestRfe:
     def test_permutation_equivariance_with_traveling_keys(self):
         X, y = self.informative_noise_data(6, n=120, informative=3, noise=5)
         d = X.shape[1]
-        params = ExtraTreesParams(n_trees=6, seed=11)
-        base = rfe_select(X, y, target_count=4, params=params)
+        settings = SelectSettings(target_count=4, n_trees=6)
+        base = rfe_select(X, y, settings, 11)
         perm = np.random.default_rng(0).permutation(d)
         keys = np.arange(d, dtype=np.uint64)[perm]  # keys travel with their columns
-        permuted = rfe_select(X[:, perm], y, target_count=4, params=params, feature_keys=keys)
+        permuted = rfe_select(X[:, perm], y, settings, 11, feature_keys=keys)
         mapped = sorted(int(perm[j]) for j in permuted.selected)
         assert mapped == sorted(base.selected)
 
     def test_json_round_trip(self, tmp_path):
         X, y = self.informative_noise_data(7, n=80, informative=3, noise=3)
-        result = rfe_select(X, y, target_count=3, params=ExtraTreesParams(n_trees=5, seed=6))
+        result = rfe_select(X, y, SelectSettings(target_count=3, n_trees=5), 6)
         names = [f"col{j}" for j in range(X.shape[1])]
         save_rfe(result, names, tmp_path / "rfe.json")
         loaded, loaded_names = load_rfe(tmp_path / "rfe.json")
@@ -305,15 +299,14 @@ def _oracle_gini_counts(n0, n1):
     return 1.0 - p0 * p0 - p1 * p1
 
 
-def oracle_build_tree(X, y, keys, params, tree_index, importances):
+def oracle_build_tree(X, y, keys, settings, seed, tree_index, importances):
     n_total = X.shape[0]
     d = X.shape[1]
     n_candidates = max(1, math.ceil(math.sqrt(d)))
     counter = [0]
     y_float = y.astype(np.float64)
-    max_depth = params.max_depth
-    min_split = params.min_samples_split
-    seed = params.seed
+    max_depth = settings.max_depth
+    min_split = settings.min_samples_split
     out = []  # (feature, threshold, n) per node in pre-order; a leaf is (-1, 0.0, n)
 
     def build(rows, depth):
@@ -383,44 +376,44 @@ def oracle_build_tree(X, y, keys, params, tree_index, importances):
 
 
 def oracle_cases():
-    """(X, y, keys or None, params): random inputs with the awkward shapes spelled out."""
+    """(X, y, keys or None, settings, seed): random inputs with the awkward shapes spelled out."""
     rng = np.random.default_rng(31)
     cases = []
     for i, d in enumerate((1, 2, 3, 5, 9, 16, 41)):
         n = int(rng.integers(20, 260))
         X = rng.normal(size=(n, d))
         y = (X[:, 0] + rng.normal(scale=1.0, size=n) > 0.3).astype(np.int64)
-        cases.append((X, y, None, ExtraTreesParams(n_trees=3, seed=i)))
+        cases.append((X, y, None, SelectSettings(n_trees=3), i))
     # constant columns next to varying ones, and an all-constant node subset
     X = rng.normal(size=(150, 7))
     X[:, [1, 4]] = 2.5
     X[:40, :] = 0.0
     y = rng.integers(0, 2, size=150)
-    cases.append((X, y, None, ExtraTreesParams(n_trees=4, seed=40)))
+    cases.append((X, y, None, SelectSettings(n_trees=4), 40))
     # duplicate rows with conflicting labels: pure leaves are unreachable
     base = rng.normal(size=(30, 6))
     X = np.repeat(base, 5, axis=0)
     y = rng.integers(0, 2, size=X.shape[0])
-    cases.append((X, y, None, ExtraTreesParams(n_trees=4, seed=41)))
+    cases.append((X, y, None, SelectSettings(n_trees=4), 41))
     # heavy ties: three distinct values per column
     X = rng.integers(0, 3, size=(200, 12)).astype(np.float64)
     y = ((X[:, 2] + X[:, 5] + rng.integers(0, 2, size=200)) > 2).astype(np.int64)
-    cases.append((X, y, None, ExtraTreesParams(n_trees=4, seed=42)))
+    cases.append((X, y, None, SelectSettings(n_trees=4), 42))
     # a column whose spread is one float: draws round onto lo
     X = rng.normal(size=(90, 4))
     X[:, 3] = np.where(rng.random(90) < 0.5, 1.0, np.nextafter(1.0, 2.0))
     y = rng.integers(0, 2, size=90)
-    cases.append((X, y, None, ExtraTreesParams(n_trees=4, seed=43)))
+    cases.append((X, y, None, SelectSettings(n_trees=4), 43))
     # depth and split-size limits
     X = rng.normal(size=(300, 10))
     y = (X[:, 1] * X[:, 2] > 0).astype(np.int64)
-    for max_depth, min_split in ((1, 2), (3, 2), (6, 40), (None, 25), (0, 2), (None, 301)):
-        cases.append((X, y, None, ExtraTreesParams(n_trees=3, max_depth=max_depth, min_samples_split=min_split, seed=44)))
+    for max_depth, min_split in ((1, 2), (3, 2), (6, 40), (None, 25), (None, 301)):
+        cases.append((X, y, None, SelectSettings(n_trees=3, max_depth=max_depth, min_samples_split=min_split), 44))
     # permuted and arbitrary 64-bit feature keys
     X = rng.normal(size=(180, 13))
     y = (X[:, 3] - X[:, 7] > 0).astype(np.int64)
-    cases.append((X, y, rng.permutation(13).astype(np.uint64), ExtraTreesParams(n_trees=3, seed=45)))
-    cases.append((X, y, rng.integers(0, 2**63, size=13).astype(np.uint64) * np.uint64(2), ExtraTreesParams(n_trees=3, seed=2**64 - 1)))
+    cases.append((X, y, rng.permutation(13).astype(np.uint64), SelectSettings(n_trees=3), 45))
+    cases.append((X, y, rng.integers(0, 2**63, size=13).astype(np.uint64) * np.uint64(2), SelectSettings(n_trees=3), 2**64 - 1))
     return cases
 
 
@@ -468,16 +461,16 @@ def split_count(oracle_tree):
 class TestBuildTreeOracle:
     @pytest.mark.parametrize("case", range(len(oracle_cases())))
     def test_trees_and_importances_equal_the_oracle(self, case):
-        X, y, keys, params = oracle_cases()[case]
+        X, y, keys, settings, seed = oracle_cases()[case]
         d = X.shape[1]
         keys = np.arange(d, dtype=np.uint64) if keys is None else keys
-        est = fit_extra_trees(X, y, params, feature_keys=keys)
-        assert len(est.trees) == params.n_trees
-        for i in range(params.n_trees):
+        est = fit_extra_trees(X, y, settings, seed, keys)
+        assert len(est.trees) == settings.n_trees
+        for i in range(settings.n_trees):
             want_imp = np.zeros(d)
-            oracle_build_tree(X, y, keys, params, i, want_imp)
+            oracle_build_tree(X, y, keys, settings, seed, i, want_imp)
             got_imp = np.zeros(d)
-            _build_trees(X, y, keys, params, [i], [got_imp])
+            _build_trees(X, y, keys, settings, seed, [i], [got_imp])
             assert np.array_equal(got_imp, want_imp)
             total = want_imp.sum()
             if total > 0.0:
@@ -492,13 +485,13 @@ class TestBuildTreeOracle:
     def test_trees_are_well_formed(self, case):
         # each importance row is None or a nonnegative row over the columns summing to 1, equal to
         # the Gini decreases recomputed from the labels along the tree's splits
-        X, y, keys, params = oracle_cases()[case]
+        X, y, keys, settings, seed = oracle_cases()[case]
         d = X.shape[1]
         keys = np.arange(d, dtype=np.uint64) if keys is None else keys
-        est = fit_extra_trees(X, y, params, feature_keys=keys)
-        assert len(est.trees) == params.n_trees
+        est = fit_extra_trees(X, y, settings, seed, keys)
+        assert len(est.trees) == settings.n_trees
         for i, row in enumerate(est.trees):
-            acc = direct_importances(X, y, oracle_build_tree(X, y, keys, params, i, np.zeros(d)))
+            acc = direct_importances(X, y, oracle_build_tree(X, y, keys, settings, seed, i, np.zeros(d)))
             if row is None:
                 assert acc.sum() == pytest.approx(0.0, abs=1e-15)
                 continue
@@ -514,27 +507,27 @@ class TestBuildTreeOracle:
         # more than two blocks of split nodes, so later node ids draw from later blocks
         X, y = deep_data()
         keys = np.arange(5, dtype=np.uint64)
-        params = ExtraTreesParams(n_trees=1, seed=3)
+        settings = SelectSettings(n_trees=1)
         want = np.zeros(5)
-        assert split_count(oracle_build_tree(X, y, keys, params, 0, want)) > 2 * _DRAW_BLOCK
+        assert split_count(oracle_build_tree(X, y, keys, settings, 3, 0, want)) > 2 * _DRAW_BLOCK
         got = np.zeros(5)
-        _build_trees(X, y, keys, params, [0], [got])
+        _build_trees(X, y, keys, settings, 3, [0], [got])
         assert np.array_equal(got, want)
 
     def test_lockstep_trees_equal_trees_built_alone(self):
         X, y = deep_data()
-        cases = oracle_cases() + [(X, y, None, ExtraTreesParams(n_trees=3, seed=12))]
+        cases = oracle_cases() + [(X, y, None, SelectSettings(n_trees=3), 12)]
         split_counts = []
-        for X, y, keys, params in cases:
+        for X, y, keys, settings, seed in cases:
             d = X.shape[1]
             keys = np.arange(d, dtype=np.uint64) if keys is None else keys
-            together = np.zeros((params.n_trees, d))
-            _build_trees(X, y, keys, params, range(params.n_trees), together)
-            for i in range(params.n_trees):
+            together = np.zeros((settings.n_trees, d))
+            _build_trees(X, y, keys, settings, seed, range(settings.n_trees), together)
+            for i in range(settings.n_trees):
                 alone = np.zeros(d)
-                _build_trees(X, y, keys, params, [i], [alone])
+                _build_trees(X, y, keys, settings, seed, [i], [alone])
                 assert np.array_equal(together[i], alone)
-            oracles = [oracle_build_tree(X, y, keys, params, i, np.zeros(d)) for i in range(params.n_trees)]
+            oracles = [oracle_build_tree(X, y, keys, settings, seed, i, np.zeros(d)) for i in range(settings.n_trees)]
             split_counts.append([split_count(tree) for tree in oracles])
         # some tree finishes while others in its fit still step
         assert any(len(set(counts)) > 1 for counts in split_counts)

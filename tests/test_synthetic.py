@@ -41,10 +41,10 @@ class TestGenerateSynthetic:
 
     def test_zero_separation_downstream_accuracy_near_majority_baseline(self):
         from isoguard.classifiers import gnb_fit, predict_model
-        from isoguard.data import SplitSpec, train_test_split
+        from isoguard.data import SplitSettings, train_test_split
 
         ds, _ = generate_synthetic(SyntheticSpec(separation=0.0, outlier_fraction=0.0, seed=8))
-        train, test = train_test_split(ds, SplitSpec(test_fraction=0.2, seed=1))
+        train, test = train_test_split(ds, SplitSettings(test_fraction=0.2), 1)
         model = gnb_fit(train.matrix(), train.target)
         accuracy = float((predict_model(model, test.matrix()) == test.target).mean())
         majority = max(np.bincount(test.target)) / test.n_rows
@@ -53,7 +53,7 @@ class TestGenerateSynthetic:
     def test_degenerate_specs_rejected(self):
         with pytest.raises(IsoguardError, match="informative"):
             generate_synthetic(SyntheticSpec(n_informative=0))
-        with pytest.raises(IsoguardError, match="class counts"):
+        with pytest.raises(IsoguardError, match="synthetic.n_normal must be >= 1"):
             generate_synthetic(SyntheticSpec(n_normal=0))
         with pytest.raises(IsoguardError, match="outlier_fraction"):
             generate_synthetic(SyntheticSpec(outlier_fraction=1.5))
