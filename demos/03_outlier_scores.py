@@ -34,9 +34,9 @@ for i in range(800, 804):
 print(f"  cluster median score: {np.median(scores[:800]):.4f}")
 
 fixed = predict(forest, X, threshold=0.6)
-flagged_fixed = [i for i, v in enumerate(fixed) if v.label == -1]
+flagged_fixed = np.flatnonzero(fixed.labels == -1).tolist()
 quantile = predict(forest, X, contamination=0.005)
-flagged_quant = [i for i, v in enumerate(quantile) if v.label == -1]
+flagged_quant = np.flatnonzero(quantile.labels == -1).tolist()
 print(f"\nfixed threshold 0.6 flags rows: {flagged_fixed}")
 print(f"contamination 0.5% flags rows:  {flagged_quant}")
 print("(rows 800-803 are the planted outliers)")

@@ -49,6 +49,7 @@ from .iforest import (
     IsolationForest,
     ITree,
     OutlierVerdict,
+    Verdicts,
     build_itree,
     expected_path_length,
     fit_forest,

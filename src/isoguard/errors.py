@@ -1,3 +1,4 @@
+import numbers
 import sys
 from contextlib import contextmanager
 from pathlib import Path
@@ -32,6 +33,16 @@ def checked_float(value: object, what: str) -> float:
     """``value`` as a finite float; an int is widened, and a bool, a string or a non-finite number rejected."""
     if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
         raise IsoguardError(f"{what} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def checked_real(value: object, what: str) -> float:
+    """``value`` as a float: a real number (numpy's too) or a 0-d float array. A bool, a string,
+    a complex number or any other array is rejected; NaN and the infinities pass, for a range check."""
+    if isinstance(value, np.ndarray) and value.shape == () and value.dtype.kind == "f":
+        value = value[()]
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise IsoguardError(f"{what} must be a real number, got {value!r}")
     return float(value)
 
 

@@ -26,11 +26,16 @@ time: ``height_limit`` steps of numpy gathers over a feature-major copy
 of the batch, with no per-node or per-row Python. Each tree's path
 lengths go into a running sum per row, in tree order, so no trees x rows
 matrix is held, and the score divides the sums by t.
+
+``predict`` returns a ``Verdicts``: the batch's labels, scores and mean
+path lengths as three read-only arrays. It is also a sequence of rows,
+and builds a row's ``OutlierVerdict`` only when the row is read.
 """
 from __future__ import annotations
 
 import json
 import math
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -39,7 +44,7 @@ from typing import Annotated
 import numpy as np
 
 from .codec import IntArray, from_doc, to_doc
-from .errors import IsoguardError, artifact_reader
+from .errors import IsoguardError, artifact_reader, checked_real
 from .parallel import run_indexed, worker_count
 from .prng import derive_seed
 
@@ -106,6 +111,42 @@ class OutlierVerdict:
     score: AnomalyScore
 
 
+@dataclass(frozen=True, eq=False)
+class Verdicts(Sequence):
+    """``predict``'s result for a batch: per row its label (int64, +1
+    normal, -1 outlier), its score s and its mean path length E(h), as
+    three read-only arrays.
+
+    As a sequence it reads like a list of ``OutlierVerdict``: ``len``,
+    ``verdicts[i]`` and iteration build each row's verdict, with Python
+    int and float values, when it is read, and a slice is a ``Verdicts``
+    over the sliced arrays. A caller that reads the arrays builds no
+    per-row object.
+    """
+
+    labels: IntArray
+    scores: np.ndarray
+    mean_path_lengths: np.ndarray
+
+    def __post_init__(self) -> None:
+        for name in ("labels", "scores", "mean_path_lengths"):
+            view = np.asarray(getattr(self, name)).view()  # read-only without freezing the caller's array
+            view.flags.writeable = False
+            object.__setattr__(self, name, view)
+
+    def __len__(self) -> int:
+        return self.labels.size
+
+    def __getitem__(self, i: int | slice) -> OutlierVerdict | Verdicts:
+        if isinstance(i, slice):
+            return Verdicts(self.labels[i], self.scores[i], self.mean_path_lengths[i])
+        return OutlierVerdict(self.labels.item(i), AnomalyScore(self.scores.item(i), self.mean_path_lengths.item(i)))
+
+    def __iter__(self) -> Iterator[OutlierVerdict]:
+        for label, s, mean_h in zip(self.labels.tolist(), self.scores.tolist(), self.mean_path_lengths.tolist()):
+            yield OutlierVerdict(label, AnomalyScore(s, mean_h))
+
+
 def build_itree(sample: np.ndarray, height_limit: int, rng: np.random.Generator) -> ITree:
     """Grow one isolation tree over ``sample`` (rows x features).
 
@@ -145,6 +186,18 @@ def build_itree(sample: np.ndarray, height_limit: int, rng: np.random.Generator)
     )
 
 
+def _as_matrix(X) -> np.ndarray:
+    """``X`` as a 2-D float64 matrix. NaN and infinite cells pass: fitting
+    refuses an infinite one, and scoring takes both."""
+    try:
+        X = np.asarray(X, dtype=np.float64)
+    except (TypeError, ValueError) as e:  # a string or object cell, or ragged rows
+        raise IsoguardError(f"expected a matrix of numbers: {e}") from None
+    if X.ndim != 2:
+        raise IsoguardError(f"expected a 2-D matrix, got shape {X.shape}")
+    return X
+
+
 def fit_forest(X: np.ndarray, t: int = 100, m: int = 256, seed: int = 0) -> IsolationForest:
     """Build t isolation trees, each over its own without-replacement subsample of size m.
 
@@ -152,9 +205,7 @@ def fit_forest(X: np.ndarray, t: int = 100, m: int = 256, seed: int = 0) -> Isol
     depend on build order. Trees are built serially: the build is GIL-bound
     Python, which threads only slow down.
     """
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2:
-        raise IsoguardError(f"expected a 2-D matrix, got shape {X.shape}")
+    X = _as_matrix(X)
     n = X.shape[0]
     if t < 1:
         raise IsoguardError(f"tree count must be >= 1, got {t}")
@@ -265,11 +316,9 @@ def mean_path_lengths(forest: IsolationForest, X: np.ndarray) -> np.ndarray:
     path lengths to its rows' running sums in tree order: the bits of
     averaging a trees x rows matrix down its columns, for any worker count.
     """
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != forest.n_features:
-        raise IsoguardError(
-            f"feature count mismatch: forest expects {forest.n_features}, got {X.shape[1] if X.ndim == 2 else X.shape}"
-        )
+    X = _as_matrix(X)
+    if X.shape[1] != forest.n_features:
+        raise IsoguardError(f"feature count mismatch: forest expects {forest.n_features}, got {X.shape[1]}")
     n = X.shape[0]
     XT = np.ascontiguousarray(X.T).ravel()
     root, offset, threshold, child, h = _walk_tables(forest, n)
@@ -305,19 +354,21 @@ def label_scores(s: np.ndarray, threshold: float | None = None, contamination: f
     Fixed-threshold mode (default threshold 0.5, in (0, 1]) labels -1 iff
     s >= threshold; the boundary score counts as an outlier. Contamination
     mode labels -1 the top ceil(fraction * n) scores, ties broken by
-    ascending row index.
+    ascending row index. Either value is a real number or a 0-d float
+    array; a bool is refused, not read as 1.0.
     """
     if threshold is not None and contamination is not None:
         raise IsoguardError("pass either a fixed threshold or a contamination fraction, not both")
     if contamination is None:
-        threshold = 0.5 if threshold is None else threshold
+        threshold = 0.5 if threshold is None else checked_real(threshold, "threshold")
         if not 0.0 < threshold <= 1.0:  # scores lie in (0, 1]; a NaN threshold would label every row normal
             raise IsoguardError(f"threshold must be in (0, 1], got {threshold}")
         return np.where(s >= threshold, -1, 1)
+    contamination = checked_real(contamination, "contamination")
     if not 0.0 < contamination <= 0.5:
         raise IsoguardError(f"contamination must be in (0, 0.5], got {contamination}")
     # counted on the fraction's decimal value: 0.07 of 100 rows is 7, where the float product is 7.000000000000001
-    n_flagged = math.ceil(Fraction(str(float(contamination))) * s.size)
+    n_flagged = math.ceil(Fraction(str(contamination)) * s.size)
     labels = np.ones(s.size, dtype=np.int64)
     labels[np.argsort(-s, kind="stable")[:n_flagged]] = -1
     return labels
@@ -328,14 +379,13 @@ def predict(
     X: np.ndarray,
     threshold: float | None = None,
     contamination: float | None = None,
-) -> list[OutlierVerdict]:
-    """``label_scores`` of every row of X, boxed as one OutlierVerdict per row."""
+) -> Verdicts:
+    """``score_batch`` and ``label_scores`` of every row of X, as arrays:
+    ``.labels``, ``.scores`` and ``.mean_path_lengths``. No per-row object
+    is built here; indexing or iterating the result builds each row's
+    ``OutlierVerdict`` view when it is read."""
     s, mean_h = score_batch(forest, X)
-    labels = label_scores(s, threshold, contamination)
-    return [
-        OutlierVerdict(lbl, AnomalyScore(si, hi))
-        for lbl, si, hi in zip(labels.tolist(), s.tolist(), mean_h.tolist())
-    ]
+    return Verdicts(label_scores(s, threshold, contamination), s, mean_h)
 
 
 def _check_trees(forest: IsolationForest) -> None:

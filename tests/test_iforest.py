@@ -12,6 +12,7 @@ import pytest
 from isoguard import iforest, parallel
 from isoguard.errors import ArtifactError, IsoguardError
 from isoguard.iforest import (
+    AnomalyScore,
     IsolationForest,
     ITree,
     build_itree,
@@ -23,9 +24,11 @@ from isoguard.iforest import (
     label_scores,
     load_forest,
     mean_path_lengths,
+    OutlierVerdict,
     predict,
     save_forest,
     score_batch,
+    Verdicts,
 )
 from isoguard.prng import derive_seed
 
@@ -216,6 +219,14 @@ class TestBuildItree:
         check(0, sample)
 
 
+NON_NUMERIC_MATRICES = [
+    [["a", "b"], ["c", "d"]],
+    np.array([[1.0, "x"], [2.0, "y"]], dtype=object),
+    [[{}, 1.0], [2.0, 3.0]],
+    [[1.0, 2.0], [3.0]],  # ragged rows
+]
+
+
 class TestFitForest:
     def test_shape_invariants(self):
         rng = np.random.default_rng(2)
@@ -259,6 +270,11 @@ class TestFitForest:
         for shape in ((5,), (4, 2, 2)):
             with pytest.raises(IsoguardError, match=re.escape(f"expected a 2-D matrix, got shape {shape}")):
                 fit_forest(np.zeros(shape), t=2, m=2)
+
+    @pytest.mark.parametrize("X", NON_NUMERIC_MATRICES)
+    def test_non_numeric_matrix_rejected(self, X):
+        with pytest.raises(IsoguardError, match="expected a matrix of numbers"):
+            fit_forest(X, t=2, m=2)
 
     @pytest.mark.parametrize("value", [np.inf, -np.inf])
     def test_infinite_value_rejected(self, value):
@@ -337,6 +353,18 @@ class TestScore:
         forest = self.constant_forest(m=8)
         with pytest.raises(IsoguardError, match="mismatch"):
             score_batch(forest, np.zeros((3, 5)))
+
+    @pytest.mark.parametrize("shape", [(2,), (3,), (2, 2, 1)])
+    def test_batch_that_is_not_a_matrix_names_its_shape(self, shape):
+        forest = self.constant_forest(m=8)
+        with pytest.raises(IsoguardError, match=re.escape(f"expected a 2-D matrix, got shape {shape}")):
+            mean_path_lengths(forest, np.zeros(shape))
+
+    @pytest.mark.parametrize("X", NON_NUMERIC_MATRICES)
+    def test_non_numeric_batch_rejected(self, X):
+        forest = self.constant_forest(m=8)
+        with pytest.raises(IsoguardError, match="expected a matrix of numbers"):
+            score_batch(forest, X)
 
 
 class TestMeanPathLengthsInPlace:
@@ -483,12 +511,88 @@ class TestPredict:
         with pytest.raises(IsoguardError, match=re.escape(f"threshold must be in (0, 1], got {bad}")):
             label_scores(np.array([0.9, 0.1]), threshold=bad)
 
+    @pytest.mark.parametrize("mode", ["threshold", "contamination"])
+    @pytest.mark.parametrize(
+        "bad",
+        [True, False, np.bool_(True), "0.5", 0.5 + 0j, [0.5], np.array([0.5])]
+        + [np.array(True), np.array(1), np.array("0.5")],
+    )
+    def test_value_that_is_not_a_real_number_rejected(self, mode, bad):
+        with pytest.raises(IsoguardError, match=f"^{mode} must be a real number, got "):
+            label_scores(np.array([0.9, 0.1]), **{mode: bad})
+
+    @pytest.mark.parametrize("mode, value", [("threshold", 0.5), ("threshold", 1), ("contamination", 0.25)])
+    def test_numpy_scalars_and_0d_float_arrays_accepted(self, mode, value):
+        s = np.array([0.9, 0.5, 0.1, 0.7])
+        want = label_scores(s, **{mode: value})
+        for same in (np.float64(value), np.float32(value), np.array(value, dtype=np.float64)):
+            assert label_scores(s, **{mode: same}).tolist() == want.tolist()
+
     def test_far_point_gets_max_score(self):
         rng = np.random.default_rng(12)
         X = np.vstack([rng.normal(size=(500, 2)), [[10.0, 10.0]]])
         forest = fit_forest(X, t=50, m=128, seed=4)
         s, _ = score_batch(forest, X)
         assert int(np.argmax(s)) == 500
+
+
+class TestVerdicts:
+    @pytest.fixture()
+    def verdicts(self):
+        rng = np.random.default_rng(21)
+        X = rng.normal(size=(40, 3))
+        return predict(fit_forest(X, t=6, m=16, seed=2), X, contamination=0.2)
+
+    def test_arrays(self, verdicts):
+        assert isinstance(verdicts, Verdicts)
+        assert verdicts.labels.dtype == np.int64 and verdicts.labels.shape == (40,)
+        assert set(verdicts.labels.tolist()) == {-1, 1}
+        assert verdicts.scores.dtype == np.float64 and verdicts.mean_path_lengths.dtype == np.float64
+
+    @pytest.mark.parametrize("span", [slice(3, 9), slice(None, -30), slice(None, None, -2), slice(50, 60)])
+    def test_slice_is_verdicts_over_the_sliced_arrays(self, verdicts, span):
+        part = verdicts[span]
+        assert isinstance(part, Verdicts)
+        for name in ("labels", "scores", "mean_path_lengths"):
+            assert np.array_equal(getattr(part, name), getattr(verdicts, name)[span])
+        assert list(part) == list(verdicts)[span]
+
+    def test_arrays_are_read_only(self, verdicts):
+        for name in ("labels", "scores", "mean_path_lengths"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(verdicts, name)[0] = 0
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(verdicts[:5], name)[0] = 0
+        with pytest.raises(AttributeError):
+            verdicts.labels = np.ones(40, dtype=np.int64)
+
+    def test_caller_arrays_stay_writable(self):
+        labels, s, mean_h = np.array([1, -1]), np.array([0.4, 0.7]), np.array([6.0, 3.0])
+        Verdicts(labels, s, mean_h)
+        labels[0] = -1
+        assert labels.flags.writeable and s.flags.writeable and mean_h.flags.writeable
+
+    def test_empty_batch(self):
+        forest = fit_forest(np.random.default_rng(0).normal(size=(20, 2)), t=3, m=8, seed=0)
+        verdicts = predict(forest, np.empty((0, 2)))
+        assert len(verdicts) == 0 and list(verdicts) == []
+        assert verdicts.labels.shape == verdicts.scores.shape == verdicts.mean_path_lengths.shape == (0,)
+
+    def test_predict_builds_no_row_object(self, monkeypatch):
+        rng = np.random.default_rng(22)
+        X = rng.normal(size=(1000, 4))
+        forest = fit_forest(X, t=10, m=64, seed=5)
+        s, mean_h = score_batch(forest, X)
+
+        def boxed(*args, **kwargs):
+            raise AssertionError("predict must not box rows")
+
+        monkeypatch.setattr(iforest, "OutlierVerdict", boxed)
+        monkeypatch.setattr(iforest, "AnomalyScore", boxed)
+        verdicts = predict(forest, X, threshold=0.55)
+        assert len(verdicts) == 1000
+        assert np.array_equal(verdicts.labels, label_scores(s, threshold=0.55))
+        assert np.array_equal(verdicts.scores, s) and np.array_equal(verdicts.mean_path_lengths, mean_h)
 
 
 class TestPersistence:
@@ -769,6 +873,20 @@ class TestMatchesNodeObjectOracle:
         assert [v.score.mean_path_length for v in verdicts] == mean_h.tolist()
         assert [v.score.s for v in verdicts] == s.tolist()
         assert all(type(v.label) is int and type(v.score.s) is float for v in verdicts)
+        s, mean_h = score_batch(forest, Y)
+        boxes = [
+            OutlierVerdict(label, AnomalyScore(si, hi))
+            for label, si, hi in zip(label_scores(s, contamination=0.1).tolist(), s.tolist(), mean_h.tolist())
+        ]
+        assert len(verdicts) == len(boxes) == Y.shape[0]
+        assert list(verdicts) == boxes
+        for i in range(len(boxes)):
+            for got, want in ((verdicts[i], boxes[i]), (verdicts[-i - 1], boxes[-i - 1])):
+                assert got == want
+                assert type(got.label) is int
+                assert type(got.score.s) is float and type(got.score.mean_path_length) is float
+        with pytest.raises(IndexError):
+            verdicts[len(boxes)]
 
 
 class TestLoadForestChecks:
