@@ -72,7 +72,8 @@ class KnnModel:
 
 def _knn_model(X, y, k: int) -> KnnModel:
     """A KNN model holding its own C-ordered copies of the training rows. A fit and a load both build it here."""
-    X = checked_matrix(np.array(X, dtype=np.float64, order="C"))  # one copy, whatever the caller's layout
+    rows = checked_matrix(X)  # a new array only when the caller's is laid out otherwise
+    X = rows if rows is not X and rows.flags.owndata else rows.copy()  # so one copy, whatever the layout
     y = checked_labels(y, n=X.shape[0])
     if not 1 <= k <= X.shape[0]:
         raise IsoguardError(f"k must satisfy 1 <= k <= {X.shape[0]}, got {k}")

@@ -38,7 +38,11 @@ class Dataset:
     """Feature table plus binary target labels (0 = normal, 1 = anomaly).
 
     ``rows`` holds raw strings in nominal columns until the label encoder
-    has been applied, after which it is a plain float64 matrix.
+    has been applied, after which it is a plain float64 matrix. A table
+    from ``load_csv`` is row-major; one from ``generate_synthetic`` is
+    column-major (each feature contiguous). Every fit and score that
+    reduces or multiplies rows lays them out C-ordered first, so no
+    artifact depends on which.
     """
 
     feature_names: tuple[str, ...]
@@ -463,17 +467,18 @@ def _csv_text(rows) -> str:
 
 def write_csv(ds: Dataset, path: str | Path) -> None:
     """Write features plus target column; floats use repr so reloads are exact.
+    A float column is written from a view of ``ds.rows``, not a copy.
 
     When a parse of the written bytes would return ``ds`` with every feature
     Numeric, ``load_csv``'s memo keeps that parse's result under the bytes'
     sha256, so reading the unchanged file back in this process parses nothing.
     """
     columns = [
-        col.astype(np.float64) if ds.is_encoded or kind is ColumnKind.NUMERIC else col.astype(str)
+        col.astype(np.float64, copy=False) if ds.is_encoded or kind is ColumnKind.NUMERIC else col.astype(str)
         for col, kind in zip(ds.rows.T, ds.kinds)
     ]
     header = [*ds.feature_names, ds.target_name]
-    target = ds.target.astype(np.int64)
+    target = ds.target.astype(np.int64)  # the memo's own copy
     digest = write_table(path, header, [*columns, target])
     parsed = _as_parsed(ds, header, target)
     if parsed is not None:

@@ -63,7 +63,10 @@ def checked_matrix(X, n_features: int | None = None) -> np.ndarray:
     """``X`` as C-ordered float64 rows of finite values, copied only when it is laid out otherwise.
     It must be 2-D with at least one column. A matrix to fit (no ``n_features``) needs a row; one
     to score needs ``n_features`` columns and may hold no rows."""
-    X = np.ascontiguousarray(X, dtype=np.float64)
+    try:
+        X = np.ascontiguousarray(X, dtype=np.float64)
+    except (TypeError, ValueError) as e:  # a string or object cell, or ragged rows
+        raise IsoguardError(f"expected a matrix of numbers: {e}") from None
     if X.ndim != 2 or X.shape[1] == 0 or (n_features is None and X.shape[0] == 0):
         raise IsoguardError(f"X must be a non-empty 2-D matrix, got shape {X.shape}")
     if n_features is not None and X.shape[1] != n_features:

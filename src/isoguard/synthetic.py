@@ -13,6 +13,7 @@ ranges when built, so a spec that reaches ``generate_synthetic`` is valid.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Annotated
 
@@ -38,8 +39,29 @@ class SyntheticSpec:
         check_types(self, "config", "synthetic")
 
 
+_DRAW_CHUNK_ROWS = 4096  # rows drawn at a time; bounds generation's transient memory
+
+
+def _fill(draw, out: np.ndarray) -> None:
+    """Fill the feature-major block ``out`` (features × rows) with what ``draw(size=(rows, features))``
+    gives, ``_DRAW_CHUNK_ROWS`` rows at a time. A Generator's stream continues across calls, so
+    the values and their order are those of one draw of the whole block."""
+    n = out.shape[1]
+    for start in range(0, n, _DRAW_CHUNK_ROWS):
+        stop = min(start + _DRAW_CHUNK_ROWS, n)
+        out[:, start:stop] = draw(size=(stop - start, out.shape[0])).T
+
+
 def generate_synthetic(spec: SyntheticSpec) -> tuple[Dataset, np.ndarray]:
-    """Returns (dataset, injected_mask); mask rows are the planted outliers."""
+    """Returns (dataset, injected_mask); mask rows are the planted outliers.
+
+    The table is built once, in a feature-major buffer: the draws are taken
+    ``_DRAW_CHUNK_ROWS`` rows at a time, the planted rows written into it and
+    the final shuffle applied one feature at a time. So generation holds the
+    table plus one chunk, and the dataset's ``rows`` are column-major (the
+    buffer's transpose); ``rows.tobytes()`` is the same as a row-major
+    table's.
+    """
     rng = np.random.default_rng(derive_seed(spec.seed, "synthetic"))
     n_total = spec.n_normal + spec.n_anomaly
     d = spec.n_informative + spec.n_noise
@@ -50,25 +72,25 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[Dataset, np.ndarray]:
     if spec.outlier_fraction > 0.0:
         n_inject = min(majority_count - 1, max(1, share_count(spec.outlier_fraction, n_total)))
 
-    X = np.empty((n_total, d))
-    y = np.concatenate((np.zeros(spec.n_normal, dtype=np.int64), np.ones(spec.n_anomaly, dtype=np.int64)))
-    inf = slice(0, spec.n_informative)
-    X[: spec.n_normal, inf] = rng.normal(0.0, 1.0, size=(spec.n_normal, spec.n_informative))
-    X[spec.n_normal :, inf] = rng.normal(spec.separation, 1.0, size=(spec.n_anomaly, spec.n_informative))
-    if spec.n_noise > 0:
-        X[:, spec.n_informative :] = rng.uniform(-1.0, 1.0, size=(n_total, spec.n_noise))
+    XT = np.empty((d, n_total))
+    inf = XT[: spec.n_informative]
+    _fill(partial(rng.normal, 0.0, 1.0), inf[:, : spec.n_normal])
+    _fill(partial(rng.normal, spec.separation, 1.0), inf[:, spec.n_normal :])
+    _fill(partial(rng.uniform, -1.0, 1.0), XT[spec.n_informative :])
+    y = np.zeros(n_total, dtype=np.int64)
+    y[spec.n_normal :] = 1
 
+    majority_end = spec.n_normal if majority == 0 else n_total
+    planted = slice(majority_end - n_inject, majority_end)  # the majority class's last n_inject rows
     injected = np.zeros(n_total, dtype=bool)
     if n_inject > 0:
-        block = np.flatnonzero(y == majority)[-n_inject:]
         signs = rng.choice((-1.0, 1.0), size=(n_inject, spec.n_informative))
-        X[np.ix_(block, np.arange(spec.n_informative))] = spec.outlier_magnitude * signs
-        injected[block] = True
+        inf[:, planted] = spec.outlier_magnitude * signs.T
+        injected[planted] = True
 
     order = rng.permutation(n_total)
-    X = X[order]
-    y = y[order]
-    injected = injected[order]
+    for feature in XT:
+        feature[:] = feature[order]
 
     names = tuple(
         [f"inf_{i + 1:02d}" for i in range(spec.n_informative)]
@@ -77,11 +99,11 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[Dataset, np.ndarray]:
     ds = Dataset(
         feature_names=names,
         kinds=tuple([ColumnKind.NUMERIC] * d),
-        rows=X,
-        target=y,
+        rows=XT.T,
+        target=y[order],
         target_name="class",
     )
-    return ds, injected
+    return ds, injected[order]
 
 
 def write_injection_mask(mask: np.ndarray, path: str | Path) -> None:

@@ -37,7 +37,7 @@ from isoguard.classifiers import (
 )
 from isoguard.errors import IsoguardError, checked_matrix
 from isoguard.evaluation import confusion, roc
-from isoguard.feature_selection import SelectSettings, fit_extra_trees
+from isoguard.feature_selection import SelectSettings, fit_extra_trees, rfe_select
 
 
 def blobs(rng, n_per_class=40, d=3, sep=3.0):
@@ -835,6 +835,58 @@ def test_fit_rejects_misshapen_matrix(cls, shape):
     y = np.arange(shape[0]) % 2
     with pytest.raises(IsoguardError, match=re.escape(f"X must be a non-empty 2-D matrix, got shape {shape}")):
         LAYOUT_FITS[cls](np.zeros(shape), y)
+
+
+NON_NUMERIC_MATRICES = {
+    "strings": [["a", "b"], ["c", "d"], ["e", "f"]],
+    "object": np.array([[1.0, "x"], [2.0, "y"], [3.0, "z"]], dtype=object),
+    "dict-cell": [[{}, 1.0], [2.0, 3.0], [4.0, 5.0]],
+    "ragged": [[1.0, 2.0], [3.0], [4.0, 5.0]],
+}
+MATRIX_FITS = {  # every fit that reads a feature matrix through checked_matrix
+    "knn_fit": knn_fit,
+    "gnb_fit": gnb_fit,
+    "logreg_fit": logreg_fit,
+    "svm_fit": svm_fit,
+    "adaboost_fit": adaboost_fit,
+    "fit_extra_trees": lambda X, y: fit_extra_trees(X, y, SelectSettings(n_trees=2)),
+    "rfe_select": lambda X, y: rfe_select(X, y, SelectSettings(target_count=1, n_trees=2)),
+}
+SCORERS = {"knn": knn_score, "nb": gnb_score, "lr": logreg_score, "svm": svm_score, "abc": adaboost_score}
+
+
+@pytest.mark.parametrize("matrix", list(NON_NUMERIC_MATRICES))
+@pytest.mark.parametrize("name", list(MATRIX_FITS))
+def test_fit_rejects_non_numeric_matrix(name, matrix):
+    with pytest.raises(IsoguardError, match="expected a matrix of numbers: "):
+        MATRIX_FITS[name](NON_NUMERIC_MATRICES[matrix], np.array([0, 1, 0]))
+
+
+@pytest.mark.parametrize("matrix", list(NON_NUMERIC_MATRICES))
+@pytest.mark.parametrize("name", list(SCORERS))
+def test_score_rejects_non_numeric_matrix(name, matrix):
+    _, _, models = TestCommonContracts().fitted_models()
+    with pytest.raises(IsoguardError, match="expected a matrix of numbers: "):
+        SCORERS[name](models[name], NON_NUMERIC_MATRICES[matrix])
+
+
+def test_knn_fit_makes_one_copy(monkeypatch):
+    """The model owns its rows: the copy checked_matrix makes of another layout is kept as it is,
+    and rows already C-ordered float64 are copied once."""
+    checked = []
+
+    def recording(X):
+        checked.append(checked_matrix(X))
+        return checked[-1]
+
+    monkeypatch.setattr(classifiers, "checked_matrix", recording)
+    X, y = blobs(np.random.default_rng(5), n_per_class=10)
+    for X_fit in (np.asfortranarray(X), X.astype(np.float32), X.tolist()):
+        assert knn_fit(X_fit, y).X is checked[-1]
+    for X_fit in (X, X[:15]):  # C-ordered float64 rows, owning their memory or a view
+        model = knn_fit(X_fit, y[: len(X_fit)])
+        assert checked[-1] is X_fit and model.X.flags.owndata and not np.shares_memory(model.X, X_fit)
+        np.testing.assert_array_equal(model.X, X_fit)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])

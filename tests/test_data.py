@@ -31,6 +31,7 @@ from isoguard.data import (
     write_table,
 )
 from isoguard.errors import IsoguardError
+from isoguard.synthetic import SyntheticSpec, generate_synthetic
 
 NSL_KDD_COLUMNS = [
     "duration", "protocol_type", "service", "flag", "src_bytes", "dst_bytes",
@@ -345,6 +346,21 @@ def with_cell(ds, value):
     rows = ds.rows.copy()
     rows[2, 1] = value
     return replace(ds, rows=rows)
+
+
+class TestWriteMemory:
+    def test_peak_is_the_memo_copy_and_one_chunk(self, tmp_path):
+        """Writing an encoded table copies none of its columns: the peak above what was
+        allocated before is the memo's C-ordered copy and one chunk of rows as text. A copy
+        of each column ahead of the write would take about another table."""
+        ds, _ = generate_synthetic(SyntheticSpec(n_normal=20_000, n_anomaly=2_000, seed=3))
+        tracemalloc.start()
+        try:
+            write_csv(ds, tmp_path / "synthetic.csv")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.6 * ds.rows.nbytes
 
 
 class TestWriteThrough:
