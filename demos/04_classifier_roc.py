@@ -8,7 +8,7 @@ Run: python demos/04_classifier_roc.py
 """
 import numpy as np
 
-from isoguard import SplitSettings, evaluate_predictions, train_test_split
+from isoguard import ClassifierSettings, SplitSettings, evaluate_predictions, train_test_split
 from isoguard.classifiers import (
     adaboost_fit,
     gnb_fit,
@@ -26,12 +26,13 @@ X, y = train.matrix(), train.target
 X_test, y_test = test.matrix(), test.target
 print(f"{train.n_rows} train / {test.n_rows} test rows, {ds.n_features} features\n")
 
+settings = ClassifierSettings(adaboost_stumps=30)  # a config's classifiers section; the rest at their defaults
 models = {
-    "KNN": knn_fit(X, y, k=5),
-    "SVM": svm_fit(X, y),
-    "NB": gnb_fit(X, y),
-    "LR": logreg_fit(X, y),
-    "ABC": adaboost_fit(X, y, n_stumps=30),
+    "KNN": knn_fit(X, y, settings),
+    "SVM": svm_fit(X, y, settings),
+    "NB": gnb_fit(X, y, settings),
+    "LR": logreg_fit(X, y, settings),
+    "ABC": adaboost_fit(X, y, settings),
 }
 
 print(f"{'model':<6} {'accuracy':>8} {'precision':>9} {'recall':>7} {'f1':>7} {'auc':>7}")

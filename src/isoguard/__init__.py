@@ -7,6 +7,7 @@ five baseline classifiers, confusion/ROC evaluation, and a reproducible
 pipeline that compares classifier quality before and after removing the
 training rows flagged as outliers.
 """
+from .classifiers import ClassifierSettings
 from .data import (
     ColumnKind,
     Dataset,

@@ -16,6 +16,11 @@ distance ties by ascending training-row index and sends an even vote split
 to class 1. ``MODEL_KINDS`` holds one row per model class, and the model
 files name its ``kind`` values.
 
+Every fit takes the config's ``classifiers`` section, ``ClassifierSettings``,
+which checks its own types and ranges when built, so each setting is stated
+once, in its field's annotation. Only ``k <= n_rows`` depends on the data;
+a KNN fit and a KNN load check it.
+
 Every fit and every score reads its input through ``errors.checked_matrix``:
 C-ordered float64 rows of finite values, copied only when the caller's are
 laid out otherwise. A fit needs at least one row, and a score the model's
@@ -42,8 +47,26 @@ from typing import Annotated
 
 import numpy as np
 
-from .codec import IntArray, from_doc, to_doc
+from .codec import IntArray, check_types, from_doc, to_doc
 from .errors import IsoguardError, artifact_reader, checked_labels, checked_matrix
+
+
+@dataclass(frozen=True)
+class ClassifierSettings:
+    """The config's ``classifiers`` section: the settings of the five fits."""
+
+    knn_k: Annotated[int, ">= 1"] = 5
+    nb_var_smoothing: Annotated[float, "> 0"] = 1e-9
+    lr_learning_rate: Annotated[float, "> 0"] = 0.1
+    lr_epochs: Annotated[int, ">= 0"] = 300
+    lr_l2: Annotated[float, ">= 0"] = 1e-4
+    svm_lambda: Annotated[float, "> 0"] = 1e-4
+    svm_epochs: Annotated[int, ">= 1"] = 300
+    adaboost_stumps: Annotated[int, ">= 1"] = 50
+
+    def __post_init__(self) -> None:
+        check_types(self, "config", "classifiers")
+
 
 # ---------------------------------------------------------------------------
 # shared helpers
@@ -80,8 +103,8 @@ def _knn_model(X, y, k: int) -> KnnModel:
     return KnnModel(k=k, X=X, y=y.copy(), n_features=X.shape[1])
 
 
-def knn_fit(X, y, k: int = 5) -> KnnModel:
-    return _knn_model(X, y, k)
+def knn_fit(X, y, settings: ClassifierSettings = ClassifierSettings()) -> KnnModel:
+    return _knn_model(X, y, settings.knn_k)
 
 
 @dataclass
@@ -172,11 +195,9 @@ class GaussianNbModel:
     n_features: int
 
 
-def gnb_fit(X, y, var_smoothing: float = 1e-9) -> GaussianNbModel:
+def gnb_fit(X, y, settings: ClassifierSettings = ClassifierSettings()) -> GaussianNbModel:
     X = checked_matrix(X)
     y = checked_labels(y, n=X.shape[0])
-    if not var_smoothing > 0.0:
-        raise IsoguardError(f"var_smoothing must be > 0, got {var_smoothing}")
     if len(np.unique(y)) < 2:
         raise IsoguardError("Gaussian NB needs both classes in the training data")
     means = np.empty((2, X.shape[1]))
@@ -187,6 +208,7 @@ def gnb_fit(X, y, var_smoothing: float = 1e-9) -> GaussianNbModel:
         priors[cls] = rows.shape[0] / X.shape[0]
         means[cls] = rows.mean(axis=0)
         variances[cls] = rows.var(axis=0)
+    var_smoothing = settings.nb_var_smoothing
     eps = var_smoothing * X.var(axis=0).max()
     if eps == 0.0:
         eps = var_smoothing  # all-constant features: keep variances positive
@@ -244,16 +266,15 @@ def logreg_loss_grad(
     return loss, grad_w, grad_b
 
 
-def logreg_fit(X, y, learning_rate: float = 0.1, epochs: int = 300, l2: float = 1e-4) -> LogisticModel:
+def logreg_fit(X, y, settings: ClassifierSettings = ClassifierSettings()) -> LogisticModel:
     """Full-batch gradient descent from zero-initialized weights.
 
-    epochs=0 returns the zero model (score 0.5 everywhere). A non-finite
+    lr_epochs=0 returns the zero model (score 0.5 everywhere). A non-finite
     loss is reported as a training failure rather than silently clipped.
     """
     X = checked_matrix(X)
     y = checked_labels(y, n=X.shape[0]).astype(np.float64)
-    if epochs < 0:
-        raise IsoguardError(f"epochs must be >= 0, got {epochs}")
+    learning_rate, epochs, l2 = settings.lr_learning_rate, settings.lr_epochs, settings.lr_l2
     w = np.zeros(X.shape[1])
     b = 0.0
     for _ in range(epochs):
@@ -301,13 +322,10 @@ def svm_objective_grad(
     return objective, grad_w, grad_b
 
 
-def svm_fit(X, y, lam: float = 1e-4, epochs: int = 300) -> LinearSvmModel:
+def svm_fit(X, y, settings: ClassifierSettings = ClassifierSettings()) -> LinearSvmModel:
     X = checked_matrix(X)
     y = checked_labels(y, n=X.shape[0])
-    if lam <= 0.0:
-        raise IsoguardError(f"lam must be > 0, got {lam}")
-    if epochs < 1:
-        raise IsoguardError(f"epochs must be >= 1, got {epochs}")
+    lam, epochs = settings.svm_lambda, settings.svm_epochs
     t = 2.0 * y - 1.0
     w = np.zeros(X.shape[1])
     b = 0.0
@@ -390,13 +408,11 @@ def _best_stump(
     return best
 
 
-def adaboost_fit(X, y, n_stumps: int = 50) -> AdaBoostModel:
-    """Discrete AdaBoost. Stops early when the best stump is no better than
-    chance (error >= 0.5) or when the data is perfectly classified."""
+def adaboost_fit(X, y, settings: ClassifierSettings = ClassifierSettings()) -> AdaBoostModel:
+    """Discrete AdaBoost with at most ``settings.adaboost_stumps`` stumps. Stops early when the
+    best stump is no better than chance (error >= 0.5) or when the data is perfectly classified."""
     X = checked_matrix(X)
     y = checked_labels(y, n=X.shape[0])
-    if n_stumps < 1:
-        raise IsoguardError(f"n_stumps must be >= 1, got {n_stumps}")
     if len(np.unique(y)) < 2:
         raise IsoguardError("AdaBoost needs both classes in the training data")
     if all((X[:, f] == X[0, f]).all() for f in range(X.shape[1])):
@@ -406,7 +422,7 @@ def adaboost_fit(X, y, n_stumps: int = 50) -> AdaBoostModel:
     weights = np.full(n, 1.0 / n)
     orders = np.argsort(X, axis=0, kind="stable")
     stumps: list[Stump] = []
-    for _ in range(n_stumps):
+    for _ in range(settings.adaboost_stumps):
         err, feature, threshold, polarity = _best_stump(X, t, weights, orders)
         if err >= 0.5:
             break

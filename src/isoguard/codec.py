@@ -12,7 +12,8 @@ bounds a number (the spec is ``>``/``>=`` a bound, or an interval with
 open or closed ends, and is the text of the message:
 ``forest.trees must be >= 1, got 0``), and ``Literal["fixed",
 "contamination"]`` lists the values a field may take.
-``check_types`` applies the same decoders to a dataclass built in Python.
+``check_types`` applies the same decoders to a dataclass built in Python,
+and ``check_fields`` to loose values named like a class's fields.
 """
 from __future__ import annotations
 
@@ -68,19 +69,25 @@ def from_doc(cls: type, doc: dict, label: str, name: str = ""):
 
 def check_types(obj, label: str, name: str = "") -> None:
     """Check each field of the dataclass ``obj`` with the decoder that
-    ``from_doc`` picks for it, so an object built in Python meets the rules a
-    document does. A nested dataclass must be an instance of its annotated
-    class and is checked field by field."""
+    ``from_doc`` picks for it, and store what it decodes, so an object built
+    in Python meets the rules a document does and holds what one would (an
+    int given for a float field is stored as a float). A nested dataclass must
+    be an instance of its annotated class, which checks itself when built."""
     hints = _hints(type(obj))
     for f in fields(obj):
         path = f"{name}.{f.name}" if name else f.name
         tp, value = hints[f.name], getattr(obj, f.name)
         if not is_dataclass(tp):
-            _decode(tp, _plain(value), path, label)
-        elif isinstance(value, tp):
-            check_types(value, label, path)
-        else:
+            object.__setattr__(obj, f.name, _decode(tp, _plain(value), path, label))
+        elif not isinstance(value, tp):
             raise IsoguardError(f"{path} must be a {tp.__name__}, got {value!r}")
+
+
+def check_fields(cls: type, **values) -> None:
+    """Check each keyword value by the rule of ``cls``'s field of that name, as ``from_doc`` would."""
+    hints = _hints(cls)
+    for name, value in values.items():
+        _decode(hints[name], value, name, cls.__name__)
 
 
 @functools.cache

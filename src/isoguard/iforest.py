@@ -43,7 +43,7 @@ from typing import Annotated
 
 import numpy as np
 
-from .codec import IntArray, from_doc, to_doc
+from .codec import IntArray, check_fields, from_doc, to_doc
 from .errors import IsoguardError, artifact_reader, checked_real
 from .parallel import run_indexed, worker_count
 from .prng import derive_seed
@@ -201,18 +201,17 @@ def _as_matrix(X) -> np.ndarray:
 def fit_forest(X: np.ndarray, t: int = 100, m: int = 256, seed: int = 0) -> IsolationForest:
     """Build t isolation trees, each over its own without-replacement subsample of size m.
 
-    Per-tree seeds are derived from the master seed, so the result does not
-    depend on build order. Trees are built serially: the build is GIL-bound
-    Python, which threads only slow down.
+    ``t``, ``m`` and ``seed`` meet the rules of ``IsolationForest``'s fields
+    of those names, so every forest this returns saves. Per-tree seeds are
+    derived from the master seed, so the result does not depend on build
+    order. Trees are built serially: the build is GIL-bound Python, which
+    threads only slow down.
     """
+    check_fields(IsolationForest, t=t, m=m, seed=seed)
     X = _as_matrix(X)
     n = X.shape[0]
-    if t < 1:
-        raise IsoguardError(f"tree count must be >= 1, got {t}")
     if n < 2:
         raise IsoguardError(f"need at least 2 rows to fit, got {n}")
-    if m < 2:
-        raise IsoguardError(f"subsample size must be >= 2, got {m}")
     if m > n:
         raise IsoguardError(f"subsample size {m} exceeds row count {n}")
     if np.isinf(X).any():

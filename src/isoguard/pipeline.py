@@ -16,11 +16,11 @@ W writes each artifact. A stage whose input is not a file stops with
 artifact names the file and ends ``; rerun the W stage``, or, when two
 files disagree, ``; rerun the W1 and W2 stages`` in stage order.
 
-A ``PipelineConfig`` checks every field's type, and every range that does
-not depend on the data, when it is built, so no command starts a stage,
-or makes a directory, with a config of the wrong type or out of range. A
-stage that fails raises a ``PipelineError`` whose message starts with the
-stage name.
+A ``PipelineConfig`` and each of its sections check every field's type,
+and every range that does not depend on the data, when they are built, so
+no command starts a stage, or makes a directory, with a config of the
+wrong type or out of range. A stage that fails raises a ``PipelineError``
+whose message starts with the stage name.
 """
 from __future__ import annotations
 
@@ -35,6 +35,7 @@ import numpy as np
 
 from . import classifiers as clf
 from . import iforest
+from .classifiers import ClassifierSettings
 from .codec import check_types, from_doc, to_doc
 from .data import (
     ColumnKind,
@@ -96,6 +97,9 @@ class ThresholdSettings:
     tau: Annotated[float, "in (0, 1]"] = 0.5  # scores lie in (0, 1]
     fraction: Annotated[float, "in (0, 0.5]"] = 0.1
 
+    def __post_init__(self) -> None:
+        check_types(self, "config", "forest.threshold")
+
 
 @dataclass(frozen=True)
 class ForestSettings:
@@ -103,17 +107,8 @@ class ForestSettings:
     subsample: Annotated[int, ">= 2"] = 256  # clamped to the training row count at fit time
     threshold: ThresholdSettings = field(default_factory=ThresholdSettings)
 
-
-@dataclass(frozen=True)
-class ClassifierSettings:
-    knn_k: Annotated[int, ">= 1"] = 5
-    nb_var_smoothing: Annotated[float, "> 0"] = 1e-9
-    lr_learning_rate: Annotated[float, "> 0"] = 0.1
-    lr_epochs: Annotated[int, ">= 0"] = 300
-    lr_l2: Annotated[float, ">= 0"] = 1e-4
-    svm_lambda: Annotated[float, "> 0"] = 1e-4
-    svm_epochs: Annotated[int, ">= 1"] = 300
-    adaboost_stumps: Annotated[int, ">= 1"] = 50
+    def __post_init__(self) -> None:
+        check_types(self, "config", "forest")
 
 
 @dataclass(frozen=True)
@@ -319,14 +314,9 @@ def stage_detect(cfg: PipelineConfig, out: Path) -> None:
     write_table(out / "scatter_clean.csv", header, [c[labels["train"] == 1] for c in columns])
 
 
-def _fit_all(X: np.ndarray, y: np.ndarray, cs: ClassifierSettings) -> dict[str, clf.ClassifierModel]:
-    return {
-        "knn": clf.knn_fit(X, y, k=cs.knn_k),
-        "svm": clf.svm_fit(X, y, lam=cs.svm_lambda, epochs=cs.svm_epochs),
-        "nb": clf.gnb_fit(X, y, var_smoothing=cs.nb_var_smoothing),
-        "lr": clf.logreg_fit(X, y, learning_rate=cs.lr_learning_rate, epochs=cs.lr_epochs, l2=cs.lr_l2),
-        "abc": clf.adaboost_fit(X, y, n_stumps=cs.adaboost_stumps),
-    }
+def _fit_all(X: np.ndarray, y: np.ndarray, settings: ClassifierSettings) -> dict[str, clf.ClassifierModel]:
+    fits = (clf.knn_fit, clf.svm_fit, clf.gnb_fit, clf.logreg_fit, clf.adaboost_fit)  # in MODELS order
+    return {name: fit(X, y, settings) for name, fit in zip(MODELS, fits, strict=True)}
 
 
 @_stage

@@ -9,6 +9,7 @@ import pytest
 from isoguard import classifiers
 from isoguard.classifiers import (
     AdaBoostModel,
+    ClassifierSettings,
     GaussianNbModel,
     KnnModel,
     LinearSvmModel,
@@ -145,13 +146,13 @@ def stump_case(rng, case):
 class TestKnn:
     def test_exact_training_point_with_k1(self):
         X = np.array([[0.0, 0.0], [5.0, 5.0]])
-        model = knn_fit(X, [0, 1], k=1)
+        model = knn_fit(X, [0, 1], ClassifierSettings(knn_k=1))
         assert predict_model(model, X).tolist() == [0, 1]
 
     def test_vote_and_score(self):
         X = np.array([[0.0], [0.1], [0.2], [9.0]])
         y = [1, 1, 0, 0]
-        model = knn_fit(X, y, k=3)
+        model = knn_fit(X, y, ClassifierSettings(knn_k=3))
         q = np.array([[0.05]])
         assert predict_model(model, q).tolist() == [1]
         assert knn_score(model, q)[0] == pytest.approx(2.0 / 3.0)
@@ -159,18 +160,18 @@ class TestKnn:
     def test_k_equal_n_gives_global_majority(self):
         X = np.array([[0.0], [1.0], [2.0], [10.0], [11.0]])
         y = [0, 0, 0, 1, 1]
-        model = knn_fit(X, y, k=5)
+        model = knn_fit(X, y, ClassifierSettings(knn_k=5))
         assert predict_model(model, np.array([[100.0], [-5.0]])).tolist() == [0, 0]
 
     def test_even_vote_tie_goes_to_zero(self):
         X = np.array([[-1.0], [1.0]])
-        model = knn_fit(X, [0, 1], k=2)
+        model = knn_fit(X, [0, 1], ClassifierSettings(knn_k=2))
         assert predict_model(model, np.array([[0.0]])).tolist() == [0]
 
     def test_distance_tie_breaks_by_train_index(self):
         # two training points equidistant from the query; k=1 must take row 0
         X = np.array([[1.0], [-1.0], [50.0]])
-        model = knn_fit(X, [1, 0, 0], k=1)
+        model = knn_fit(X, [1, 0, 0], ClassifierSettings(knn_k=1))
         assert predict_model(model, np.array([[0.0]])).tolist() == [1]
 
     @pytest.mark.parametrize("k", [1, 2, 3, 5, 8, 60])
@@ -179,7 +180,7 @@ class TestKnn:
         # integer grid points with duplicates: many distances tie at the k-th place
         X = rng.integers(-2, 3, size=(60, 2)).astype(np.float64)
         y = rng.integers(0, 2, size=60)
-        model = knn_fit(X, y, k=k)
+        model = knn_fit(X, y, ClassifierSettings(knn_k=k))
         queries = np.vstack((X[:20], rng.integers(-3, 4, size=(40, 2)).astype(np.float64), rng.normal(size=(10, 2))))
         np.testing.assert_array_equal(_knn_positive_counts(model, queries), reference_knn_counts(model, queries))
 
@@ -187,7 +188,7 @@ class TestKnn:
     def test_vote_counts_do_not_depend_on_the_chunk_size(self, monkeypatch, rows_per_chunk):
         rng = np.random.default_rng(31)
         X = rng.integers(-2, 3, size=(60, 2)).astype(np.float64)  # distance ties at the k-th place
-        model = knn_fit(X, rng.integers(0, 2, size=60), k=5)
+        model = knn_fit(X, rng.integers(0, 2, size=60), ClassifierSettings(knn_k=5))
         queries = np.vstack((X[:20], rng.integers(-3, 4, size=(40, 2)).astype(np.float64), rng.normal(size=(10, 2))))
         expected = _knn_positive_counts(model, queries)  # the default budget holds every query in one chunk
         monkeypatch.setattr(classifiers, "_KNN_CHUNK_BYTES", rows_per_chunk * 8 * X.shape[0])
@@ -197,19 +198,19 @@ class TestKnn:
     def test_k1_training_accuracy_on_distinct_points(self):
         rng = np.random.default_rng(0)
         X, y = blobs(rng, n_per_class=25)
-        model = knn_fit(X, y, k=1)
+        model = knn_fit(X, y, ClassifierSettings(knn_k=1))
         assert (predict_model(model, X) == y).all()
 
     def test_invalid_k(self):
         X = np.zeros((3, 1))
         with pytest.raises(IsoguardError, match="k must"):
-            knn_fit(X, [0, 1, 0], k=4)
+            knn_fit(X, [0, 1, 0], ClassifierSettings(knn_k=4))
         with pytest.raises(IsoguardError, match="k must"):
-            knn_fit(X, [0, 1, 0], k=0)
+            knn_fit(X, [0, 1, 0], ClassifierSettings(knn_k=0))
 
     def test_empty_training_set(self):
         with pytest.raises(IsoguardError, match="empty"):
-            knn_fit(np.empty((0, 2)), [], k=1)
+            knn_fit(np.empty((0, 2)), [], ClassifierSettings(knn_k=1))
 
 
 class TestGaussianNb:
@@ -230,7 +231,7 @@ class TestGaussianNb:
         X = np.array([[1.0, 2.0], [3.0, 0.5], [2.0, 1.0]])
         y = np.array([0, 1, 0])
         smoothing = 1e-9
-        model = gnb_fit(X, y, var_smoothing=smoothing)
+        model = gnb_fit(X, y, ClassifierSettings(nb_var_smoothing=smoothing))
         query = np.array([[2.5, 1.5]])
 
         # brute-force: prior * product of Gaussian densities per class
@@ -278,13 +279,13 @@ class TestGaussianNb:
 class TestLogisticRegression:
     def test_zero_epochs_scores_half(self):
         X = np.array([[1.0], [2.0]])
-        model = logreg_fit(X, [0, 1], epochs=0)
+        model = logreg_fit(X, [0, 1], ClassifierSettings(lr_epochs=0))
         np.testing.assert_allclose(logreg_score(model, X), 0.5)
 
     def test_separable_two_points_converge(self):
         X = np.array([[-1.0], [1.0]])
         y = [0, 1]
-        model = logreg_fit(X, y, learning_rate=0.5, epochs=500, l2=0.0)
+        model = logreg_fit(X, y, ClassifierSettings(lr_learning_rate=0.5, lr_epochs=500, lr_l2=0.0))
         assert (predict_model(model, X) == np.array(y)).all()
 
     def test_gradient_at_zero_weights(self):
@@ -325,7 +326,7 @@ class TestLogisticRegression:
         rng = np.random.default_rng(5)
         X, y = blobs(rng, d=2, sep=8.0)
         with pytest.raises(IsoguardError, match="diverged"):
-            logreg_fit(X * 100, y, learning_rate=1e6, epochs=200)
+            logreg_fit(X * 100, y, ClassifierSettings(lr_learning_rate=1e6, lr_epochs=200))
 
     def test_loss_nonincreasing_at_modest_rate(self):
         rng = np.random.default_rng(6)
@@ -344,7 +345,7 @@ class TestLogisticRegression:
 class TestLinearSvm:
     def test_zero_weights_predict_class_one(self):
         X = np.array([[1.0], [-1.0]])
-        model = svm_fit(X, [0, 1], epochs=1, lam=1.0)
+        model = svm_fit(X, [0, 1], ClassifierSettings(svm_epochs=1, svm_lambda=1.0))
         # force w = 0 to probe the boundary convention
         model.weights[:] = 0.0
         model.bias = 0.0
@@ -353,7 +354,7 @@ class TestLinearSvm:
     def test_hinge_loss_driven_to_zero_on_separated_data(self):
         rng = np.random.default_rng(7)
         X, y = blobs(rng, sep=4.0)
-        model = svm_fit(X, y, lam=1e-4, epochs=300)
+        model = svm_fit(X, y, ClassifierSettings(svm_lambda=1e-4, svm_epochs=300))
         t = 2.0 * y - 1.0
         final, _, _ = svm_objective_grad(model.weights, model.bias, X, t, 0.0)
         assert final < 0.05
@@ -362,7 +363,7 @@ class TestLinearSvm:
     def test_margin_homogeneity(self):
         rng = np.random.default_rng(8)
         X, y = blobs(rng)
-        model = svm_fit(X, y, lam=1e-3, epochs=100)
+        model = svm_fit(X, y, ClassifierSettings(svm_lambda=1e-3, svm_epochs=100))
         margins = svm_score(model, X)
         doubled = 2.0 * (X @ model.weights) + 2.0 * model.bias
         assert (np.sign(doubled) == np.sign(margins)).all() or np.allclose(margins, 0)
@@ -402,21 +403,22 @@ class TestLinearSvm:
         X = np.zeros((4, 1))
         y = [0, 1, 0, 1]
         with pytest.raises(IsoguardError, match="lam"):
-            svm_fit(X, y, lam=0.0)
+            svm_fit(X, y, ClassifierSettings(svm_lambda=0.0))
         with pytest.raises(IsoguardError, match="epochs"):
-            svm_fit(X, y, epochs=0)
+            svm_fit(X, y, ClassifierSettings(svm_epochs=0))
 
     def test_non_finite_weights_rejected(self):
-        # a subnormal lam makes the first step size 1 / lam overflow to infinity, and the weights with it
+        # a subnormal svm_lambda makes the first step size 1 / lambda overflow to infinity, and the weights with it
+        settings = ClassifierSettings(svm_lambda=1e-320, svm_epochs=1)
         with pytest.raises(IsoguardError, match="SVM training produced non-finite weights"):
-            svm_fit([[10.0], [20.0], [-10.0], [-20.0]], [1, 1, 0, 0], lam=1e-320, epochs=1)
+            svm_fit([[10.0], [20.0], [-10.0], [-20.0]], [1, 1, 0, 0], settings)
 
 
 class TestAdaBoost:
     def test_perfect_single_threshold_one_stump(self):
         X = np.array([[0.0], [1.0], [2.0], [10.0], [11.0], [12.0]])
         y = [0, 0, 0, 1, 1, 1]
-        model = adaboost_fit(X, y, n_stumps=10)
+        model = adaboost_fit(X, y, ClassifierSettings(adaboost_stumps=10))
         assert len(model.stumps) == 1
         assert (predict_model(model, X) == np.array(y)).all()
 
@@ -424,7 +426,7 @@ class TestAdaBoost:
         # contradictory duplicates: the only stump errs exactly 0.5, so nothing is added
         X = np.array([[0.0], [0.0], [1.0], [1.0]])
         y = [0, 1, 0, 1]
-        model = adaboost_fit(X, y, n_stumps=5)
+        model = adaboost_fit(X, y, ClassifierSettings(adaboost_stumps=5))
         assert model.stumps == []
 
     def test_weight_renormalization_every_round(self):
@@ -448,7 +450,7 @@ class TestAdaBoost:
     def test_training_error_bound(self):
         rng = np.random.default_rng(11)
         X, y = blobs(rng, n_per_class=30, d=2, sep=1.5)
-        model = adaboost_fit(X, y, n_stumps=20)
+        model = adaboost_fit(X, y, ClassifierSettings(adaboost_stumps=20))
         # product of 2*sqrt(eps(1-eps)) over rounds bounds the training error rate
         t = 2.0 * y - 1.0
         weights = np.full(len(y), 1.0 / len(y))
@@ -476,9 +478,9 @@ class TestAdaBoost:
         inputs = [blobs(rng, n_per_class=30, d=3, sep=1.0)]
         X, y = blobs(rng, n_per_class=40, d=4, sep=0.8)
         inputs.append((np.round(X), y))
-        fitted = [model_to_json(adaboost_fit(X, y, n_stumps=15)) for X, y in inputs]
+        fitted = [model_to_json(adaboost_fit(X, y, ClassifierSettings(adaboost_stumps=15))) for X, y in inputs]
         monkeypatch.setattr(classifiers, "_best_stump", lambda X, t, w, orders: reference_best_stump(X, t, w))
-        assert [model_to_json(adaboost_fit(X, y, n_stumps=15)) for X, y in inputs] == fitted
+        assert [model_to_json(adaboost_fit(X, y, ClassifierSettings(adaboost_stumps=15))) for X, y in inputs] == fitted
 
     def test_all_constant_features_rejected(self):
         with pytest.raises(IsoguardError, match="no valid stump"):
@@ -494,11 +496,11 @@ class TestCommonContracts:
         rng = np.random.default_rng(12)
         X, y = blobs(rng, n_per_class=25, d=3)
         return X, y, {
-            "knn": knn_fit(X, y, k=3),
+            "knn": knn_fit(X, y, ClassifierSettings(knn_k=3)),
             "nb": gnb_fit(X, y),
-            "lr": logreg_fit(X, y, epochs=50),
-            "svm": svm_fit(X, y, epochs=50),
-            "abc": adaboost_fit(X, y, n_stumps=10),
+            "lr": logreg_fit(X, y, ClassifierSettings(lr_epochs=50)),
+            "svm": svm_fit(X, y, ClassifierSettings(svm_epochs=50)),
+            "abc": adaboost_fit(X, y, ClassifierSettings(adaboost_stumps=10)),
         }
 
     def test_feature_count_mismatch_rejected(self):
@@ -522,11 +524,11 @@ class TestCommonContracts:
         rng = np.random.default_rng(13)
         X, y = blobs(rng, n_per_class=20)
         for fit in (
-            lambda: knn_fit(X, y, k=3),
+            lambda: knn_fit(X, y, ClassifierSettings(knn_k=3)),
             lambda: gnb_fit(X, y),
-            lambda: logreg_fit(X, y, epochs=30),
-            lambda: svm_fit(X, y, epochs=30),
-            lambda: adaboost_fit(X, y, n_stumps=5),
+            lambda: logreg_fit(X, y, ClassifierSettings(lr_epochs=30)),
+            lambda: svm_fit(X, y, ClassifierSettings(svm_epochs=30)),
+            lambda: adaboost_fit(X, y, ClassifierSettings(adaboost_stumps=5)),
         ):
             assert model_to_json(fit()) == model_to_json(fit())
 
@@ -573,21 +575,25 @@ def label_rule_cases():
             X = np.round(X)  # value ties: equal distances, tied stumps, repeated scores
         Q = np.vstack((X, rng.normal(1.0, 2.0, size=(40, X.shape[1]))))
         for k in (1, 2, 3, 4, 6):
-            cases.append((f"knn-k{k}-{i}", knn_fit(X, y, k=k), Q))
+            cases.append((f"knn-k{k}-{i}", knn_fit(X, y, ClassifierSettings(knn_k=k)), Q))
         cases.append((f"nb-{i}", gnb_fit(X, y), Q))
-        cases.append((f"lr-{i}", logreg_fit(X, y, epochs=40), Q))
-        cases.append((f"svm-{i}", svm_fit(X, y, epochs=40), Q))
-        cases.append((f"abc-{i}", adaboost_fit(X, y, n_stumps=8), Q))
+        cases.append((f"lr-{i}", logreg_fit(X, y, ClassifierSettings(lr_epochs=40)), Q))
+        cases.append((f"svm-{i}", svm_fit(X, y, ClassifierSettings(svm_epochs=40)), Q))
+        cases.append((f"abc-{i}", adaboost_fit(X, y, ClassifierSettings(adaboost_stumps=8)), Q))
     # even k with exact vote ties: the first three queries have one 0 and one 1 neighbour
     X = np.array([[0.0], [1.0], [10.0], [11.0]])
-    cases.append(("knn-even-ties", knn_fit(X, [0, 1, 1, 0], k=2), np.array([[0.5], [10.5], [0.0], [5.5]])))
-    cases.append(("knn-k4-all-tie", knn_fit(X, [0, 1, 1, 0], k=4), np.array([[0.5], [100.0]])))
-    svm = svm_fit(np.array([[1.0], [-1.0]]), [0, 1], epochs=1, lam=1.0)
+    even, all_tie = ClassifierSettings(knn_k=2), ClassifierSettings(knn_k=4)
+    cases.append(("knn-even-ties", knn_fit(X, [0, 1, 1, 0], even), np.array([[0.5], [10.5], [0.0], [5.5]])))
+    cases.append(("knn-k4-all-tie", knn_fit(X, [0, 1, 1, 0], all_tie), np.array([[0.5], [100.0]])))
+    svm = svm_fit(np.array([[1.0], [-1.0]]), [0, 1], ClassifierSettings(svm_epochs=1, svm_lambda=1.0))
     svm.weights[:] = 0.0
     svm.bias = 0.0  # score exactly 0 everywhere
     cases.append(("svm-zero-weights", svm, np.array([[1.0], [-1.0], [0.0]])))
-    cases.append(("lr-epochs-0", logreg_fit(np.array([[1.0], [2.0]]), [0, 1], epochs=0), np.array([[1.0], [-3.0]])))
-    no_stumps = adaboost_fit(np.array([[0.0], [0.0], [1.0], [1.0]]), [0, 1, 0, 1], n_stumps=5)
+    zero_model = logreg_fit(np.array([[1.0], [2.0]]), [0, 1], ClassifierSettings(lr_epochs=0))
+    cases.append(("lr-epochs-0", zero_model, np.array([[1.0], [-3.0]])))
+    no_stumps = adaboost_fit(
+        np.array([[0.0], [0.0], [1.0], [1.0]]), [0, 1, 0, 1], ClassifierSettings(adaboost_stumps=5)
+    )
     cases.append(("abc-no-stumps", no_stumps, np.array([[0.0], [1.0]])))
     return cases
 
@@ -704,11 +710,11 @@ class TestLoadModelChecks:
     def saved_docs(self, rows):
         X, y = rows
         models = {
-            "knn": knn_fit(X, y, k=5),
+            "knn": knn_fit(X, y, ClassifierSettings(knn_k=5)),
             "nb": gnb_fit(X, y),
-            "lr": logreg_fit(X, y, epochs=20),
-            "svm": svm_fit(X, y, epochs=20),
-            "abc": adaboost_fit(X, y, n_stumps=5),
+            "lr": logreg_fit(X, y, ClassifierSettings(lr_epochs=20)),
+            "svm": svm_fit(X, y, ClassifierSettings(svm_epochs=20)),
+            "abc": adaboost_fit(X, y, ClassifierSettings(adaboost_stumps=5)),
         }
         return {name: json.loads(model_to_json(model)) for name, model in models.items()}
 
@@ -761,7 +767,7 @@ LAYOUT_FITS = {  # each model class's fit with its default settings, fewer stump
     GaussianNbModel: gnb_fit,
     LogisticModel: logreg_fit,
     LinearSvmModel: svm_fit,
-    AdaBoostModel: lambda X, y: adaboost_fit(X, y, n_stumps=10),
+    AdaBoostModel: lambda X, y: adaboost_fit(X, y, ClassifierSettings(adaboost_stumps=10)),
 }
 
 

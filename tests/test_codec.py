@@ -87,7 +87,16 @@ class TestRangeAndChoiceFields:
     def test_check_types_applies_the_ranges(self):
         check_types(Outer(Ranges(cap=None)), "doc")
         with pytest.raises(IsoguardError, match=re.escape("ranges.cap must be >= 1, got 0")):
-            check_types(Outer(Ranges(cap=0)), "doc")
+            check_types(Ranges(cap=0), "doc", "ranges")
+        # a nested section checks itself when built; its parent checks only its class
+        with pytest.raises(IsoguardError, match=re.escape("ranges must be a Ranges, got 0.5")):
+            check_types(Outer(0.5), "doc")
+
+    def test_check_types_stores_what_it_decodes(self):
+        ranges = Ranges(unit=0, cap=1)
+        check_types(ranges, "doc", "ranges")
+        assert type(ranges.unit) is float and ranges.unit == 0.0
+        assert type(ranges.cap) is int
 
     def test_array_nested_past_numpys_dimensions_is_rejected(self):
         # JSON nests deeper than the 32 dimensions numpy's flat iterator takes

@@ -263,7 +263,7 @@ class TestFitForest:
         X = np.zeros((10, 2))
         with pytest.raises(IsoguardError, match="exceeds"):
             fit_forest(X, t=5, m=11)
-        with pytest.raises(IsoguardError, match="tree count"):
+        with pytest.raises(IsoguardError, match="t must be >= 1, got 0"):
             fit_forest(X, t=0, m=4)
         with pytest.raises(IsoguardError, match=">= 2"):
             fit_forest(X, t=5, m=1)

@@ -95,6 +95,21 @@ class TestConfig:
         again = config_from_dict(doc)
         assert again == cfg
 
+    def test_integer_valued_floats_built_in_python_round_trip(self):
+        # each section stores the float it decodes, as a JSON config does, so a reload writes the same bytes
+        cfg = PipelineConfig(
+            classifiers=ClassifierSettings(lr_learning_rate=1, svm_lambda=1),
+            forest=ForestSettings(threshold=ThresholdSettings(tau=1)),
+            synthetic=SyntheticSpec(separation=2, outlier_magnitude=12),
+        )
+        text = config_to_json(cfg)
+        again = config_from_dict(json.loads(text))
+        assert config_to_json(again) == text
+        assert type(cfg.classifiers.lr_learning_rate) is float and type(cfg.synthetic.separation) is float
+        X, y = np.array([[0.0, 1.0], [1.0, 0.0], [2.0, 2.0], [3.0, 1.0]]), np.array([0, 0, 1, 1])
+        for fit in (clf.logreg_fit, clf.svm_fit):
+            assert clf.model_to_json(fit(X, y, cfg.classifiers)) == clf.model_to_json(fit(X, y, again.classifiers))
+
     def test_defaults_from_minimal_dict(self):
         cfg = config_from_dict({"input": "x.csv"})
         assert cfg.select.target_count == 15
@@ -233,9 +248,9 @@ class TestRunPipeline:
         fits = []
 
         def counting(name, fit):
-            def run(X, y, **kw):
+            def run(X, y, settings):
                 fits.append(name)
-                return fit(X, y, **kw)
+                return fit(X, y, settings)
 
             return run
 
