@@ -458,8 +458,6 @@ def _check_shape(name: str, a: np.ndarray, shape: tuple[int, ...]) -> None:
 def _check_knn(ref: KnnReference) -> None:
     if not re.fullmatch(r"[0-9a-f]{64}", ref.rows_sha256):
         raise IsoguardError(f"rows_sha256 must be 64 lowercase hex digits, got {ref.rows_sha256!r}")
-    if not 1 <= ref.k <= ref.n_rows:
-        raise IsoguardError(f"k must satisfy 1 <= k <= {ref.n_rows}, got {ref.k}")
 
 
 def _check_gnb(model: GaussianNbModel) -> None:

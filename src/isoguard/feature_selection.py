@@ -11,23 +11,15 @@ keyed by (seed, tree, node, feature key) hashes: no tree depends on the
 order in which trees are built, and permuting columns together with their
 keys permutes the result identically.
 
-A fit keeps only each tree's importance row: no tree is stored. The node
-in a draw key counts, in pre-order, only the nodes that reach the draw,
-so a node cut off by purity, size or depth takes no id.
-
-The trees of one fit grow in lockstep. Each tree keeps its own stack of
-pending nodes that can draw, and a child that cannot never enters it.
-One step pops the next node of every live tree and finds all their best
-splits with one set of numpy calls over the concatenated rows (node-local
-bounds by ``reduceat``, thresholds, class counts, Gini, a per-node
-argmax). A short Python pass then adds each split's impurity decrease
-into its tree's importance row and pushes the children that can draw. A
-tree takes no further step until its node is split, so its nodes still
-draw in pre-order. The draws stay per tree and in pre-order, because a
-node's id, and so its hashes, depend on how many nodes before it in its
-own tree reached the draw: a level-by-level or cross-tree numbering
-would draw different numbers. Each tree's importance row is summed in
-its own pre-order, so every result equals a tree built alone.
+A fit keeps only each tree's importance row: no tree is stored. The trees
+of one fit grow in lockstep, each from its own stack of nodes that can
+draw; a node cut off by purity, size or depth never enters it. Each step
+pops the next node of every live tree and splits them all with one set
+of numpy calls over the concatenated rows. A tree pops one node per step
+until its stack empties, so a node's draw id is the step that splits
+it: its pre-order position among its own tree's drawing nodes. A tree's
+draws and importance sums thus follow its own pre-order, and every
+result equals a tree built alone.
 """
 from __future__ import annotations
 
@@ -95,47 +87,21 @@ def _gini_counts(n0: np.ndarray | float, n1: np.ndarray | float) -> np.ndarray |
 
 
 def _node_draws(
-    tree_hash: int, first: int, count: int, keys: np.ndarray, n_candidates: int
+    tree_hashes: np.ndarray, first: int, count: int, keys: np.ndarray, n_candidates: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Candidate columns and threshold uniforms for node ids first..first+count-1.
+    """Candidate columns and threshold uniforms for node ids first..first+count-1
+    of every tree, indexed ``[tree, slot]``.
 
     Node ``i`` of a tree draws from hash64(seed, tree, i, tag). The draws
     depend on those hashes and the feature keys only, never on the data,
     so a block of node ids is drawn at once.
     """
     ids = np.arange(first, first + count, dtype=np.uint64)
-    cand_base = extend_hashes(tree_hash, ids, _CANDIDATE_TAG)
-    order = np.argsort(unit_uniforms(cand_base[:, None], keys), axis=1, kind="stable")
-    candidates = order[:, :n_candidates]
-    thr_base = extend_hashes(tree_hash, ids, _THRESHOLD_TAG)
-    return candidates, unit_uniforms(thr_base[:, None], keys[candidates])
-
-
-class _GrowingTree:
-    """One tree of a lockstep build: its stack of pending nodes that can
-    draw, its importance row and its own draw-id counter and draw blocks."""
-
-    __slots__ = ("stack", "importances", "tree_hash", "blocks", "next_id")
-
-    def __init__(self, tree_hash: int, importances: np.ndarray) -> None:
-        self.stack: list[tuple[np.ndarray, int, int]] = []  # (rows, class-1 count, depth)
-        self.importances = importances
-        self.tree_hash = tree_hash
-        self.blocks: list[tuple[np.ndarray, np.ndarray]] = []  # (candidates, draws) per _DRAW_BLOCK ids
-        self.next_id = 0
-
-    def next_draw(self, keys: np.ndarray, n_candidates: int) -> tuple[np.ndarray, int, int, np.ndarray, np.ndarray]:
-        """Pop the next node in pre-order and give it the next draw id:
-        (rows, class-1 count, depth, candidates, draws)."""
-        rows, n1, depth = self.stack.pop()
-        # depth-first pre-order ids of the nodes that draw: they decide
-        # which hashes a node draws
-        block, slot = divmod(self.next_id, _DRAW_BLOCK)
-        if block == len(self.blocks):
-            self.blocks.append(_node_draws(self.tree_hash, self.next_id, _DRAW_BLOCK, keys, n_candidates))
-        self.next_id += 1
-        candidates, draws = self.blocks[block]
-        return rows, n1, depth, candidates[slot], draws[slot]
+    cand_base = extend_hashes(tree_hashes[:, None], ids, _CANDIDATE_TAG)
+    order = np.argsort(unit_uniforms(cand_base[..., None], keys), axis=-1, kind="stable")
+    candidates = order[..., :n_candidates]
+    thr_base = extend_hashes(tree_hashes[:, None], ids, _THRESHOLD_TAG)
+    return candidates, unit_uniforms(thr_base[..., None], keys[candidates])
 
 
 def _best_splits(
@@ -214,16 +180,14 @@ def _build_trees(
     settings: SelectSettings,
     seed: int,
     tree_indices: Sequence[int],
-    importances: Sequence[np.ndarray],
-) -> None:
-    """Grow the trees ``tree_indices`` in lockstep, adding each tree's
-    weighted impurity decreases into its row of ``importances``.
+) -> np.ndarray:
+    """Grow the trees ``tree_indices`` in lockstep and return their weighted
+    impurity decreases, one row per tree.
 
-    Each step takes the next drawing node of every live tree and splits
-    all of them with one ``_best_splits`` call; each tree's draws and
-    importance sums still follow that tree's own pre-order. ``X`` is
-    C-ordered (``checked_matrix``), so ``_best_splits``' ``X.ravel()`` makes
-    no copy.
+    Each step splits the next node of every live tree with one
+    ``_best_splits`` call, and a node's draw id is the step that splits
+    it. ``X`` is C-ordered (``checked_matrix``), so ``_best_splits``'
+    ``X.ravel()`` makes no copy.
     """
     n_total, d = X.shape
     n_candidates = max(1, math.ceil(math.sqrt(d)))
@@ -240,18 +204,25 @@ def _build_trees(
     is_one = y == 1
     root, root_n1 = np.concatenate((np.flatnonzero(is_one), np.flatnonzero(~is_one))), int(is_one.sum())
     # hash64 is a left fold: each node only folds its id and a tag onto a tree's hash
-    live = [_GrowingTree(int(hash64(seed, t)), acc) for t, acc in zip(tree_indices, importances)]
-    for tree in live:
-        push(tree.stack, root, root_n1, 0)
+    tree_hashes = np.array([hash64(seed, t) for t in tree_indices], dtype=np.uint64)
+    importances = np.zeros((tree_hashes.size, d))
+    stacks: list[list[tuple[np.ndarray, int, int]]] = [[] for _ in tree_indices]  # (rows, class-1 count, depth)
+    for stack in stacks:
+        push(stack, root, root_n1, 0)
+    step = 0
     # an empty side's Gini is 0/0 = nan: masked to -inf for a constant
     # candidate, and otherwise picked by argmax, which leaves the node unsplit
     with np.errstate(invalid="ignore", divide="ignore"):
-        while live := [tree for tree in live if tree.stack]:
-            batch = [(tree, *tree.next_draw(keys, n_candidates)) for tree in live]
-            _, rows, n1, _, candidates, draws = zip(*batch)
-            splits, left_rows, right_rows = _best_splits(X, rows, n1, np.array(candidates), np.array(draws))
+        while live := [t for t, stack in enumerate(stacks) if stack]:
+            slot = step % _DRAW_BLOCK
+            if slot == 0:
+                candidates, draws = _node_draws(tree_hashes, step, _DRAW_BLOCK, keys, n_candidates)
+            step += 1
+            nodes = [stacks[t].pop() for t in live]
+            rows, n1, _ = zip(*nodes)
+            splits, left_rows, right_rows = _best_splits(X, rows, n1, candidates[live, slot], draws[live, slot])
             at_left = at_right = 0
-            for (tree, node_rows, node_n1, depth, _, _), (decrease, feature, n_left, n1_left) in zip(batch, splits):
+            for t, (node_rows, node_n1, depth), (decrease, feature, n_left, n1_left) in zip(live, nodes, splits):
                 n_node = node_rows.size
                 left = left_rows[at_left : at_left + n_left]
                 right = right_rows[at_right : at_right + n_node - n_left]
@@ -259,9 +230,10 @@ def _build_trees(
                 at_right += n_node - n_left
                 if not math.isfinite(decrease):
                     continue
-                tree.importances[feature] += (n_node / n_total) * decrease
-                push(tree.stack, right, node_n1 - n1_left, depth + 1)
-                push(tree.stack, left, n1_left, depth + 1)
+                importances[t, feature] += (n_node / n_total) * decrease
+                push(stacks[t], right, node_n1 - n1_left, depth + 1)
+                push(stacks[t], left, n1_left, depth + 1)
+    return importances
 
 
 def _checked_keys(feature_keys: np.ndarray | None, d: int) -> np.ndarray:
@@ -292,8 +264,7 @@ def fit_extra_trees(
 
     # the trees grow together in one thread: a lockstep step is a handful of
     # numpy calls plus per-node Python that holds the GIL, so threads only add overhead
-    acc = np.zeros((settings.n_trees, d), dtype=np.float64)
-    _build_trees(X, y, keys, settings, seed, range(settings.n_trees), acc)
+    acc = _build_trees(X, y, keys, settings, seed, range(settings.n_trees))
     return ExtraTreesEstimator(trees=[row / total if (total := row.sum()) > 0.0 else None for row in acc])
 
 

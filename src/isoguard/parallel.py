@@ -8,7 +8,7 @@ compares, which run with the GIL released, so workers overlap. Fits are
 per-node Python that holds the GIL, so they run serially: the isolation
 trees one by one, and the extra-trees of one fit in lockstep on the
 calling thread, one set of numpy calls per step for the next drawing
-node of every tree, adding only into each tree's importance row. The
+node of every tree; a node's draw id is the step that splits it. The
 pool never has more workers than the CPUs this process may use.
 """
 from __future__ import annotations

@@ -55,8 +55,12 @@ def extend_hash(h: int, *parts: int | str) -> int:
     return h
 
 
-def extend_hashes(h: int, ids: np.ndarray, *parts: int) -> np.ndarray:
-    """Array form of ``extend_hash(h, i, *parts)`` for every integer ``i`` in ``ids``."""
+def extend_hashes(h: int | np.ndarray, ids: np.ndarray, *parts: int) -> np.ndarray:
+    """Array form of ``extend_hash(h, i, *parts)`` for every integer ``i`` in ``ids``.
+
+    ``h`` may be a uint64 array that broadcasts against ``ids``: a column of
+    hashes gives one row of extended hashes per hash.
+    """
     z = splitmix64(np.uint64(h) ^ ids.astype(np.uint64))
     for part in parts:
         z = splitmix64(z ^ np.uint64(int(part) & _MASK))

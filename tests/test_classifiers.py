@@ -328,6 +328,14 @@ class TestLogisticRegression:
         with pytest.raises(IsoguardError, match="diverged"):
             logreg_fit(X * 100, y, ClassifierSettings(lr_learning_rate=1e6, lr_epochs=200))
 
+    def test_weights_overflowing_on_the_last_update_reported(self):
+        # 2 rows: the one update leaves a finite weight, about -5e306
+        model = logreg_fit(np.full((2, 1), 1e308), np.zeros(2, dtype=int), ClassifierSettings(lr_epochs=1))
+        assert np.isfinite(model.weights).all()
+        # 4 rows: the gradient overflows on the last update, which no loss check reads
+        with pytest.raises(IsoguardError, match=r"diverged \(non-finite weights\)"):
+            logreg_fit(np.full((4, 1), 1e308), np.zeros(4, dtype=int), ClassifierSettings(lr_epochs=1))
+
     def test_loss_nonincreasing_at_modest_rate(self):
         rng = np.random.default_rng(6)
         X, y = blobs(rng)
@@ -683,7 +691,7 @@ MODEL_CORRUPTIONS = [
     # a non-integral value is rejected, not truncated to an int
     ("abc", _set_stump("polarity", 1.9), "polarity must be an integer, got 1.9"),
     ("abc", _set_stump("feature", 0.7), "feature must be an integer, got 0.7"),
-    ("knn", _set("n_rows", 4), "k must satisfy 1 <= k <= 4, got 5"),
+    ("knn", _set("n_rows", 4), "training rows have shape (50, 3), but the model was fit on (4, 3)"),
     ("knn", _set("k", 1.5), "k must be an integer, got 1.5"),
     ("knn", _set("k", True), "k must be an integer, got True"),
     ("knn", _set("X", [[0.0, 0.0, 0.0]]), "unknown model keys: ['X']"),

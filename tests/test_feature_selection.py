@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+from isoguard import feature_selection
 from isoguard.errors import IsoguardError
 from isoguard.feature_selection import (
     _CANDIDATE_TAG,
@@ -458,6 +459,31 @@ def split_count(oracle_tree):
     return sum(feature != -1 for feature, _, _ in oracle_tree)
 
 
+def draw_ids(X, y, settings, oracle_tree):
+    """Walk an ``oracle_build_tree`` output over X's rows and return (the number of
+    nodes that reach the draw, the draw id of the last split node or None)."""
+    nodes = iter(oracle_tree)
+    n_draws, last_split = 0, None
+
+    def walk(rows, depth):
+        nonlocal n_draws, last_split
+        feature, threshold, _ = next(nodes)
+        n1 = int(y[rows].sum())
+        if 0 < n1 < rows.size and rows.size >= settings.min_samples_split and (
+            settings.max_depth is None or depth < settings.max_depth
+        ):
+            n_draws += 1
+        if feature == -1:
+            return
+        last_split = n_draws - 1
+        mask = X[rows, feature] < threshold
+        walk(rows[mask], depth + 1)
+        walk(rows[~mask], depth + 1)
+
+    walk(np.arange(X.shape[0]), 0)
+    return n_draws, last_split
+
+
 class TestBuildTreeOracle:
     @pytest.mark.parametrize("case", range(len(oracle_cases())))
     def test_trees_and_importances_equal_the_oracle(self, case):
@@ -469,8 +495,7 @@ class TestBuildTreeOracle:
         for i in range(settings.n_trees):
             want_imp = np.zeros(d)
             oracle_build_tree(X, y, keys, settings, seed, i, want_imp)
-            got_imp = np.zeros(d)
-            _build_trees(X, y, keys, settings, seed, [i], [got_imp])
+            got_imp = _build_trees(X, y, keys, settings, seed, [i])[0]
             assert np.array_equal(got_imp, want_imp)
             total = want_imp.sum()
             if total > 0.0:
@@ -510,26 +535,62 @@ class TestBuildTreeOracle:
         settings = SelectSettings(n_trees=1)
         want = np.zeros(5)
         assert split_count(oracle_build_tree(X, y, keys, settings, 3, 0, want)) > 2 * _DRAW_BLOCK
-        got = np.zeros(5)
-        _build_trees(X, y, keys, settings, 3, [0], [got])
+        got = _build_trees(X, y, keys, settings, 3, [0])[0]
         assert np.array_equal(got, want)
 
     def test_lockstep_trees_equal_trees_built_alone(self):
         X, y = deep_data()
         cases = oracle_cases() + [(X, y, None, SelectSettings(n_trees=3), 12)]
-        split_counts = []
+        split_counts, last_blocks = [], []
         for X, y, keys, settings, seed in cases:
             d = X.shape[1]
             keys = np.arange(d, dtype=np.uint64) if keys is None else keys
-            together = np.zeros((settings.n_trees, d))
-            _build_trees(X, y, keys, settings, seed, range(settings.n_trees), together)
+            together = _build_trees(X, y, keys, settings, seed, range(settings.n_trees))
             for i in range(settings.n_trees):
-                alone = np.zeros(d)
-                _build_trees(X, y, keys, settings, seed, [i], [alone])
-                assert np.array_equal(together[i], alone)
+                assert np.array_equal(together[i], _build_trees(X, y, keys, settings, seed, [i])[0])
             oracles = [oracle_build_tree(X, y, keys, settings, seed, i, np.zeros(d)) for i in range(settings.n_trees)]
             split_counts.append([split_count(tree) for tree in oracles])
+            last_splits = [draw_ids(X, y, settings, tree)[1] for tree in oracles]
+            last_blocks.append({i // _DRAW_BLOCK for i in last_splits if i is not None})
         # some tree finishes while others in its fit still step
         assert any(len(set(counts)) > 1 for counts in split_counts)
+        # and makes its last split in an earlier draw block than another tree of its fit,
+        # so a block drawn after that tree finished still serves the live ones
+        assert any(len(blocks) > 1 for blocks in last_blocks)
         # the last case: each of its trees crosses more than two draw blocks
         assert min(split_counts[-1]) > 2 * _DRAW_BLOCK
+
+    def test_draw_ids_key_on_the_tree_index(self):
+        # tree 2 takes position 0 of the fit: its draws still key on index 2, not on its position
+        X, y = deep_data()
+        keys = np.arange(5, dtype=np.uint64)
+        settings = SelectSettings(n_trees=3)
+        all_three = _build_trees(X, y, keys, settings, 12, range(3))
+        two = _build_trees(X, y, keys, settings, 12, [2, 0])
+        assert two.shape == (2, 5)
+        assert np.array_equal(two, all_three[[2, 0]])
+        for row, i in zip(two, (2, 0)):
+            assert np.array_equal(row, _build_trees(X, y, keys, settings, 12, [i])[0])
+        assert not np.array_equal(two[0], two[1])
+
+    @pytest.mark.parametrize("case", range(len(oracle_cases())))
+    def test_one_node_draws_call_per_draw_block(self, case, monkeypatch):
+        # every tree of a fit draws from one block per _DRAW_BLOCK steps, and a fit
+        # takes as many steps as its tree with the most drawing nodes
+        X, y, keys, settings, seed = oracle_cases()[case]
+        d = X.shape[1]
+        keys = np.arange(d, dtype=np.uint64) if keys is None else keys
+        calls = []
+        real = feature_selection._node_draws
+
+        def counted(tree_hashes, first, count, *rest):
+            calls.append((tree_hashes.size, first, count))
+            return real(tree_hashes, first, count, *rest)
+
+        monkeypatch.setattr(feature_selection, "_node_draws", counted)
+        got = _build_trees(X, y, keys, settings, seed, range(settings.n_trees))
+        steps = max(draw_ids(X, y, settings, oracle_build_tree(X, y, keys, settings, seed, i, np.zeros(d)))[0]
+                    for i in range(settings.n_trees))
+        n_blocks = -(-steps // _DRAW_BLOCK)
+        assert calls == [(settings.n_trees, b * _DRAW_BLOCK, _DRAW_BLOCK) for b in range(n_blocks)]
+        assert got.shape == (settings.n_trees, d)

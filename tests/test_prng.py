@@ -97,6 +97,16 @@ def test_extend_hashes_is_the_array_fold():
     assert got.tolist() == [int(w) for w in want]
 
 
+def test_extend_hashes_broadcasts_a_column_of_hashes():
+    hashes = np.array([hash64(7, t) for t in (0, 1, 5, 2**40)] + [np.uint64(2**64 - 1)], dtype=np.uint64)
+    ids = np.array([0, 1, 63, 64, 2**40, 2**64 - 1], dtype=np.uint64)
+    got = extend_hashes(hashes[:, None], ids, 0x5EED_7442)
+    assert got.shape == (hashes.size, ids.size) and got.dtype == np.uint64
+    for t in range(hashes.size):
+        for i in range(ids.size):
+            assert int(got[t, i]) == extend_hash(int(hashes[t]), int(ids[i]), 0x5EED_7442), (t, i)
+
+
 def test_splitmix64_scalar_and_array_match_oracle():
     values = [v & _MASK for v in SCALARS]
     for v in values:
