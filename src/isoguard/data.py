@@ -110,20 +110,11 @@ class SplitSettings:
 
 
 # load_csv's parse memo: (sha256 of the file's bytes, target column) -> an all-Numeric Dataset.
-# load_csv stores what it parsed and write_csv what it wrote. Two entries hold the train and
-# test partitions that ingest writes and the later stages re-read.
+# Only write_csv stores entries, the tables it wrote; load_csv only reads them. Two entries
+# hold the train and test partitions that ingest writes and the later stages re-read.
 _PARSED_MAX = 2
 _parsed: OrderedDict[tuple[bytes, str], Dataset] = OrderedDict()
 _parsed_lock = threading.Lock()
-
-
-def _remember(key: tuple[bytes, str], ds: Dataset) -> None:
-    """Keep ``ds`` as the most recently used memo entry, dropping the least recently used past two."""
-    with _parsed_lock:
-        _parsed[key] = ds
-        _parsed.move_to_end(key)
-        if len(_parsed) > _PARSED_MAX:
-            _parsed.popitem(last=False)
 
 
 def load_csv(path: str | Path, target_column: str = "class") -> Dataset:
@@ -145,14 +136,13 @@ def load_csv(path: str | Path, target_column: str = "class") -> Dataset:
     not UTF-8 or not CSV, a ragged row, an empty cell); then an empty
     table; then a target column that is not binary.
 
-    Every call reads the file, but identical bytes are parsed once per
-    process: a table whose features are all Numeric is memoized under the
-    sha256 of its bytes and ``target_column``, at most two of them, least
-    recently used first out. ``write_csv`` puts what it wrote into the same
-    memo, so a file this process wrote and nothing changed since is not
-    parsed at all. A memo hit returns a Dataset equal to a fresh parse, with
-    its own copies of ``rows`` and ``target``. Errors are never memoized,
-    and a table with a Nominal column is never kept.
+    Every call reads the file. Only tables that ``write_csv`` wrote are
+    kept: it memoizes each all-Numeric table under the sha256 of the bytes
+    it wrote and the target column, at most two of them, least recently
+    used first out. A file whose bytes and ``target_column`` match an entry
+    is not parsed; the hit returns a Dataset equal to a fresh parse, with
+    its own copies of ``rows`` and ``target``. Any other file is parsed on
+    every call, and nothing this function parses is kept.
     """
     path = Path(path)
     if not path.is_file():
@@ -163,23 +153,16 @@ def load_csv(path: str | Path, target_column: str = "class") -> Dataset:
         hit = _parsed.get(key)
         if hit is not None:
             _parsed.move_to_end(key)
-            return _copy_arrays(hit)
+            return replace(hit, rows=hit.rows.copy(), target=hit.target.copy())
     feature_names, columns, target = _parse_columns(raw, path, target_column)
     del raw  # freed before the columns are stacked, which sets the parse's peak memory
-    ds = Dataset(
+    return Dataset(
         feature_names=feature_names,
         kinds=tuple(ColumnKind.NUMERIC if c.dtype == np.float64 else ColumnKind.NOMINAL for c in columns),
         rows=np.column_stack(columns) if columns else np.empty((target.size, 0)),
         target=target,
         target_name=target_column,
     )
-    if ds.is_encoded:
-        _remember(key, _copy_arrays(ds))
-    return ds
-
-
-def _copy_arrays(ds: Dataset) -> Dataset:
-    return replace(ds, rows=ds.rows.copy(), target=ds.target.copy())
 
 
 def _decoded(raw: bytes) -> io.TextIOWrapper:
@@ -470,8 +453,9 @@ def write_csv(ds: Dataset, path: str | Path) -> None:
     A float column is written from a view of ``ds.rows``, not a copy.
 
     When a parse of the written bytes would return ``ds`` with every feature
-    Numeric, ``load_csv``'s memo keeps that parse's result under the bytes'
-    sha256, so reading the unchanged file back in this process parses nothing.
+    Numeric, that parse's result goes into ``load_csv``'s memo under the
+    bytes' sha256, so reading the unchanged file back in this process parses
+    nothing. This is the memo's only feeder.
     """
     columns = [
         col.astype(np.float64, copy=False) if ds.is_encoded or kind is ColumnKind.NUMERIC else col.astype(str)
@@ -482,7 +466,12 @@ def write_csv(ds: Dataset, path: str | Path) -> None:
     digest = write_table(path, header, [*columns, target])
     parsed = _as_parsed(ds, header, target)
     if parsed is not None:
-        _remember((digest, ds.target_name), parsed)
+        key = (digest, ds.target_name)
+        with _parsed_lock:
+            _parsed[key] = parsed
+            _parsed.move_to_end(key)
+            if len(_parsed) > _PARSED_MAX:
+                _parsed.popitem(last=False)
 
 
 def _as_parsed(ds: Dataset, header: list[str], target: np.ndarray) -> Dataset | None:

@@ -28,14 +28,14 @@ lengths go into a running sum per row, in tree order, so no trees x rows
 matrix is held, and the score divides the sums by t.
 
 ``predict`` returns a ``Verdicts``: the batch's labels, scores and mean
-path lengths as three read-only arrays. It is also a sequence of rows,
-and builds a row's ``OutlierVerdict`` only when the row is read.
+path lengths as three read-only arrays. Only the benchmark gate reads it
+row by row, by iterating it.
 """
 from __future__ import annotations
 
 import json
 import math
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -112,16 +112,15 @@ class OutlierVerdict:
 
 
 @dataclass(frozen=True, eq=False)
-class Verdicts(Sequence):
+class Verdicts:
     """``predict``'s result for a batch: per row its label (int64, +1
     normal, -1 outlier), its score s and its mean path length E(h), as
     three read-only arrays.
 
-    As a sequence it reads like a list of ``OutlierVerdict``: ``len``,
-    ``verdicts[i]`` and iteration build each row's verdict, with Python
-    int and float values, when it is read, and a slice is a ``Verdicts``
-    over the sliced arrays. A caller that reads the arrays builds no
-    per-row object.
+    Iterating it yields each row's ``OutlierVerdict``, with Python int
+    and float values, built as it is reached; the benchmark gate is the
+    one reader that does. ROADMAP item 4 deletes ``__iter__``,
+    ``OutlierVerdict`` and ``AnomalyScore`` once that gate reads arrays.
     """
 
     labels: IntArray
@@ -133,14 +132,6 @@ class Verdicts(Sequence):
             view = np.asarray(getattr(self, name)).view()  # read-only without freezing the caller's array
             view.flags.writeable = False
             object.__setattr__(self, name, view)
-
-    def __len__(self) -> int:
-        return self.labels.size
-
-    def __getitem__(self, i: int | slice) -> OutlierVerdict | Verdicts:
-        if isinstance(i, slice):
-            return Verdicts(self.labels[i], self.scores[i], self.mean_path_lengths[i])
-        return OutlierVerdict(self.labels.item(i), AnomalyScore(self.scores.item(i), self.mean_path_lengths.item(i)))
 
     def __iter__(self) -> Iterator[OutlierVerdict]:
         for label, s, mean_h in zip(self.labels.tolist(), self.scores.tolist(), self.mean_path_lengths.tolist()):
@@ -381,8 +372,7 @@ def predict(
 ) -> Verdicts:
     """``score_batch`` and ``label_scores`` of every row of X, as arrays:
     ``.labels``, ``.scores`` and ``.mean_path_lengths``. No per-row object
-    is built here; indexing or iterating the result builds each row's
-    ``OutlierVerdict`` view when it is read."""
+    is built."""
     s, mean_h = score_batch(forest, X)
     return Verdicts(label_scores(s, threshold, contamination), s, mean_h)
 

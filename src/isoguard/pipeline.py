@@ -301,9 +301,9 @@ def stage_detect(cfg: PipelineConfig, out: Path) -> None:
     kwargs = {"threshold": ts.tau} if ts.mode == "fixed" else {"contamination": ts.fraction}
     labels = {}
     for name, X in (("train", X_train), ("test", test.matrix()[:, selected])):
-        s, mean_h = iforest.score_batch(forest, X)
-        labels[name] = iforest.label_scores(s, **kwargs)
-        columns = [np.arange(s.size), s, mean_h, labels[name]]
+        verdicts = iforest.predict(forest, X, **kwargs)
+        labels[name] = verdicts.labels
+        columns = [np.arange(X.shape[0]), verdicts.scores, verdicts.mean_path_lengths, verdicts.labels]
         write_table(out / f"verdicts_{name}.csv", ["row", "score", "mean_path", "label"], columns)
     iforest.save_forest(forest, out / "forest.json")
     # (x, y, verdict, class) plot data: every training row, then the rows labelled +1

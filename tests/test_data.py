@@ -259,78 +259,91 @@ NUMERIC_TEXT = "x,y,class\n0.1,-2.5e3,normal\n7,1e-300,anomaly\n3.25,0,normal\n"
 
 
 class TestParseMemo:
-    def test_hit_matches_fresh_parse(self, tmp_path, parses):
-        path = write(tmp_path, NUMERIC_TEXT)
-        fresh = load_csv(path)
-        hit = load_csv(path)
-        assert parses == ["data.csv"]
-        same_dataset(hit, fresh)
-        data._parsed.clear()
-        same_dataset(hit, load_csv(path))
+    """Only tables that write_csv wrote are kept; load_csv keeps nothing it parses."""
+
+    @pytest.mark.parametrize(
+        "text, kinds",
+        [
+            (NUMERIC_TEXT, (ColumnKind.NUMERIC,) * 2),
+            ("duration,protocol_type,class\n1,tcp,normal\n2,udp,anomaly\n", (ColumnKind.NUMERIC, ColumnKind.NOMINAL)),
+        ],
+        ids=["numeric", "nominal"],
+    )
+    def test_file_this_process_did_not_write_is_parsed_every_call(self, tmp_path, parses, text, kinds):
+        path = write(tmp_path, text)
+        first = load_csv(path)
+        assert first.kinds == kinds
+        same_dataset(load_csv(path), first)
         assert parses == ["data.csv", "data.csv"]
+        assert not data._parsed
 
     def test_hit_arrays_are_not_shared(self, tmp_path, parses):
-        path = write(tmp_path, NUMERIC_TEXT)
-        for _ in range(2):  # mutate the parse's result, then a hit's
+        path = tmp_path / "w.csv"
+        write_csv(extreme_dataset(), path)
+        for _ in range(2):  # mutate one hit's arrays, then the next's
             ds = load_csv(path)
             ds.rows[:] = 99.0
             ds.target[:] = 1
         ds = load_csv(path)
-        assert ds.rows.tolist() == [[0.1, -2500.0], [7.0, 1e-300], [3.25, 0.0]]
-        assert ds.target.tolist() == [0, 1, 0]
-        assert parses == ["data.csv"]
+        assert ds.rows[:, 0].tolist() == EXTREME_FLOATS and ds.target.tolist() == [0, 1, 1, 0, 1, 0]
+        assert parses == []
 
     def test_same_size_rewrite_with_restored_mtime_is_reparsed(self, tmp_path, parses):
-        path = write(tmp_path, "x,class\n1,normal\n2,anomaly\n")
-        assert load_csv(path).rows.ravel().tolist() == [1.0, 2.0]
+        path = tmp_path / "w.csv"
+        write_csv(numeric_dataset([[1.0], [2.0]], [0, 1], names=("x",)), path)
         before = path.stat()
-        write(tmp_path, "x,class\n5,normal\n6,anomaly\n")
+        path.write_bytes(path.read_bytes().replace(b"1.0,", b"5.0,").replace(b"2.0,", b"6.0,"))
         os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
         after = path.stat()
         assert (after.st_size, after.st_mtime_ns) == (before.st_size, before.st_mtime_ns)
         assert load_csv(path).rows.ravel().tolist() == [5.0, 6.0]
-        assert parses == ["data.csv", "data.csv"]
-
-    def test_parse_error_is_not_cached(self, tmp_path, parses):
-        path = write(tmp_path, NUMERIC_TEXT)
-        good = load_csv(path)
-        write(tmp_path, NUMERIC_TEXT.replace("7,1e-300", "7"))
-        for _ in range(2):
-            with pytest.raises(IsoguardError, match="row 3 has 2 cells, expected 3"):
-                load_csv(path)
-        write(tmp_path, NUMERIC_TEXT)
-        same_dataset(load_csv(path), good)
-        assert parses == ["data.csv"] * 3
-        assert len(data._parsed) == 1
+        assert parses == ["w.csv"]
 
     def test_target_column_is_part_of_the_key(self, tmp_path, parses):
-        path = write(tmp_path, "a,class,label\n1.5,0,1\n2.5,1,1\n3.5,1,0\n")
+        path = tmp_path / "w.csv"
+        write_csv(numeric_dataset([[1.5, 1.0], [2.5, 1.0], [3.5, 0.0]], [0, 1, 1], names=("a", "label")), path)
         by_class = load_csv(path)
+        assert parses == []
         by_label = load_csv(path, target_column="label")
+        assert parses == ["w.csv"]
         assert by_class.feature_names == ("a", "label") and by_class.target.tolist() == [0, 1, 1]
         assert by_label.feature_names == ("a", "class") and by_label.target.tolist() == [1, 1, 0]
         assert by_label.target_name == "label"
-        assert parses == ["data.csv", "data.csv"]
+        assert [name for _, name in data._parsed] == ["class"]
 
     def test_nominal_table_is_never_stored(self, tmp_path, parses):
-        path = write(tmp_path, "duration,protocol_type,class\n1,tcp,normal\n2,udp,anomaly\n")
-        load_csv(path)
-        load_csv(path)
-        assert parses == ["data.csv", "data.csv"]
+        rows = np.array([[1.0, "tcp"], [2.0, "udp"]], dtype=object)
+        ds = Dataset(("duration", "protocol_type"), (ColumnKind.NUMERIC, ColumnKind.NOMINAL), rows, np.array([0, 1]))
+        write_csv(ds, tmp_path / "w.csv")
+        assert not data._parsed
+        load_csv(tmp_path / "w.csv")
+        load_csv(tmp_path / "w.csv")
+        assert parses == ["w.csv", "w.csv"]
         assert not data._parsed
 
-    def test_holds_at_most_two_tables_least_recently_used_first_out(self, tmp_path, parses):
-        paths = {
-            name: write(tmp_path, NUMERIC_TEXT.replace("0.1", str(i)), f"{name}.csv")
-            for i, name in enumerate("abc")
-        }
-        for name in "abac":  # the hit on a makes b the least recently used
-            load_csv(paths[name])
-            assert len(data._parsed) <= 2
-        assert parses == ["a.csv", "b.csv", "c.csv"]
-        load_csv(paths["a"])
-        load_csv(paths["b"])
-        assert parses == ["a.csv", "b.csv", "c.csv", "b.csv"]
+    def test_failed_parse_leaves_the_memo_as_it_was(self, tmp_path, parses):
+        path = tmp_path / "w.csv"
+        write_csv(extreme_dataset(), path)
+        kept = list(data._parsed.items())
+        good = path.read_bytes()
+        path.write_bytes(good.replace(b"\r\n", b",0\r\n", 2))  # the header and row 2 gain a cell, row 3 does not
+        for _ in range(2):
+            with pytest.raises(IsoguardError, match="row 3 has 3 cells, expected 4"):
+                load_csv(path)
+        assert list(data._parsed.items()) == kept
+        path.write_bytes(good)
+        assert load_csv(path).rows[:, 0].tolist() == EXTREME_FLOATS
+        assert parses == ["w.csv"] * 2
+
+    def test_hit_refreshes_the_least_recently_used_order(self, tmp_path, parses):
+        for name, cell in (("a", 1.0), ("b", 2.0)):
+            write_csv(with_cell(extreme_dataset(), cell), tmp_path / f"{name}.csv")
+        load_csv(tmp_path / "a.csv")  # the hit on a makes b the least recently used
+        write_csv(with_cell(extreme_dataset(), 3.0), tmp_path / "c.csv")
+        assert len(data._parsed) == 2
+        for name in "acb":
+            load_csv(tmp_path / f"{name}.csv")
+        assert parses == ["b.csv"]
 
 
 EXTREME_FLOATS = [-0.0, 5e-324, 1e-300, 1e22, 1.7976931348623157e308, -1.7976931348623157e308]
@@ -424,10 +437,11 @@ class TestWriteThrough:
             (extreme_dataset(names=("\ufeffx", "y")), lambda back: back.feature_names == ("x", "y")),
             (replace(extreme_dataset(), feature_names=("x",), kinds=(ColumnKind.NUMERIC,)),
              lambda back: back.rows[:, 0].tolist() == EXTREME_FLOATS and back.n_features == 1),
+            (extreme_dataset(names=("x" * (csv.field_size_limit() + 1), "y")), "unreadable CSV at line 1"),
         ],
         ids=[
             "one-class", "target-0-2", "nan", "inf", "-inf", "no-rows", "duplicate", "feature-named-class", "bom",
-            "fewer-kinds-than-columns",
+            "fewer-kinds-than-columns", "name-past-field-size-limit",
         ],
     )
     def test_table_a_parse_would_change_is_not_kept(self, tmp_path, parses, ds, outcome):

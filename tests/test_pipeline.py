@@ -393,8 +393,17 @@ class TestRunPipeline:
                     except ValueError:
                         float(cell)  # raises on np.float64(...) and any other non-number
 
-    def test_detect_writes_verdicts_without_boxing(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize(
+        "threshold, kwargs",
+        [
+            (ThresholdSettings(mode="contamination", fraction=0.06), {"contamination": 0.06}),
+            (ThresholdSettings(mode="fixed", tau=0.6), {"threshold": 0.6}),
+        ],
+        ids=["contamination", "fixed"],
+    )
+    def test_detect_writes_verdicts_without_boxing(self, tmp_path, monkeypatch, threshold, kwargs):
         cfg = small_config(tmp_path)
+        cfg = replace(cfg, forest=replace(cfg.forest, threshold=threshold))
         out = Path(cfg.out_dir)
         run_pipeline(cfg)
         expected = {name: (out / name).read_bytes() for name in ("verdicts_train.csv", "verdicts_test.csv")}
@@ -402,9 +411,20 @@ class TestRunPipeline:
         def boxed(*args, **kwargs):
             raise AssertionError("stage_detect must not box verdicts")
 
-        monkeypatch.setattr(iforest, "predict", boxed)
+        calls = []
+        predict = iforest.predict
+
+        def counting(forest, X, **given):
+            calls.append((X.shape[0], given))
+            return predict(forest, X, **given)
+
+        monkeypatch.setattr(iforest, "predict", counting)
         monkeypatch.setattr(iforest, "OutlierVerdict", boxed)
+        monkeypatch.setattr(iforest, "AnomalyScore", boxed)
         stage_detect(cfg, out)
+        train, test = (load_csv(out / f"{name}.csv") for name in ("train", "test"))
+        assert calls == [(train.n_rows, kwargs), (test.n_rows, kwargs)]  # once per partition
+        assert b",-1\r\n" in expected["verdicts_train.csv"]
         for name, content in expected.items():
             assert (out / name).read_bytes() == content, name
 
