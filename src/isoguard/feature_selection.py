@@ -144,13 +144,9 @@ def _best_splits(
     np.subtract(part_sizes, counts[:k], out=counts[k:])
     c1 = counts[:, 0::2]
     c0 = counts[:, 1::2]
-    # the same Gini terms as _gini_counts for all sides at once, weighted by side size
+    # the Gini of every side at once, weighted by side size
     side_sizes = c0 + c1
-    p0 = c0 / side_sizes
-    p0 *= p0
-    p1 = c1 / side_sizes
-    p1 *= p1
-    side = side_sizes * (1.0 - p0 - p1)
+    side = side_sizes * _gini_counts(c0, c1)
     child_gini = (side[:k] + side[k:]) / sizes
     node_counts = part_sizes.astype(np.float64)
     parent_gini = _gini_counts(node_counts[1::2], node_counts[0::2])

@@ -30,10 +30,8 @@ def _mix(z: int) -> int:
     return z ^ (z >> 31)
 
 
-def splitmix64(x: np.uint64 | np.ndarray) -> np.uint64 | np.ndarray:
-    """splitmix64 finalizer; accepts a uint64 scalar or array."""
-    if not isinstance(x, np.ndarray):
-        return np.uint64(_mix(int(x)))
+def splitmix64(x: np.ndarray) -> np.ndarray:
+    """splitmix64 finalizer over a uint64 array, elementwise; ``_mix`` is its scalar form."""
     z = x + np.uint64(_GAMMA)
     z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
     z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)

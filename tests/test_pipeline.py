@@ -606,6 +606,10 @@ class TestIntrusionShapedInput:
         transforms = json.loads((out / "transforms.json").read_text())
         assert set(transforms["encoders"]) == {"protocol_type", "service", "flag"}
         assert len(transforms["scaler"]) == 41
+        # the encoded nominal columns' codes, and the partitions they and the scaler wrote
+        assert digest(out / "transforms.json") == "dd26665d5f3d5eb57671979ef875aa2b9945a52dd9e7b2c58e090d3f77e633c7"
+        assert digest(out / "train.csv") == "d8d671834a70b90359769bf9966d20f892a0db2a74137b40a4bb55906ce12aab"
+        assert digest(out / "test.csv") == "a3d04c2e2bdefd3621e90333b71a6bd3b5c9bb1b59d1c5173b0b91539230bb87"
         assert set(report.models) == set(MODELS)
         text = (out / "report.txt").read_text()
         assert "Original dataset" in text and "Without Outlier" in text
